@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, matmul
-from .scalars import GaussRational, RadicalScalar, _coerce
+from .scalars import GaussRational, RadicalScalar, _coerce, accumulate
 
 
 class SignatureMismatch(Exception):
@@ -95,12 +95,7 @@ class Multivector:
         self._check(other)
         out = dict(self.terms)
         for b, c in other.terms.items():
-            s = out.get(b)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = s
+            accumulate(out, b, c)
         return Multivector(self.sig, out)
 
     def __neg__(self) -> "Multivector":
@@ -123,12 +118,7 @@ class Multivector:
                 coeff = c1 * c2
                 if sgn < 0:
                     coeff = -coeff
-                s = out.get(blade)
-                s = coeff if s is None else s + coeff
-                if s.is_zero():
-                    out.pop(blade, None)
-                else:
-                    out[blade] = s
+                accumulate(out, blade, coeff)
         return Multivector(self.sig, out)
 
     def grade_project(self, k: int) -> "Multivector":
@@ -166,10 +156,6 @@ class Multivector:
             name = "1" if not b else "e" + "".join(str(i) for i in b)
             parts.append(f"({self.terms[b]})*{name}")
         return " + ".join(parts)
-
-
-def clifford_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:

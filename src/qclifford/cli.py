@@ -15,6 +15,7 @@ class ConfigError(Exception):
 
 
 _MODES = ("exact", "numeric", "both")
+_FORMATS = ("text", "json")
 _CONVENTION_VALUES = tuple(c.value for c in ActionConvention)
 
 
@@ -49,6 +50,13 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+def _config_int(values: dict, key: str) -> int:
+    try:
+        return int(values[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from exc
+
+
 def _apply_config_file(args: argparse.Namespace, values: dict) -> None:
     """File values fill in anything the command line left at its default."""
     if "suite" in values and not args.suite:
@@ -56,11 +64,11 @@ def _apply_config_file(args: argparse.Namespace, values: dict) -> None:
     if "mode" in values and args.mode is None:
         args.mode = values["mode"]
     if "q_samples" in values and args.q_samples is None:
-        args.q_samples = int(values["q_samples"])
+        args.q_samples = _config_int(values, "q_samples")
     if "q_range" in values and args.q_range is None:
         args.q_range = values["q_range"]
     if "seed" in values and args.seed is None:
-        args.seed = int(values["seed"])
+        args.seed = _config_int(values, "seed")
     if "strict" in values and not args.strict:
         args.strict = values["strict"].lower() in ("1", "true", "yes")
     if "convention" in values and not args.convention:
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--strict", action="store_true", default=False,
                      help="report-status mismatches against targets also fail")
-    run.add_argument("--format", choices=("text", "json"), default=None)
+    run.add_argument("--format", choices=_FORMATS, default=None)
     run.add_argument("--out", default=None, metavar="PATH")
     run.add_argument("--convention", action="append", default=None,
                      choices=_CONVENTION_VALUES, help="restrict action conventions")
@@ -118,20 +126,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("q_samples must be positive")
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}")
+    if fmt not in _FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}")
     conv_values = args.convention or list(_CONVENTION_VALUES)
+    for value in conv_values:
+        if value not in _CONVENTION_VALUES:
+            raise ConfigError(f"unknown convention {value!r}")
     conventions = tuple(ActionConvention(v) for v in conv_values)
     try:
         chosen = suites_mod.resolve_suites(suites)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    ctx = suites_mod.RunContext(
-        mode=mode,
-        q_samples=q_samples,
-        q_range=q_range,
-        seed=seed,
-        conventions=conventions,
-    )
+    try:
+        ctx = suites_mod.RunContext(
+            mode=mode,
+            q_samples=q_samples,
+            q_range=q_range,
+            seed=seed,
+            conventions=conventions,
+        )
+    except ValueError as exc:  # a q range the sampler cannot draw from
+        raise ConfigError(str(exc)) from exc
     reports = suites_mod.run_checks(chosen, ctx)
     config_dict = {
         "suites": chosen,

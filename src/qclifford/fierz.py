@@ -27,6 +27,7 @@ from .rewrite import (
 )
 from .scalars import (
     RadicalScalar,
+    accumulate,
     q_half,
     q_plus_qinv,
     qinv,
@@ -121,11 +122,8 @@ def _exchange_coefficients(k: RadicalScalar, eps: Matrix) -> dict:
                             e_im = eps[ip, m]
                             if e_im.is_zero():
                                 continue
-                            c = k * e_lj * r_entry * e_im
-                            key = (m, jp)
-                            prev = body.get(key)
-                            body[key] = c if prev is None else prev + c
-            coeffs[(i, l)] = {key: c for key, c in body.items() if not c.is_zero()}
+                            accumulate(body, (m, jp), k * e_lj * r_entry * e_im)
+            coeffs[(i, l)] = body
     return coeffs
 
 

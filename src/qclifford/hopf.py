@@ -8,6 +8,11 @@ tensor-cube rewrite systems, and report exact witnesses on failure.
 Structure maps extend multiplicatively (the antipode anti-multiplicatively),
 so the generator- and relation-level checks are the decisive content; the
 word sweep is a consistency net on top.
+
+All three sweeps share one mechanism, ``WordImages``: a word's image is
+its prefix's image times its last letter's image, memoised per word.  It
+gives the coproduct in the tensor square, the identity map's normal forms,
+and (on reversed words) the antipode.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .rewrite import (
     RewriteSystem,
     apply_morphism,
 )
-from .scalars import RadicalScalar
+from .scalars import RadicalScalar, accumulate
 
 
 class AntipodeMissing(Exception):
@@ -60,16 +65,14 @@ class HopfData:
     def delta(self, p: NCPolynomial, budget: int = DEFAULT_BUDGET) -> NCPolynomial:
         return apply_morphism(p, self.coproduct, self.t2, budget)
 
-    def counit_of(self, p: NCPolynomial) -> RadicalScalar:
-        total = RadicalScalar.zero()
-        for w, c in p.terms.items():
-            val = c
-            for letter in w:
-                val = val * self.counit[letter]
-                if val.is_zero():
-                    break
-            total = total + val
-        return total
+    def counit_word(self, w) -> RadicalScalar:
+        """eps(w): the product of the counits of the letters of w."""
+        val = RadicalScalar.one()
+        for letter in w:
+            val = val * self.counit[letter]
+            if val.is_zero():
+                break
+        return val
 
     def antipode_of(self, p: NCPolynomial, budget: int = DEFAULT_BUDGET) -> NCPolynomial:
         out = NCPolynomial.zero()
@@ -108,39 +111,39 @@ def _split_t2_word(word, size: int):
     return u, v
 
 
-def _iter_word_images(rs, gen_images, target, max_len, budget):
-    """Yield (word, image-under-the-morphism) for all words up to max_len.
+class WordImages:
+    """Images of words under the algebra map fixed by its generator images.
 
-    The morphism is determined by its generator images; prefix results are
-    reused, so each word costs a single multiplication in the target.
+    A word's image is its prefix's image times the image of its last
+    letter, multiplied in ``target`` and memoised per word, so each word
+    costs one multiplication once its prefix is known.  The structure
+    maps are multiplicative and the target systems confluent, so by the
+    diamond lemma this bracketing gives the same normal form as any other.
     """
-    frontier = {(): NCPolynomial.unit()}
-    for _ in range(max_len):
-        nxt = {}
-        for w, img in frontier.items():
-            for i in range(rs.size):
-                nxt[w + (i,)] = target.multiply(img, gen_images[i], budget)
-        yield from nxt.items()
-        frontier = nxt
 
-
-class _DeltaMemo:
-    """Memoized coproduct values on normal words, extended prefix by prefix."""
-
-    def __init__(self, h: "HopfData", budget: int):
-        self.h = h
+    def __init__(self, gen_images, target: RewriteSystem, budget: int = DEFAULT_BUDGET):
+        self.gen_images = gen_images
+        self.target = target
         self.budget = budget
         self.cache: dict[tuple[int, ...], NCPolynomial] = {(): NCPolynomial.unit()}
 
     def __call__(self, word) -> NCPolynomial:
         cached = self.cache.get(word)
         if cached is None:
-            prefix = self(word[:-1])
-            cached = self.h.t2.multiply(
-                prefix, self.h.coproduct[word[-1]], self.budget
+            cached = self.target.multiply(
+                self(word[:-1]), self.gen_images[word[-1]], self.budget
             )
             self.cache[word] = cached
         return cached
+
+
+def _side_witnesses(rs, w, left: NCPolynomial, right: NCPolynomial, target: NCPolynomial):
+    """(word, residual) for each side of a two-sided axiom that misses ``target``."""
+    return [
+        (rs.render(NCPolynomial.word(w)), rs.render(d))
+        for d in (left - target, right - target)
+        if not d.is_zero()
+    ]
 
 
 def check_coassociativity(
@@ -154,34 +157,19 @@ def check_coassociativity(
     """
     rs = h.rs
     g = rs.size
-    delta = _DeltaMemo(h, budget)
+    delta = WordImages(h.coproduct, h.t2, budget)
     checked = 0
     witnesses = []
     for w in rs.iter_words(max_len):
         checked += 1
-        dw = delta(w)
         lhs: dict[tuple[int, ...], RadicalScalar] = {}
         rhs: dict[tuple[int, ...], RadicalScalar] = {}
-        for tw, c in dw.terms.items():
+        for tw, c in delta(w).terms.items():
             u, v = _split_t2_word(tw, g)
             for tw2, c2 in delta(u).terms.items():
-                key = tw2 + tuple(x + 2 * g for x in v)
-                s = lhs.get(key)
-                cc = c * c2
-                s = cc if s is None else s + cc
-                if s.is_zero():
-                    lhs.pop(key, None)
-                else:
-                    lhs[key] = s
+                accumulate(lhs, tw2 + tuple(x + 2 * g for x in v), c * c2)
             for tw2, c2 in delta(v).terms.items():
-                key = u + tuple(x + g for x in tw2)
-                s = rhs.get(key)
-                cc = c * c2
-                s = cc if s is None else s + cc
-                if s.is_zero():
-                    rhs.pop(key, None)
-                else:
-                    rhs[key] = s
+                accumulate(rhs, u + tuple(x + g for x in tw2), c * c2)
         if lhs != rhs:
             diff = NCPolynomial(lhs) - NCPolynomial(rhs)
             witnesses.append((rs.render(NCPolynomial.word(w)), h.t3.render(diff)))
@@ -198,51 +186,19 @@ def check_counit(
     """
     rs = h.rs
     g = rs.size
-    delta = _DeltaMemo(h, budget)
-
-    def eps_word(u) -> RadicalScalar:
-        val = RadicalScalar.one()
-        for letter in u:
-            val = val * h.counit[letter]
-            if val.is_zero():
-                break
-        return val
-
+    delta = WordImages(h.coproduct, h.t2, budget)
+    bases = WordImages({i: NCPolynomial.gen(i) for i in range(g)}, rs, budget)
     checked = 0
     witnesses = []
-    base_gen = {i: NCPolynomial.gen(i) for i in range(g)}
-    bases = dict(_iter_word_images(rs, base_gen, rs, max_len, budget))
     for w in rs.iter_words(max_len):
         checked += 1
-        dw = delta(w)
         left: dict[tuple[int, ...], RadicalScalar] = {}
         right: dict[tuple[int, ...], RadicalScalar] = {}
-        for tw, c in dw.terms.items():
+        for tw, c in delta(w).terms.items():
             u, v = _split_t2_word(tw, g)
-            lc = c * eps_word(u)
-            if not lc.is_zero():
-                s = left.get(v)
-                s = lc if s is None else s + lc
-                if s.is_zero():
-                    left.pop(v, None)
-                else:
-                    left[v] = s
-            rc = c * eps_word(v)
-            if not rc.is_zero():
-                s = right.get(u)
-                s = rc if s is None else s + rc
-                if s.is_zero():
-                    right.pop(u, None)
-                else:
-                    right[u] = s
-        p = NCPolynomial.word(w)
-        base = bases[w]
-        dl = NCPolynomial(left) - base
-        dr = NCPolynomial(right) - base
-        if not dl.is_zero():
-            witnesses.append((rs.render(p), rs.render(dl)))
-        if not dr.is_zero():
-            witnesses.append((rs.render(p), rs.render(dr)))
+            accumulate(left, v, c * h.counit_word(u))
+            accumulate(right, u, c * h.counit_word(v))
+        witnesses += _side_witnesses(rs, w, NCPolynomial(left), NCPolynomial(right), bases(w))
     return AxiomResult("counit", not witnesses, checked, witnesses)
 
 
@@ -251,6 +207,7 @@ def check_antipode(
 ) -> AxiomResult:
     """mult o (S x id) o Delta = unit o eps = mult o (id x S) o Delta.
 
+    S is anti-multiplicative, so S(w) is the image of the reversed word.
     Raises AntipodeMissing when some generator has no antipode assigned;
     callers that want a report instead should test
     ``missing_antipode_generators`` first.
@@ -260,34 +217,22 @@ def check_antipode(
         raise AntipodeMissing(", ".join(missing))
     rs = h.rs
     g = rs.size
-    delta_gen = dict(h.coproduct)
-    s_cache: dict[tuple[int, ...], NCPolynomial] = {}
-
-    def s_of(word):
-        cached = s_cache.get(word)
-        if cached is None:
-            cached = h.antipode_of(NCPolynomial.word(word), budget)
-            s_cache[word] = cached
-        return cached
-
+    delta = WordImages(h.coproduct, h.t2, budget)
+    s_cache = WordImages(h.antipode, rs, budget)
     checked = 0
     witnesses = []
-    for w, dw in _iter_word_images(rs, delta_gen, h.t2, max_len, budget):
+    for w in rs.iter_words(max_len):
         checked += 1
-        p = NCPolynomial.word(w)
         left = NCPolynomial.zero()
         right = NCPolynomial.zero()
-        for tw, c in dw.terms.items():
+        for tw, c in delta(w).terms.items():
             u, v = _split_t2_word(tw, g)
-            left = left + rs.multiply(s_of(u), NCPolynomial.word(v), budget).scale(c)
-            right = right + rs.multiply(NCPolynomial.word(u), s_of(v), budget).scale(c)
-        target = NCPolynomial({(): h.counit_of(p)})
-        dl = rs.normal_form(left, budget) - target
-        dr = rs.normal_form(right, budget) - target
-        if not dl.is_zero():
-            witnesses.append((rs.render(p), rs.render(dl)))
-        if not dr.is_zero():
-            witnesses.append((rs.render(p), rs.render(dr)))
+            left = left + rs.multiply(s_cache(u[::-1]), NCPolynomial.word(v), budget).scale(c)
+            right = right + rs.multiply(NCPolynomial.word(u), s_cache(v[::-1]), budget).scale(c)
+        target = NCPolynomial({(): h.counit_word(w)})
+        witnesses += _side_witnesses(
+            rs, w, rs.normal_form(left, budget), rs.normal_form(right, budget), target
+        )
     return AxiomResult("antipode", not witnesses, checked, witnesses)
 
 
@@ -304,6 +249,7 @@ def check_bialgebra_compatibility(
     witnesses = []
     for (a, b), variants in rs.rules.items():
         lhs_word = NCPolynomial.word((a, b))
+        e_l = h.counit_word((a, b))
         name = f"{rs.names[a]}*{rs.names[b]}"
         for rhs in variants:
             checked += 1
@@ -312,8 +258,9 @@ def check_bialgebra_compatibility(
             diff = d_l - d_r
             if not diff.is_zero():
                 witnesses.append((f"Delta({name})", t2.render(diff)))
-            e_l = h.counit_of(lhs_word)
-            e_r = h.counit_of(rhs)
+            e_r = sum(
+                (c * h.counit_word(w) for w, c in rhs.terms.items()), RadicalScalar.zero()
+            )
             if not (e_l - e_r).is_zero():
                 witnesses.append((f"eps({name})", str(e_l - e_r)))
     return AxiomResult("bialgebra_compatibility", not witnesses, checked, witnesses)

@@ -191,9 +191,11 @@ def load_report(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        validate_report(doc)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ParseError(str(exc)) from exc
-    validate_report(doc)
+    except jsonschema.ValidationError as exc:
+        raise ParseError(f"{path}: not a valid report: {exc.message}") from exc
     return doc
 
 

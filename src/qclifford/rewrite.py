@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
 
-from .scalars import RadicalScalar, _coerce
+from .scalars import RadicalScalar, _coerce, accumulate
 
 DEFAULT_BUDGET = 10**6
 
@@ -67,12 +67,7 @@ class NCPolynomial:
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            accumulate(out, w, c)
         return NCPolynomial(out)
 
     def __neg__(self) -> "NCPolynomial":
@@ -86,9 +81,6 @@ class NCPolynomial:
         if c.is_zero():
             return NCPolynomial.zero()
         return NCPolynomial({w: c * v for w, v in self.terms.items()})
-
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPolynomial) and self.terms == other.terms
@@ -165,12 +157,7 @@ class RewriteSystem:
                     pos = i
                     break
             if pos < 0:
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                accumulate(out, w, c)
                 continue
             word = list(w)
             i = pos
@@ -196,13 +183,7 @@ class RewriteSystem:
                 branched = True
                 break
             if not branched:
-                key = tuple(word)
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, tuple(word), c)
         return NCPolynomial(out)
 
     def multiply(
@@ -212,21 +193,8 @@ class RewriteSystem:
         raw: dict[Word, RadicalScalar] = {}
         for w1, c1 in p.terms.items():
             for w2, c2 in r.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = raw.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    raw.pop(w, None)
-                else:
-                    raw[w] = s
+                accumulate(raw, w1 + w2, c1 * c2)
         return self.normal_form(NCPolynomial(raw), budget)
-
-    def product(self, factors, budget: int = DEFAULT_BUDGET) -> NCPolynomial:
-        out = NCPolynomial.unit()
-        for f in factors:
-            out = self.multiply(out, f, budget)
-        return out
 
     def tensor_power(self, n: int) -> "RewriteSystem":
         """n commuting slots, each carrying a copy of this system.

@@ -72,6 +72,16 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, a.denominator * b.denominator)
 
 
+def accumulate(out: dict, key, value) -> None:
+    """Add ``value`` into ``out[key]``, dropping the key when the sum is zero."""
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 class GaussRational:
     """Complex number with exact rational real and imaginary parts."""
 
@@ -200,11 +210,7 @@ class HalfLaurent:
             return self
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = out.get(k, GR_ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            accumulate(out, k, c)
         return HalfLaurent(out)
 
     def __neg__(self) -> "HalfLaurent":
@@ -221,12 +227,7 @@ class HalfLaurent:
         out: dict[int, GaussRational] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                s = out.get(k, GR_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                accumulate(out, k1 + k2, c1 * c2)
         return HalfLaurent(out)
 
     def __pow__(self, n: int) -> "HalfLaurent":
@@ -354,12 +355,7 @@ def _poly_divmod(a: HalfLaurent, b: HalfLaurent) -> tuple[HalfLaurent, HalfLaure
         coef = rem[da] * lb_inv
         quo[da - db] = coef
         for k, c in b.coeffs.items():
-            key = k + da - db
-            s = rem.get(key, GR_ZERO) - c * coef
-            if s.is_zero():
-                rem.pop(key, None)
-            else:
-                rem[key] = s
+            accumulate(rem, k + da - db, -(c * coef))
     return HalfLaurent(quo), HalfLaurent(rem)
 
 
@@ -471,9 +467,6 @@ class LaurentFrac:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def __add__(self, other: "LaurentFrac") -> "LaurentFrac":
         if self.den.is_one() and other.den.is_one():
             return LaurentFrac(self.num + other.num)
@@ -501,9 +494,6 @@ class LaurentFrac:
 
     def __truediv__(self, other: "LaurentFrac") -> "LaurentFrac":
         return self * other.inverse()
-
-    def scale_gauss(self, c: GaussRational) -> "LaurentFrac":
-        return LaurentFrac(self.num.scale(c), self.den)
 
     def eval_t(self, t: complex) -> complex:
         d = self.den.eval_t(t)
@@ -705,12 +695,7 @@ class RadicalScalar:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            accumulate(out, k, c)
         return RadicalScalar(out)
 
     __radd__ = __add__
@@ -767,13 +752,7 @@ class RadicalScalar:
                         j += 1
                 merged.extend(k1[i:])
                 merged.extend(k2[j:])
-                key = tuple(merged)
-                s = out.get(key)
-                s = coeff if s is None else s + coeff
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, tuple(merged), coeff)
         return RadicalScalar(out)
 
     __rmul__ = __mul__

@@ -30,6 +30,16 @@ EXTRA_SUITES = ("selfcheck",)
 # fallback sample points used to measure exact residuals in exact mode
 REFERENCE_SAMPLES = (0.5, 0.75, 1.25, 1.5, 1.75)
 
+# (centre, radius): sampled q values keep at least this distance from each
+# centre, away from the classical points q = 1, -1 and from q = 0
+Q_EXCLUSIONS = ((1.0, 0.05), (0.0, 1e-6), (-1.0, 0.05))
+
+
+def admissible_q_length(lo: float, hi: float) -> float:
+    """Length of [lo, hi] left to the q sampler once the exclusions are cut out."""
+    covered = sum(max(0.0, min(hi, c + r) - max(lo, c - r)) for c, r in Q_EXCLUSIONS)
+    return hi - lo - covered
+
 
 @dataclass
 class RunContext:
@@ -38,16 +48,20 @@ class RunContext:
     q_range: tuple[float, float] = (0.5, 2.0)
     seed: int = 0
     conventions: tuple[qgamma.ActionConvention, ...] = qgamma.ALL_CONVENTIONS
-    max_len_overrides: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
         rng = random.Random(self.seed)
         lo, hi = self.q_range
+        if admissible_q_length(lo, hi) <= 1e-9:
+            raise ValueError(
+                f"q range {lo}:{hi} has no admissible samples: every q in it lies "
+                "within 0.05 of 1 or -1, or within 1e-6 of 0"
+            )
         samples = []
         while len(samples) < self.q_samples:
             x = rng.uniform(lo, hi)
-            if abs(x - 1.0) >= 0.05 and abs(x) >= 1e-6 and abs(x + 1.0) >= 0.05:
+            if all(abs(x - c) >= r for c, r in Q_EXCLUSIONS):
                 samples.append(x)
         self.samples = samples
         self.rng = rng
@@ -119,12 +133,6 @@ class RunContext:
                 self.branch_cut_hit = True
             worst = max(worst, abs(val))
         return worst
-
-    def measure_matrices(self, mats) -> float:
-        return max((self.measure_matrix(m) for m in mats), default=0.0)
-
-    def max_len(self, key: str, default: int) -> int:
-        return self.max_len_overrides.get(key, default)
 
 
 @dataclass(frozen=True)
@@ -342,9 +350,10 @@ def _qgamma_gamma5(ctx: RunContext) -> CheckReport:
     )
 
 
-def _deformed_metric_check(conv: qgamma.ActionConvention):
+def _deformed_metric_check(conv: qgamma.ActionConvention) -> None:
     cid = f"qgamma.deformed_metric.{conv.value}"
 
+    @_check(cid, "qgamma", f"induced deformed metric vs the transcribed target ({conv.value})")
     def fn(ctx: RunContext) -> CheckReport | None:
         if conv not in ctx.conventions:
             return None
@@ -373,19 +382,9 @@ def _deformed_metric_check(conv: qgamma.ActionConvention):
             },
         )
 
-    return cid, fn
-
 
 for _conv in qgamma.ALL_CONVENTIONS:
-    _cid, _fn = _deformed_metric_check(_conv)
-    _REGISTRY.append(
-        CheckDef(
-            _cid,
-            "qgamma",
-            f"induced deformed metric vs the transcribed target ({_conv.value})",
-            _fn,
-        )
-    )
+    _deformed_metric_check(_conv)
 
 
 @_check(
@@ -469,6 +468,82 @@ def _qgamma_solve(ctx: RunContext) -> CheckReport:
 
 
 # ===========================================================================
+# Hopf axiom checks of glq2, ch2 and chq2
+# ===========================================================================
+
+# One row per check: (check id, checker, word-length bound or None for the
+# relation-level check, witnesses shown on failure, whether the report
+# carries details.words, description).  The id's first component names
+# both the suite and the RunContext algebra the check runs on.
+_AXIOM_CHECKS = (
+    ("glq2.bialgebra_relations", hopf.check_bialgebra_compatibility, None, 2, False,
+     "coproduct and counit preserve all six defining relations exactly"),
+    ("glq2.coassociativity_len4", hopf.check_coassociativity, 4, 1, True,
+     "matrix coproduct is coassociative on all words to length 4"),
+    ("glq2.counit_len4", hopf.check_counit, 4, 1, True,
+     "counit laws hold on all words to length 4"),
+    ("ch2.bialgebra_relations", hopf.check_bialgebra_compatibility, None, 0, False,
+     "coproduct and counit preserve every defining relation"),
+    ("ch2.coassociativity_len4", hopf.check_coassociativity, 4, 0, True,
+     "coassociativity on all six generators and words to length 4"),
+    ("ch2.counit_len4", hopf.check_counit, 4, 0, False,
+     "counit laws on all words to length 4"),
+    ("ch2.antipode_len4", hopf.check_antipode, 4, 0, False,
+     "antipode axiom on all words to length 4"),
+    ("chq2.bialgebra_relations", hopf.check_bialgebra_compatibility, None, 1, False,
+     "deformed coproduct and counit preserve every defining relation"),
+    ("chq2.coassociativity_len3", hopf.check_coassociativity, 3, 0, True,
+     "deformed coproduct is coassociative on all words to length 3"),
+    ("chq2.counit_len3", hopf.check_counit, 3, 0, False,
+     "counit laws on all words to length 3"),
+)
+
+
+def _axiom_check(check_id, checker, max_len, shown, words, description) -> None:
+    suite = check_id.split(".")[0]
+
+    @_check(check_id, suite, description)
+    def fn(ctx: RunContext) -> CheckReport:
+        h = getattr(ctx, suite)
+        r = checker(h) if max_len is None else checker(h, max_len)
+        return _pass_fail(
+            check_id,
+            r.ok,
+            witness=None if r.ok or not shown else str(r.witnesses[:shown]),
+            details={"words": r.checked_words} if words else {},
+        )
+
+
+for _row in _AXIOM_CHECKS:
+    _axiom_check(*_row)
+
+
+def _antipode_missing(check_id: str, description: str) -> None:
+    suite = check_id.split(".")[0]
+
+    @_check(check_id, suite, description)
+    def fn(ctx: RunContext) -> CheckReport:
+        missing = getattr(ctx, suite).missing_antipode_generators()
+        return CheckReport(
+            check_id=check_id,
+            status=STATUS_REPORT,
+            residual_max="0",
+            witness=f"antipode missing for: {', '.join(missing)}",
+            mismatch=False,
+            details={"missing": missing},
+        )
+
+
+_antipode_missing(
+    "glq2.antipode", "no antipode is assigned by the presentation; reported, not asserted"
+)
+_antipode_missing(
+    "chq2.antipode_missing",
+    "the deformed generators carry no stated antipode; reported, not asserted",
+)
+
+
+# ===========================================================================
 # glq2 suite
 # ===========================================================================
 
@@ -494,7 +569,7 @@ def _glq2_degree(ctx: RunContext) -> CheckReport:
     "all critical peaks among the six relations rejoin up to length 4",
 )
 def _glq2_confluence(ctx: RunContext) -> CheckReport:
-    failures = local_confluence_check(ctx.glq2.rs, ctx.max_len("glq2.confluence", 4))
+    failures = local_confluence_check(ctx.glq2.rs, 4)
     if not failures:
         return _pass_fail("glq2.local_confluence_len4", True)
     witness = "; ".join(
@@ -519,7 +594,7 @@ def _glq2_termination(ctx: RunContext) -> CheckReport:
     rs = ctx.glq2.rs
     count = 0
     try:
-        for w in rs.iter_words(ctx.max_len("glq2.termination", 8)):
+        for w in rs.iter_words(8):
             rs.normal_form(NCPolynomial.word(w))
             count += 1
     except Exception as exc:  # BudgetExceeded or anything unexpected
@@ -529,102 +604,9 @@ def _glq2_termination(ctx: RunContext) -> CheckReport:
     return _pass_fail("glq2.termination_len8", True, details={"words": count})
 
 
-@_check(
-    "glq2.bialgebra_relations",
-    "glq2",
-    "coproduct and counit preserve all six defining relations exactly",
-)
-def _glq2_bialg(ctx: RunContext) -> CheckReport:
-    r = hopf.check_bialgebra_compatibility(ctx.glq2)
-    return _pass_fail(
-        "glq2.bialgebra_relations",
-        r.ok,
-        witness=None if r.ok else str(r.witnesses[:2]),
-    )
-
-
-@_check(
-    "glq2.coassociativity_len4",
-    "glq2",
-    "matrix coproduct is coassociative on all words to length 4",
-)
-def _glq2_coassoc(ctx: RunContext) -> CheckReport:
-    r = hopf.check_coassociativity(ctx.glq2, ctx.max_len("glq2.axioms", 4))
-    return _pass_fail(
-        "glq2.coassociativity_len4",
-        r.ok,
-        witness=None if r.ok else str(r.witnesses[:1]),
-        details={"words": r.checked_words},
-    )
-
-
-@_check(
-    "glq2.counit_len4",
-    "glq2",
-    "counit laws hold on all words to length 4",
-)
-def _glq2_counit(ctx: RunContext) -> CheckReport:
-    r = hopf.check_counit(ctx.glq2, ctx.max_len("glq2.axioms", 4))
-    return _pass_fail(
-        "glq2.counit_len4",
-        r.ok,
-        witness=None if r.ok else str(r.witnesses[:1]),
-        details={"words": r.checked_words},
-    )
-
-
-@_check(
-    "glq2.antipode",
-    "glq2",
-    "no antipode is assigned by the presentation; reported, not asserted",
-)
-def _glq2_antipode(ctx: RunContext) -> CheckReport:
-    missing = ctx.glq2.missing_antipode_generators()
-    return CheckReport(
-        check_id="glq2.antipode",
-        status=STATUS_REPORT,
-        residual_max="0",
-        witness=f"antipode missing for: {', '.join(missing)}",
-        mismatch=False,
-        details={"missing": missing},
-    )
-
-
 # ===========================================================================
 # ch2 suite
 # ===========================================================================
-
-
-@_check(
-    "ch2.coassociativity_len4",
-    "ch2",
-    "coassociativity on all six generators and words to length 4",
-)
-def _ch2_coassoc(ctx: RunContext) -> CheckReport:
-    r = hopf.check_coassociativity(ctx.ch2, ctx.max_len("ch2.axioms", 4))
-    return _pass_fail("ch2.coassociativity_len4", r.ok, details={"words": r.checked_words})
-
-
-@_check("ch2.counit_len4", "ch2", "counit laws on all words to length 4")
-def _ch2_counit(ctx: RunContext) -> CheckReport:
-    r = hopf.check_counit(ctx.ch2, ctx.max_len("ch2.axioms", 4))
-    return _pass_fail("ch2.counit_len4", r.ok)
-
-
-@_check("ch2.antipode_len4", "ch2", "antipode axiom on all words to length 4")
-def _ch2_antipode(ctx: RunContext) -> CheckReport:
-    r = hopf.check_antipode(ctx.ch2, ctx.max_len("ch2.axioms", 4))
-    return _pass_fail("ch2.antipode_len4", r.ok)
-
-
-@_check(
-    "ch2.bialgebra_relations",
-    "ch2",
-    "coproduct and counit preserve every defining relation",
-)
-def _ch2_bialg(ctx: RunContext) -> CheckReport:
-    r = hopf.check_bialgebra_compatibility(ctx.ch2)
-    return _pass_fail("ch2.bialgebra_relations", r.ok)
 
 
 def _perturbed_ch2(which: str) -> hopf.HopfData:
@@ -644,31 +626,19 @@ def _perturbed_ch2(which: str) -> hopf.HopfData:
     return h
 
 
-def _negative_control(which: str, checker):
+def _negative_control(which: str, checker) -> None:
     cid = f"ch2.negative_control_{which}"
 
+    @_check(cid, "ch2", f"a deliberately perturbed {which} structure map must fail its axiom")
     def fn(ctx: RunContext) -> CheckReport:
         h = _perturbed_ch2(which)
         r = checker(h, 2)
         return _pass_fail(cid, not r.ok, witness=None if not r.ok else "perturbation passed")
 
-    return cid, fn
 
-
-for _which, _checker in (
-    ("coassoc", hopf.check_coassociativity),
-    ("counit", hopf.check_counit),
-    ("antipode", hopf.check_antipode),
-):
-    _cid, _fn = _negative_control(_which, _checker)
-    _REGISTRY.append(
-        CheckDef(
-            _cid,
-            "ch2",
-            f"a deliberately perturbed {_which} structure map must fail its axiom",
-            _fn,
-        )
-    )
+_negative_control("coassoc", hopf.check_coassociativity)
+_negative_control("counit", hopf.check_counit)
+_negative_control("antipode", hopf.check_antipode)
 
 
 @_check(
@@ -692,51 +662,6 @@ def _ch2_toy(ctx: RunContext) -> CheckReport:
 
 
 @_check(
-    "chq2.bialgebra_relations",
-    "chq2",
-    "deformed coproduct and counit preserve every defining relation",
-)
-def _chq2_bialg(ctx: RunContext) -> CheckReport:
-    r = hopf.check_bialgebra_compatibility(ctx.chq2)
-    return _pass_fail(
-        "chq2.bialgebra_relations", r.ok, witness=None if r.ok else str(r.witnesses[:1])
-    )
-
-
-@_check(
-    "chq2.coassociativity_len3",
-    "chq2",
-    "deformed coproduct is coassociative on all words to length 3",
-)
-def _chq2_coassoc(ctx: RunContext) -> CheckReport:
-    r = hopf.check_coassociativity(ctx.chq2, ctx.max_len("chq2.axioms", 3))
-    return _pass_fail("chq2.coassociativity_len3", r.ok, details={"words": r.checked_words})
-
-
-@_check("chq2.counit_len3", "chq2", "counit laws on all words to length 3")
-def _chq2_counit(ctx: RunContext) -> CheckReport:
-    r = hopf.check_counit(ctx.chq2, ctx.max_len("chq2.axioms", 3))
-    return _pass_fail("chq2.counit_len3", r.ok)
-
-
-@_check(
-    "chq2.antipode_missing",
-    "chq2",
-    "the deformed generators carry no stated antipode; reported, not asserted",
-)
-def _chq2_antipode_missing(ctx: RunContext) -> CheckReport:
-    missing = ctx.chq2.missing_antipode_generators()
-    return CheckReport(
-        check_id="chq2.antipode_missing",
-        status=STATUS_REPORT,
-        residual_max="0",
-        witness=f"antipode missing for: {', '.join(missing)}",
-        mismatch=False,
-        details={"missing": missing},
-    )
-
-
-@_check(
     "chq2.antipode_inherited",
     "chq2",
     "the undeformed antipode satisfies the axiom with the deformed coproduct",
@@ -745,7 +670,7 @@ def _chq2_antipode_inherited(ctx: RunContext) -> CheckReport:
     h = ctx.cached(
         "chq2_full", lambda: presentations.build_chq2(include_inherited_antipode=True)
     )
-    r = hopf.check_antipode(h, ctx.max_len("chq2.antipode", 2))
+    r = hopf.check_antipode(h, 2)
     return CheckReport(
         check_id="chq2.antipode_inherited",
         status=STATUS_REPORT,
@@ -916,9 +841,10 @@ def _chq2_cross(ctx: RunContext) -> CheckReport:
     )
 
 
-def _su2_check(conv: qgamma.ActionConvention):
+def _su2_check(conv: qgamma.ActionConvention) -> None:
     cid = f"chq2.su2_action.{conv.value}"
 
+    @_check(cid, "chq2", f"post-action relation values for the mapped Pauli basis ({conv.value})")
     def fn(ctx: RunContext) -> CheckReport | None:
         if conv not in ctx.conventions:
             return None
@@ -944,19 +870,9 @@ def _su2_check(conv: qgamma.ActionConvention):
             details={"claims_exactly_zero": sorted(k for k, v in claim_zero.items() if v)},
         )
 
-    return cid, fn
-
 
 for _conv in qgamma.ALL_CONVENTIONS:
-    _cid, _fn = _su2_check(_conv)
-    _REGISTRY.append(
-        CheckDef(
-            _cid,
-            "chq2",
-            f"post-action relation values for the mapped Pauli basis ({_conv.value})",
-            _fn,
-        )
-    )
+    _su2_check(_conv)
 
 
 # ===========================================================================
@@ -1126,7 +1042,7 @@ def _fierz_confluence(ctx: RunContext) -> CheckReport:
     counts = {}
     for label, k in (("k=1", Fraction(1)), ("k=3/5", Fraction(3, 5))):
         counts[label] = len(
-            fierz.reflection_confluence_witnesses(k, ctx.max_len("fierz.confluence", 4))
+            fierz.reflection_confluence_witnesses(k, 4)
         )
     return CheckReport(
         check_id="fierz.reflection_confluence",
@@ -1138,9 +1054,14 @@ def _fierz_confluence(ctx: RunContext) -> CheckReport:
     )
 
 
-def _quadratic_check(convention: str, tag: str):
+def _quadratic_check(convention: str, tag: str) -> None:
     cid = f"fierz.quadratic.{tag}"
 
+    @_check(
+        cid,
+        "fierz",
+        f"quadratic current identity residual and exchange-constant analysis ({tag})",
+    )
     def fn(ctx: RunContext) -> CheckReport:
         rep = fierz.quadratic_identity_report(ctx.gammas, convention)
         worst = 0.0
@@ -1164,22 +1085,9 @@ def _quadratic_check(convention: str, tag: str):
             details=k_info,
         )
 
-    return cid, fn
 
-
-for _convention, _tag in (
-    (fierz.CONVENTION_COMMUTE, "convention_a"),
-    (fierz.CONVENTION_REFLECT, "convention_b"),
-):
-    _cid, _fn = _quadratic_check(_convention, _tag)
-    _REGISTRY.append(
-        CheckDef(
-            _cid,
-            "fierz",
-            f"quadratic current identity residual and exchange-constant analysis ({_tag})",
-            _fn,
-        )
-    )
+_quadratic_check(fierz.CONVENTION_COMMUTE, "convention_a")
+_quadratic_check(fierz.CONVENTION_REFLECT, "convention_b")
 
 
 # ===========================================================================

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -137,9 +138,13 @@ class TestDiffCommand:
 
     def test_unparseable_file_is_an_error(self, tmp_path, capsys):
         (tmp_path / "junk.json").write_text("{nope")
+        (tmp_path / "invalid.json").write_text('{"schema_version": "1"}')
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
         run_verify(tmp_path, "a.json", FAST_SUITE)
-        code = main(["diff", str(tmp_path / "a.json"), str(tmp_path / "junk.json")])
-        assert code == 2
+        for bad in ("junk.json", "invalid.json", "binary.json"):
+            code = main(["diff", str(tmp_path / "a.json"), str(tmp_path / bad)])
+            assert code == 2, bad
+            assert "Traceback" not in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -179,6 +184,36 @@ class TestConfigFile:
     def test_bad_q_range_rejected(self, capsys):
         code = main(["verify", *FAST_SUITE, "--q-range", "2:1"])
         assert code == 2
+        # every q in these ranges lies in the sampler's exclusion window
+        # around 1 or -1, so sampling could never finish
+        for q_range in ("0.97:1.03", "0.96:1.04", "-1.03:-0.97"):
+            code = main(["verify", *FAST_SUITE, f"--q-range={q_range}"])
+            assert code == 2, q_range
+            assert "no admissible samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["q_samples = abc", "seed = x", "convention = bogus", "format = xml"],
+    )
+    def test_bad_config_value_is_a_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"suite = clifford\n{line}\n")
+        code = main(["verify", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestGoldenReport:
+    def test_hopf_exact_seed7_report_is_unchanged(self, tmp_path):
+        # byte oracle for refactors of the scalar, rewrite and Hopf layers;
+        # the file is the output of `qclifford verify --suite ch2 --suite chq2
+        # --mode exact --seed 7 --format json` and changes only with the report
+        golden = pathlib.Path(__file__).parent / "data" / "hopf_exact_seed7.json"
+        args = ["--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"]
+        code, payload = run_verify(tmp_path, "r.json", args)
+        assert code == 0
+        assert payload == golden.read_bytes()
 
 
 class TestConventionFilter:

@@ -2,6 +2,7 @@ import pytest
 
 from qclifford.hopf import (
     AntipodeMissing,
+    WordImages,
     check_antipode,
     check_bialgebra_compatibility,
     check_coassociativity,
@@ -15,7 +16,7 @@ from qclifford.presentations import (
     build_glq2,
     build_group_toy,
 )
-from qclifford.rewrite import NCPolynomial
+from qclifford.rewrite import NCPolynomial, apply_morphism
 from qclifford.scalars import RadicalScalar
 
 
@@ -131,6 +132,24 @@ class TestNegativeControls:
     def test_eps_respects_relations_by_plain_substitution(self):
         gl = build_glq2()
         # eps(a11 a12) = 0 = q eps(a12 a11)
-        lhs = gl.counit_of(NCPolynomial.word((0, 1)))
-        rhs = gl.counit_of(NCPolynomial.word((1, 0)))
+        lhs = gl.counit_word((0, 1))
+        rhs = gl.counit_word((1, 0))
         assert lhs.is_zero() and rhs.is_zero()
+
+
+class TestWordImages:
+    """The shared prefix cache against the direct letter-by-letter extension."""
+
+    @pytest.mark.parametrize("build", [build_glq2, build_ch2], ids=["glq2", "ch2"])
+    def test_coproduct_images_match_apply_morphism(self, build):
+        h = build()
+        delta = WordImages(h.coproduct, h.t2)
+        for w in h.rs.iter_words(3, min_len=0):
+            expect = apply_morphism(NCPolynomial.word(w), h.coproduct, h.t2)
+            assert delta(w) == expect, w
+
+    def test_reversed_word_images_are_the_antipode(self):
+        h = build_ch2()
+        s_images = WordImages(h.antipode, h.rs)
+        for w in h.rs.iter_words(3, min_len=0):
+            assert s_images(w[::-1]) == h.antipode_of(NCPolynomial.word(w)), w
