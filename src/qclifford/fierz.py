@@ -97,13 +97,14 @@ def spinor_metric() -> Matrix:
     )
 
 
-def _exchange_coefficients(k: RadicalScalar, eps: Matrix) -> dict:
+def _exchange_coefficients(k: RadicalScalar) -> dict:
     """Coefficients of the rules Z^i Zbar^l -> sum c Zbar^m Z^j.
 
     Obtained from the doublet relation by inverting the metric on the left
     leg: c[(i, l), (m, j)] = k * sum_j' eps_inv[l, j'] R[(i, j'), (i', j)] eps[i', m].
     """
     r = hecke_rmatrix()
+    eps = spinor_metric()
     eps_inv = eps.inverse()
     coeffs: dict[tuple[int, int], dict[tuple[int, int], RadicalScalar]] = {}
     for i in range(2):
@@ -127,16 +128,13 @@ def _exchange_coefficients(k: RadicalScalar, eps: Matrix) -> dict:
     return coeffs
 
 
-def reflection_rules(k, eps: Matrix | None = None) -> RewriteSystem:
+def reflection_rules(k) -> RewriteSystem:
     """Rewrite system for one spinor doublet and its conjugate.
 
     Alphabet Zb1 < Zb2 < Z1 < Z2; the four rules move a Z past a Zbar,
     producing scalar-weighted sums of Zbar-first words.
     """
-    if eps is None:
-        eps = spinor_metric()
-    k = _to_scalar(k)
-    coeffs = _exchange_coefficients(k, eps)
+    coeffs = _exchange_coefficients(_to_scalar(k))
     rules = {}
     for (i, l), body in coeffs.items():
         rhs = NCPolynomial(
@@ -167,7 +165,7 @@ def _zed(spinor: int, comp: int) -> int:
     return 4 + 2 * (spinor - 1) + (comp - 1)
 
 
-def two_spinor_system(k, convention: str, eps: Matrix | None = None) -> RewriteSystem:
+def two_spinor_system(k, convention: str) -> RewriteSystem:
     """Rewrite system for two doublets.
 
     Each doublet obeys the reflection exchange with its own conjugate.
@@ -175,10 +173,7 @@ def two_spinor_system(k, convention: str, eps: Matrix | None = None) -> RewriteS
     obey the same reflection exchange (leaving same-type cross pairs
     free), matching the two readings of the unstated convention.
     """
-    if eps is None:
-        eps = spinor_metric()
-    k = _to_scalar(k)
-    coeffs = _exchange_coefficients(k, eps)
+    coeffs = _exchange_coefficients(_to_scalar(k))
     rules: dict[tuple[int, int], NCPolynomial] = {}
 
     def add_reflection(a: int, b: int) -> None:
@@ -213,11 +208,9 @@ def two_spinor_system(k, convention: str, eps: Matrix | None = None) -> RewriteS
     return RewriteSystem(_SPINOR_NAMES, rules)
 
 
-def majorana_components(spinor: int, eps: Matrix | None = None) -> list[NCPolynomial]:
+def majorana_components(spinor: int) -> list[NCPolynomial]:
     """The four-component assembly (Z^1, Z^2, (Zbar eps^{-1})^1, (Zbar eps^{-1})^2)."""
-    if eps is None:
-        eps = spinor_metric()
-    eps_inv = eps.inverse()
+    eps_inv = spinor_metric().inverse()
     comps = [
         NCPolynomial.gen(_zed(spinor, 1)),
         NCPolynomial.gen(_zed(spinor, 2)),
@@ -459,14 +452,13 @@ def _quadratic_residual(
     gs: QGammaSet,
     k_value: Fraction,
     convention: str,
-    eps: Matrix | None,
     budget: int,
     swap_roles: bool = False,
 ) -> tuple[NCPolynomial, RewriteSystem]:
-    rs = two_spinor_system(k_value, convention, eps)
+    rs = two_spinor_system(k_value, convention)
     bar_spinor, ket_spinor = (2, 1) if swap_roles else (1, 2)
-    bar = majorana_components(bar_spinor, eps)
-    ket = majorana_components(ket_spinor, eps)
+    bar = majorana_components(bar_spinor)
+    ket = majorana_components(ket_spinor)
     ident = Matrix.identity(4)
     g03 = matmul(gs.gamma0, gs.gamma3)
     g5 = gamma5(gs)
@@ -484,7 +476,6 @@ def _quadratic_residual(
 def quadratic_identity_report(
     gs: QGammaSet,
     convention: str = CONVENTION_COMMUTE,
-    eps: Matrix | None = None,
     budget: int = DEFAULT_BUDGET,
     swap_roles: bool = False,
     k_nodes: int = 6,
@@ -501,7 +492,7 @@ def quadratic_identity_report(
     residuals = []
     names: tuple[str, ...] = _SPINOR_NAMES
     for kv in nodes:
-        res, rs = _quadratic_residual(gs, kv, convention, eps, budget, swap_roles)
+        res, rs = _quadratic_residual(gs, kv, convention, budget, swap_roles)
         residuals.append(res)
         names = rs.names
     words = sorted(
@@ -540,7 +531,6 @@ def quadratic_identity_report(
     )
 
 
-def reflection_confluence_witnesses(k, max_len: int = 4, eps: Matrix | None = None):
+def reflection_confluence_witnesses(k, max_len: int = 4):
     """Local confluence outcome for the single-doublet exchange rules."""
-    rs = reflection_rules(k, eps)
-    return local_confluence_check(rs, max_len)
+    return local_confluence_check(reflection_rules(k), max_len)

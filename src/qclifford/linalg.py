@@ -24,10 +24,6 @@ class ShapeMismatch(Exception):
     pass
 
 
-def _as_scalar(x) -> RadicalScalar:
-    return _coerce(x)
-
-
 class Matrix:
     """Immutable dense matrix with RadicalScalar entries."""
 
@@ -51,7 +47,7 @@ class Matrix:
         for row in rows:
             if len(row) != c:
                 raise ShapeMismatch("ragged rows")
-            flat.extend(_as_scalar(x) for x in row)
+            flat.extend(_coerce(x) for x in row)
         return Matrix(r, c, flat)
 
     @staticmethod
@@ -98,7 +94,7 @@ class Matrix:
         return Matrix(self.rows, self.cols, [-a for a in self.data])
 
     def scale(self, c) -> "Matrix":
-        c = _as_scalar(c)
+        c = _coerce(c)
         return Matrix(self.rows, self.cols, [c * a for a in self.data])
 
     def __rmul__(self, c) -> "Matrix":
@@ -167,21 +163,8 @@ class Matrix:
             raise ShapeMismatch("inverse of non-square matrix")
         n = self.rows
         aug = [list(self.row(i)) + list(Matrix.identity(n).row(i)) for i in range(n)]
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if not aug[r][col].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise NotInvertible("matrix is singular")
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [inv * x for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+        if len(_row_reduce(aug, n)) < n:
+            raise NotInvertible("matrix is singular")
         return Matrix(n, n, [aug[i][n + j] for i in range(n) for j in range(n)])
 
     def __repr__(self) -> str:
@@ -249,24 +232,17 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(rows, cols, data)
 
 
-def solve_exact(a: Matrix, rhs: list[RadicalScalar]):
-    """Solve a x = rhs exactly; returns (solvable, solution or None).
+def _row_reduce(aug: list[list[RadicalScalar]], ncols: int) -> list[int]:
+    """Gauss-Jordan reduce the first ``ncols`` columns of ``aug`` in place.
 
-    Row-reduces the augmented system over the scalar field; when the
-    system is consistent, free variables are set to zero.
+    Each pivot row is scaled to a leading 1 and the pivot column is cleared
+    in every other row; returns the pivot columns, whose rows come first.
     """
-    if len(rhs) != a.rows:
-        raise ShapeMismatch("rhs length does not match row count")
-    m, n = a.rows, a.cols
-    aug = [list(a.row(i)) + [_as_scalar(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot_row = None
-        for rr in range(r, m):
-            if not aug[rr][col].is_zero():
-                pivot_row = rr
-                break
+    m = len(aug)
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot_row = next((rr for rr in range(r, m) if not aug[rr][col].is_zero()), None)
         if pivot_row is None:
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
@@ -277,10 +253,23 @@ def solve_exact(a: Matrix, rhs: list[RadicalScalar]):
                 factor = aug[rr][col]
                 aug[rr] = [x - factor * y for x, y in zip(aug[rr], aug[r])]
         pivots.append(col)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
-    for rr in range(r, m):
+    return pivots
+
+
+def solve_exact(a: Matrix, rhs: list[RadicalScalar]):
+    """Solve a x = rhs exactly; returns (solvable, solution or None).
+
+    Row-reduces the augmented system over the scalar field; when the
+    system is consistent, free variables are set to zero.
+    """
+    if len(rhs) != a.rows:
+        raise ShapeMismatch("rhs length does not match row count")
+    m, n = a.rows, a.cols
+    aug = [list(a.row(i)) + [_coerce(rhs[i])] for i in range(m)]
+    pivots = _row_reduce(aug, n)
+    for rr in range(len(pivots), m):
         if not aug[rr][n].is_zero():
             return False, None
     solution = [RadicalScalar.zero()] * n

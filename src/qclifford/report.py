@@ -120,18 +120,21 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _status_counts(reports: list[CheckReport]) -> dict[str, int]:
+    """Number of reports per status, in pass, fail, report order."""
+    return {
+        s: sum(1 for r in reports if r.status == s)
+        for s in (STATUS_PASS, STATUS_FAIL, STATUS_REPORT)
+    }
+
+
 def reports_to_json(config_dict: dict, reports: list[CheckReport]) -> str:
     reports = sorted(reports, key=lambda r: r.check_id)
-    summary = {
-        "pass": sum(1 for r in reports if r.status == STATUS_PASS),
-        "fail": sum(1 for r in reports if r.status == STATUS_FAIL),
-        "report": sum(1 for r in reports if r.status == STATUS_REPORT),
-    }
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config": config_dict,
         "checks": [r.to_json_dict() for r in reports],
-        "summary": summary,
+        "summary": _status_counts(reports),
     }
     validate_report(doc)
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
@@ -162,11 +165,8 @@ def format_text(config_dict: dict, reports: list[CheckReport]) -> str:
             f"{status:6s} {r.check_id:<{width}s} residual={r.residual_max}{extra}"
             f" [{r.elapsed_ms} ms]"
         )
-    summary_pass = sum(1 for r in reports if r.status == STATUS_PASS)
-    summary_fail = sum(1 for r in reports if r.status == STATUS_FAIL)
-    summary_rep = sum(1 for r in reports if r.status == STATUS_REPORT)
     lines.append("")
-    lines.append(f"{summary_pass} pass, {summary_fail} fail, {summary_rep} report")
+    lines.append(", ".join(f"{n} {s}" for s, n in _status_counts(reports).items()))
     return "\n".join(lines) + "\n"
 
 

@@ -51,20 +51,20 @@ class RunContext:
     _cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        rng = random.Random(self.seed)
         lo, hi = self.q_range
         if admissible_q_length(lo, hi) <= 1e-9:
             raise ValueError(
                 f"q range {lo}:{hi} has no admissible samples: every q in it lies "
                 "within 0.05 of 1 or -1, or within 1e-6 of 0"
             )
-        samples = []
-        while len(samples) < self.q_samples:
-            x = rng.uniform(lo, hi)
-            if all(abs(x - c) >= r for c, r in Q_EXCLUSIONS):
-                samples.append(x)
-        self.samples = samples
-        self.rng = rng
+        # exact mode measures at REFERENCE_SAMPLES and reports no q values
+        self.samples = []
+        if self.mode != "exact":
+            rng = random.Random(self.seed)
+            while len(self.samples) < self.q_samples:
+                x = rng.uniform(lo, hi)
+                if all(abs(x - c) >= r for c, r in Q_EXCLUSIONS):
+                    self.samples.append(x)
         # set by the measurement helpers whenever a radicand evaluates onto
         # the principal branch cut; the runner copies it into the report
         self.branch_cut_hit = False
@@ -96,6 +96,14 @@ class RunContext:
     def chq2(self) -> hopf.HopfData:
         return self.cached("chq2", presentations.build_chq2)
 
+    @property
+    def irreps(self) -> list:
+        """The 20 seeded exact chq2 irreps as (params, irrep, relation residuals).
+
+        Checks that use fewer take a prefix: all draws come from one stream.
+        """
+        return self.cached("irreps", lambda: _seeded_irreps(self.seed, 20))
+
     # ---- measurement helpers --------------------------------------------
 
     @property
@@ -112,8 +120,6 @@ class RunContext:
 
     @property
     def q_values_field(self) -> list[str]:
-        if self.mode == "exact":
-            return []
         return [format_float(x) for x in self.samples]
 
     def measure_matrix(self, m: Matrix) -> float:
@@ -146,9 +152,11 @@ class CheckDef:
 _REGISTRY: list[CheckDef] = []
 
 
-def _check(check_id: str, suite: str, description: str):
+def _check(check_id: str, description: str):
+    """Register a check; its suite is the first dotted component of its id."""
+
     def deco(fn):
-        _REGISTRY.append(CheckDef(check_id, suite, description, fn))
+        _REGISTRY.append(CheckDef(check_id, check_id.split(".")[0], description, fn))
         return fn
 
     return deco
@@ -158,13 +166,19 @@ def registry() -> list[CheckDef]:
     return sorted(_REGISTRY, key=lambda c: c.check_id)
 
 
-def _pass_fail(cid, ok, residual="0", witness=None, **kw) -> CheckReport:
+def _pass_fail(ok, residual="0", witness=None, **kw) -> CheckReport:
     return CheckReport(
-        check_id=cid,
+        check_id="",
         status=STATUS_PASS if ok else STATUS_FAIL,
         residual_max=residual,
         witness=witness,
         **kw,
+    )
+
+
+def _report(residual, mismatch=False, **kw) -> CheckReport:
+    return CheckReport(
+        check_id="", status=STATUS_REPORT, residual_max=residual, mismatch=mismatch, **kw
     )
 
 
@@ -175,7 +189,6 @@ def _pass_fail(cid, ok, residual="0", witness=None, **kw) -> CheckReport:
 
 @_check(
     "clifford.dirac_anticommutation",
-    "clifford",
     "4x4 matrix generators anticommute to twice the diag(-1,1,1,1) metric",
 )
 def _clifford_anticommutation(ctx: RunContext) -> CheckReport:
@@ -196,17 +209,14 @@ def _clifford_anticommutation(ctx: RunContext) -> CheckReport:
                 ok = False
                 worst = diff
     return _pass_fail(
-        "clifford.dirac_anticommutation",
         ok,
         witness=None if ok else str(worst),
-        q_values=[],
         details={"representation": "i times the standard Dirac basis"},
     )
 
 
 @_check(
     "clifford.blade_matrix_agreement",
-    "clifford",
     "blade products map onto matrix products for all 16 basis blades",
 )
 def _clifford_blades(ctx: RunContext) -> CheckReport:
@@ -225,12 +235,11 @@ def _clifford_blades(ctx: RunContext) -> CheckReport:
             if got != expect:
                 ok = False
                 witness = f"blades {b1} * {b2}"
-    return _pass_fail("clifford.blade_matrix_agreement", ok, witness=witness)
+    return _pass_fail(ok, witness=witness)
 
 
 @_check(
     "clifford.blade_associativity",
-    "clifford",
     "blade product is associative on seeded random multivector triples",
 )
 def _clifford_assoc(ctx: RunContext) -> CheckReport:
@@ -252,7 +261,7 @@ def _clifford_assoc(ctx: RunContext) -> CheckReport:
         if (a * b) * c != a * (b * c):
             ok = False
             break
-    return _pass_fail("clifford.blade_associativity", ok)
+    return _pass_fail(ok)
 
 
 # ===========================================================================
@@ -262,7 +271,6 @@ def _clifford_assoc(ctx: RunContext) -> CheckReport:
 
 @_check(
     "qgamma.transcription",
-    "qgamma",
     "pinned entries of the deformed gammas and the metric match re-entered literals",
 )
 def _qgamma_transcription(ctx: RunContext) -> CheckReport:
@@ -295,7 +303,6 @@ def _qgamma_transcription(ctx: RunContext) -> CheckReport:
     ]
     bad = [i for i, (got, want) in enumerate(pins) if got != want]
     return _pass_fail(
-        "qgamma.transcription",
         not bad,
         witness=None if not bad else f"pin indices {bad}",
         details={"pins": len(pins)},
@@ -304,34 +311,27 @@ def _qgamma_transcription(ctx: RunContext) -> CheckReport:
 
 @_check(
     "qgamma.gamma_plus_square_zero",
-    "qgamma",
     "the raising deformed gamma squares to zero exactly in q",
 )
 def _qgamma_plus_sq(ctx: RunContext) -> CheckReport:
     gs = ctx.gammas
     sq = matmul(gs.gamma_plus, gs.gamma_plus)
     ok = sq.is_zero()
-    return _pass_fail(
-        "qgamma.gamma_plus_square_zero",
-        ok,
-        residual="0" if ok else format_float(ctx.measure_matrix(sq)),
-    )
+    return _pass_fail(ok, residual="0" if ok else format_float(ctx.measure_matrix(sq)))
 
 
 @_check(
     "qgamma.metric_inverse",
-    "qgamma",
     "the metric times its eliminated inverse is the identity exactly",
 )
 def _qgamma_metric(ctx: RunContext) -> CheckReport:
     qm = ctx.metric
     diff = matmul(qm.c, qm.c_inverse) - Matrix.identity(4)
-    return _pass_fail("qgamma.metric_inverse", diff.is_zero())
+    return _pass_fail(diff.is_zero())
 
 
 @_check(
     "qgamma.gamma5_structure",
-    "qgamma",
     "the pseudoscalar product is nonzero and annihilates the raising gamma",
 )
 def _qgamma_gamma5(ctx: RunContext) -> CheckReport:
@@ -343,17 +343,14 @@ def _qgamma_gamma5(ctx: RunContext) -> CheckReport:
     for x in ctx.measure_points:
         if np.linalg.matrix_rank(left.evaluate(x)) > 2:
             rank_ok = False
-    return _pass_fail(
-        "qgamma.gamma5_structure",
-        nz and rank_ok,
-        q_values=ctx.q_values_field,
-    )
+    return _pass_fail(nz and rank_ok, q_values=ctx.q_values_field)
 
 
 def _deformed_metric_check(conv: qgamma.ActionConvention) -> None:
-    cid = f"qgamma.deformed_metric.{conv.value}"
-
-    @_check(cid, "qgamma", f"induced deformed metric vs the transcribed target ({conv.value})")
+    @_check(
+        f"qgamma.deformed_metric.{conv.value}",
+        f"induced deformed metric vs the transcribed target ({conv.value})",
+    )
     def fn(ctx: RunContext) -> CheckReport | None:
         if conv not in ctx.conventions:
             return None
@@ -367,14 +364,12 @@ def _deformed_metric_check(conv: qgamma.ActionConvention) -> None:
             for j in range(4)
             if diff[i, j].is_zero()
         )
-        return CheckReport(
-            check_id=cid,
-            status=STATUS_REPORT,
-            residual_max=format_float(ctx.measure_matrix(diff)),
+        return _report(
+            format_float(ctx.measure_matrix(diff)),
+            mismatch=not exact_match,
             witness=str(diff),
             convention=conv.value,
             q_values=ctx.q_values_field,
-            mismatch=not exact_match,
             details={
                 "entries_matching_target": matched,
                 "symmetric": res.matrix == res.matrix.transpose(),
@@ -389,7 +384,6 @@ for _conv in qgamma.ALL_CONVENTIONS:
 
 @_check(
     "qgamma.deformed_metric_oracle",
-    "qgamma",
     "matrix-representation route agrees with the blade-algebra route per convention",
 )
 def _qgamma_dm_oracle(ctx: RunContext) -> CheckReport:
@@ -405,17 +399,11 @@ def _qgamma_dm_oracle(ctx: RunContext) -> CheckReport:
             worst = max(worst, diff.max_abs_at(x))
     if worst > 1e-10:
         ok = False
-    return _pass_fail(
-        "qgamma.deformed_metric_oracle",
-        ok,
-        residual=format_float(worst),
-        q_values=ctx.q_values_field,
-    )
+    return _pass_fail(ok, residual=format_float(worst), q_values=ctx.q_values_field)
 
 
 @_check(
     "qgamma.bare_relation_flip",
-    "qgamma",
     "defining-relation residuals with the braiding replaced by the flip",
 )
 def _qgamma_flip(ctx: RunContext) -> CheckReport:
@@ -429,20 +417,17 @@ def _qgamma_flip(ctx: RunContext) -> CheckReport:
         else:
             worst = max(worst, ctx.measure_matrix(m))
     anchor = residuals[(1, 1)].map(lambda s: s.limit_q1())
-    return CheckReport(
-        check_id="qgamma.bare_relation_flip",
-        status=STATUS_REPORT,
-        residual_max=format_float(worst),
+    return _report(
+        format_float(worst),
+        mismatch=worst > 1e-10,
         witness=f"residual(+,+) at q=1: {anchor}",
         q_values=ctx.q_values_field,
-        mismatch=worst > 1e-10,
         details={"pairs_exactly_zero": zero_pairs},
     )
 
 
 @_check(
     "qgamma.bare_relation_solve",
-    "qgamma",
     "solvability of the defining relation for unknown braiding coefficients",
 )
 def _qgamma_solve(ctx: RunContext) -> CheckReport:
@@ -453,13 +438,11 @@ def _qgamma_solve(ctx: RunContext) -> CheckReport:
         ok, resid = qgamma.bare_relation_solve_numeric(ctx.gammas, ctx.metric, x)
         sample_flags.append(ok)
         worst = max(worst, resid)
-    return CheckReport(
-        check_id="qgamma.bare_relation_solve",
-        status=STATUS_REPORT,
-        residual_max=format_float(worst),
+    return _report(
+        format_float(worst),
+        mismatch=not (exact.solvable and all(sample_flags)),
         witness="solvable exactly at q=1" if exact.solvable else str(exact.infeasible_pairs),
         q_values=ctx.q_values_field,
-        mismatch=not (exact.solvable and all(sample_flags)),
         details={
             "exact_q1_solvable": exact.solvable,
             "samples_solvable": sample_flags,
@@ -502,12 +485,11 @@ _AXIOM_CHECKS = (
 def _axiom_check(check_id, checker, max_len, shown, words, description) -> None:
     suite = check_id.split(".")[0]
 
-    @_check(check_id, suite, description)
+    @_check(check_id, description)
     def fn(ctx: RunContext) -> CheckReport:
         h = getattr(ctx, suite)
         r = checker(h) if max_len is None else checker(h, max_len)
         return _pass_fail(
-            check_id,
             r.ok,
             witness=None if r.ok or not shown else str(r.witnesses[:shown]),
             details={"words": r.checked_words} if words else {},
@@ -521,16 +503,11 @@ for _row in _AXIOM_CHECKS:
 def _antipode_missing(check_id: str, description: str) -> None:
     suite = check_id.split(".")[0]
 
-    @_check(check_id, suite, description)
+    @_check(check_id, description)
     def fn(ctx: RunContext) -> CheckReport:
         missing = getattr(ctx, suite).missing_antipode_generators()
-        return CheckReport(
-            check_id=check_id,
-            status=STATUS_REPORT,
-            residual_max="0",
-            witness=f"antipode missing for: {', '.join(missing)}",
-            mismatch=False,
-            details={"missing": missing},
+        return _report(
+            "0", witness=f"antipode missing for: {', '.join(missing)}", details={"missing": missing}
         )
 
 
@@ -550,7 +527,6 @@ _antipode_missing(
 
 @_check(
     "glq2.rules_degree_homogeneous",
-    "glq2",
     "every defining rewrite rule preserves total word degree",
 )
 def _glq2_degree(ctx: RunContext) -> CheckReport:
@@ -560,34 +536,30 @@ def _glq2_degree(ctx: RunContext) -> CheckReport:
         for variants in rs.rules.values()
         for variant in variants
     )
-    return _pass_fail("glq2.rules_degree_homogeneous", ok)
+    return _pass_fail(ok)
 
 
 @_check(
     "glq2.local_confluence_len4",
-    "glq2",
     "all critical peaks among the six relations rejoin up to length 4",
 )
 def _glq2_confluence(ctx: RunContext) -> CheckReport:
     failures = local_confluence_check(ctx.glq2.rs, 4)
     if not failures:
-        return _pass_fail("glq2.local_confluence_len4", True)
+        return _pass_fail(True)
     witness = "; ".join(
         f"word {f.word} at {f.position_a} vs {f.position_b}" for f in failures[:5]
     )
-    return CheckReport(
-        check_id="glq2.local_confluence_len4",
-        status=STATUS_REPORT,
-        residual_max=format_float(len(failures)),
-        witness=witness,
+    return _report(
+        format_float(len(failures)),
         mismatch=True,
+        witness=witness,
         details={"failures": len(failures)},
     )
 
 
 @_check(
     "glq2.termination_len8",
-    "glq2",
     "normal forms of all words to length 8 complete under the step budget",
 )
 def _glq2_termination(ctx: RunContext) -> CheckReport:
@@ -598,10 +570,8 @@ def _glq2_termination(ctx: RunContext) -> CheckReport:
             rs.normal_form(NCPolynomial.word(w))
             count += 1
     except Exception as exc:  # BudgetExceeded or anything unexpected
-        return _pass_fail(
-            "glq2.termination_len8", False, witness=f"{type(exc).__name__}: {exc}"
-        )
-    return _pass_fail("glq2.termination_len8", True, details={"words": count})
+        return _pass_fail(False, witness=f"{type(exc).__name__}: {exc}")
+    return _pass_fail(True, details={"words": count})
 
 
 # ===========================================================================
@@ -627,13 +597,14 @@ def _perturbed_ch2(which: str) -> hopf.HopfData:
 
 
 def _negative_control(which: str, checker) -> None:
-    cid = f"ch2.negative_control_{which}"
-
-    @_check(cid, "ch2", f"a deliberately perturbed {which} structure map must fail its axiom")
+    @_check(
+        f"ch2.negative_control_{which}",
+        f"a deliberately perturbed {which} structure map must fail its axiom",
+    )
     def fn(ctx: RunContext) -> CheckReport:
         h = _perturbed_ch2(which)
         r = checker(h, 2)
-        return _pass_fail(cid, not r.ok, witness=None if not r.ok else "perturbation passed")
+        return _pass_fail(not r.ok, witness=None if not r.ok else "perturbation passed")
 
 
 _negative_control("coassoc", hopf.check_coassociativity)
@@ -643,7 +614,6 @@ _negative_control("antipode", hopf.check_antipode)
 
 @_check(
     "ch2.grouplike_toy",
-    "ch2",
     "single grouplike generator with inverse passes all three axioms",
 )
 def _ch2_toy(ctx: RunContext) -> CheckReport:
@@ -653,7 +623,7 @@ def _ch2_toy(ctx: RunContext) -> CheckReport:
         and hopf.check_counit(toy, 3).ok
         and hopf.check_antipode(toy, 3).ok
     )
-    return _pass_fail("ch2.grouplike_toy", ok)
+    return _pass_fail(ok)
 
 
 # ===========================================================================
@@ -663,7 +633,6 @@ def _ch2_toy(ctx: RunContext) -> CheckReport:
 
 @_check(
     "chq2.antipode_inherited",
-    "chq2",
     "the undeformed antipode satisfies the axiom with the deformed coproduct",
 )
 def _chq2_antipode_inherited(ctx: RunContext) -> CheckReport:
@@ -671,19 +640,16 @@ def _chq2_antipode_inherited(ctx: RunContext) -> CheckReport:
         "chq2_full", lambda: presentations.build_chq2(include_inherited_antipode=True)
     )
     r = hopf.check_antipode(h, 2)
-    return CheckReport(
-        check_id="chq2.antipode_inherited",
-        status=STATUS_REPORT,
-        residual_max="0" if r.ok else "1",
-        witness="axiom holds with the undeformed assignment" if r.ok else str(r.witnesses[:1]),
+    return _report(
+        "0" if r.ok else "1",
         mismatch=not r.ok,
+        witness="axiom holds with the undeformed assignment" if r.ok else str(r.witnesses[:1]),
         details={"words": r.checked_words},
     )
 
 
-def _seeded_irrep_params(seed: int, count: int):
+def _seeded_irreps(seed: int, count: int):
     rng = random.Random(seed + 7)
-    params = []
 
     def draw_gauss():
         while True:
@@ -696,11 +662,12 @@ def _seeded_irrep_params(seed: int, count: int):
                 continue
             return g
 
+    out = []
     for _ in range(count):
-        params.append(
-            presentations.IrrepParams(draw_gauss(), draw_gauss(), draw_gauss())
-        )
-    return params
+        params = presentations.IrrepParams(draw_gauss(), draw_gauss(), draw_gauss())
+        irrep = presentations.build_affine_irrep(params)
+        out.append((params, irrep, presentations.verify_irrep_relations(irrep)))
+    return out
 
 
 def _seeded_numeric_irreps(ctx: RunContext, count: int):
@@ -719,14 +686,11 @@ def _seeded_numeric_irreps(ctx: RunContext, count: int):
 
 @_check(
     "chq2.irrep_square_law",
-    "chq2",
     "squares of the level-i matrices equal the q-bracket of the level weight",
 )
 def _chq2_square_law(ctx: RunContext) -> CheckReport:
     worst_exact = None
-    for params in _seeded_irrep_params(ctx.seed, 20):
-        irrep = presentations.build_affine_irrep(params)
-        rep = presentations.verify_irrep_relations(irrep)
+    for params, _, rep in ctx.irreps:
         for key in sorted(rep.square_residuals):
             if not rep.square_residuals[key].is_zero():
                 worst_exact = (params, key)
@@ -746,30 +710,24 @@ def _chq2_square_law(ctx: RunContext) -> CheckReport:
                     )
     ok = worst_exact is None and numeric_worst <= 1e-10
     return _pass_fail(
-        "chq2.irrep_square_law",
         ok,
         residual=format_float(numeric_worst),
         witness=None if worst_exact is None else str(worst_exact),
         q_values=ctx.q_values_field,
-        details={"exact_draws": 20, "numeric_draws": 0 if ctx.mode == "exact" else 20},
+        details={"exact_draws": len(ctx.irreps), "numeric_draws": 0 if ctx.mode == "exact" else 20},
     )
 
 
 @_check(
     "chq2.irrep_anticommutation",
-    "chq2",
     "per-level anticommutation relations and the involution square hold",
 )
 def _chq2_anticomm(ctx: RunContext) -> CheckReport:
     ok = True
     witness = None
-    for params in _seeded_irrep_params(ctx.seed, 20):
-        irrep = presentations.build_affine_irrep(params)
-        rep = presentations.verify_irrep_relations(irrep)
-        if not all(m.is_zero() for m in rep.anticommutator_residuals.values()):
-            ok = False
-            witness = str(params)
-        if not rep.gamma3_square_residual.is_zero():
+    for params, _, rep in ctx.irreps:
+        anticomm_zero = all(m.is_zero() for m in rep.anticommutator_residuals.values())
+        if not (anticomm_zero and rep.gamma3_square_residual.is_zero()):
             ok = False
             witness = str(params)
     numeric_worst = 0.0
@@ -787,7 +745,6 @@ def _chq2_anticomm(ctx: RunContext) -> CheckReport:
     if numeric_worst > 1e-10:
         ok = False
     return _pass_fail(
-        "chq2.irrep_anticommutation",
         ok,
         residual=format_float(numeric_worst),
         witness=witness,
@@ -797,7 +754,6 @@ def _chq2_anticomm(ctx: RunContext) -> CheckReport:
 
 @_check(
     "chq2.irrep_pinned",
-    "chq2",
     "pinned square-law values at rational parameter points are exact",
 )
 def _chq2_pinned(ctx: RunContext) -> CheckReport:
@@ -813,45 +769,35 @@ def _chq2_pinned(ctx: RunContext) -> CheckReport:
         and sq_x[0, 1].is_zero()
         and sq_y[0, 0].subs_q(Fraction(2)) == GaussRational(Fraction(16, 9))
     )
-    return _pass_fail("chq2.irrep_pinned", ok)
+    return _pass_fail(ok)
 
 
 @_check(
     "chq2.irrep_cross_index",
-    "chq2",
     "anticommutators mixing the two levels, computed but never asserted",
 )
 def _chq2_cross(ctx: RunContext) -> CheckReport:
-    params = _seeded_irrep_params(ctx.seed, 5)
+    draws = ctx.irreps[:5]
     worst = 0.0
-    for p in params:
-        irrep = presentations.build_affine_irrep(p)
-        rep = presentations.verify_irrep_relations(irrep)
+    for _, _, rep in draws:
         for key in sorted(rep.cross_level_anticommutators):
             m = rep.cross_level_anticommutators[key]
             if not m.is_zero():
                 worst = max(worst, ctx.measure_matrix(m))
-    return CheckReport(
-        check_id="chq2.irrep_cross_index",
-        status=STATUS_REPORT,
-        residual_max=format_float(worst),
-        mismatch=False,
-        q_values=ctx.q_values_field,
-        details={"draws": len(params)},
-    )
+    return _report(format_float(worst), q_values=ctx.q_values_field, details={"draws": len(draws)})
 
 
 def _su2_check(conv: qgamma.ActionConvention) -> None:
-    cid = f"chq2.su2_action.{conv.value}"
-
-    @_check(cid, "chq2", f"post-action relation values for the mapped Pauli basis ({conv.value})")
+    @_check(
+        f"chq2.su2_action.{conv.value}",
+        f"post-action relation values for the mapped Pauli basis ({conv.value})",
+    )
     def fn(ctx: RunContext) -> CheckReport | None:
         if conv not in ctx.conventions:
             return None
         worst = 0.0
         claim_zero: dict[str, bool] = {}
-        for params in _seeded_irrep_params(ctx.seed, 5):
-            irrep = presentations.build_affine_irrep(params)
+        for _, irrep, _ in ctx.irreps[:5]:
             for level in (0, 1):
                 rep = presentations.su2_action_report(irrep, level, conv)
                 for name in sorted(rep.residuals):
@@ -860,13 +806,10 @@ def _su2_check(conv: qgamma.ActionConvention) -> None:
                     claim_zero[name] = claim_zero.get(name, True) and z
                     if not z:
                         worst = max(worst, ctx.measure_matrix(m))
-        return CheckReport(
-            check_id=cid,
-            status=STATUS_REPORT,
-            residual_max=format_float(worst),
+        return _report(
+            format_float(worst),
             convention=conv.value,
             q_values=ctx.q_values_field,
-            mismatch=False,
             details={"claims_exactly_zero": sorted(k for k, v in claim_zero.items() if v)},
         )
 
@@ -882,30 +825,27 @@ for _conv in qgamma.ALL_CONVENTIONS:
 
 @_check(
     "fierz.rhat_hecke",
-    "fierz",
     "the exchange matrix satisfies its quadratic Hecke relation exactly",
 )
 def _fierz_hecke(ctx: RunContext) -> CheckReport:
-    return _pass_fail("fierz.rhat_hecke", fierz.hecke_residual(fierz.hecke_rmatrix()).is_zero())
+    return _pass_fail(fierz.hecke_residual(fierz.hecke_rmatrix()).is_zero())
 
 
 @_check(
     "fierz.rhat_braid",
-    "fierz",
     "the exchange matrix satisfies the braid relation on the tensor cube",
 )
 def _fierz_braid(ctx: RunContext) -> CheckReport:
-    return _pass_fail("fierz.rhat_braid", fierz.braid_residual(fierz.hecke_rmatrix()).is_zero())
+    return _pass_fail(fierz.braid_residual(fierz.hecke_rmatrix()).is_zero())
 
 
 @_check(
     "fierz.rhat_q1_flip",
-    "fierz",
     "the exchange matrix degenerates to the flip at q = 1",
 )
 def _fierz_flip(ctx: RunContext) -> CheckReport:
     r1 = fierz.hecke_rmatrix().map(lambda s: s.limit_q1())
-    return _pass_fail("fierz.rhat_q1_flip", r1 == fierz.flip_matrix())
+    return _pass_fail(r1 == fierz.flip_matrix())
 
 
 def _oracle_numeric_gammas(q: complex):
@@ -952,7 +892,6 @@ def _oracle_relation_scale(tag: str, q: complex) -> complex:
 
 @_check(
     "fierz.linear_relations",
-    "fierz",
     "exact residuals of the seven transcribed linear current relations",
 )
 def _fierz_linear(ctx: RunContext) -> CheckReport:
@@ -964,20 +903,17 @@ def _fierz_linear(ctx: RunContext) -> CheckReport:
             holding.append(r.name)
         else:
             worst = max(worst, ctx.measure_matrix(r.residual))
-    return CheckReport(
-        check_id="fierz.linear_relations",
-        status=STATUS_REPORT,
-        residual_max=format_float(worst),
+    return _report(
+        format_float(worst),
+        mismatch=len(holding) != 7,
         witness=f"{len(holding)} of 7 hold exactly",
         q_values=ctx.q_values_field,
-        mismatch=len(holding) != 7,
         details={"holding_exactly": holding, "relations": len(results)},
     )
 
 
 @_check(
     "fierz.linear_relations_oracle",
-    "fierz",
     "engine residuals match an independent float matrix oracle at sampled q",
 )
 def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
@@ -998,27 +934,20 @@ def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
                 ok = False
     if worst_gap > 1e-9:
         ok = False
-    return _pass_fail(
-        "fierz.linear_relations_oracle",
-        ok,
-        residual=format_float(worst_gap),
-        q_values=ctx.q_values_field,
-    )
+    return _pass_fail(ok, residual=format_float(worst_gap), q_values=ctx.q_values_field)
 
 
 @_check(
     "fierz.reflection_rule_count",
-    "fierz",
     "the doublet exchange relation expands into exactly four rewrite rules",
 )
 def _fierz_rule_count(ctx: RunContext) -> CheckReport:
     rs = fierz.reflection_rules(1)
-    return _pass_fail("fierz.reflection_rule_count", len(rs.rules) == 4)
+    return _pass_fail(len(rs.rules) == 4)
 
 
 @_check(
     "fierz.reflection_q1_commutation",
-    "fierz",
     "at q = 1 and unit exchange constant the rules are plain commutation",
 )
 def _fierz_q1_rules(ctx: RunContext) -> CheckReport:
@@ -1030,36 +959,23 @@ def _fierz_q1_rules(ctx: RunContext) -> CheckReport:
         )
         if rhs != NCPolynomial.word((b, a)):
             ok = False
-    return _pass_fail("fierz.reflection_q1_commutation", ok)
+    return _pass_fail(ok)
 
 
 @_check(
     "fierz.reflection_confluence",
-    "fierz",
     "local confluence outcome of the exchange rules, recorded not asserted",
 )
 def _fierz_confluence(ctx: RunContext) -> CheckReport:
     counts = {}
     for label, k in (("k=1", Fraction(1)), ("k=3/5", Fraction(3, 5))):
-        counts[label] = len(
-            fierz.reflection_confluence_witnesses(k, 4)
-        )
-    return CheckReport(
-        check_id="fierz.reflection_confluence",
-        status=STATUS_REPORT,
-        residual_max=format_float(max(counts.values())),
-        witness=str(counts),
-        mismatch=False,
-        details=counts,
-    )
+        counts[label] = len(fierz.reflection_confluence_witnesses(k, 4))
+    return _report(format_float(max(counts.values())), witness=str(counts), details=counts)
 
 
 def _quadratic_check(convention: str, tag: str) -> None:
-    cid = f"fierz.quadratic.{tag}"
-
     @_check(
-        cid,
-        "fierz",
+        f"fierz.quadratic.{tag}",
         f"quadratic current identity residual and exchange-constant analysis ({tag})",
     )
     def fn(ctx: RunContext) -> CheckReport:
@@ -1074,14 +990,11 @@ def _quadratic_check(convention: str, tag: str) -> None:
             "k_roots": [str(r) for r in rep.common_k_roots],
         }
         witness_lines = [f"{w} -> {p}" for w, p in rep.render_k_dependence()[:6]]
-        return CheckReport(
-            check_id=cid,
-            status=STATUS_REPORT,
-            residual_max=format_float(worst),
+        return _report(
+            format_float(worst),
             witness="; ".join(witness_lines),
             convention=convention,
             q_values=ctx.q_values_field,
-            mismatch=False,
             details=k_info,
         )
 
@@ -1097,11 +1010,10 @@ _quadratic_check(fierz.CONVENTION_REFLECT, "convention_b")
 
 @_check(
     "selfcheck.expected_failure",
-    "selfcheck",
     "deliberately failing fixture used to exercise the exit-code contract",
 )
 def _selfcheck(ctx: RunContext) -> CheckReport:
-    return _pass_fail("selfcheck.expected_failure", False, residual="1")
+    return _pass_fail(False, residual="1")
 
 
 # ===========================================================================
@@ -1135,6 +1047,7 @@ def run_checks(suites, ctx: RunContext) -> list[CheckReport]:
         report = cdef.fn(ctx)
         if report is None:  # check not applicable under this configuration
             continue
+        report.check_id = cdef.check_id  # check bodies leave it empty
         if ctx.branch_cut_hit:
             report.details = dict(report.details, branch_cut=True)
         report.elapsed_ms = int((time.monotonic() - t0) * 1000)

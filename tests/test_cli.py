@@ -1,10 +1,12 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
+from qclifford import presentations
 from qclifford.cli import main
 from qclifford.report import (
     REPORT_SCHEMA,
@@ -12,7 +14,7 @@ from qclifford.report import (
     load_report,
     validate_report,
 )
-from qclifford.suites import registry
+from qclifford.suites import RunContext, _seeded_irreps, registry
 
 FAST_SUITE = ["--suite", "clifford"]
 
@@ -205,15 +207,54 @@ class TestConfigFile:
 
 
 class TestGoldenReport:
-    def test_hopf_exact_seed7_report_is_unchanged(self, tmp_path):
-        # byte oracle for refactors of the scalar, rewrite and Hopf layers;
-        # the file is the output of `qclifford verify --suite ch2 --suite chq2
-        # --mode exact --seed 7 --format json` and changes only with the report
-        golden = pathlib.Path(__file__).parent / "data" / "hopf_exact_seed7.json"
-        args = ["--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"]
-        code, payload = run_verify(tmp_path, "r.json", args)
+    # byte oracles for refactors: each file is the output of `qclifford verify
+    # <suites> --mode exact --seed 7 --format json` and changes only with the report
+    @pytest.mark.parametrize(
+        "golden_name, suites",
+        [
+            ("hopf_exact_seed7.json", ["ch2", "chq2"]),
+            ("matrix_exact_seed7.json", ["clifford", "qgamma", "fierz"]),
+        ],
+        ids=["hopf_exact_seed7.json", "matrix_exact_seed7.json"],
+    )
+    def test_hopf_exact_seed7_report_is_unchanged(self, tmp_path, golden_name, suites):
+        golden = pathlib.Path(__file__).parent / "data" / golden_name
+        args = [arg for s in suites for arg in ("--suite", s)]
+        code, payload = run_verify(tmp_path, "r.json", [*args, "--mode", "exact", "--seed", "7"])
         assert code == 0
         assert payload == golden.read_bytes()
+
+
+class TestRunContext:
+    def test_exact_mode_draws_no_q_samples(self, monkeypatch):
+        calls = []
+        uniform = random.Random.uniform
+
+        def counting_uniform(self, a, b):
+            calls.append((a, b))
+            return uniform(self, a, b)
+
+        monkeypatch.setattr(random.Random, "uniform", counting_uniform)
+        ctx = RunContext(mode="exact")
+        assert calls == []
+        assert ctx.q_values_field == []
+        RunContext(mode="both")
+        assert len(calls) >= 8
+
+    def test_seeded_irreps_are_built_once_as_one_stream(self, monkeypatch):
+        builds = []
+        build = presentations.build_affine_irrep
+
+        def counting_build(params):
+            builds.append(params)
+            return build(params)
+
+        monkeypatch.setattr(presentations, "build_affine_irrep", counting_build)
+        ctx = RunContext(mode="exact", seed=7)
+        assert ctx.irreps is ctx.irreps
+        assert len(builds) == len(ctx.irreps) == 20
+        # checks that use five draws take a prefix of the same stream
+        assert [p for p, _, _ in ctx.irreps[:5]] == [p for p, _, _ in _seeded_irreps(7, 5)]
 
 
 class TestConventionFilter:
