@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import report as report_mod
@@ -25,6 +26,8 @@ def _parse_q_range(text: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise ConfigError(f"bad q range {text!r}, expected LO:HI") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"q range {text!r} must have finite bounds")
     if lo >= hi:
         raise ConfigError("q range must satisfy LO < HI")
     if lo <= 0 <= hi:

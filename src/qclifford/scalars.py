@@ -124,7 +124,7 @@ class GaussRational:
         return GaussRational(self.re, -self.im)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, GaussRational)
             and self.re == other.re
             and self.im == other.im
@@ -173,13 +173,14 @@ def _coerce_gauss(x) -> GaussRational:
 class HalfLaurent:
     """Laurent polynomial in t = q^(1/2); exponent k means q^(k/2)."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_hash", "_rep")
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         self._hash = None
+        self._rep = None
 
     @staticmethod
     def zero() -> "HalfLaurent":
@@ -201,7 +202,8 @@ class HalfLaurent:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.coeffs == {0: GR_ONE}
+        c = self.coeffs.get(0)
+        return c is not None and len(self.coeffs) == 1 and c.re == 1 and not c.im
 
     def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
         if not self.coeffs:
@@ -304,8 +306,18 @@ class HalfLaurent:
     def items_key(self):
         return tuple(sorted((k, c.re, c.im) for k, c in self.coeffs.items()))
 
+    def rep(self) -> tuple:
+        """Exponent and exact parts of every coefficient, in dict order."""
+        if self._rep is None:
+            self._rep = tuple(
+                x
+                for k, c in self.coeffs.items()
+                for x in (k, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+            )
+        return self._rep
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, HalfLaurent) and self.coeffs == other.coeffs
+        return self is other or (isinstance(other, HalfLaurent) and self.coeffs == other.coeffs)
 
     def __hash__(self):
         if self._hash is None:
@@ -517,7 +529,7 @@ class LaurentFrac:
         return (self.num.items_key(), self.den.items_key())
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, LaurentFrac)
             and self.num == other.num
             and self.den == other.den
@@ -566,7 +578,7 @@ class Radicand:
         return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Radicand) and self._key == other._key
+        return self is other or (isinstance(other, Radicand) and self._key == other._key)
 
     def __lt__(self, other: "Radicand") -> bool:
         return self._key < other._key
@@ -634,23 +646,24 @@ class RadicalScalar:
     multiplication cancels paired radicands exactly.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_rep")
 
     def __init__(self, terms: dict[tuple[Radicand, ...], LaurentFrac] | None = None):
         if terms is None:
             terms = {}
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
         self._hash = None
+        self._rep = None
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "RadicalScalar":
-        return RadicalScalar()
+        return ZERO
 
     @staticmethod
     def one() -> "RadicalScalar":
-        return RadicalScalar({(): LaurentFrac.one()})
+        return ONE
 
     @staticmethod
     def from_frac(f: LaurentFrac) -> "RadicalScalar":
@@ -693,12 +706,19 @@ class RadicalScalar:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return _memo(RadicalScalar._add, self, other)
+
+    __radd__ = __add__
+
+    def _add(self, other: "RadicalScalar") -> "RadicalScalar":
         out = dict(self.terms)
         for k, c in other.terms.items():
             accumulate(out, k, c)
         return RadicalScalar(out)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "RadicalScalar":
         return RadicalScalar({k: -c for k, c in self.terms.items()})
@@ -731,7 +751,12 @@ class RadicalScalar:
         if other.is_one():
             return self
         if not self.terms or not other.terms:
-            return RadicalScalar()
+            return ZERO
+        return _memo(RadicalScalar._mul, self, other)
+
+    __rmul__ = __mul__
+
+    def _mul(self, other: "RadicalScalar") -> "RadicalScalar":
         out: dict[tuple[Radicand, ...], LaurentFrac] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -754,8 +779,6 @@ class RadicalScalar:
                 merged.extend(k2[j:])
                 accumulate(out, tuple(merged), coeff)
         return RadicalScalar(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RadicalScalar":
         if n < 0:
@@ -813,11 +836,28 @@ class RadicalScalar:
             )
         )
 
+    def rep(self) -> tuple:
+        """Exact term data in dict order: radicands' and coefficient's parts."""
+        if self._rep is None:
+            self._rep = tuple(
+                (
+                    tuple((r.frac.num.rep(), r.frac.den.rep()) for r in key),
+                    c.num.rep(),
+                    c.den.rep(),
+                )
+                for key, c in self.terms.items()
+            )
+        return self._rep
+
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = _coerce(other)
-        if not isinstance(other, RadicalScalar):
-            return NotImplemented
+        if self is other:
+            return True
+        if type(other) is not RadicalScalar:
+            # the abc check on Fraction is slow, so it runs only off the fast path
+            if isinstance(other, (int, Fraction, GaussRational)):
+                other = _coerce(other)
+            elif not isinstance(other, RadicalScalar):
+                return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
@@ -898,6 +938,26 @@ class RadicalScalar:
         return " + ".join(parts)
 
 
+# Results of RadicalScalar sums and products, keyed on the operation and on
+# each operand's ``rep``.  Equal reps run the same arithmetic, so a hit is the
+# object the tower would build, term order included.  The key must not be the
+# value: numeric evaluation sums terms in dict order, so two equal scalars
+# whose terms are ordered differently can evaluate to different last bits.
+# Results are shared between callers; nothing mutates a scalar once built.
+MEMO_CAP = 512
+_MEMO: dict = {}
+
+
+def _memo(op, a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
+    key = (op, a.rep(), b.rep())
+    out = _MEMO.get(key)
+    if out is None:
+        if len(_MEMO) >= MEMO_CAP:
+            _MEMO.clear()
+        out = _MEMO[key] = op(a, b)
+    return out
+
+
 def _coerce(x) -> RadicalScalar:
     if isinstance(x, RadicalScalar):
         return x
@@ -927,8 +987,8 @@ def sqrt(x: RadicalScalar) -> RadicalScalar:
 
 # Convenience values used throughout the engine.
 
-ZERO = RadicalScalar.zero()
-ONE = RadicalScalar.one()
+ZERO = RadicalScalar()
+ONE = RadicalScalar({(): LaurentFrac.one()})
 IMAG = RadicalScalar.constant(GR_I)
 
 

@@ -122,6 +122,14 @@ class RunContext:
     def q_values_field(self) -> list[str]:
         return [format_float(x) for x in self.samples]
 
+    @property
+    def oracle_q_values(self) -> list[str]:
+        """``q_values`` of an oracle check: the reference points when
+        ``oracle_points`` fell back to them, else the drawn samples."""
+        if len(self.measure_points) < 5:
+            return [format_float(x) for x in self.oracle_points]
+        return self.q_values_field
+
     def measure_matrix(self, m: Matrix) -> float:
         worst = 0.0
         for x in self.measure_points:
@@ -399,7 +407,7 @@ def _qgamma_dm_oracle(ctx: RunContext) -> CheckReport:
             worst = max(worst, diff.max_abs_at(x))
     if worst > 1e-10:
         ok = False
-    return _pass_fail(ok, residual=format_float(worst), q_values=ctx.q_values_field)
+    return _pass_fail(ok, residual=format_float(worst), q_values=ctx.oracle_q_values)
 
 
 @_check(
@@ -442,7 +450,7 @@ def _qgamma_solve(ctx: RunContext) -> CheckReport:
         format_float(worst),
         mismatch=not (exact.solvable and all(sample_flags)),
         witness="solvable exactly at q=1" if exact.solvable else str(exact.infeasible_pairs),
-        q_values=ctx.q_values_field,
+        q_values=ctx.oracle_q_values,
         details={
             "exact_q1_solvable": exact.solvable,
             "samples_solvable": sample_flags,
@@ -934,7 +942,7 @@ def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
                 ok = False
     if worst_gap > 1e-9:
         ok = False
-    return _pass_fail(ok, residual=format_float(worst_gap), q_values=ctx.q_values_field)
+    return _pass_fail(ok, residual=format_float(worst_gap), q_values=ctx.oracle_q_values)
 
 
 @_check(

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -6,15 +7,17 @@ import sys
 
 import pytest
 
+import qclifford
 from qclifford import presentations
 from qclifford.cli import main
 from qclifford.report import (
     REPORT_SCHEMA,
     diff_reports,
+    format_float,
     load_report,
     validate_report,
 )
-from qclifford.suites import RunContext, _seeded_irreps, registry
+from qclifford.suites import REFERENCE_SAMPLES, RunContext, _seeded_irreps, registry
 
 FAST_SUITE = ["--suite", "clifford"]
 
@@ -186,12 +189,20 @@ class TestConfigFile:
     def test_bad_q_range_rejected(self, capsys):
         code = main(["verify", *FAST_SUITE, "--q-range", "2:1"])
         assert code == 2
-        # every q in these ranges lies in the sampler's exclusion window
-        # around 1 or -1, so sampling could never finish
-        for q_range in ("0.97:1.03", "0.96:1.04", "-1.03:-0.97"):
+        # every q in the first three ranges lies in the sampler's exclusion
+        # window around 1 or -1, so sampling could never finish; a nan bound
+        # hung the sampler too, and an infinite one reached numpy
+        for q_range, message in (
+            ("0.97:1.03", "no admissible samples"),
+            ("0.96:1.04", "no admissible samples"),
+            ("-1.03:-0.97", "no admissible samples"),
+            ("nan:2", "finite bounds"),
+            ("0.5:inf", "finite bounds"),
+            ("-inf:-0.5", "finite bounds"),
+        ):
             code = main(["verify", *FAST_SUITE, f"--q-range={q_range}"])
             assert code == 2, q_range
-            assert "no admissible samples" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line",
@@ -256,6 +267,20 @@ class TestRunContext:
         # checks that use five draws take a prefix of the same stream
         assert [p for p, _, _ in ctx.irreps[:5]] == [p for p, _, _ in _seeded_irreps(7, 5)]
 
+    def test_oracle_checks_name_the_reference_points_they_fell_back_to(self, tmp_path):
+        # with fewer than five samples the oracles evaluate at REFERENCE_SAMPLES
+        args = ["--suite", "qgamma", "--suite", "fierz", "--q-samples", "3"]
+        _, payload = run_verify(tmp_path, "o.json", args)
+        q_values = {c["check_id"]: c["q_values"] for c in json.loads(payload)["checks"]}
+        reference = [format_float(x) for x in REFERENCE_SAMPLES]
+        for check_id in (
+            "qgamma.deformed_metric_oracle",
+            "qgamma.bare_relation_solve",
+            "fierz.linear_relations_oracle",
+        ):
+            assert q_values[check_id] == reference, check_id
+        assert len(q_values["qgamma.bare_relation_flip"]) == 3
+
 
 class TestConventionFilter:
     def test_convention_flag_restricts_per_convention_checks(self, tmp_path):
@@ -287,6 +312,15 @@ class TestListChecks:
         assert len(ids) == len(set(ids))
 
 
+def _env_importing_this_qclifford() -> dict:
+    """The environment with the directory of the imported package first on
+    PYTHONPATH, so a child process runs the same code from an uninstalled
+    checkout."""
+    root = str(pathlib.Path(qclifford.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
+
+
 def test_console_entry_point_runs_in_subprocess(tmp_path):
     out = tmp_path / "r.json"
     proc = subprocess.run(
@@ -304,6 +338,7 @@ def test_console_entry_point_runs_in_subprocess(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=_env_importing_this_qclifford(),
     )
     assert proc.returncode == 0, proc.stderr
     validate_report(json.loads(out.read_text()))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_halflaurent, random_scalar
+from conftest import radical_pool, random_halflaurent, random_scalar
+from qclifford import scalars
 from qclifford.scalars import (
     Divergent,
     GaussRational,
@@ -205,3 +206,58 @@ def test_canonical_forms_are_hash_consistent(rng):
 def test_string_rendering_is_deterministic(rng):
     v = sqrt(q_plus_qinv()) + qvar() - RadicalScalar.constant(Fraction(1, 2))
     assert str(v) == str(sqrt(q_plus_qinv()) + qvar() - RadicalScalar.constant(Fraction(1, 2)))
+
+
+class TestMemo:
+    """Sums and products are memoized on each operand's exact term order."""
+
+    def test_equal_operands_in_another_term_order_get_their_own_product(self):
+        b = sqrt(q_plus_qinv()) + qvar()
+        p1 = HalfLaurent({-2: GaussRational(1), 2: GaussRational(-1), 0: GaussRational(3)})
+        p2 = HalfLaurent({2: GaussRational(-1), 0: GaussRational(3), -2: GaussRational(1)})
+        first = RadicalScalar.from_frac(LaurentFrac(p1))
+        second = RadicalScalar.from_frac(LaurentFrac(p2))
+        assert first == second and first.rep() != second.rep()
+        product1, product2 = first * b, second * b
+        # a memo keyed on value would hand back the first product here
+        assert product1.rep() != product2.rep()
+        assert product2.rep() == RadicalScalar._mul(second, b).rep()
+        first + b  # fills the memo for the sum
+        assert (second + b).rep() == RadicalScalar._add(second, b).rep()
+
+    def test_table_stays_within_its_cap(self):
+        scalars._MEMO.clear()
+        q = qvar()
+        filled = 0
+        for k in range(scalars.MEMO_CAP + 50):
+            q * RadicalScalar.constant(k + 2)
+            assert len(scalars._MEMO) <= scalars.MEMO_CAP
+            filled = max(filled, len(scalars._MEMO))
+        assert filled == scalars.MEMO_CAP
+
+
+@st.composite
+def small_scalar_twins(draw):
+    """Two equal small scalars whose coefficients come in opposite orders."""
+    items = draw(
+        st.dictionaries(
+            st.integers(-3, 3), st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=3
+        )
+    )
+    den = draw(st.sampled_from([None, HalfLaurent({0: GaussRational(1), 2: GaussRational(2)})]))
+    root = draw(st.sampled_from(radical_pool()))
+    twins = []
+    for order in (list(items.items()), list(items.items())[::-1]):
+        poly = HalfLaurent({k: GaussRational(Fraction(n, d)) for k, (n, d) in order})
+        twins.append(RadicalScalar.from_frac(LaurentFrac(poly, den)) * root)
+    return twins
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(small_scalar_twins(), min_size=1, max_size=3))
+def test_memoized_ops_match_the_tower_in_term_order(twins):
+    values = [x for pair in twins for x in pair]
+    for a in values:
+        for b in values:
+            assert (a * b).rep() == RadicalScalar._mul(a, b).rep()
+            assert (a + b).rep() == RadicalScalar._add(a, b).rep()
