@@ -46,6 +46,13 @@ class NCPolynomial:
         self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
 
     @staticmethod
+    def _nonzero(terms: dict[Word, RadicalScalar]) -> "NCPolynomial":
+        """Wrap ``terms`` as is; the caller guarantees it holds no zero."""
+        p = object.__new__(NCPolynomial)
+        p.terms = terms
+        return p
+
+    @staticmethod
     def zero() -> "NCPolynomial":
         return NCPolynomial()
 
@@ -68,10 +75,10 @@ class NCPolynomial:
         out = dict(self.terms)
         for w, c in other.terms.items():
             accumulate(out, w, c)
-        return NCPolynomial(out)
+        return NCPolynomial._nonzero(out)
 
     def __neg__(self) -> "NCPolynomial":
-        return NCPolynomial({w: -c for w, c in self.terms.items()})
+        return NCPolynomial._nonzero({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         return self + (-other)
@@ -184,7 +191,7 @@ class RewriteSystem:
                 break
             if not branched:
                 accumulate(out, tuple(word), c)
-        return NCPolynomial(out)
+        return NCPolynomial._nonzero(out)
 
     def multiply(
         self, p: NCPolynomial, r: NCPolynomial, budget: int = DEFAULT_BUDGET
@@ -194,7 +201,7 @@ class RewriteSystem:
         for w1, c1 in p.terms.items():
             for w2, c2 in r.terms.items():
                 accumulate(raw, w1 + w2, c1 * c2)
-        return self.normal_form(NCPolynomial(raw), budget)
+        return self.normal_form(NCPolynomial._nonzero(raw), budget)
 
     def tensor_power(self, n: int) -> "RewriteSystem":
         """n commuting slots, each carrying a copy of this system.

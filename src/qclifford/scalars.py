@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, isqrt
 
 
 class ScalarError(Exception):
@@ -48,11 +48,30 @@ class EvalPole(ScalarError):
 Rational = Fraction
 
 
+def _exact(x):
+    """``x`` as an ``int`` when integral, else as a reduced ``Fraction``.
+
+    The paper's structure constants are integral, so most parts stay plain
+    ints; an int and a Fraction of equal value hash, compare, print and
+    convert to float alike, so the choice never shows in a report.
+    """
+    if type(x) is not Fraction:
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _square_part(n: int) -> int:
-    """Largest s such that s*s divides n (n > 0), by trial division."""
+    """Largest s such that s*s divides n (n > 0).
+
+    Trial division stops once d**3 > n: every prime factor of the cofactor
+    left is then above its cube root, so it is 1, p, p*q or p*p, and only
+    p*p, a perfect square, adds to s.
+    """
     s = 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -60,7 +79,8 @@ def _square_part(n: int) -> int:
                 e += 1
             s *= d ** (e // 2)
         d += 1 if d == 2 else 2
-    return s
+    r = isqrt(n)
+    return s * r if r * r == n else s
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -83,13 +103,16 @@ def accumulate(out: dict, key, value) -> None:
 
 
 class GaussRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    Each part is an ``int`` when integral and a ``Fraction`` otherwise.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if type(re) is int else _exact(re)
+        self.im = im if type(im) is int else _exact(im)
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -112,10 +135,15 @@ class GaussRational:
         )
 
     def inverse(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
+        re, im = self.re, self.im
+        if not im and re in (1, -1):
+            return self
+        n = re * re + im * im
         if not n:
             raise NotInvertible("division by zero")
-        return GaussRational(self.re / n, -self.im / n)
+        if type(n) is int:
+            n = Fraction(n)  # int / int would be a float
+        return GaussRational(re / n, -im / n)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         return self * other.inverse()
@@ -183,6 +211,15 @@ class HalfLaurent:
         self._rep = None
 
     @staticmethod
+    def _nonzero(coeffs: dict) -> "HalfLaurent":
+        """Wrap ``coeffs`` as is; the caller guarantees it holds no zero."""
+        out = object.__new__(HalfLaurent)
+        out.coeffs = coeffs
+        out._hash = None
+        out._rep = None
+        return out
+
+    @staticmethod
     def zero() -> "HalfLaurent":
         return HalfLaurent()
 
@@ -213,10 +250,10 @@ class HalfLaurent:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             accumulate(out, k, c)
-        return HalfLaurent(out)
+        return HalfLaurent._nonzero(out)
 
     def __neg__(self) -> "HalfLaurent":
-        return HalfLaurent({k: -c for k, c in self.coeffs.items()})
+        return HalfLaurent._nonzero({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
         return self + (-other)
@@ -230,7 +267,7 @@ class HalfLaurent:
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 accumulate(out, k1 + k2, c1 * c2)
-        return HalfLaurent(out)
+        return HalfLaurent._nonzero(out)
 
     def __pow__(self, n: int) -> "HalfLaurent":
         if n < 0:
@@ -247,6 +284,8 @@ class HalfLaurent:
     def scale(self, c: GaussRational) -> "HalfLaurent":
         if c.is_zero():
             return HalfLaurent.zero()
+        if c.re == 1 and not c.im:
+            return self
         return HalfLaurent({k: v * c for k, v in self.coeffs.items()})
 
     def shifted(self, k: int) -> "HalfLaurent":
@@ -368,7 +407,7 @@ def _poly_divmod(a: HalfLaurent, b: HalfLaurent) -> tuple[HalfLaurent, HalfLaure
         quo[da - db] = coef
         for k, c in b.coeffs.items():
             accumulate(rem, k + da - db, -(c * coef))
-    return HalfLaurent(quo), HalfLaurent(rem)
+    return HalfLaurent._nonzero(quo), HalfLaurent._nonzero(rem)
 
 
 def _poly_exact_div(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
@@ -418,6 +457,13 @@ def squarefree_split(p: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
     return s, f
 
 
+def _monic_den(num: HalfLaurent, den: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
+    """Rescale num/den so that den is monic with valuation 0 (den nonzero)."""
+    vd = den.valuation()
+    den, lead = den.shifted(-vd).monic_pair()
+    return num.shifted(-vd).scale(lead.inverse()), den
+
+
 class LaurentFrac:
     """Reduced quotient of half-Laurent polynomials.
 
@@ -440,22 +486,26 @@ class LaurentFrac:
             self.den = HalfLaurent.one()
             self._hash = None
             return
-        vd = den.valuation()
-        den0 = den.shifted(-vd)
-        num = num.shifted(-vd)
-        den0, lead = den0.monic_pair()
-        num = num.scale(lead.inverse())
-        if den0.degree() > 0:
+        num, den = _monic_den(num, den)
+        if den.degree() > 0:
             vn = num.valuation()
             num0 = num.shifted(-vn)
-            g = poly_gcd(num0, den0)
+            g = poly_gcd(num0, den)
             if g.degree() > 0:
-                num0 = _poly_exact_div(num0, g)
-                den0 = _poly_exact_div(den0, g)
-            num = num0.shifted(vn)
+                num = _poly_exact_div(num0, g).shifted(vn)
+                den = _poly_exact_div(den, g)
         self.num = num
-        self.den = den0
+        self.den = den
         self._hash = None
+
+    @staticmethod
+    def _reduced(num: HalfLaurent, den: HalfLaurent) -> "LaurentFrac":
+        """The fraction with parts already in canonical form, built as is."""
+        out = object.__new__(LaurentFrac)
+        out.num = num
+        out.den = den
+        out._hash = None
+        return out
 
     @staticmethod
     def zero() -> "LaurentFrac":
@@ -487,7 +537,7 @@ class LaurentFrac:
         )
 
     def __neg__(self) -> "LaurentFrac":
-        return LaurentFrac(-self.num, self.den)
+        return LaurentFrac._reduced(-self.num, self.den)
 
     def __sub__(self, other: "LaurentFrac") -> "LaurentFrac":
         return self + (-other)
@@ -502,7 +552,9 @@ class LaurentFrac:
     def inverse(self) -> "LaurentFrac":
         if self.is_zero():
             raise NotInvertible("division by zero")
-        return LaurentFrac(self.den, self.num)
+        # the parts of a canonical fraction are coprime: only the new
+        # denominator's valuation and leading coefficient need normalising
+        return LaurentFrac._reduced(*_monic_den(self.den, self.num))
 
     def __truediv__(self, other: "LaurentFrac") -> "LaurentFrac":
         return self * other.inverse()

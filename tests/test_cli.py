@@ -219,19 +219,23 @@ class TestConfigFile:
 
 class TestGoldenReport:
     # byte oracles for refactors: each file is the output of `qclifford verify
-    # <suites> --mode exact --seed 7 --format json` and changes only with the report
-    @pytest.mark.parametrize(
-        "golden_name, suites",
-        [
-            ("hopf_exact_seed7.json", ["ch2", "chq2"]),
-            ("matrix_exact_seed7.json", ["clifford", "qgamma", "fierz"]),
+    # <args> --format json` and changes only with the report; the `both` row
+    # also pins the sampled float residuals
+    GOLDENS = {
+        "hopf_exact_seed7.json": ["--suite", "ch2", "--suite", "chq2", "--mode", "exact"],
+        "matrix_exact_seed7.json": [
+            "--suite", "clifford", "--suite", "qgamma", "--suite", "fierz", "--mode", "exact",
         ],
-        ids=["hopf_exact_seed7.json", "matrix_exact_seed7.json"],
-    )
-    def test_hopf_exact_seed7_report_is_unchanged(self, tmp_path, golden_name, suites):
+        "both_q32_seed7.json": [
+            "--suite", "qgamma", "--suite", "fierz", "--mode", "both", "--q-samples", "32",
+        ],
+    }
+
+    @pytest.mark.parametrize("golden_name", list(GOLDENS))
+    def test_hopf_exact_seed7_report_is_unchanged(self, tmp_path, golden_name):
         golden = pathlib.Path(__file__).parent / "data" / golden_name
-        args = [arg for s in suites for arg in ("--suite", s)]
-        code, payload = run_verify(tmp_path, "r.json", [*args, "--mode", "exact", "--seed", "7"])
+        args = self.GOLDENS[golden_name]
+        code, payload = run_verify(tmp_path, "r.json", [*args, "--seed", "7"])
         assert code == 0
         assert payload == golden.read_bytes()
 

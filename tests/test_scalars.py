@@ -261,3 +261,94 @@ def test_memoized_ops_match_the_tower_in_term_order(twins):
         for b in values:
             assert (a * b).rep() == RadicalScalar._mul(a, b).rep()
             assert (a + b).rep() == RadicalScalar._add(a, b).rep()
+
+
+class TestSquarePart:
+    def test_square_of_a_large_prime_is_found_fast(self):
+        assert scalars._square_part(1000000007**2) == 1000000007
+
+    def test_product_of_two_large_primes_has_no_square_part(self):
+        assert scalars._square_part(1000000007 * 998244353) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**4 - 1))
+    def test_matches_brute_force(self, n):
+        largest = next(s for s in range(math.isqrt(n), 0, -1) if n % (s * s) == 0)
+        assert scalars._square_part(n) == largest
+
+
+# Reference Gaussian rationals: plain (Fraction, Fraction) pairs.
+def _ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ref_inverse(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+rationals = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 1, 1, 2, 3, 6]))
+
+
+def _as_given(x: Fraction):
+    """An integral part as a plain int half of the time, so both inputs occur."""
+    return x.numerator if x.denominator == 1 and x.numerator % 2 else x
+
+
+class TestGaussRationalParts:
+    """Integral parts are ints; every value matches a Fraction-pair reference."""
+
+    @staticmethod
+    def _matches(x: GaussRational, ref) -> None:
+        assert (x.re, x.im) == ref
+        for part, want in zip((x.re, x.im), ref):
+            assert (type(part) is int) == (want.denominator == 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rationals, rationals, rationals, rationals)
+    def test_ring_operations_match_the_reference(self, ar, ai, br, bi):
+        a = GaussRational(_as_given(ar), _as_given(ai))
+        b = GaussRational(_as_given(br), _as_given(bi))
+        self._matches(a, (ar, ai))
+        self._matches(a + b, (ar + br, ai + bi))
+        self._matches(a - b, (ar - br, ai - bi))
+        self._matches(-a, (-ar, -ai))
+        self._matches(a * b, _ref_mul((ar, ai), (br, bi)))
+        if ar or ai:
+            self._matches(a.inverse(), _ref_inverse((ar, ai)))
+            self._matches(b / a, _ref_mul((br, bi), _ref_inverse((ar, ai))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-50, 50), st.integers(-50, 50))
+    def test_int_and_fraction_parts_are_indistinguishable(self, re, im):
+        from_int = GaussRational(re, im)
+        from_frac = GaussRational(Fraction(re), Fraction(im))
+        assert from_int == from_frac
+        assert hash(from_int) == hash(from_frac) == hash((Fraction(re), Fraction(im)))
+        assert str(from_int) == str(from_frac)
+        assert from_int.to_complex() == from_frac.to_complex() == complex(re, im)
+        assert str(from_int.re) == str(Fraction(re)) and str(from_int.im) == str(Fraction(im))
+
+
+@st.composite
+def reduced_fractions(draw):
+    num = draw(half_laurents())
+    den = draw(half_laurents())
+    if den.is_zero():
+        den = HalfLaurent({draw(st.integers(-4, 4)): GaussRational(Fraction(draw(st.integers(1, 5)), 3))})
+    return LaurentFrac(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_fractions())
+def test_negation_and_inverse_skip_only_the_redundant_gcd(f):
+    # the canonical parts are coprime, so the full constructor would find
+    # gcd 1: the shortcut must build the same parts in the same term order
+    neg = -f
+    full_neg = LaurentFrac(-f.num, f.den)
+    assert (neg.num.rep(), neg.den.rep()) == (full_neg.num.rep(), full_neg.den.rep())
+    if not f.is_zero():
+        inv = f.inverse()
+        full_inv = LaurentFrac(f.den, f.num)
+        assert (inv.num.rep(), inv.den.rep()) == (full_inv.num.rep(), full_inv.den.rep())
+        assert inv * f == LaurentFrac.one()
