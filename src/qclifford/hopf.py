@@ -12,17 +12,21 @@ word sweep is a consistency net on top.
 All three sweeps share one mechanism, ``WordImages``: a word's image is
 its prefix's image times its last letter's image, memoised per word.  It
 gives the coproduct in the tensor square, the identity map's normal forms,
-and (on reversed words) the antipode.
+and (on reversed words) the antipode.  The coproduct table lives on the
+``HopfData`` and is built on the first sweep, so every later sweep of the
+same algebra reads it; the structure maps must not change after that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .rewrite import (
     DEFAULT_BUDGET,
     NCPolynomial,
     RewriteSystem,
+    Word,
     apply_morphism,
 )
 from .scalars import RadicalScalar, accumulate
@@ -47,20 +51,29 @@ class HopfData:
     antipode: dict[int, NCPolynomial] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._t2 = None
-        self._t3 = None
+        self._splits: dict[Word, tuple[Word, Word]] = {}
 
-    @property
+    @cached_property
     def t2(self) -> RewriteSystem:
-        if self._t2 is None:
-            self._t2 = self.rs.tensor_power(2)
-        return self._t2
+        return self.rs.tensor_power(2)
 
-    @property
+    @cached_property
     def t3(self) -> RewriteSystem:
-        if self._t3 is None:
-            self._t3 = self.rs.tensor_power(3)
-        return self._t3
+        return self.rs.tensor_power(3)
+
+    @cached_property
+    def delta_images(self) -> WordImages:
+        """Coproducts of words, one table shared by every sweep of this algebra."""
+        return WordImages(self.coproduct, self.t2)
+
+    def split(self, tw: Word) -> tuple[Word, Word]:
+        """The slot parts (u, v) of a slot-sorted tensor-square word, memoised."""
+        parts = self._splits.get(tw)
+        if parts is None:
+            g = self.rs.size
+            parts = (tuple(i for i in tw if i < g), tuple(i - g for i in tw if i >= g))
+            self._splits[tw] = parts
+        return parts
 
     def delta(self, p: NCPolynomial, budget: int = DEFAULT_BUDGET) -> NCPolynomial:
         return apply_morphism(p, self.coproduct, self.t2, budget)
@@ -104,13 +117,6 @@ class AxiomResult:
     witnesses: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _split_t2_word(word, size: int):
-    """Split a slot-sorted tensor-square word into its two slot parts."""
-    u = tuple(i for i in word if i < size)
-    v = tuple(i - size for i in word if i >= size)
-    return u, v
-
-
 class WordImages:
     """Images of words under the algebra map fixed by its generator images.
 
@@ -119,22 +125,31 @@ class WordImages:
     costs one multiplication once its prefix is known.  The structure
     maps are multiplicative and the target systems confluent, so by the
     diamond lemma this bracketing gives the same normal form as any other.
+    Equal words in the cached images are one interned tuple.
     """
 
-    def __init__(self, gen_images, target: RewriteSystem, budget: int = DEFAULT_BUDGET):
+    def __init__(self, gen_images, target: RewriteSystem):
         self.gen_images = gen_images
         self.target = target
-        self.budget = budget
-        self.cache: dict[tuple[int, ...], NCPolynomial] = {(): NCPolynomial.unit()}
+        self.cache: dict[Word, NCPolynomial] = {(): NCPolynomial.unit()}
+        self.words: dict[Word, Word] = {}
 
     def __call__(self, word) -> NCPolynomial:
         cached = self.cache.get(word)
         if cached is None:
-            cached = self.target.multiply(
-                self(word[:-1]), self.gen_images[word[-1]], self.budget
+            image = self.target.multiply(self(word[:-1]), self.gen_images[word[-1]])
+            words = self.words
+            cached = NCPolynomial._nonzero(
+                {words.setdefault(w, w): c for w, c in image.terms.items()}
             )
             self.cache[word] = cached
         return cached
+
+
+def _add_scaled(out: dict, p: NCPolynomial, c: RadicalScalar) -> None:
+    """out += c * p, term by term."""
+    for w, c2 in p.terms.items():
+        accumulate(out, w, c * c2)
 
 
 def _side_witnesses(rs, w, left: NCPolynomial, right: NCPolynomial, target: NCPolynomial):
@@ -146,9 +161,7 @@ def _side_witnesses(rs, w, left: NCPolynomial, right: NCPolynomial, target: NCPo
     ]
 
 
-def check_coassociativity(
-    h: HopfData, max_len: int = 4, budget: int = DEFAULT_BUDGET
-) -> AxiomResult:
+def check_coassociativity(h: HopfData, max_len: int = 4) -> AxiomResult:
     """(Delta x id) o Delta = (id x Delta) o Delta on words up to max_len.
 
     Slot-sorted concatenations of normal slot parts are already normal in
@@ -157,88 +170,95 @@ def check_coassociativity(
     """
     rs = h.rs
     g = rs.size
-    delta = WordImages(h.coproduct, h.t2, budget)
+    delta, split = h.delta_images, h.split
+    shifted: dict[Word, Word] = {}  # tensor-square word -> its slots 1 and 2 in t3
     checked = 0
     witnesses = []
     for w in rs.iter_words(max_len):
         checked += 1
-        lhs: dict[tuple[int, ...], RadicalScalar] = {}
-        rhs: dict[tuple[int, ...], RadicalScalar] = {}
+        lhs: dict[Word, RadicalScalar] = {}
+        rhs: dict[Word, RadicalScalar] = {}
         for tw, c in delta(w).terms.items():
-            u, v = _split_t2_word(tw, g)
+            u, v = split(tw)
+            v3 = tuple(x + 2 * g for x in v)
             for tw2, c2 in delta(u).terms.items():
-                accumulate(lhs, tw2 + tuple(x + 2 * g for x in v), c * c2)
+                accumulate(lhs, tw2 + v3, c * c2)
             for tw2, c2 in delta(v).terms.items():
-                accumulate(rhs, u + tuple(x + g for x in tw2), c * c2)
+                up = shifted.get(tw2)
+                if up is None:
+                    up = shifted[tw2] = tuple(x + g for x in tw2)
+                accumulate(rhs, u + up, c * c2)
         if lhs != rhs:
             diff = NCPolynomial(lhs) - NCPolynomial(rhs)
             witnesses.append((rs.render(NCPolynomial.word(w)), h.t3.render(diff)))
     return AxiomResult("coassociativity", not witnesses, checked, witnesses)
 
 
-def check_counit(
-    h: HopfData, max_len: int = 4, budget: int = DEFAULT_BUDGET
-) -> AxiomResult:
+def check_counit(h: HopfData, max_len: int = 4) -> AxiomResult:
     """(eps x id) o Delta = id = (id x eps) o Delta on words up to max_len.
 
     The slot parts of a normal-formed coproduct are themselves normal, so
     collapsing one leg with the counit is linear assembly.
     """
     rs = h.rs
-    g = rs.size
-    delta = WordImages(h.coproduct, h.t2, budget)
-    bases = WordImages({i: NCPolynomial.gen(i) for i in range(g)}, rs, budget)
+    delta, split = h.delta_images, h.split
+    bases = WordImages({i: NCPolynomial.gen(i) for i in range(rs.size)}, rs)
     checked = 0
     witnesses = []
     for w in rs.iter_words(max_len):
         checked += 1
-        left: dict[tuple[int, ...], RadicalScalar] = {}
-        right: dict[tuple[int, ...], RadicalScalar] = {}
+        left: dict[Word, RadicalScalar] = {}
+        right: dict[Word, RadicalScalar] = {}
         for tw, c in delta(w).terms.items():
-            u, v = _split_t2_word(tw, g)
+            u, v = split(tw)
             accumulate(left, v, c * h.counit_word(u))
             accumulate(right, u, c * h.counit_word(v))
         witnesses += _side_witnesses(rs, w, NCPolynomial(left), NCPolynomial(right), bases(w))
     return AxiomResult("counit", not witnesses, checked, witnesses)
 
 
-def check_antipode(
-    h: HopfData, max_len: int = 4, budget: int = DEFAULT_BUDGET
-) -> AxiomResult:
+def check_antipode(h: HopfData, max_len: int = 4) -> AxiomResult:
     """mult o (S x id) o Delta = unit o eps = mult o (id x S) o Delta.
 
     S is anti-multiplicative, so S(w) is the image of the reversed word.
-    Raises AntipodeMissing when some generator has no antipode assigned;
-    callers that want a report instead should test
-    ``missing_antipode_generators`` first.
+    Each slot pair (u, v) of a coproduct term is multiplied out once per
+    sweep, as S(u) v and u S(v); the sides are sums of those normal forms
+    and so are normal themselves.  Raises AntipodeMissing when some
+    generator has no antipode assigned; callers that want a report instead
+    should test ``missing_antipode_generators`` first.
     """
     missing = h.missing_antipode_generators()
     if missing:
         raise AntipodeMissing(", ".join(missing))
     rs = h.rs
-    g = rs.size
-    delta = WordImages(h.coproduct, h.t2, budget)
-    s_cache = WordImages(h.antipode, rs, budget)
+    delta, split = h.delta_images, h.split
+    s_images = WordImages(h.antipode, rs)
+    # tensor word of the slot pair (u, v) -> (S(u) v, u S(v))
+    products: dict[Word, tuple[NCPolynomial, NCPolynomial]] = {}
     checked = 0
     witnesses = []
     for w in rs.iter_words(max_len):
         checked += 1
-        left = NCPolynomial.zero()
-        right = NCPolynomial.zero()
+        left: dict[Word, RadicalScalar] = {}
+        right: dict[Word, RadicalScalar] = {}
         for tw, c in delta(w).terms.items():
-            u, v = _split_t2_word(tw, g)
-            left = left + rs.multiply(s_cache(u[::-1]), NCPolynomial.word(v), budget).scale(c)
-            right = right + rs.multiply(NCPolynomial.word(u), s_cache(v[::-1]), budget).scale(c)
+            pair = products.get(tw)
+            if pair is None:
+                u, v = split(tw)
+                pair = products[tw] = (
+                    rs.multiply(s_images(u[::-1]), NCPolynomial.word(v)),
+                    rs.multiply(NCPolynomial.word(u), s_images(v[::-1])),
+                )
+            _add_scaled(left, pair[0], c)
+            _add_scaled(right, pair[1], c)
         target = NCPolynomial({(): h.counit_word(w)})
         witnesses += _side_witnesses(
-            rs, w, rs.normal_form(left, budget), rs.normal_form(right, budget), target
+            rs, w, NCPolynomial._nonzero(left), NCPolynomial._nonzero(right), target
         )
     return AxiomResult("antipode", not witnesses, checked, witnesses)
 
 
-def check_bialgebra_compatibility(
-    h: HopfData, budget: int = DEFAULT_BUDGET
-) -> AxiomResult:
+def check_bialgebra_compatibility(h: HopfData) -> AxiomResult:
     """Delta and eps respect every defining relation of the presentation.
 
     For each rule L -> R this compares Delta(L) with Delta(R) in the
@@ -248,19 +268,17 @@ def check_bialgebra_compatibility(
     checked = 0
     witnesses = []
     for (a, b), variants in rs.rules.items():
-        lhs_word = NCPolynomial.word((a, b))
+        d_l = h.delta(NCPolynomial.word((a, b)))
         e_l = h.counit_word((a, b))
         name = f"{rs.names[a]}*{rs.names[b]}"
         for rhs in variants:
             checked += 1
-            d_l = h.delta(lhs_word, budget)
-            d_r = h.delta(rhs, budget)
-            diff = d_l - d_r
+            diff = d_l - h.delta(rhs)
             if not diff.is_zero():
                 witnesses.append((f"Delta({name})", t2.render(diff)))
-            e_r = sum(
+            e_diff = e_l - sum(
                 (c * h.counit_word(w) for w, c in rhs.terms.items()), RadicalScalar.zero()
             )
-            if not (e_l - e_r).is_zero():
-                witnesses.append((f"eps({name})", str(e_l - e_r)))
+            if not e_diff.is_zero():
+                witnesses.append((f"eps({name})", str(e_diff)))
     return AxiomResult("bialgebra_compatibility", not witnesses, checked, witnesses)

@@ -20,6 +20,7 @@ from .rewrite import NCPolynomial, RewriteSystem
 from .scalars import (
     GaussRational,
     RadicalScalar,
+    accumulate,
     q_bracket_of,
     qinv,
     qvar,
@@ -430,17 +431,16 @@ def su2_action_report(
 def adjoint_action(
     h: HopfData, element: NCPolynomial, target: NCPolynomial, budget: int = 10**6
 ) -> NCPolynomial:
-    """h_(1) * x * S(h_(2)), computed through the coproduct normal form."""
-    from .hopf import _split_t2_word
+    """h_(1) * x * S(h_(2)), computed through the coproduct normal form.
 
+    Each piece is a normal form, so their sum is one as well.
+    """
     rs = h.rs
-    g = rs.size
-    dw = h.delta(element, budget)
-    out = NCPolynomial.zero()
-    for tw, c in dw.terms.items():
-        u, v = _split_t2_word(tw, g)
+    out: dict = {}
+    for tw, c in h.delta(element, budget).terms.items():
+        u, v = h.split(tw)
         sv = h.antipode_of(NCPolynomial.word(v), budget)
         piece = rs.multiply(NCPolynomial.word(u), target, budget)
-        piece = rs.multiply(piece, sv, budget)
-        out = out + piece.scale(c)
-    return rs.normal_form(out, budget)
+        for w, c2 in rs.multiply(piece, sv, budget).terms.items():
+            accumulate(out, w, c * c2)
+    return NCPolynomial(out)

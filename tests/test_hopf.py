@@ -16,8 +16,9 @@ from qclifford.presentations import (
     build_glq2,
     build_group_toy,
 )
-from qclifford.rewrite import NCPolynomial, apply_morphism
+from qclifford.rewrite import NCPolynomial, RewriteSystem, apply_morphism
 from qclifford.scalars import RadicalScalar
+from qclifford.suites import _perturbed_ch2
 
 
 class TestGroupToy:
@@ -143,13 +144,86 @@ class TestWordImages:
     @pytest.mark.parametrize("build", [build_glq2, build_ch2], ids=["glq2", "ch2"])
     def test_coproduct_images_match_apply_morphism(self, build):
         h = build()
-        delta = WordImages(h.coproduct, h.t2)
         for w in h.rs.iter_words(3, min_len=0):
             expect = apply_morphism(NCPolynomial.word(w), h.coproduct, h.t2)
-            assert delta(w) == expect, w
+            assert h.delta_images(w) == expect, w
+
+    @pytest.mark.parametrize("build", [build_glq2, build_ch2], ids=["glq2", "ch2"])
+    def test_equal_words_in_the_table_are_one_object(self, build):
+        h = build()
+        check_coassociativity(h, 3)
+        seen = {}
+        for image in h.delta_images.cache.values():
+            for tw in image.terms:
+                assert seen.setdefault(tw, tw) is tw, tw
+        assert len(seen) < sum(len(image.terms) for image in h.delta_images.cache.values())
 
     def test_reversed_word_images_are_the_antipode(self):
         h = build_ch2()
         s_images = WordImages(h.antipode, h.rs)
         for w in h.rs.iter_words(3, min_len=0):
             assert s_images(w[::-1]) == h.antipode_of(NCPolynomial.word(w)), w
+
+
+def _full_chq2():
+    return build_chq2(include_inherited_antipode=True)
+
+
+_WITH_ANTIPODE = [
+    (check_antipode, 2),
+    (check_coassociativity, 3),
+    (check_counit, 3),
+    (check_antipode, 3),
+]
+
+
+class TestSharedCoproductTable:
+    """One HopfData swept in mixed order and lengths gives the fresh results."""
+
+    @pytest.mark.parametrize(
+        "build, sweeps",
+        [
+            (build_group_toy, _WITH_ANTIPODE),
+            (build_glq2, [(check_counit, 2), (check_coassociativity, 3), (check_counit, 3)]),
+            (build_ch2, _WITH_ANTIPODE),
+            (_full_chq2, _WITH_ANTIPODE),
+            (lambda: _perturbed_ch2("coassoc"), _WITH_ANTIPODE),
+            (lambda: _perturbed_ch2("counit"), _WITH_ANTIPODE),
+            (lambda: _perturbed_ch2("antipode"), _WITH_ANTIPODE),
+        ],
+        ids=[
+            "toy", "glq2", "ch2", "chq2", "perturbed_coassoc", "perturbed_counit",
+            "perturbed_antipode",
+        ],
+    )
+    def test_shared_sweeps_equal_fresh_sweeps(self, build, sweeps):
+        shared = build()
+        for checker, max_len in sweeps:
+            assert checker(shared, max_len) == checker(build(), max_len), (checker, max_len)
+
+    def test_each_product_is_computed_once(self, monkeypatch):
+        h = build_ch2()
+        calls = []
+        multiply = RewriteSystem.multiply
+
+        def counting(self, *args, **kw):
+            calls.append(self)
+            return multiply(self, *args, **kw)
+
+        monkeypatch.setattr(RewriteSystem, "multiply", counting)
+        assert check_coassociativity(h, 4).ok and check_counit(h, 4).ok
+        assert check_antipode(h, 4).ok
+        # one tensor-square product per word of length 1 to 4 over six letters
+        assert sum(1 for rs in calls if rs is h.t2) == 6 + 6**2 + 6**3 + 6**4
+
+        calls.clear()
+        assert check_antipode(h, 4).ok
+        pairs = {tw for w in h.rs.iter_words(4) for tw in h.delta_images(w).terms}
+        image_words = {
+            part[::-1][:k]
+            for tw in pairs
+            for part in h.split(tw)
+            for k in range(1, len(part) + 1)
+        }
+        assert all(rs is h.rs for rs in calls)
+        assert len(calls) <= 2 * len(pairs) + len(image_words)
