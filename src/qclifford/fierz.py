@@ -19,14 +19,10 @@ from fractions import Fraction
 
 from .linalg import Matrix, matmul, kron, solve_exact
 from .qgamma import QGammaSet, gamma5
-from .rewrite import (
-    DEFAULT_BUDGET,
-    NCPolynomial,
-    RewriteSystem,
-    local_confluence_check,
-)
+from .rewrite import NCPolynomial, RewriteSystem, local_confluence_check
 from .scalars import (
     RadicalScalar,
+    _coerce,
     accumulate,
     q_half,
     q_plus_qinv,
@@ -134,7 +130,7 @@ def reflection_rules(k) -> RewriteSystem:
     Alphabet Zb1 < Zb2 < Z1 < Z2; the four rules move a Z past a Zbar,
     producing scalar-weighted sums of Zbar-first words.
     """
-    coeffs = _exchange_coefficients(_to_scalar(k))
+    coeffs = _exchange_coefficients(_coerce(k))
     rules = {}
     for (i, l), body in coeffs.items():
         rhs = NCPolynomial(
@@ -142,12 +138,6 @@ def reflection_rules(k) -> RewriteSystem:
         )
         rules[(2 + i, l)] = rhs
     return RewriteSystem(("Zb1", "Zb2", "Z1", "Z2"), rules)
-
-
-def _to_scalar(k) -> RadicalScalar:
-    if isinstance(k, RadicalScalar):
-        return k
-    return RadicalScalar.constant(k)
 
 
 CONVENTION_COMMUTE = "distinct_spinors_commute"
@@ -173,7 +163,7 @@ def two_spinor_system(k, convention: str) -> RewriteSystem:
     obey the same reflection exchange (leaving same-type cross pairs
     free), matching the two readings of the unstated convention.
     """
-    coeffs = _exchange_coefficients(_to_scalar(k))
+    coeffs = _exchange_coefficients(_coerce(k))
     rules: dict[tuple[int, int], NCPolynomial] = {}
 
     def add_reflection(a: int, b: int) -> None:
@@ -235,7 +225,6 @@ def bilinear_current(
     rs: RewriteSystem,
     bar_components: list[NCPolynomial],
     ket_components: list[NCPolynomial],
-    budget: int = DEFAULT_BUDGET,
 ) -> NCPolynomial:
     """prefactor * sum_{a,b} bar[a] M[a,b] ket[b], normal-formed."""
     pref = current_prefactor()
@@ -245,9 +234,9 @@ def bilinear_current(
             m_ab = sandwich[a, b]
             if m_ab.is_zero():
                 continue
-            term = rs.multiply(bar_components[a], ket_components[b], budget)
+            term = rs.multiply(bar_components[a], ket_components[b])
             out = out + term.scale(m_ab)
-    return rs.normal_form(out.scale(pref), budget)
+    return rs.normal_form(out.scale(pref))
 
 
 def current(
@@ -256,7 +245,6 @@ def current(
     rs: RewriteSystem,
     bar_components: list[NCPolynomial],
     ket_components: list[NCPolynomial],
-    budget: int = DEFAULT_BUDGET,
 ) -> NCPolynomial:
     """One member of the five current families, selected by index string.
 
@@ -271,7 +259,7 @@ def current(
     sandwich = Matrix.identity(4)
     for label in indices:
         sandwich = matmul(sandwich, gamma_by_label(gs, label, g5))
-    return bilinear_current(sandwich, rs, bar_components, ket_components, budget)
+    return bilinear_current(sandwich, rs, bar_components, ket_components)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +440,6 @@ def _quadratic_residual(
     gs: QGammaSet,
     k_value: Fraction,
     convention: str,
-    budget: int,
     swap_roles: bool = False,
 ) -> tuple[NCPolynomial, RewriteSystem]:
     rs = two_spinor_system(k_value, convention)
@@ -462,21 +449,20 @@ def _quadratic_residual(
     ident = Matrix.identity(4)
     g03 = matmul(gs.gamma0, gs.gamma3)
     g5 = gamma5(gs)
-    j_scalar = bilinear_current(ident, rs, bar, ket, budget)
-    j_03 = bilinear_current(g03, rs, bar, ket, budget)
-    j_5 = bilinear_current(g5, rs, bar, ket, budget)
+    j_scalar = bilinear_current(ident, rs, bar, ket)
+    j_03 = bilinear_current(g03, rs, bar, ket)
+    j_5 = bilinear_current(g5, rs, bar, ket)
     q = qvar()
     big_q = q_plus_qinv()
-    lhs = rs.multiply(j_scalar, j_scalar, budget).scale(q**4)
-    mid = rs.multiply(j_03, j_03, budget)
-    rhs = rs.multiply(j_5, j_5, budget).scale(big_q * (RadicalScalar.one() - q**-4))
-    return rs.normal_form(lhs - mid - rhs, budget), rs
+    lhs = rs.multiply(j_scalar, j_scalar).scale(q**4)
+    mid = rs.multiply(j_03, j_03)
+    rhs = rs.multiply(j_5, j_5).scale(big_q * (RadicalScalar.one() - q**-4))
+    return rs.normal_form(lhs - mid - rhs), rs
 
 
 def quadratic_identity_report(
     gs: QGammaSet,
     convention: str = CONVENTION_COMMUTE,
-    budget: int = DEFAULT_BUDGET,
     swap_roles: bool = False,
     k_nodes: int = 6,
     k_validate: int = 2,
@@ -492,7 +478,7 @@ def quadratic_identity_report(
     residuals = []
     names: tuple[str, ...] = _SPINOR_NAMES
     for kv in nodes:
-        res, rs = _quadratic_residual(gs, kv, convention, budget, swap_roles)
+        res, rs = _quadratic_residual(gs, kv, convention, swap_roles)
         residuals.append(res)
         names = rs.names
     words = sorted(

@@ -9,12 +9,14 @@ Structure maps extend multiplicatively (the antipode anti-multiplicatively),
 so the generator- and relation-level checks are the decisive content; the
 word sweep is a consistency net on top.
 
-All three sweeps share one mechanism, ``WordImages``: a word's image is
-its prefix's image times its last letter's image, memoised per word.  It
-gives the coproduct in the tensor square, the identity map's normal forms,
-and (on reversed words) the antipode.  The coproduct table lives on the
-``HopfData`` and is built on the first sweep, so every later sweep of the
-same algebra reads it; the structure maps must not change after that.
+Every structure map is applied by one mechanism, ``WordImages``: a word's
+image is its prefix's image times its last letter's image, memoised per
+word.  It gives the coproduct in the tensor square, the identity map's
+normal forms, and (on reversed words) the antipode; the counit is the same
+prefix rule over scalars.  The coproduct table and the counit memo live on
+the ``HopfData`` and are filled on first use, so every later sweep of the
+same algebra reads them; the structure maps must not change after that.
+The sweeps build their other tables afresh and drop them when they end.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .rewrite import (
-    DEFAULT_BUDGET,
-    NCPolynomial,
-    RewriteSystem,
-    Word,
-    apply_morphism,
-)
+from .rewrite import NCPolynomial, RewriteSystem, Word
 from .scalars import RadicalScalar, accumulate
 
 
@@ -52,6 +48,7 @@ class HopfData:
 
     def __post_init__(self):
         self._splits: dict[Word, tuple[Word, Word]] = {}
+        self._counits: dict[Word, RadicalScalar] = {(): RadicalScalar.one()}
 
     @cached_property
     def t2(self) -> RewriteSystem:
@@ -75,29 +72,24 @@ class HopfData:
             self._splits[tw] = parts
         return parts
 
-    def delta(self, p: NCPolynomial, budget: int = DEFAULT_BUDGET) -> NCPolynomial:
-        return apply_morphism(p, self.coproduct, self.t2, budget)
+    def delta(self, p: NCPolynomial) -> NCPolynomial:
+        return self.delta_images.extend(p)
 
-    def counit_word(self, w) -> RadicalScalar:
-        """eps(w): the product of the counits of the letters of w."""
-        val = RadicalScalar.one()
-        for letter in w:
-            val = val * self.counit[letter]
-            if val.is_zero():
-                break
+    def counit_word(self, w: Word) -> RadicalScalar:
+        """eps(w) = eps(w[:-1]) * eps(last letter), memoised per word."""
+        val = self._counits.get(w)
+        if val is None:
+            val = self._counits[w] = self.counit_word(w[:-1]) * self.counit[w[-1]]
         return val
 
-    def antipode_of(self, p: NCPolynomial, budget: int = DEFAULT_BUDGET) -> NCPolynomial:
-        out = NCPolynomial.zero()
-        for w, c in p.terms.items():
-            term = NCPolynomial.unit()
+    def antipode_of(self, p: NCPolynomial) -> NCPolynomial:
+        """S(p); S is anti-multiplicative, so S(w) is the image of w reversed."""
+        for w in p.terms:
             for letter in reversed(w):
-                img = self.antipode.get(letter)
-                if img is None:
+                if letter not in self.antipode:
                     raise AntipodeMissing(self.rs.names[letter])
-                term = self.rs.multiply(term, img, budget)
-            out = out + term.scale(c)
-        return self.rs.normal_form(out, budget)
+        reversed_p = NCPolynomial._nonzero({w[::-1]: c for w, c in p.terms.items()})
+        return WordImages(self.antipode, self.rs).extend(reversed_p)
 
     def missing_antipode_generators(self) -> list[str]:
         return [
@@ -144,6 +136,13 @@ class WordImages:
             )
             self.cache[word] = cached
         return cached
+
+    def extend(self, p: NCPolynomial) -> NCPolynomial:
+        """The image of ``p``: a sum of normal forms, and so normal itself."""
+        out: dict[Word, RadicalScalar] = {}
+        for w, c in p.terms.items():
+            _add_scaled(out, self(w), c)
+        return NCPolynomial._nonzero(out)
 
 
 def _add_scaled(out: dict, p: NCPolynomial, c: RadicalScalar) -> None:

@@ -428,19 +428,17 @@ def su2_action_report(
 # ---------------------------------------------------------------------------
 
 
-def adjoint_action(
-    h: HopfData, element: NCPolynomial, target: NCPolynomial, budget: int = 10**6
-) -> NCPolynomial:
+def adjoint_action(h: HopfData, element: NCPolynomial, target: NCPolynomial) -> NCPolynomial:
     """h_(1) * x * S(h_(2)), computed through the coproduct normal form.
 
     Each piece is a normal form, so their sum is one as well.
     """
     rs = h.rs
     out: dict = {}
-    for tw, c in h.delta(element, budget).terms.items():
+    for tw, c in h.delta(element).terms.items():
         u, v = h.split(tw)
-        sv = h.antipode_of(NCPolynomial.word(v), budget)
-        piece = rs.multiply(NCPolynomial.word(u), target, budget)
-        for w, c2 in rs.multiply(piece, sv, budget).terms.items():
+        sv = h.antipode_of(NCPolynomial.word(v))
+        piece = rs.multiply(NCPolynomial.word(u), target)
+        for w, c2 in rs.multiply(piece, sv).terms.items():
             accumulate(out, w, c * c2)
     return NCPolynomial(out)

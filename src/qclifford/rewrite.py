@@ -14,7 +14,8 @@ from itertools import product as _cartesian
 
 from .scalars import RadicalScalar, _coerce, accumulate
 
-DEFAULT_BUDGET = 10**6
+# most rewrite steps one normal_form call may take before BudgetExceeded
+STEP_BUDGET = 10**6
 
 Word = tuple[int, ...]
 
@@ -143,13 +144,15 @@ class RewriteSystem:
     def size(self) -> int:
         return len(self.names)
 
-    def normal_form(self, p: NCPolynomial, budget: int = DEFAULT_BUDGET) -> NCPolynomial:
+    def normal_form(self, p: NCPolynomial) -> NCPolynomial:
         """Rewrite every word until no rule applies (leftmost pair first).
 
         Single-word replacements are spliced in place and the scan resumes
         one position back (everything further left is already redex-free),
-        so pure commutation steps never re-walk the word.
+        so pure commutation steps never re-walk the word.  Raises
+        BudgetExceeded after ``STEP_BUDGET`` rewrite steps.
         """
+        limit = STEP_BUDGET
         flat = self._flat
         n = len(self.names)
         out: dict[Word, RadicalScalar] = {}
@@ -175,8 +178,8 @@ class RewriteSystem:
                     i += 1
                     continue
                 steps += 1
-                if steps > budget:
-                    raise BudgetExceeded(f"exceeded {budget} rewrite steps")
+                if steps > limit:
+                    raise BudgetExceeded(f"exceeded {limit} rewrite steps")
                 if len(terms) == 1:
                     ((rw, rc),) = terms.items()
                     word[i : i + 2] = rw
@@ -193,15 +196,13 @@ class RewriteSystem:
                 accumulate(out, tuple(word), c)
         return NCPolynomial._nonzero(out)
 
-    def multiply(
-        self, p: NCPolynomial, r: NCPolynomial, budget: int = DEFAULT_BUDGET
-    ) -> NCPolynomial:
+    def multiply(self, p: NCPolynomial, r: NCPolynomial) -> NCPolynomial:
         """Concatenation product followed by normal form."""
         raw: dict[Word, RadicalScalar] = {}
         for w1, c1 in p.terms.items():
             for w2, c2 in r.terms.items():
                 accumulate(raw, w1 + w2, c1 * c2)
-        return self.normal_form(NCPolynomial._nonzero(raw), budget)
+        return self.normal_form(NCPolynomial._nonzero(raw))
 
     def tensor_power(self, n: int) -> "RewriteSystem":
         """n commuting slots, each carrying a copy of this system.
@@ -239,22 +240,6 @@ class RewriteSystem:
         return p.render(self.names)
 
 
-def apply_morphism(
-    p: NCPolynomial,
-    images: dict[int, NCPolynomial],
-    target: RewriteSystem,
-    budget: int = DEFAULT_BUDGET,
-) -> NCPolynomial:
-    """Extend a generator assignment to an algebra map and apply it."""
-    out = NCPolynomial.zero()
-    for w, c in p.terms.items():
-        term = NCPolynomial.unit()
-        for letter in w:
-            term = target.multiply(term, images[letter], budget)
-        out = out + term.scale(c)
-    return target.normal_form(out, budget)
-
-
 @dataclass
 class ConfluenceFailure:
     """Witness: one word, two single-step reducts with distinct normal forms."""
@@ -272,9 +257,7 @@ def _rewrite_once_at(rs: RewriteSystem, w: Word, pos: int, variant: int) -> NCPo
     return NCPolynomial({pre + rw + post: c for rw, c in rep.terms.items()})
 
 
-def local_confluence_check(
-    rs: RewriteSystem, max_len: int, budget: int = DEFAULT_BUDGET
-) -> list[ConfluenceFailure]:
+def local_confluence_check(rs: RewriteSystem, max_len: int) -> list[ConfluenceFailure]:
     """Exhaustively test all words up to max_len with >= 2 one-step reducts.
 
     A reduct is a (position, rule-variant) choice, so both overlapping
@@ -296,7 +279,7 @@ def local_confluence_check(
             continue
         forms = []
         for pos, variant in choices:
-            nf = rs.normal_form(_rewrite_once_at(rs, w, pos, variant), budget)
+            nf = rs.normal_form(_rewrite_once_at(rs, w, pos, variant))
             forms.append(((pos, variant), nf))
         base_choice, base = forms[0]
         for choice, nf in forms[1:]:

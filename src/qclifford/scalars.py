@@ -148,9 +148,6 @@ class GaussRational:
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         return self * other.inverse()
 
-    def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, GaussRational)
@@ -163,9 +160,6 @@ class GaussRational:
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-    def sort_key(self):
-        return (self.re, self.im)
 
     def __repr__(self) -> str:
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -187,7 +181,6 @@ class GaussRational:
 
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
-GR_I = GaussRational(0, 1)
 
 
 def _coerce_gauss(x) -> GaussRational:
@@ -1041,7 +1034,6 @@ def sqrt(x: RadicalScalar) -> RadicalScalar:
 
 ZERO = RadicalScalar()
 ONE = RadicalScalar({(): LaurentFrac.one()})
-IMAG = RadicalScalar.constant(GR_I)
 
 
 def qvar() -> RadicalScalar:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import cmath
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +49,6 @@ class RunContext:
     q_range: tuple[float, float] = (0.5, 2.0)
     seed: int = 0
     conventions: tuple[qgamma.ActionConvention, ...] = qgamma.ALL_CONVENTIONS
-    _cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lo, hi = self.q_range
@@ -71,38 +71,53 @@ class RunContext:
 
     # ---- lazily built shared objects ------------------------------------
 
-    def cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def gammas(self) -> qgamma.QGammaSet:
-        return self.cached("gammas", qgamma.build_q_gammas)
+        return qgamma.build_q_gammas()
 
-    @property
+    @cached_property
     def metric(self) -> qgamma.QMetric:
-        return self.cached("metric", qgamma.build_metric)
+        return qgamma.build_metric()
 
-    @property
+    @cached_property
     def glq2(self) -> hopf.HopfData:
-        return self.cached("glq2", presentations.build_glq2)
+        return presentations.build_glq2()
 
-    @property
+    @cached_property
     def ch2(self) -> hopf.HopfData:
-        return self.cached("ch2", presentations.build_ch2)
+        return presentations.build_ch2()
 
-    @property
+    @cached_property
     def chq2(self) -> hopf.HopfData:
-        return self.cached("chq2", presentations.build_chq2)
+        return presentations.build_chq2()
 
-    @property
+    @cached_property
+    def chq2_full(self) -> hopf.HopfData:
+        """chq2 with the undeformed antipode assigned to every generator."""
+        return presentations.build_chq2(include_inherited_antipode=True)
+
+    @cached_property
     def irreps(self) -> list:
         """The 20 seeded exact chq2 irreps as (params, irrep, relation residuals).
 
         Checks that use fewer take a prefix: all draws come from one stream.
         """
-        return self.cached("irreps", lambda: _seeded_irreps(self.seed, 20))
+        return _seeded_irreps(self.seed, 20)
+
+    @cached_property
+    def numeric_irreps(self) -> list:
+        """The 20 seeded numeric chq2 irreps as ((z, lx, ly, qv), matrices by name)."""
+        rng = random.Random(self.seed + 13)
+        out = []
+        for _ in range(20):
+            z = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
+            lx = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
+            ly = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
+            qv = rng.uniform(*self.q_range)
+            if abs(qv - 1.0) < 0.05:
+                qv += 0.1
+            out.append(((z, lx, ly, qv), presentations.affine_irrep_numeric(z, lx, ly, qv)))
+        return out
 
     # ---- measurement helpers --------------------------------------------
 
@@ -644,10 +659,7 @@ def _ch2_toy(ctx: RunContext) -> CheckReport:
     "the undeformed antipode satisfies the axiom with the deformed coproduct",
 )
 def _chq2_antipode_inherited(ctx: RunContext) -> CheckReport:
-    h = ctx.cached(
-        "chq2_full", lambda: presentations.build_chq2(include_inherited_antipode=True)
-    )
-    r = hopf.check_antipode(h, 2)
+    r = hopf.check_antipode(ctx.chq2_full, 2)
     return _report(
         "0" if r.ok else "1",
         mismatch=not r.ok,
@@ -678,20 +690,6 @@ def _seeded_irreps(seed: int, count: int):
     return out
 
 
-def _seeded_numeric_irreps(ctx: RunContext, count: int):
-    rng = random.Random(ctx.seed + 13)
-    draws = []
-    for _ in range(count):
-        z = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
-        lx = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
-        ly = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
-        qv = rng.uniform(*ctx.q_range)
-        if abs(qv - 1.0) < 0.05:
-            qv += 0.1
-        draws.append((z, lx, ly, qv))
-    return draws
-
-
 @_check(
     "chq2.irrep_square_law",
     "squares of the level-i matrices equal the q-bracket of the level weight",
@@ -704,8 +702,7 @@ def _chq2_square_law(ctx: RunContext) -> CheckReport:
                 worst_exact = (params, key)
     numeric_worst = 0.0
     if ctx.mode != "exact":
-        for z, lx, ly, qv in _seeded_numeric_irreps(ctx, 20):
-            mats = presentations.affine_irrep_numeric(z, lx, ly, qv)
+        for (z, lx, ly, qv), mats in ctx.numeric_irreps:
             denom = qv - 1.0 / qv
             for level in (0, 1):
                 for axis, lval in (("x", lx), ("y", ly)):
@@ -740,8 +737,7 @@ def _chq2_anticomm(ctx: RunContext) -> CheckReport:
             witness = str(params)
     numeric_worst = 0.0
     if ctx.mode != "exact":
-        for z, lx, ly, qv in _seeded_numeric_irreps(ctx, 20):
-            mats = presentations.affine_irrep_numeric(z, lx, ly, qv)
+        for _, mats in ctx.numeric_irreps:
             for lvl in (0, 1):
                 x, y = mats[f"x{lvl}"], mats[f"y{lvl}"]
                 numeric_worst = max(numeric_worst, float(np.max(np.abs(x @ y + y @ x))))

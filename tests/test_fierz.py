@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qclifford import rewrite
 from qclifford.fierz import (
     CONVENTION_COMMUTE,
     CONVENTION_REFLECT,
@@ -206,9 +207,10 @@ class TestQuadraticIdentity:
             rep = quadratic_identity_report(gs, convention)
             assert rep.convention == convention
 
-    def test_budget_is_enforced(self, gs):
+    def test_budget_is_enforced(self, gs, monkeypatch):
+        monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
         with pytest.raises(BudgetExceeded):
-            quadratic_identity_report(gs, CONVENTION_COMMUTE, budget=3)
+            quadratic_identity_report(gs, CONVENTION_COMMUTE)
 
     def test_k_analysis_is_deterministic(self, gs):
         r1 = quadratic_identity_report(gs, CONVENTION_COMMUTE)

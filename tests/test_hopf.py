@@ -16,9 +16,27 @@ from qclifford.presentations import (
     build_glq2,
     build_group_toy,
 )
-from qclifford.rewrite import NCPolynomial, RewriteSystem, apply_morphism
+from qclifford.rewrite import NCPolynomial, RewriteSystem
 from qclifford.scalars import RadicalScalar
 from qclifford.suites import _perturbed_ch2
+
+
+def apply_morphism(
+    p: NCPolynomial, images: dict[int, NCPolynomial], target: RewriteSystem
+) -> NCPolynomial:
+    """Reference: extend a generator assignment to an algebra map and apply
+    it letter by letter, with no memo."""
+    out = NCPolynomial.zero()
+    for w, c in p.terms.items():
+        term = NCPolynomial.unit()
+        for letter in w:
+            term = target.multiply(term, images[letter])
+        out = out + term.scale(c)
+    return target.normal_form(out)
+
+
+def _full_chq2():
+    return build_chq2(include_inherited_antipode=True)
 
 
 class TestGroupToy:
@@ -162,11 +180,55 @@ class TestWordImages:
         h = build_ch2()
         s_images = WordImages(h.antipode, h.rs)
         for w in h.rs.iter_words(3, min_len=0):
-            assert s_images(w[::-1]) == h.antipode_of(NCPolynomial.word(w)), w
+            expect = apply_morphism(NCPolynomial.word(w[::-1]), h.antipode, h.rs)
+            assert s_images(w[::-1]) == expect, w
 
 
-def _full_chq2():
-    return build_chq2(include_inherited_antipode=True)
+class TestStructureMaps:
+    """HopfData's own coproduct, antipode and counit against the references."""
+
+    @pytest.mark.parametrize(
+        "build", [build_glq2, build_ch2, _full_chq2], ids=["glq2", "ch2", "chq2"]
+    )
+    def test_delta_matches_apply_morphism(self, build):
+        h = build()
+        for w in h.rs.iter_words(3, min_len=0):
+            p = NCPolynomial.word(w)
+            assert h.delta(p) == apply_morphism(p, h.coproduct, h.t2), w
+
+    @pytest.mark.parametrize("build", [build_ch2, _full_chq2], ids=["ch2", "chq2"])
+    def test_antipode_of_matches_apply_morphism_on_reversed_word(self, build):
+        h = build()
+        for w in h.rs.iter_words(3, min_len=0):
+            expect = apply_morphism(NCPolynomial.word(w[::-1]), h.antipode, h.rs)
+            assert h.antipode_of(NCPolynomial.word(w)) == expect, w
+
+    def test_antipode_of_raises_for_an_unassigned_generator(self):
+        gl = build_glq2()
+        with pytest.raises(AntipodeMissing, match="a12"):
+            gl.antipode_of(NCPolynomial.word((0, 1)))
+
+    def test_counit_word_computes_each_word_once(self, monkeypatch):
+        h = build_ch2()
+        words = list(h.rs.iter_words(3))
+        expect = []
+        for w in words:
+            val = RadicalScalar.one()
+            for letter in w:
+                val = val * h.counit[letter]
+            expect.append(val)
+        calls = []
+        multiply = RadicalScalar.__mul__
+
+        def counting(a, b):
+            calls.append(b)
+            return multiply(a, b)
+
+        monkeypatch.setattr(RadicalScalar, "__mul__", counting)
+        assert [h.counit_word(w) for w in words] == expect
+        assert [h.counit_word(w) for w in words] == expect
+        # every prefix of a word comes before it, so each word is one product
+        assert len(calls) == len(words)
 
 
 _WITH_ANTIPODE = [
