@@ -18,6 +18,10 @@ class ConfigError(Exception):
 _MODES = ("exact", "numeric", "both")
 _FORMATS = ("text", "json")
 _CONVENTION_VALUES = tuple(c.value for c in ActionConvention)
+_CONFIG_KEYS = (
+    "suite", "mode", "q_samples", "q_range", "seed", "strict", "convention", "format", "out",
+)
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _parse_q_range(text: str) -> tuple[float, float]:
@@ -62,6 +66,9 @@ def _config_int(values: dict, key: str) -> int:
 
 def _apply_config_file(args: argparse.Namespace, values: dict) -> None:
     """File values fill in anything the command line left at its default."""
+    unknown = [key for key in values if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     if "suite" in values and not args.suite:
         args.suite = [s.strip() for s in values["suite"].split(",") if s.strip()]
     if "mode" in values and args.mode is None:
@@ -72,8 +79,11 @@ def _apply_config_file(args: argparse.Namespace, values: dict) -> None:
         args.q_range = values["q_range"]
     if "seed" in values and args.seed is None:
         args.seed = _config_int(values, "seed")
-    if "strict" in values and not args.strict:
-        args.strict = values["strict"].lower() in ("1", "true", "yes")
+    if "strict" in values:
+        flag = values["strict"].lower()
+        if flag not in _TRUE + _FALSE:
+            raise ConfigError(f"strict must be 1/true/yes or 0/false/no, got {values['strict']!r}")
+        args.strict = args.strict or flag in _TRUE
     if "convention" in values and not args.convention:
         args.convention = [
             s.strip() for s in values["convention"].split(",") if s.strip()
@@ -177,6 +187,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    if not args.tolerance >= 0:  # also rejects nan
+        raise ConfigError(f"tolerance must be a non-negative number, got {args.tolerance!r}")
     try:
         doc_a = report_mod.load_report(args.report_a)
         doc_b = report_mod.load_report(args.report_b)

@@ -136,11 +136,7 @@ class Matrix:
         return Matrix(self.rows, self.cols, [fn(a) for a in self.data])
 
     def evaluate(self, q_value: complex) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self[i, j].eval_at(q_value)
-        return out
+        return self.evaluate_with_flags(q_value)[0]
 
     def evaluate_with_flags(self, q_value: complex) -> tuple[np.ndarray, bool]:
         """Numeric matrix plus a flag for any branch-cut radicand hit."""

@@ -208,7 +208,8 @@ class ReportDiff:
 
 
 def diff_reports(doc_a: dict, doc_b: dict, tolerance: float = 0.0) -> list[ReportDiff]:
-    """Checks whose status changed or residual moved beyond the tolerance."""
+    """Checks whose status or mismatch flag changed, or whose residual moved
+    beyond the tolerance."""
     a_checks = {c["check_id"]: c for c in doc_a["checks"]}
     b_checks = {c["check_id"]: c for c in doc_b["checks"]}
     out = []
@@ -224,6 +225,9 @@ def diff_reports(doc_a: dict, doc_b: dict, tolerance: float = 0.0) -> list[Repor
         if ca["status"] != cb["status"]:
             out.append(ReportDiff(cid, "status", ca["status"], cb["status"]))
             continue
+        ma, mb = ca.get("mismatch", False), cb.get("mismatch", False)
+        if ma != mb:
+            out.append(ReportDiff(cid, "mismatch", ma, mb))
         ra, rb = ca["residual_max"], cb["residual_max"]
         if ra != rb:
             try:

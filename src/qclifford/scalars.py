@@ -14,7 +14,9 @@ identity whose radicals only ever appear squared is decided exactly.
 Numeric evaluation uses the principal branch throughout; only positive
 rational squares and even powers of t are ever moved out of a root, which
 keeps exact and principal-branch numeric values in agreement on the
-positive real q axis.
+positive real q axis.  Each scalar has one canonical form, ``key()``, and
+evaluation sums terms in its order, so a float depends only on the exact
+value, never on the order in which the terms were built.
 """
 
 from __future__ import annotations
@@ -194,22 +196,20 @@ def _coerce_gauss(x) -> GaussRational:
 class HalfLaurent:
     """Laurent polynomial in t = q^(1/2); exponent k means q^(k/2)."""
 
-    __slots__ = ("coeffs", "_hash", "_rep")
+    __slots__ = ("coeffs", "_key")
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-        self._hash = None
-        self._rep = None
+        self._key = None
 
     @staticmethod
     def _nonzero(coeffs: dict) -> "HalfLaurent":
         """Wrap ``coeffs`` as is; the caller guarantees it holds no zero."""
         out = object.__new__(HalfLaurent)
         out.coeffs = coeffs
-        out._hash = None
-        out._rep = None
+        out._key = None
         return out
 
     @staticmethod
@@ -312,10 +312,15 @@ class HalfLaurent:
                 out[k - 1] = c * GaussRational(k)
         return HalfLaurent(out)
 
+    def _ordered(self):
+        """(exponent, coefficient) pairs by ascending exponent."""
+        items = self.coeffs.items()
+        return sorted(items) if len(items) > 1 else items
+
     def eval_t(self, t: complex) -> complex:
         total = 0j
-        for k, c in self.coeffs.items():
-            total += c.to_complex() * t**k
+        for k, re, im in self.key():
+            total += complex(float(re), float(im)) * t**k
         return total
 
     def at_one(self) -> GaussRational:
@@ -335,26 +340,17 @@ class HalfLaurent:
             total = total + c * GaussRational(q ** (k // 2))
         return total
 
-    def items_key(self):
-        return tuple(sorted((k, c.re, c.im) for k, c in self.coeffs.items()))
-
-    def rep(self) -> tuple:
-        """Exponent and exact parts of every coefficient, in dict order."""
-        if self._rep is None:
-            self._rep = tuple(
-                x
-                for k, c in self.coeffs.items()
-                for x in (k, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
-            )
-        return self._rep
+    def key(self) -> tuple:
+        """Canonical form: ``(exponent, re, im)`` triples by ascending exponent."""
+        if self._key is None:
+            self._key = tuple((k, c.re, c.im) for k, c in self._ordered())
+        return self._key
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, HalfLaurent) and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.items_key())
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self) -> str:
         return f"HalfLaurent({self.coeffs!r})"
@@ -362,11 +358,7 @@ class HalfLaurent:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            parts.append(_render_term(c, k))
-        return " + ".join(parts)
+        return " + ".join(_render_term(c, k) for k, c in self._ordered())
 
 
 def _render_term(c: GaussRational, k: int) -> str:
@@ -464,20 +456,18 @@ class LaurentFrac:
     valuation-stripped numerator, so equal values compare equal.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: HalfLaurent, den: HalfLaurent | None = None):
         if den is None or den.is_one():
             self.num = num
             self.den = HalfLaurent.one()
-            self._hash = None
             return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             self.num = HalfLaurent.zero()
             self.den = HalfLaurent.one()
-            self._hash = None
             return
         num, den = _monic_den(num, den)
         if den.degree() > 0:
@@ -489,7 +479,6 @@ class LaurentFrac:
                 den = _poly_exact_div(den, g)
         self.num = num
         self.den = den
-        self._hash = None
 
     @staticmethod
     def _reduced(num: HalfLaurent, den: HalfLaurent) -> "LaurentFrac":
@@ -497,7 +486,6 @@ class LaurentFrac:
         out = object.__new__(LaurentFrac)
         out.num = num
         out.den = den
-        out._hash = None
         return out
 
     @staticmethod
@@ -570,8 +558,8 @@ class LaurentFrac:
             raise EvalPole("denominator vanishes at this q")
         return self.num.subs_q(q) / d
 
-    def key(self):
-        return (self.num.items_key(), self.den.items_key())
+    def key(self) -> tuple:
+        return (self.num.key(), self.den.key())
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -581,9 +569,7 @@ class LaurentFrac:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self) -> str:
         return f"LaurentFrac({self.num!r}, {self.den!r})"
@@ -691,14 +677,13 @@ class RadicalScalar:
     multiplication cancels paired radicands exactly.
     """
 
-    __slots__ = ("terms", "_hash", "_rep")
+    __slots__ = ("terms", "_key")
 
     def __init__(self, terms: dict[tuple[Radicand, ...], LaurentFrac] | None = None):
         if terms is None:
             terms = {}
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-        self._hash = None
-        self._rep = None
+        self._key = None
 
     # ---- constructors -------------------------------------------------
 
@@ -873,26 +858,20 @@ class RadicalScalar:
 
     # ---- comparisons ---------------------------------------------------
 
-    def key(self):
-        return tuple(
-            sorted(
-                (tuple(r.sort_key() for r in k), c.key())
-                for k, c in self.terms.items()
-            )
-        )
+    def _ordered(self):
+        """(radicands, coefficient) pairs in the radicands' key order."""
+        items = self.terms.items()
+        if len(items) < 2:
+            return items
+        return sorted(items, key=lambda kv: tuple(r.sort_key() for r in kv[0]))
 
-    def rep(self) -> tuple:
-        """Exact term data in dict order: radicands' and coefficient's parts."""
-        if self._rep is None:
-            self._rep = tuple(
-                (
-                    tuple((r.frac.num.rep(), r.frac.den.rep()) for r in key),
-                    c.num.rep(),
-                    c.den.rep(),
-                )
-                for key, c in self.terms.items()
+    def key(self) -> tuple:
+        """Canonical form: radicand keys and coefficient key of each term."""
+        if self._key is None:
+            self._key = tuple(
+                (tuple(r.sort_key() for r in k), c.key()) for k, c in self._ordered()
             )
-        return self._rep
+        return self._key
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -906,9 +885,7 @@ class RadicalScalar:
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.key())
 
     # ---- evaluation ----------------------------------------------------
 
@@ -923,7 +900,7 @@ class RadicalScalar:
         t = cmath.sqrt(complex(q_value))
         total = 0j
         branch_cut = False
-        for key, coeff in self.terms.items():
+        for key, coeff in self._ordered():
             val = coeff.eval_t(t)
             for rad in key:
                 rv = rad.eval_t(t)
@@ -966,8 +943,7 @@ class RadicalScalar:
         if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.terms, key=lambda k: tuple(r.sort_key() for r in k)):
-            coeff = self.terms[key]
+        for key, coeff in self._ordered():
             cs = str(coeff)
             if key:
                 roots = "*".join(str(r) for r in key)
@@ -983,18 +959,14 @@ class RadicalScalar:
         return " + ".join(parts)
 
 
-# Results of RadicalScalar sums and products, keyed on the operation and on
-# each operand's ``rep``.  Equal reps run the same arithmetic, so a hit is the
-# object the tower would build, term order included.  The key must not be the
-# value: numeric evaluation sums terms in dict order, so two equal scalars
-# whose terms are ordered differently can evaluate to different last bits.
-# Results are shared between callers; nothing mutates a scalar once built.
+# Sums and products keyed on the operation and each operand's value, shared
+# between callers (nothing mutates a scalar once built).
 MEMO_CAP = 512
 _MEMO: dict = {}
 
 
 def _memo(op, a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
-    key = (op, a.rep(), b.rep())
+    key = (op, a.key(), b.key())
     out = _MEMO.get(key)
     if out is None:
         if len(_MEMO) >= MEMO_CAP:

@@ -141,6 +141,27 @@ class TestDiffCommand:
         assert code == 1
         assert "status" in capsys.readouterr().out
 
+    def test_mismatch_flip_is_reported(self, tmp_path, capsys):
+        run_verify(tmp_path, "a.json", FAST_SUITE)
+        doc = load_report(str(tmp_path / "a.json"))
+        doc["checks"][0]["mismatch"] = not doc["checks"][0]["mismatch"]
+        (tmp_path / "b.json").write_text(json.dumps(doc))
+        code = main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert code == 1
+        assert f"{doc['checks'][0]['check_id']}: mismatch" in capsys.readouterr().out
+
+    def test_bad_tolerance_is_an_error(self, tmp_path, capsys):
+        run_verify(tmp_path, "a.json", FAST_SUITE)
+        doc = load_report(str(tmp_path / "a.json"))
+        doc["checks"][0]["residual_max"] = "12.5"
+        (tmp_path / "b.json").write_text(json.dumps(doc))
+        files = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        for tolerance in ("nan", "-1"):
+            code = main(["diff", *files, f"--tolerance={tolerance}"])
+            assert code == 2, tolerance
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unparseable_file_is_an_error(self, tmp_path, capsys):
         (tmp_path / "junk.json").write_text("{nope")
         (tmp_path / "invalid.json").write_text('{"schema_version": "1"}')
@@ -206,7 +227,14 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "line",
-        ["q_samples = abc", "seed = x", "convention = bogus", "format = xml"],
+        [
+            "q_samples = abc",
+            "seed = x",
+            "convention = bogus",
+            "format = xml",
+            "sead = 3",
+            "strict = ture",
+        ],
     )
     def test_bad_config_value_is_a_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -214,7 +242,7 @@ class TestConfigFile:
         code = main(["verify", "--config", str(cfg)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestGoldenReport:
