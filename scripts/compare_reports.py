@@ -9,8 +9,9 @@ ids, and every check field must be equal except ``residual_max``, which may
 move by at most 1e-12 relative or 1e-12 absolute (a refactor that changes
 only the order of floating-point sums moves the last bits, nothing else).
 Prints one line per moved residual and a summary line; exits 0 when the
-reports agree and 1 otherwise.  It reads the files with ``json`` alone, so it
-shares no code with ``qclifford diff``.
+reports agree and 1 otherwise.  A file that cannot be read, is not JSON or
+holds no list of checks exits 2 with one ``error:`` line on stderr.  It reads
+the files with ``json`` alone, so it shares no code with ``qclifford diff``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ ABS_TOL = 1e-12
 
 
 def _residual_close(old: str, new: str) -> bool:
-    a, b = float(old), float(new)
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):  # not a number: only equal strings agree
+        return False
     return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 
 
@@ -56,8 +60,20 @@ def main(argv: list[str]) -> int:
         return 2
     docs = []
     for path in argv:
-        with open(path, encoding="utf-8") as fh:
-            docs.append(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
+        checks = doc.get("checks") if isinstance(doc, dict) else None
+        if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and "check_id" in c and "residual_max" in c for c in checks
+        ):
+            print(f"error: {path}: not a report (no list of checks with ids and residuals)",
+                  file=sys.stderr)
+            return 2
+        docs.append(doc)
     problems, notes = compare(*docs)
     for line in notes:
         print(f"  moved within tolerance: {line}")

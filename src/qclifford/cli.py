@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import report as report_mod
@@ -141,6 +142,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown mode {mode!r}")
     if fmt not in _FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
+    if args.out and os.path.isdir(args.out):  # refused before any check runs
+        raise ConfigError(f"cannot write report: {args.out} is a directory")
     conv_values = args.convention or list(_CONVENTION_VALUES)
     for value in conv_values:
         if value not in _CONVENTION_VALUES:

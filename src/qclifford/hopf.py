@@ -152,11 +152,15 @@ def _add_scaled(out: dict, p: NCPolynomial, c: RadicalScalar) -> None:
 
 
 def _side_witnesses(rs, w, left: NCPolynomial, right: NCPolynomial, target: NCPolynomial):
-    """(word, residual) for each side of a two-sided axiom that misses ``target``."""
+    """(word, residual) for each side of a two-sided axiom that misses ``target``.
+
+    Each side is compared with ``target`` term by term first, so only a
+    failing side builds its difference.
+    """
     return [
-        (rs.render(NCPolynomial.word(w)), rs.render(d))
-        for d in (left - target, right - target)
-        if not d.is_zero()
+        (rs.render(NCPolynomial.word(w)), rs.render(side - target))
+        for side in (left, right)
+        if side != target
     ]
 
 

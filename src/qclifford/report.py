@@ -202,14 +202,19 @@ def load_report(path: str) -> dict:
 @dataclass
 class ReportDiff:
     check_id: str
-    kind: str  # status / residual / only_in_a / only_in_b
-    a_value: str | None
-    b_value: str | None
+    kind: str  # status / a field of _COMPARED / residual / only_in_a / only_in_b
+    a_value: object
+    b_value: object
+
+
+# check fields compared for equality, each its own diff kind, with the value
+# a hand-written report that omits the field stands for
+_COMPARED = {"mismatch": False, "witness": None, "convention": None, "q_values": [], "details": {}}
 
 
 def diff_reports(doc_a: dict, doc_b: dict, tolerance: float = 0.0) -> list[ReportDiff]:
-    """Checks whose status or mismatch flag changed, or whose residual moved
-    beyond the tolerance."""
+    """Checks whose status or any field of ``_COMPARED`` changed, or whose
+    residual moved beyond the tolerance."""
     a_checks = {c["check_id"]: c for c in doc_a["checks"]}
     b_checks = {c["check_id"]: c for c in doc_b["checks"]}
     out = []
@@ -225,9 +230,10 @@ def diff_reports(doc_a: dict, doc_b: dict, tolerance: float = 0.0) -> list[Repor
         if ca["status"] != cb["status"]:
             out.append(ReportDiff(cid, "status", ca["status"], cb["status"]))
             continue
-        ma, mb = ca.get("mismatch", False), cb.get("mismatch", False)
-        if ma != mb:
-            out.append(ReportDiff(cid, "mismatch", ma, mb))
+        for kind, default in _COMPARED.items():
+            va, vb = ca.get(kind, default), cb.get(kind, default)
+            if va != vb:
+                out.append(ReportDiff(cid, kind, va, vb))
         ra, rb = ca["residual_max"], cb["residual_max"]
         if ra != rb:
             try:

@@ -405,8 +405,11 @@ def _poly_exact_div(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
 def poly_gcd(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
     """Monic gcd of the valuation-stripped polynomial parts (1 if coprime).
 
-    Units t^k are ignored: the result always has valuation 0.
+    Units t^k are ignored: the result always has valuation 0, and a
+    monomial operand is such a unit, so it needs no Euclid.
     """
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return HalfLaurent.one()
     if a.is_zero() and b.is_zero():
         return HalfLaurent.zero()
     if a.is_zero():
@@ -442,6 +445,14 @@ def squarefree_split(p: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
     return s, f
 
 
+def _cancel(p: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
+    """p / g for a monic valuation-0 g dividing p's valuation-stripped part."""
+    if g.is_one():
+        return p
+    v = p.valuation()
+    return _poly_exact_div(p.shifted(-v), g).shifted(v)
+
+
 def _monic_den(num: HalfLaurent, den: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
     """Rescale num/den so that den is monic with valuation 0 (den nonzero)."""
     vd = den.valuation()
@@ -470,13 +481,9 @@ class LaurentFrac:
             self.den = HalfLaurent.one()
             return
         num, den = _monic_den(num, den)
-        if den.degree() > 0:
-            vn = num.valuation()
-            num0 = num.shifted(-vn)
-            g = poly_gcd(num0, den)
-            if g.degree() > 0:
-                num = _poly_exact_div(num0, g).shifted(vn)
-                den = _poly_exact_div(den, g)
+        if not den.is_one():
+            g = poly_gcd(num, den)
+            num, den = _cancel(num, g), _cancel(den, g)
         self.num = num
         self.den = den
 
@@ -511,11 +518,29 @@ class LaurentFrac:
         return self.num.is_one() and self.den.is_one()
 
     def __add__(self, other: "LaurentFrac") -> "LaurentFrac":
-        if self.den.is_one() and other.den.is_one():
-            return LaurentFrac(self.num + other.num)
-        return LaurentFrac(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # Henrici: only a factor both denominators share can cancel
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.coeffs:
+            return other
+        if not c.coeffs:
+            return self
+        if b.is_one():
+            return LaurentFrac._reduced(a * d + c, d)
+        if d.is_one():
+            return LaurentFrac._reduced(a + c * b, b)
+        if b == d:
+            g = b
+            b1 = d1 = HalfLaurent.one()
+        else:
+            g = poly_gcd(b, d)
+            if g.is_one():
+                return LaurentFrac._reduced(a * d + c * b, b * d)
+            b1, d1 = _cancel(b, g), _cancel(d, g)
+        t = a * d1 + c * b1
+        if not t.coeffs:
+            return LaurentFrac.zero()
+        g2 = poly_gcd(t, g)
+        return LaurentFrac._reduced(_cancel(t, g2), b1 * _cancel(d, g2))
 
     def __neg__(self) -> "LaurentFrac":
         return LaurentFrac._reduced(-self.num, self.den)
@@ -528,7 +553,17 @@ class LaurentFrac:
             return other
         if other.is_one():
             return self
-        return LaurentFrac(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.coeffs or not c.coeffs:
+            return LaurentFrac.zero()
+        # Henrici: cross-cancel each numerator against the other denominator
+        if not d.is_one():
+            g = poly_gcd(a, d)
+            a, d = _cancel(a, g), _cancel(d, g)
+        if not b.is_one():
+            g = poly_gcd(c, b)
+            c, b = _cancel(c, g), _cancel(b, g)
+        return LaurentFrac._reduced(a * c, b * d)
 
     def inverse(self) -> "LaurentFrac":
         if self.is_zero():
@@ -629,7 +664,6 @@ def _split_gauss_square(c: GaussRational) -> tuple[Fraction, GaussRational]:
     over positive rational squares, so the result is canonical."""
     if not c.im:
         cr = c.re
-        sign = 1 if cr > 0 else -1
         mag = abs(cr)
         ns = _square_part(mag.numerator)
         ds = _square_part(mag.denominator)

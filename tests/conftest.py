@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from qclifford.scalars import (
     GaussRational,
@@ -77,6 +78,54 @@ def random_light_scalar(rng: random.Random) -> RadicalScalar:
     if rng.random() < 0.3:
         base = base + RadicalScalar.constant(rng.randint(-2, 2))
     return base
+
+
+# Denominator factors for the fraction-field tests.  Products of them with
+# multiplicity make denominators that are equal, coprime, or share a factor
+# with a repeated root; 1 + i t and 1 + t^2 share the root t = i.
+DEN_FACTORS = (
+    HalfLaurent({0: GaussRational(1), 2: GaussRational(1)}),  # 1 + t^2
+    HalfLaurent({0: GaussRational(-2), 1: GaussRational(1)}),  # t - 2
+    HalfLaurent({0: GaussRational(1), 1: GaussRational(0, 1)}),  # 1 + i t
+)
+
+
+def pool_product(multiplicities) -> HalfLaurent:
+    out = HalfLaurent.one()
+    for factor, m in zip(DEN_FACTORS, multiplicities):
+        out = out * factor**m
+    return out
+
+
+def pool_multiplicities(top: int):
+    return st.tuples(*(st.integers(0, top) for _ in DEN_FACTORS))
+
+
+@st.composite
+def pooled_fraction_pairs(draw):
+    """Two fractions over pool-product denominators.
+
+    The second takes the first's denominator half the time, and numerators
+    carry pool factors too, so sums and products meet every cancellation.
+    """
+
+    def fraction(den_multiplicities):
+        coeff = st.builds(GaussRational, st.integers(-3, 3), st.sampled_from([0, 0, 1]))
+        small = draw(st.dictionaries(st.integers(-2, 2), coeff, min_size=1, max_size=2))
+        num = HalfLaurent(small) * pool_product(draw(pool_multiplicities(1)))
+        return LaurentFrac(num, pool_product(den_multiplicities))
+
+    m_a = draw(pool_multiplicities(3))
+    m_b = draw(st.one_of(st.just(m_a), pool_multiplicities(3)))
+    return fraction(m_a), fraction(m_b)
+
+
+def cancelling_partners(a: LaurentFrac) -> list:
+    """Partners b with a + b zero or over denominator one, or with a * b = 1."""
+    out = [-a, LaurentFrac(a.den * HalfLaurent.t_power(1) - a.num, a.den)]
+    if not a.is_zero():
+        out.append(LaurentFrac(a.den, a.num))
+    return out
 
 
 @pytest.fixture

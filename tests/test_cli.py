@@ -9,6 +9,7 @@ import pytest
 
 import qclifford
 from qclifford import presentations
+from qclifford import suites as suites_mod
 from qclifford.cli import main
 from qclifford.report import (
     REPORT_SCHEMA,
@@ -123,6 +124,20 @@ class TestReportFile:
         assert "pass," in out
 
 
+    def test_out_naming_a_directory_is_refused_before_any_check(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(suites_mod, "run_checks", lambda *args: ran.append(args))
+        target = tmp_path / "sub"
+        target.mkdir()
+        code = main(["verify", *FAST_SUITE, "--format", "json", "--out", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+        assert list(target.iterdir()) == []
+
+
 class TestDiffCommand:
     def test_identical_files_diff_empty(self, tmp_path, capsys):
         _, _ = run_verify(tmp_path, "a.json", FAST_SUITE)
@@ -161,6 +176,27 @@ class TestDiffCommand:
             assert code == 2, tolerance
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_changed_fields_are_reported_by_kind(self, tmp_path, capsys):
+        golden = pathlib.Path(__file__).parent / "data" / "both_q32_seed7.json"
+        doc = json.loads(golden.read_text())
+        checks = {c["check_id"]: c for c in doc["checks"]}
+        checks["fierz.linear_relations"]["witness"] = "changed"
+        checks["fierz.linear_relations"]["details"] = {"replaced": True}
+        col_sum = checks["qgamma.deformed_metric.col_sum"]
+        col_sum["q_values"] = col_sum["q_values"][:4]
+        checks["qgamma.deformed_metric.row_sum"]["convention"] = "col_sum"
+        (tmp_path / "b.json").write_text(json.dumps(doc))
+        code = main(["diff", str(golden), str(tmp_path / "b.json")])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert {tuple(line.split(" ")[:2]) for line in lines} == {
+            ("fierz.linear_relations:", "witness"),
+            ("fierz.linear_relations:", "details"),
+            ("qgamma.deformed_metric.col_sum:", "q_values"),
+            ("qgamma.deformed_metric.row_sum:", "convention"),
+        }
+        assert len(lines) == 4
 
     def test_unparseable_file_is_an_error(self, tmp_path, capsys):
         (tmp_path / "junk.json").write_text("{nope")

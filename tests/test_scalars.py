@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import radical_pool, random_halflaurent, random_scalar
+from conftest import (
+    DEN_FACTORS,
+    cancelling_partners,
+    pooled_fraction_pairs,
+    radical_pool,
+    random_halflaurent,
+    random_scalar,
+)
 from qclifford import scalars
 from qclifford.scalars import (
     Divergent,
@@ -358,3 +365,40 @@ def test_negation_and_inverse_skip_only_the_redundant_gcd(f):
         full_inv = LaurentFrac(f.den, f.num)
         assert inv.key() == full_inv.key()
         assert inv * f == LaurentFrac.one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pooled_fraction_pairs())
+def test_henrici_sum_and_product_equal_the_multiplied_out_fractions(pair):
+    a, b = pair
+    for y in (b, *cancelling_partners(a)):
+        assert (a + y).key() == LaurentFrac(a.num * y.den + y.num * a.den, a.den * y.den).key()
+        assert (a * y).key() == LaurentFrac(a.num * y.num, a.den * y.den).key()
+
+
+class TestHenriciCost:
+    def test_same_denominator_sum_runs_one_gcd_no_longer_than_the_denominator(self, monkeypatch):
+        den = HalfLaurent({0: GaussRational(1), 2: GaussRational(1), 4: GaussRational(1)})
+        a = LaurentFrac(HalfLaurent.one(), den)
+        b = LaurentFrac(HalfLaurent.t_power(1), den)
+        calls = []
+        gcd = scalars.poly_gcd
+        monkeypatch.setattr(scalars, "poly_gcd", lambda x, y: calls.append((x, y)) or gcd(x, y))
+        total = a + b
+        assert len(calls) <= 1
+        for operand in (p for call in calls for p in call):
+            assert len(operand.coeffs) <= len(den.coeffs) and operand.degree() <= den.degree()
+        assert total.key() == LaurentFrac(HalfLaurent({0: GaussRational(1), 1: GaussRational(1)}), den).key()
+
+    def test_product_of_monomial_numerators_runs_no_division(self, monkeypatch):
+        one_plus_t2, t_minus_2, _ = DEN_FACTORS
+        a = LaurentFrac(HalfLaurent.t_power(2), one_plus_t2)
+        b = LaurentFrac(HalfLaurent({1: GaussRational(3)}), t_minus_2)
+        calls = []
+        divmod_ = scalars._poly_divmod
+        monkeypatch.setattr(scalars, "_poly_divmod", lambda x, y: calls.append((x, y)) or divmod_(x, y))
+        product = a * b
+        assert calls == []
+        assert product.key() == (
+            HalfLaurent({3: GaussRational(3)}).key(), (one_plus_t2 * t_minus_2).key()
+        )
