@@ -121,14 +121,6 @@ class Multivector:
                 accumulate(out, blade, coeff)
         return Multivector(self.sig, out)
 
-    def grade_project(self, k: int) -> "Multivector":
-        return Multivector(
-            self.sig, {b: c for b, c in self.terms.items() if len(b) == k}
-        )
-
-    def grades(self) -> set[int]:
-        return {len(b) for b in self.terms}
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -156,30 +148,6 @@ class Multivector:
             name = "1" if not b else "e" + "".join(str(i) for i in b)
             parts.append(f"({self.terms[b]})*{name}")
         return " + ".join(parts)
-
-
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product: grade-(r+s) projection of each graded product."""
-    a._check(b)
-    out = Multivector.zero(a.sig)
-    for r in a.grades():
-        ar = a.grade_project(r)
-        for s in b.grades():
-            bs = b.grade_project(s)
-            out = out + (ar * bs).grade_project(r + s)
-    return out
-
-
-def dot_part(a: Multivector, b: Multivector) -> Multivector:
-    """Metric contraction: grade-|r-s| projection of each graded product."""
-    a._check(b)
-    out = Multivector.zero(a.sig)
-    for r in a.grades():
-        ar = a.grade_project(r)
-        for s in b.grades():
-            bs = b.grade_project(s)
-            out = out + (ar * bs).grade_project(abs(r - s))
-    return out
 
 
 def all_basis_blades(sig: Signature):

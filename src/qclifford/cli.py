@@ -35,8 +35,8 @@ def _parse_q_range(text: str) -> tuple[float, float]:
         raise ConfigError(f"q range {text!r} must have finite bounds")
     if lo >= hi:
         raise ConfigError("q range must satisfy LO < HI")
-    if lo <= 0 <= hi:
-        raise ConfigError("q range must exclude 0")
+    if lo <= 0:  # exact and principal-branch values agree only for q > 0
+        raise ConfigError(f"q range {text!r} must lie in q > 0")
     return lo, hi
 
 
@@ -142,8 +142,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown mode {mode!r}")
     if fmt not in _FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
-    if args.out and os.path.isdir(args.out):  # refused before any check runs
-        raise ConfigError(f"cannot write report: {args.out} is a directory")
+    if args.out:  # refused before any check runs
+        if os.path.isdir(args.out):
+            raise ConfigError(f"cannot write report: {args.out} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ConfigError(f"cannot write report: the directory of {args.out} does not exist")
     conv_values = args.convention or list(_CONVENTION_VALUES)
     for value in conv_values:
         if value not in _CONVENTION_VALUES:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .linalg import Matrix, matmul, kron, solve_exact
 from .qgamma import QGammaSet, gamma5
-from .rewrite import NCPolynomial, RewriteSystem, local_confluence_check
+from .rewrite import NCPolynomial, RewriteSystem
 from .scalars import (
     RadicalScalar,
     _coerce,
@@ -226,7 +226,11 @@ def bilinear_current(
     bar_components: list[NCPolynomial],
     ket_components: list[NCPolynomial],
 ) -> NCPolynomial:
-    """prefactor * sum_{a,b} bar[a] M[a,b] ket[b], normal-formed."""
+    """prefactor * sum_{a,b} bar[a] M[a,b] ket[b], normal-formed.
+
+    Each product comes out of ``rs.multiply`` in normal form, and scaling
+    and adding normal forms keep them normal.
+    """
     pref = current_prefactor()
     out = NCPolynomial.zero()
     for a in range(4):
@@ -236,30 +240,7 @@ def bilinear_current(
                 continue
             term = rs.multiply(bar_components[a], ket_components[b])
             out = out + term.scale(m_ab)
-    return rs.normal_form(out.scale(pref))
-
-
-def current(
-    gs: QGammaSet,
-    indices: str,
-    rs: RewriteSystem,
-    bar_components: list[NCPolynomial],
-    ket_components: list[NCPolynomial],
-) -> NCPolynomial:
-    """One member of the five current families, selected by index string.
-
-    "" is the scalar current, "5" the pseudoscalar one; one, two or three
-    characters from {0, +, -, 3, 5} sandwich the corresponding product of
-    deformed gammas.  No relation among the three-index currents is
-    asserted anywhere; they exist for completeness.
-    """
-    if len(indices) > 3:
-        raise ValueError("currents carry at most three indices")
-    g5 = gamma5(gs)
-    sandwich = Matrix.identity(4)
-    for label in indices:
-        sandwich = matmul(sandwich, gamma_by_label(gs, label, g5))
-    return bilinear_current(sandwich, rs, bar_components, ket_components)
+    return out.scale(pref)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +275,9 @@ def _relation_scale(tag: str) -> RadicalScalar:
     raise ValueError(tag)
 
 
-def gamma_by_label(gs: QGammaSet, label: str, g5: Matrix | None = None) -> Matrix:
-    table = {
-        "0": gs.gamma0,
-        "+": gs.gamma_plus,
-        "-": gs.gamma_minus,
-        "3": gs.gamma3,
-    }
-    if label == "5":
-        return g5 if g5 is not None else gamma5(gs)
-    return table[label]
+def gamma_by_label(gs: QGammaSet, label: str, g5: Matrix) -> Matrix:
+    """The deformed gamma named by ``label``; "5" names ``g5``."""
+    return {"0": gs.gamma0, "+": gs.gamma_plus, "-": gs.gamma_minus, "3": gs.gamma3, "5": g5}[label]
 
 
 @dataclass
@@ -460,21 +434,20 @@ def _quadratic_residual(
     return rs.normal_form(lhs - mid - rhs), rs
 
 
+# the residual is evaluated at K_NODES + K_VALIDATE rational values of the
+# exchange constant; the polynomial recovered from the first K_NODES must
+# reproduce the surplus points exactly, certifying the assumed degree bound
+K_NODES = 6
+K_VALIDATE = 2
+
+
 def quadratic_identity_report(
     gs: QGammaSet,
     convention: str = CONVENTION_COMMUTE,
     swap_roles: bool = False,
-    k_nodes: int = 6,
-    k_validate: int = 2,
 ) -> QuadraticIdentityReport:
-    """Reduce the quadratic identity and solve its k-dependence exactly.
-
-    The residual is evaluated at ``k_nodes + k_validate`` rational values
-    of the exchange constant; the polynomial recovered from the first
-    ``k_nodes`` must reproduce the surplus points exactly, certifying the
-    assumed degree bound.
-    """
-    nodes = [Fraction(i + 1) for i in range(k_nodes + k_validate)]
+    """Reduce the quadratic identity and solve its k-dependence exactly."""
+    nodes = [Fraction(i + 1) for i in range(K_NODES + K_VALIDATE)]
     residuals = []
     names: tuple[str, ...] = _SPINOR_NAMES
     for kv in nodes:
@@ -487,14 +460,14 @@ def quadratic_identity_report(
     k_dependence: dict[tuple[int, ...], KPolynomial] = {}
     for w in words:
         values = [res.terms.get(w, RadicalScalar.zero()) for res in residuals]
-        poly = _interpolate_k(nodes[:k_nodes], values[:k_nodes])
-        for x, v in zip(nodes[k_nodes:], values[k_nodes:]):
+        poly = _interpolate_k(nodes[:K_NODES], values[:K_NODES])
+        for x, v in zip(nodes[K_NODES:], values[K_NODES:]):
             predicted = RadicalScalar.zero()
             for d, c in enumerate(poly.coeffs):
                 predicted = predicted + c * RadicalScalar.constant(x**d)
             if not (predicted - v).is_zero():
                 raise ArithmeticError(
-                    "k-degree exceeds the interpolation bound; raise k_nodes"
+                    "k-degree exceeds the interpolation bound; raise K_NODES"
                 )
         if not poly.is_zero():
             k_dependence[w] = poly
@@ -515,8 +488,3 @@ def quadratic_identity_report(
         common_k_roots=roots,
         names=names,
     )
-
-
-def reflection_confluence_witnesses(k, max_len: int = 4):
-    """Local confluence outcome for the single-doublet exchange rules."""
-    return local_confluence_check(reflection_rules(k), max_len)

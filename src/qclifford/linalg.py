@@ -1,7 +1,7 @@
 """Dense matrices over the exact scalar ring.
 
 Everything the identity checks need: ring operations, Kronecker products,
-commutators, exact inversion and exact linear solving by Gaussian
+anticommutators, exact inversion and exact linear solving by Gaussian
 elimination over the radical-extended fraction field, plus numeric
 evaluation into numpy arrays for the sampling backend.
 """
@@ -61,14 +61,6 @@ class Matrix:
         one = RadicalScalar.one()
         return Matrix(n, n, [one if i == j else z for i in range(n) for j in range(n)])
 
-    @staticmethod
-    def unit(n: int, i: int, j: int) -> "Matrix":
-        """Matrix unit e^i_j: single 1 in row i, column j."""
-        z = RadicalScalar.zero()
-        data = [z] * (n * n)
-        data[i * n + j] = RadicalScalar.one()
-        return Matrix(n, n, data)
-
     def __getitem__(self, ij) -> RadicalScalar:
         i, j = ij
         return self.data[i * self.cols + j]
@@ -96,12 +88,6 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         c = _coerce(c)
         return Matrix(self.rows, self.cols, [c * a for a in self.data])
-
-    def __rmul__(self, c) -> "Matrix":
-        return self.scale(c)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return matmul(self, other)
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -193,19 +179,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, b.cols, out)
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    _require_square_pair(a, b)
-    return matmul(a, b) - matmul(b, a)
-
-
 def anticommutator(a: Matrix, b: Matrix) -> Matrix:
-    _require_square_pair(a, b)
-    return matmul(a, b) + matmul(b, a)
-
-
-def _require_square_pair(a: Matrix, b: Matrix) -> None:
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ShapeMismatch("bracket needs two square matrices of equal size")
+    return matmul(a, b) + matmul(b, a)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -27,9 +27,6 @@ from .scalars import (
     sqrt,
 )
 
-INDEX_LABELS = ("0", "+", "-", "3")
-
-
 @dataclass(frozen=True)
 class QGammaSet:
     """The four deformed gamma matrices, indexed 0, +, -, 3."""
@@ -309,9 +306,11 @@ def bare_relation_solve_exact_q1(gs: QGammaSet, qm: QMetric) -> BareRelationSolv
     return BareRelationSolve(solvable, witness, infeasible)
 
 
-def bare_relation_solve_numeric(
-    gs: QGammaSet, qm: QMetric, q_value: complex, tol: float = 1e-9
-) -> tuple[bool, float]:
+# largest least-squares residual that still counts as solvable
+BARE_SOLVE_TOL = 1e-9
+
+
+def bare_relation_solve_numeric(gs: QGammaSet, qm: QMetric, q_value: complex) -> tuple[bool, float]:
     """Least-squares solvability of the same systems at one numeric q."""
     mats = [m.evaluate(q_value) for m in gs.matrices]
     cinv = qm.c_inverse.evaluate(q_value)
@@ -329,4 +328,4 @@ def bare_relation_solve_numeric(
             sol, *_ = np.linalg.lstsq(coeff, b, rcond=None)
             resid = float(np.linalg.norm(coeff @ sol - b))
             worst = max(worst, resid)
-    return worst < tol, worst
+    return worst < BARE_SOLVE_TOL, worst

@@ -7,7 +7,7 @@ The scalar ring is built in three layers:
 * ``LaurentFrac`` -- the fraction field of ``HalfLaurent``, reduced to a
   unique canonical form (monic denominator of valuation zero, gcd one);
 * ``RadicalScalar`` -- finite sums of fraction-coefficient terms, each
-  carrying a multiset of canonical polynomials under formal square roots.
+  carrying a set of canonical fractions under formal square roots.
 
 Identical radicands multiply out exactly (sqrt(a)*sqrt(a) = a), so every
 identity whose radicals only ever appear squared is decided exactly.
@@ -44,10 +44,6 @@ class NotInvertible(ScalarError):
 
 class EvalPole(ScalarError):
     """Numeric evaluation hit a zero of a denominator."""
-
-
-# Rational numbers are stdlib fractions: always reduced, denominator > 0.
-Rational = Fraction
 
 
 def _exact(x):
@@ -185,14 +181,6 @@ GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
 
 
-def _coerce_gauss(x) -> GaussRational:
-    if isinstance(x, GaussRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRational(x)
-    raise TypeError(f"cannot coerce {type(x)!r} to GaussRational")
-
-
 class HalfLaurent:
     """Laurent polynomial in t = q^(1/2); exponent k means q^(k/2)."""
 
@@ -223,10 +211,6 @@ class HalfLaurent:
     @staticmethod
     def t_power(k: int) -> "HalfLaurent":
         return HalfLaurent({k: GR_ONE})
-
-    @staticmethod
-    def constant(c) -> "HalfLaurent":
-        return HalfLaurent({0: _coerce_gauss(c)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -503,14 +487,6 @@ class LaurentFrac:
     def one() -> "LaurentFrac":
         return LaurentFrac(HalfLaurent.one())
 
-    @staticmethod
-    def t_power(k: int) -> "LaurentFrac":
-        return LaurentFrac(HalfLaurent.t_power(k))
-
-    @staticmethod
-    def constant(c) -> "LaurentFrac":
-        return LaurentFrac(HalfLaurent.constant(c))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -615,50 +591,6 @@ class LaurentFrac:
         return f"({self.num})/({self.den})"
 
 
-class Radicand:
-    """Canonical Laurent fraction kept under a formal square root.
-
-    Invariants: numerator valuation 0 or 1, square content and polynomial
-    square factors already extracted by ``_split_radical``, never equal
-    to 1.  The denominator stays under the root, so numeric evaluation
-    takes a single principal square root of the true value (rationalizing
-    would flip the sign wherever the denominator is negative).
-    """
-
-    __slots__ = ("frac", "_key")
-
-    def __init__(self, frac: LaurentFrac):
-        self.frac = frac
-        self._key = frac.key()
-
-    def as_frac(self) -> LaurentFrac:
-        return self.frac
-
-    def eval_t(self, t: complex) -> complex:
-        return self.frac.eval_t(t)
-
-    def at_one(self) -> GaussRational:
-        return self.frac.at_one()
-
-    def sort_key(self):
-        return self._key
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Radicand) and self._key == other._key)
-
-    def __lt__(self, other: "Radicand") -> bool:
-        return self._key < other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        return f"Radicand({self.frac!r})"
-
-    def __str__(self) -> str:
-        return f"sqrt({self.frac})"
-
-
 def _split_gauss_square(c: GaussRational) -> tuple[Fraction, GaussRational]:
     """Write c = s^2 * c0 with s a positive rational; extraction is maximal
     over positive rational squares, so the result is canonical."""
@@ -676,13 +608,17 @@ def _split_gauss_square(c: GaussRational) -> tuple[Fraction, GaussRational]:
     return gs, GaussRational(c.re * inv, c.im * inv)
 
 
-def _split_radical(r: LaurentFrac) -> tuple[LaurentFrac, Radicand | None]:
-    """Decompose sqrt(r) as outside * sqrt(inside), inside canonical.
+def _split_radical(r: LaurentFrac) -> tuple[LaurentFrac, LaurentFrac | None]:
+    """Decompose sqrt(r) as outside * sqrt(inside), inside a radicand.
 
     Only even t-powers, positive rational squares and square polynomial
-    factors move outside; the reduced denominator stays under the root.
-    Returns (0, None) for r = 0 and (outside, None) when r is a perfect
-    square.
+    factors move outside.  So a radicand is a canonical fraction whose
+    numerator has valuation 0 or 1 and no square content or square
+    polynomial factor left, and which is never 1.  Its squarefree
+    denominator stays under the root, so numeric evaluation takes a single
+    principal square root of the true value (rationalizing would flip the
+    sign wherever the denominator is negative).  Returns (0, None) for
+    r = 0 and (outside, None) when r is a perfect square.
     """
     if r.is_zero():
         return LaurentFrac.zero(), None
@@ -700,20 +636,21 @@ def _split_radical(r: LaurentFrac) -> tuple[LaurentFrac, Radicand | None]:
     outside = LaurentFrac(out_num, s_den)
     if inside.is_one():
         return outside, None
-    return outside, Radicand(inside)
+    return outside, inside
 
 
 class RadicalScalar:
     """Ring element: sum of Laurent-fraction terms times formal radicals.
 
-    ``terms`` maps a sorted tuple of distinct radicands to its coefficient;
-    the empty tuple keys the radical-free part.  Addition merges like keys,
+    ``terms`` maps a tuple of distinct radicands (from ``_split_radical``),
+    sorted by ``LaurentFrac.key()``, to its coefficient; the empty tuple
+    keys the radical-free part.  Addition merges like keys,
     multiplication cancels paired radicands exactly.
     """
 
     __slots__ = ("terms", "_key")
 
-    def __init__(self, terms: dict[tuple[Radicand, ...], LaurentFrac] | None = None):
+    def __init__(self, terms: dict[tuple[LaurentFrac, ...], LaurentFrac] | None = None):
         if terms is None:
             terms = {}
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
@@ -735,12 +672,17 @@ class RadicalScalar:
 
     @staticmethod
     def constant(c) -> "RadicalScalar":
-        return RadicalScalar({(): LaurentFrac.constant(c)})
+        """The constant c: an int, a Fraction or a GaussRational."""
+        if not isinstance(c, GaussRational):
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"cannot coerce {type(c)!r} to GaussRational")
+            c = GaussRational(c)
+        return RadicalScalar({(): LaurentFrac(HalfLaurent({0: c}))})
 
     @staticmethod
     def t_power(k: int) -> "RadicalScalar":
         """q^(k/2)."""
-        return RadicalScalar({(): LaurentFrac.t_power(k)})
+        return RadicalScalar({(): LaurentFrac(HalfLaurent.t_power(k))})
 
     # ---- predicates ----------------------------------------------------
 
@@ -821,19 +763,19 @@ class RadicalScalar:
     __rmul__ = __mul__
 
     def _mul(self, other: "RadicalScalar") -> "RadicalScalar":
-        out: dict[tuple[Radicand, ...], LaurentFrac] = {}
+        out: dict[tuple[LaurentFrac, ...], LaurentFrac] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 coeff = c1 * c2
-                merged: list[Radicand] = []
+                merged: list[LaurentFrac] = []
                 i = j = 0
                 while i < len(k1) and j < len(k2):
                     r1, r2 = k1[i], k2[j]
                     if r1 == r2:
-                        coeff = coeff * r1.as_frac()
+                        coeff = coeff * r1
                         i += 1
                         j += 1
-                    elif r1 < r2:
+                    elif r1.key() < r2.key():
                         merged.append(r1)
                         i += 1
                     else:
@@ -864,12 +806,12 @@ class RadicalScalar:
             ((key, coeff),) = self.terms.items()
             inv = coeff.inverse()
             for r in key:
-                inv = inv * r.as_frac().inverse()
+                inv = inv * r.inverse()
             return RadicalScalar({key: inv})
-        rads = sorted({r for key in self.terms for r in key})
+        rads = sorted({r for key in self.terms for r in key}, key=LaurentFrac.key)
         for rad in reversed(rads):
-            with_r: dict[tuple[Radicand, ...], LaurentFrac] = {}
-            without_r: dict[tuple[Radicand, ...], LaurentFrac] = {}
+            with_r: dict[tuple[LaurentFrac, ...], LaurentFrac] = {}
+            without_r: dict[tuple[LaurentFrac, ...], LaurentFrac] = {}
             for key, c in self.terms.items():
                 if rad in key:
                     with_r[tuple(r for r in key if r != rad)] = c
@@ -878,7 +820,7 @@ class RadicalScalar:
             a = RadicalScalar(without_r)
             b = RadicalScalar(with_r)
             root = RadicalScalar({(rad,): LaurentFrac.one()})
-            denom = a * a - b * b * RadicalScalar.from_frac(rad.as_frac())
+            denom = a * a - b * b * RadicalScalar.from_frac(rad)
             if denom.is_zero():
                 continue
             return (a - b * root) * denom.inverse()
@@ -897,13 +839,13 @@ class RadicalScalar:
         items = self.terms.items()
         if len(items) < 2:
             return items
-        return sorted(items, key=lambda kv: tuple(r.sort_key() for r in kv[0]))
+        return sorted(items, key=lambda kv: tuple(r.key() for r in kv[0]))
 
     def key(self) -> tuple:
         """Canonical form: radicand keys and coefficient key of each term."""
         if self._key is None:
             self._key = tuple(
-                (tuple(r.sort_key() for r in k), c.key()) for k, c in self._ordered()
+                (tuple(r.key() for r in k), c.key()) for k, c in self._ordered()
             )
         return self._key
 
@@ -980,7 +922,7 @@ class RadicalScalar:
         for key, coeff in self._ordered():
             cs = str(coeff)
             if key:
-                roots = "*".join(str(r) for r in key)
+                roots = "*".join(f"sqrt({r})" for r in key)
                 if cs == "1":
                     parts.append(roots)
                 elif cs == "-1":

@@ -32,8 +32,8 @@ EXTRA_SUITES = ("selfcheck",)
 REFERENCE_SAMPLES = (0.5, 0.75, 1.25, 1.5, 1.75)
 
 # (centre, radius): sampled q values keep at least this distance from each
-# centre, away from the classical points q = 1, -1 and from q = 0
-Q_EXCLUSIONS = ((1.0, 0.05), (0.0, 1e-6), (-1.0, 0.05))
+# centre, away from the classical point q = 1 and from q = 0
+Q_EXCLUSIONS = ((1.0, 0.05), (0.0, 1e-6))
 
 
 def admissible_q_length(lo: float, hi: float) -> float:
@@ -55,7 +55,7 @@ class RunContext:
         if admissible_q_length(lo, hi) <= 1e-9:
             raise ValueError(
                 f"q range {lo}:{hi} has no admissible samples: every q in it lies "
-                "within 0.05 of 1 or -1, or within 1e-6 of 0"
+                "within 0.05 of 1 or within 1e-6 of 0"
             )
         # exact mode measures at REFERENCE_SAMPLES and reports no q values
         self.samples = []
@@ -973,7 +973,7 @@ def _fierz_q1_rules(ctx: RunContext) -> CheckReport:
 def _fierz_confluence(ctx: RunContext) -> CheckReport:
     counts = {}
     for label, k in (("k=1", Fraction(1)), ("k=3/5", Fraction(3, 5))):
-        counts[label] = len(fierz.reflection_confluence_witnesses(k, 4))
+        counts[label] = len(local_confluence_check(fierz.reflection_rules(k), 4))
     return _report(format_float(max(counts.values())), witness=str(counts), details=counts)
 
 

@@ -23,6 +23,16 @@ from qclifford.suites import REFERENCE_SAMPLES, RunContext, _seeded_irreps, regi
 FAST_SUITE = ["--suite", "clifford"]
 
 
+@pytest.fixture
+def no_checks(monkeypatch):
+    """Fail the test if any check runs."""
+
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(suites_mod, "run_checks", refuse)
+
+
 def run_verify(tmp_path, name, extra):
     out = tmp_path / name
     code = main(["verify", "--format", "json", "--out", str(out), *extra])
@@ -137,6 +147,14 @@ class TestReportFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
         assert list(target.iterdir()) == []
 
+    def test_out_in_a_missing_directory_is_refused_before_any_check(self, tmp_path, capsys, no_checks):
+        target = tmp_path / "missing" / "x.json"
+        code = main(["verify", *FAST_SUITE, "--format", "json", "--out", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDiffCommand:
     def test_identical_files_diff_empty(self, tmp_path, capsys):
@@ -246,13 +264,14 @@ class TestConfigFile:
     def test_bad_q_range_rejected(self, capsys):
         code = main(["verify", *FAST_SUITE, "--q-range", "2:1"])
         assert code == 2
-        # every q in the first three ranges lies in the sampler's exclusion
-        # window around 1 or -1, so sampling could never finish; a nan bound
-        # hung the sampler too, and an infinite one reached numpy
+        # every q in the first two ranges lies in the sampler's exclusion
+        # window around 1, so sampling could never finish; the third lies in
+        # q < 0; a nan bound hung the sampler too, and an infinite one
+        # reached numpy
         for q_range, message in (
             ("0.97:1.03", "no admissible samples"),
             ("0.96:1.04", "no admissible samples"),
-            ("-1.03:-0.97", "no admissible samples"),
+            ("-1.03:-0.97", "q > 0"),
             ("nan:2", "finite bounds"),
             ("0.5:inf", "finite bounds"),
             ("-inf:-0.5", "finite bounds"),
@@ -260,6 +279,16 @@ class TestConfigFile:
             code = main(["verify", *FAST_SUITE, f"--q-range={q_range}"])
             assert code == 2, q_range
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q_range", ["-2:-0.5", "-0.5:2", "0:2"])
+    def test_non_positive_q_range_is_refused_before_any_check(self, capsys, no_checks, q_range):
+        # exact values agree with principal-branch numerics only for q > 0:
+        # at q = -1.5, q^(-1/2) sqrt(1 + q^2) is -1.472i where the principal
+        # sqrt(q + 1/q) is +1.472i, so a negative range failed oracle checks
+        code = main(["verify", "--suite", "fierz", f"--q-range={q_range}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "q > 0" in err
 
     @pytest.mark.parametrize(
         "line",

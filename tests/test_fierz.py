@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qclifford import rewrite
+from qclifford import fierz, rewrite
 from qclifford.fierz import (
     CONVENTION_COMMUTE,
     CONVENTION_REFLECT,
@@ -20,13 +20,12 @@ from qclifford.fierz import (
     linear_relation_residuals,
     majorana_components,
     quadratic_identity_report,
-    reflection_confluence_witnesses,
     reflection_rules,
     spinor_metric,
     two_spinor_system,
 )
 from qclifford.linalg import Matrix, matmul
-from qclifford.qgamma import build_q_gammas
+from qclifford.qgamma import build_q_gammas, gamma5
 from qclifford.rewrite import BudgetExceeded, NCPolynomial
 from qclifford.scalars import RadicalScalar, q_half, q_plus_qinv, qinv, qvar
 
@@ -79,9 +78,9 @@ class TestReflectionRules:
 
     def test_confluence_outcome_recorded(self):
         # outcome is data, not an assertion: both values are legitimate
-        wit = reflection_confluence_witnesses(1, max_len=4)
+        wit = rewrite.local_confluence_check(reflection_rules(1), 4)
         assert isinstance(wit, list)
-        wit2 = reflection_confluence_witnesses(Fraction(3, 5), max_len=3)
+        wit2 = rewrite.local_confluence_check(reflection_rules(Fraction(3, 5)), 3)
         assert isinstance(wit2, list)
 
     def test_metric_is_invertible(self):
@@ -104,33 +103,40 @@ class TestCurrents:
         for w in j.terms:
             assert len(w) == 2
 
-    def test_residual_degree_at_most_four(self, gs):
-        rep = quadratic_identity_report(gs, CONVENTION_COMMUTE, k_nodes=4, k_validate=1)
+    def test_residual_degree_at_most_four(self, gs, monkeypatch):
+        monkeypatch.setattr(fierz, "K_NODES", 4)
+        monkeypatch.setattr(fierz, "K_VALIDATE", 1)
+        rep = quadratic_identity_report(gs, CONVENTION_COMMUTE)
         for w in rep.residual_at_reference.terms:
             assert len(w) <= 4
 
-    def test_all_five_current_families_constructible(self, gs):
-        from qclifford.fierz import current
-
-        rs = two_spinor_system(1, CONVENTION_COMMUTE)
-        bar = majorana_components(1)
-        ket = majorana_components(2)
+    @staticmethod
+    def _sandwiches(gs):
+        # the five current families: scalar, vector, pseudoscalar, and
+        # products of two and three deformed gammas
+        g5 = gamma5(gs)
         for indices in ("", "0", "5", "03", "5+", "0+3", "+-3"):
-            j = current(gs, indices, rs, bar, ket)
-            assert all(len(w) == 2 for w in j.terms)
-        with pytest.raises(ValueError):
-            current(gs, "0123", rs, bar, ket)
+            sandwich = Matrix.identity(4)
+            for label in indices:
+                sandwich = matmul(sandwich, fierz.gamma_by_label(gs, label, g5))
+            yield sandwich
 
-    def test_two_index_current_matches_sandwich_route(self, gs):
-        from qclifford.fierz import current
-        from qclifford.qgamma import gamma5
-
+    def test_all_five_current_families_constructible(self, gs):
         rs = two_spinor_system(1, CONVENTION_COMMUTE)
         bar = majorana_components(1)
         ket = majorana_components(2)
-        direct = current(gs, "53", rs, bar, ket)
-        sandwich = matmul(gamma5(gs), gs.gamma3)
-        assert direct == bilinear_current(sandwich, rs, bar, ket)
+        for sandwich in self._sandwiches(gs):
+            j = bilinear_current(sandwich, rs, bar, ket)
+            assert all(len(w) == 2 for w in j.terms)
+
+    @pytest.mark.parametrize("convention", [CONVENTION_COMMUTE, CONVENTION_REFLECT])
+    def test_bilinear_current_is_already_in_normal_form(self, gs, convention):
+        rs = two_spinor_system(Fraction(3, 5), convention)
+        bar = majorana_components(1)
+        ket = majorana_components(2)
+        for sandwich in self._sandwiches(gs):
+            j = bilinear_current(sandwich, rs, bar, ket)
+            assert rs.normal_form(j) == j
 
 
 class TestLinearRelations:
@@ -219,10 +225,12 @@ class TestQuadraticIdentity:
         assert [str(x) for x in r1.common_k_roots] == [str(x) for x in r2.common_k_roots]
         assert r1.gcd_polynomial.render() == r2.gcd_polynomial.render()
 
-    def test_interpolation_validated_on_surplus_nodes(self, gs):
-        # passing more validation points must not change the answer
-        r1 = quadratic_identity_report(gs, CONVENTION_COMMUTE, k_nodes=6, k_validate=2)
-        r2 = quadratic_identity_report(gs, CONVENTION_COMMUTE, k_nodes=7, k_validate=3)
+    def test_interpolation_validated_on_surplus_nodes(self, gs, monkeypatch):
+        # more interpolation and validation points must not change the answer
+        r1 = quadratic_identity_report(gs, CONVENTION_COMMUTE)
+        monkeypatch.setattr(fierz, "K_NODES", 7)
+        monkeypatch.setattr(fierz, "K_VALIDATE", 3)
+        r2 = quadratic_identity_report(gs, CONVENTION_COMMUTE)
         assert r1.render_k_dependence() == r2.render_k_dependence()
 
     def test_relabeling_invariance_under_commuting_convention(self, gs):

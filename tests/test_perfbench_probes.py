@@ -1,30 +1,33 @@
-"""The benchmark tracer's probes still name functions of the package.
+"""The benchmark's tracer probes and microbenchmarks still fit the package.
 
 ``perfbench/tracer.py`` wraps each ``PROBES`` target by replacing the entry
-in its owner's ``__dict__``; a refactor that renames, moves or inherits one
-of them would break ``perfbench/run.py --trace 1``.  The tracer is read as
-text and executed in a fresh namespace, so this test writes nothing under
-``perfbench/``.
+in its owner's ``__dict__``, and ``perfbench/micro.py`` builds its operands
+with the scalar constructors; a refactor that renames, moves or inherits
+one of them would break ``perfbench/run.py --trace 1``.  Each file is read
+as text and executed in a fresh namespace, so these tests write nothing
+under ``perfbench/``.
 """
 
 import importlib
+import json
 import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer() -> types.ModuleType:
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    code = compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec")
+def _load(name: str) -> types.ModuleType:
+    path = ROOT / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
     exec(code, module.__dict__)
     return module
 
 
 def test_every_probe_target_is_defined_by_its_owner():
     missing = []
-    for name, module_name, attrs, *_ in _load_tracer().PROBES:
+    for name, module_name, attrs, *_ in _load("tracer").PROBES:
         module = importlib.import_module(f"qclifford.{module_name}")
         for attr in attrs:
             owner = module
@@ -35,3 +38,12 @@ def test_every_probe_target_is_defined_by_its_owner():
                 missing.append(f"{name}: qclifford.{module_name}.{attr}")
     assert not missing, missing
     assert callable(importlib.import_module("qclifford.suites").registry)
+
+
+def test_every_microbenchmark_runs_once_against_the_package():
+    ops = _load("micro").operations()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    assert set(ops) == {m["name"] for m in declared if m["name"].endswith("_us")}
+    for name, op in ops.items():
+        result = op()
+        assert not result.is_zero(), name

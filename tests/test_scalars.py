@@ -22,7 +22,6 @@ from qclifford.scalars import (
     LaurentFrac,
     NotInvertible,
     RadicalScalar,
-    Rational,
     ZeroBase,
     q_half,
     q_plus_qinv,
@@ -33,7 +32,7 @@ from qclifford.scalars import (
 
 
 def test_rational_is_reduced_with_positive_denominator():
-    r = Rational(6, -4)
+    r = GaussRational(Fraction(6, -4)).re
     assert r.numerator == -3 and r.denominator == 2
 
 

@@ -1,8 +1,10 @@
-"""Differential test of the radical-free scalar tower against sympy.
+"""Differential test of the scalar tower against sympy.
 
 Each scalar is transcribed into a sympy rational function of t = q^(1/2)
 straight from its coefficient dicts, never through the engine's own ring
 operations, so sympy's ``cancel`` is an independent judge of equality.
+Scalars with radicals are compared numerically, to 50 digits, against the
+value sympy builds from their defining expression.
 """
 
 from fractions import Fraction
@@ -11,7 +13,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import cancelling_partners, pool_product, pooled_fraction_pairs
-from qclifford.scalars import EvalPole, GaussRational, HalfLaurent, LaurentFrac, RadicalScalar
+from qclifford.scalars import (
+    EvalPole,
+    GaussRational,
+    HalfLaurent,
+    LaurentFrac,
+    RadicalScalar,
+    q_half,
+    q_plus_qinv,
+    qinv,
+    qvar,
+    sqrt,
+)
 
 sympy = pytest.importorskip("sympy")
 T = sympy.Symbol("t")
@@ -168,3 +181,69 @@ def test_pooled_denominators_match_sympy_and_stay_canonical(pair):
     a, b = pair
     for y in (b, *cancelling_partners(a)):
         _check_sum_and_product(a, y)
+
+
+# Radical oracle: each term is transcribed as coefficient * prod sqrt(radicand),
+# with t = q^(1/2) > 0, and compared numerically against the same value built
+# by sympy from the defining expression, never from the engine's radicands.
+def _sym_frac(f: LaurentFrac):
+    return _sym_poly(f.num) / _sym_poly(f.den)
+
+
+def _sym_radical(x: RadicalScalar):
+    return sympy.Add(
+        *(
+            _sym_frac(c) * sympy.Mul(*(sympy.sqrt(_sym_frac(r)) for r in key))
+            for key, c in x.terms.items()
+        )
+    )
+
+
+def _radical_pool():
+    """(engine value, sympy expression) pairs with up to two distinct radicands."""
+    q, Q = qvar(), q_plus_qinv()
+    sym_q, sym_Q = T**2, T**2 + T**-2
+    bracket = qvar() - qinv()
+    sym_bracket = T**2 - T**-2
+
+    def irrep_root(lam: GaussRational):
+        # the prefactor sqrt((lambda^-1 - lambda) / (q - q^-1)) of an affine irrep
+        lam_s = sympy.Rational(lam.re) + sympy.I * sympy.Rational(lam.im)
+        lam_e = RadicalScalar.constant(lam)
+        return (
+            sqrt((lam_e.inverse() - lam_e) / bracket),
+            sympy.sqrt((1 / lam_s - lam_s) / sym_bracket),
+        )
+
+    real_root, real_sym = irrep_root(GaussRational(2))
+    complex_root, complex_sym = irrep_root(GaussRational(1, Fraction(1, 2)))
+    return [
+        (sqrt(Q), sympy.sqrt(sym_Q)),
+        (sqrt(q * Q), sympy.sqrt(sym_q * sym_Q)),
+        (real_root, real_sym),
+        (complex_root, complex_sym),
+        (1 + q_half(1) * sqrt(Q) - real_root, 1 + T * sympy.sqrt(sym_Q) - real_sym),
+        (sqrt(1 + q) + 2 * sqrt(q * Q), sympy.sqrt(1 + sym_q) + 2 * sympy.sqrt(sym_q * sym_Q)),
+    ]
+
+
+RADICAL_T = (sympy.Rational(1, 3), sympy.Rational(5, 4), sympy.Rational(7, 2))
+
+
+def _agree_to_50_digits(x: RadicalScalar, want) -> None:
+    for t in RADICAL_T:
+        got_v = sympy.N(_sym_radical(x).subs(T, t), 60)
+        want_v = sympy.N(want.subs(T, t), 60)
+        assert abs(got_v - want_v) <= sympy.Float(10) ** -50 * max(1, abs(want_v)), (str(x), t)
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_radical_sums_products_and_inverses_match_sympy(i):
+    pool = _radical_pool()
+    x, sx = pool[i]
+    _agree_to_50_digits(x, sx)
+    _agree_to_50_digits(x.inverse(), 1 / sx)
+    for y, sy in pool[i:]:
+        _agree_to_50_digits(x + y, sx + sy)
+        _agree_to_50_digits(x * y, sx * sy)
+        _agree_to_50_digits((x + y).inverse(), 1 / (sx + sy))
