@@ -167,7 +167,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # a q range the sampler cannot draw from
         raise ConfigError(str(exc)) from exc
-    reports = suites_mod.run_checks(chosen, ctx)
+    try:
+        reports = suites_mod.run_checks(chosen, ctx)
+    except OverflowError as exc:  # samples so large that float evaluation overflows
+        raise ConfigError(f"q range {args.q_range!r} overflows float evaluation: {exc}") from exc
     config_dict = {
         "suites": chosen,
         "mode": mode,

@@ -3,13 +3,12 @@
 Words are tuples of generator indices over an ordered alphabet.  A
 rewrite system maps two-letter left-hand sides to polynomial replacements
 whose words are strictly smaller in the degree-lexicographic order, which
-guarantees termination.  Confluence is never assumed: it is checked
-separately by enumerating critical words.
+guarantees termination.  Confluence is never assumed: it is decided
+separately on the critical overlaps, by the diamond lemma.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as _cartesian
 
 from .scalars import RadicalScalar, _coerce, accumulate
@@ -113,32 +112,22 @@ class NCPolynomial:
 class RewriteSystem:
     """Ordered alphabet plus terminating two-letter rewrite rules.
 
-    A pair may carry several replacement variants (an over-determined
-    presentation); normal forms always use the first variant, and the
-    confluence check treats the alternatives as additional peaks.
+    Each left-hand side pair maps to one replacement polynomial.
     """
 
-    def __init__(self, names, rules):
+    def __init__(self, names, rules: dict[tuple[int, int], NCPolynomial]):
         self.names = tuple(names)
-        self.rules: dict[tuple[int, int], tuple[NCPolynomial, ...]] = {}
         n = len(self.names)
         for (a, b), rhs in rules.items():
-            variants = tuple(rhs) if isinstance(rhs, (list, tuple)) else (rhs,)
-            if not variants:
-                raise ValueError("empty rule variant list")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("rule letter outside the alphabet")
-            lhs = (a, b)
-            for variant in variants:
-                for w in variant.terms:
-                    if not deglex_less(w, lhs):
-                        raise NonTerminating(
-                            f"rule {self.names[a]}*{self.names[b]} does not descend"
-                        )
-            self.rules[(a, b)] = variants
-        # integer-keyed view of the first variant of each rule (hot path)
-        n = len(self.names)
-        self._flat = {a * n + b: v[0].terms for (a, b), v in self.rules.items()}
+            if not all(deglex_less(w, (a, b)) for w in rhs.terms):
+                raise NonTerminating(
+                    f"rule {self.names[a]}*{self.names[b]} does not descend"
+                )
+        self.rules: dict[tuple[int, int], NCPolynomial] = dict(rules)
+        # integer-keyed view of the rules (hot path)
+        self._flat = {a * n + b: rhs.terms for (a, b), rhs in self.rules.items()}
 
     @property
     def size(self) -> int:
@@ -213,17 +202,13 @@ class RewriteSystem:
         """
         g = self.size
         names = [f"{nm}[{s}]" for s in range(n) for nm in self.names]
-        rules: dict[tuple[int, int], tuple[NCPolynomial, ...]] = {}
+        rules: dict[tuple[int, int], NCPolynomial] = {}
         for s in range(n):
             off = s * g
-            for (a, b), variants in self.rules.items():
-                shifted = tuple(
-                    NCPolynomial(
-                        {tuple(off + i for i in w): c for w, c in v.terms.items()}
-                    )
-                    for v in variants
+            for (a, b), rhs in self.rules.items():
+                rules[(off + a, off + b)] = NCPolynomial(
+                    {tuple(off + i for i in w): c for w, c in rhs.terms.items()}
                 )
-                rules[(off + a, off + b)] = shifted
         for s_hi in range(n):
             for s_lo in range(s_hi):
                 for a in range(g):
@@ -232,57 +217,32 @@ class RewriteSystem:
                         rules[lhs] = NCPolynomial.word((s_lo * g + b, s_hi * g + a))
         return RewriteSystem(names, rules)
 
-    def iter_words(self, max_len: int, min_len: int = 1):
-        for length in range(min_len, max_len + 1):
+    def iter_words(self, max_len: int):
+        for length in range(1, max_len + 1):
             yield from _cartesian(range(self.size), repeat=length)
 
     def render(self, p: NCPolynomial) -> str:
         return p.render(self.names)
 
 
-@dataclass
-class ConfluenceFailure:
-    """Witness: one word, two single-step reducts with distinct normal forms."""
+def local_confluence_check(rs: RewriteSystem) -> list[Word]:
+    """The critical overlaps whose two one-step reducts have different normal forms.
 
-    word: Word
-    position_a: tuple[int, int]
-    position_b: tuple[int, int]
-    normal_form_a: NCPolynomial = field(repr=False)
-    normal_form_b: NCPolynomial = field(repr=False)
-
-
-def _rewrite_once_at(rs: RewriteSystem, w: Word, pos: int, variant: int) -> NCPolynomial:
-    rep = rs.rules[(w[pos], w[pos + 1])][variant]
-    pre, post = w[:pos], w[pos + 2 :]
-    return NCPolynomial({pre + rw + post: c for rw, c in rep.terms.items()})
-
-
-def local_confluence_check(rs: RewriteSystem, max_len: int) -> list[ConfluenceFailure]:
-    """Exhaustively test all words up to max_len with >= 2 one-step reducts.
-
-    A reduct is a (position, rule-variant) choice, so both overlapping
-    redexes and conflicting variants for the same pair count as peaks.
-    Failures are returned as data; an empty list means every tested peak
-    rejoins.
+    Left-hand sides are two letters long and each pair has one rule, so
+    the only ambiguities are the overlaps (a, b, c) where (a, b) and
+    (b, c) are both rules, reduced at position 0 or at position 1.  The
+    rules descend in the degree-lexicographic order, so by Bergman's
+    diamond lemma the system is confluent, and normal forms are unique,
+    exactly when this returns [].
     """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    failures: list[ConfluenceFailure] = []
-    for w in rs.iter_words(max_len, min_len=2):
-        choices = [
-            (i, v)
-            for i in range(len(w) - 1)
-            if (w[i], w[i + 1]) in rs.rules
-            for v in range(len(rs.rules[(w[i], w[i + 1])]))
-        ]
-        if len(choices) < 2:
-            continue
-        forms = []
-        for pos, variant in choices:
-            nf = rs.normal_form(_rewrite_once_at(rs, w, pos, variant))
-            forms.append(((pos, variant), nf))
-        base_choice, base = forms[0]
-        for choice, nf in forms[1:]:
-            if nf != base:
-                failures.append(ConfluenceFailure(w, base_choice, choice, base, nf))
+    followers: dict[int, list[int]] = {}
+    for b, c in sorted(rs.rules):
+        followers.setdefault(b, []).append(c)
+    failures: list[Word] = []
+    for a, b in sorted(rs.rules):
+        for c in followers.get(b, ()):
+            at_0 = rs.multiply(rs.rules[(a, b)], NCPolynomial.gen(c))
+            at_1 = rs.multiply(NCPolynomial.gen(a), rs.rules[(b, c)])
+            if at_0 != at_1:
+                failures.append((a, b, c))
     return failures

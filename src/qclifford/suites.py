@@ -554,12 +554,7 @@ _antipode_missing(
 )
 def _glq2_degree(ctx: RunContext) -> CheckReport:
     rs = ctx.glq2.rs
-    ok = all(
-        all(len(w) == 2 for w in variant.terms)
-        for variants in rs.rules.values()
-        for variant in variants
-    )
-    return _pass_fail(ok)
+    return _pass_fail(all(len(w) == 2 for rhs in rs.rules.values() for w in rhs.terms))
 
 
 @_check(
@@ -567,12 +562,10 @@ def _glq2_degree(ctx: RunContext) -> CheckReport:
     "all critical peaks among the six relations rejoin up to length 4",
 )
 def _glq2_confluence(ctx: RunContext) -> CheckReport:
-    failures = local_confluence_check(ctx.glq2.rs, 4)
+    failures = local_confluence_check(ctx.glq2.rs)
     if not failures:
         return _pass_fail(True)
-    witness = "; ".join(
-        f"word {f.word} at {f.position_a} vs {f.position_b}" for f in failures[:5]
-    )
+    witness = "; ".join(f"word {w}" for w in failures[:5])
     return _report(
         format_float(len(failures)),
         mismatch=True,
@@ -957,11 +950,9 @@ def _fierz_rule_count(ctx: RunContext) -> CheckReport:
 def _fierz_q1_rules(ctx: RunContext) -> CheckReport:
     rs = fierz.reflection_rules(1)
     ok = True
-    for (a, b), variants in rs.rules.items():
-        rhs = NCPolynomial(
-            {w: c.limit_q1() for w, c in variants[0].terms.items()}
-        )
-        if rhs != NCPolynomial.word((b, a)):
+    for (a, b), rhs in rs.rules.items():
+        at_one = NCPolynomial({w: c.limit_q1() for w, c in rhs.terms.items()})
+        if at_one != NCPolynomial.word((b, a)):
             ok = False
     return _pass_fail(ok)
 
@@ -973,7 +964,7 @@ def _fierz_q1_rules(ctx: RunContext) -> CheckReport:
 def _fierz_confluence(ctx: RunContext) -> CheckReport:
     counts = {}
     for label, k in (("k=1", Fraction(1)), ("k=3/5", Fraction(3, 5))):
-        counts[label] = len(local_confluence_check(fierz.reflection_rules(k), 4))
+        counts[label] = len(local_confluence_check(fierz.reflection_rules(k)))
     return _report(format_float(max(counts.values())), witness=str(counts), details=counts)
 
 

@@ -101,7 +101,7 @@ def test_criterion_3_glq2_suite():
             terminated += 1
     except Exception:
         terminated = -1
-    confluence = local_confluence_check(gl.rs, 4)
+    confluence = local_confluence_check(gl.rs)
     conclude(
         3,
         "six relations preserved by the coproduct/counit, all words to length 8 "

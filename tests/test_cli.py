@@ -290,6 +290,22 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "q > 0" in err
 
+    def test_q_range_that_overflows_float_evaluation_exits_2_without_traceback(self):
+        # q^k at q = 1e150 overflows complex exponentiation in the numeric backend
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "qclifford.cli", "verify", "--suite", "qgamma",
+                "--q-range", "1e150:1e151", "--q-samples", "3",
+            ],
+            capture_output=True,
+            text=True,
+            env=_env_importing_this_qclifford(),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "1e150:1e151" in proc.stderr
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -403,6 +419,12 @@ class TestListChecks:
         assert code == 0
         for cdef in registry():
             assert cdef.check_id in out
+
+    def test_claims_index_matches_the_committed_listing(self, capsys):
+        # ids, suites and descriptions are pinned byte for byte
+        golden = pathlib.Path(__file__).parent / "data" / "list_checks.txt"
+        assert main(["list-checks"]) == 0
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
     def test_check_ids_unique(self):
         ids = [c.check_id for c in registry()]

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 from qclifford.hopf import (
@@ -16,7 +18,7 @@ from qclifford.presentations import (
     build_glq2,
     build_group_toy,
 )
-from qclifford.rewrite import NCPolynomial, RewriteSystem
+from qclifford.rewrite import NCPolynomial, RewriteSystem, local_confluence_check
 from qclifford.scalars import RadicalScalar
 from qclifford.suites import _perturbed_ch2
 
@@ -156,13 +158,28 @@ class TestNegativeControls:
         assert lhs.is_zero() and rhs.is_zero()
 
 
+class TestTargetConfluence:
+    """Every system the Hopf checkers multiply in has unique normal forms,
+    the diamond-lemma premise of ``WordImages``."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_glq2, build_ch2, build_chq2, build_group_toy],
+        ids=["glq2", "ch2", "chq2", "group_toy"],
+    )
+    def test_algebra_and_its_tensor_powers_are_confluent(self, build):
+        h = build()
+        for rs in (h.rs, h.t2, h.t3):
+            assert local_confluence_check(rs) == [], rs.names
+
+
 class TestWordImages:
     """The shared prefix cache against the direct letter-by-letter extension."""
 
     @pytest.mark.parametrize("build", [build_glq2, build_ch2], ids=["glq2", "ch2"])
     def test_coproduct_images_match_apply_morphism(self, build):
         h = build()
-        for w in h.rs.iter_words(3, min_len=0):
+        for w in chain([()], h.rs.iter_words(3)):
             expect = apply_morphism(NCPolynomial.word(w), h.coproduct, h.t2)
             assert h.delta_images(w) == expect, w
 
@@ -179,7 +196,7 @@ class TestWordImages:
     def test_reversed_word_images_are_the_antipode(self):
         h = build_ch2()
         s_images = WordImages(h.antipode, h.rs)
-        for w in h.rs.iter_words(3, min_len=0):
+        for w in chain([()], h.rs.iter_words(3)):
             expect = apply_morphism(NCPolynomial.word(w[::-1]), h.antipode, h.rs)
             assert s_images(w[::-1]) == expect, w
 
@@ -192,14 +209,14 @@ class TestStructureMaps:
     )
     def test_delta_matches_apply_morphism(self, build):
         h = build()
-        for w in h.rs.iter_words(3, min_len=0):
+        for w in chain([()], h.rs.iter_words(3)):
             p = NCPolynomial.word(w)
             assert h.delta(p) == apply_morphism(p, h.coproduct, h.t2), w
 
     @pytest.mark.parametrize("build", [build_ch2, _full_chq2], ids=["ch2", "chq2"])
     def test_antipode_of_matches_apply_morphism_on_reversed_word(self, build):
         h = build()
-        for w in h.rs.iter_words(3, min_len=0):
+        for w in chain([()], h.rs.iter_words(3)):
             expect = apply_morphism(NCPolynomial.word(w[::-1]), h.antipode, h.rs)
             assert h.antipode_of(NCPolynomial.word(w)) == expect, w
 

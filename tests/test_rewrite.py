@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import random_light_scalar
 from qclifford import rewrite
-from qclifford.presentations import build_glq2
+from qclifford.presentations import GL_NAMES, build_glq2
 from qclifford.rewrite import (
     BudgetExceeded,
     NCPolynomial,
@@ -112,28 +113,63 @@ class TestTermination:
             RewriteSystem(("a", "b"), {(0, 1): NCPolynomial.word((0, 1))})
 
     def test_degree_homogeneous_rules(self, gl):
-        for variants in gl.rules.values():
-            for variant in variants:
-                assert all(len(w) == 2 for w in variant.terms)
+        for rhs in gl.rules.values():
+            assert all(len(w) == 2 for w in rhs.terms)
 
     def test_every_word_to_length_six_terminates(self, gl):
         for w in gl.iter_words(6):
             gl.normal_form(NCPolynomial.word(w))
 
 
+def sweep_confluence_failures(rs: RewriteSystem, max_len: int = 4) -> list:
+    """Reference: every word up to max_len, reduced once at each redex; the
+    words whose reducts reach different normal forms."""
+    failures = []
+    for length in range(2, max_len + 1):
+        for w in itertools.product(range(rs.size), repeat=length):
+            forms = []
+            for i in range(length - 1):
+                rhs = rs.rules.get(w[i : i + 2])
+                if rhs is not None:
+                    reduct = {w[:i] + rw + w[i + 2 :]: c for rw, c in rhs.terms.items()}
+                    forms.append(rs.normal_form(NCPolynomial(reduct)))
+            if any(f != forms[0] for f in forms[1:]):
+                failures.append(w)
+    return failures
+
+
+def _glq2_scaled(lhs) -> RewriteSystem:
+    """glq2 with the right-hand side of one rule doubled."""
+    rules = dict(build_glq2().rs.rules)
+    rules[lhs] = rules[lhs].scale(2)
+    return RewriteSystem(GL_NAMES, rules)
+
+
 class TestLocalConfluence:
     def test_quantum_matrix_rules_are_confluent_to_length_four(self, gl):
-        assert local_confluence_check(gl, 4) == []
+        assert local_confluence_check(gl) == []
+        assert sweep_confluence_failures(gl) == []
 
     def test_single_rule_system_has_no_overlaps(self):
         rs = RewriteSystem(("a", "b"), {(1, 0): NCPolynomial.word((0, 1))})
-        assert local_confluence_check(rs, 5) == []
+        assert local_confluence_check(rs) == []
 
-    def test_conflicting_variants_are_detected(self):
-        rs = RewriteSystem(
-            ("a", "b"),
-            {(1, 0): [NCPolynomial.word((0, 1)), NCPolynomial.word((0, 1), 2)]},
-        )
-        failures = local_confluence_check(rs, 2)
-        assert failures
-        assert failures[0].word == (1, 0)
+    @pytest.mark.parametrize("lhs", [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)])
+    def test_doubling_a_rule_breaks_an_overlap(self, lhs):
+        failures = local_confluence_check(_glq2_scaled(lhs))
+        assert failures and set(failures) <= {(3, 1, 0), (3, 2, 0)}, failures
+
+    def test_doubling_the_correction_rule_keeps_confluence(self):
+        # the coefficient of a12 a21 in a22 a11 -> a11 a22 + c a12 a21 is
+        # free: every overlap rejoins whatever c is
+        assert local_confluence_check(_glq2_scaled((3, 0))) == []
+
+    @pytest.mark.parametrize("lhs", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_agrees_with_the_exhaustive_sweep(self, lhs):
+        rs = _glq2_scaled(lhs)
+        swept = sweep_confluence_failures(rs)
+        critical = local_confluence_check(rs)
+        # the critical words are exactly the length-3 words with two redexes,
+        # and a longer failing word implies a failing critical word
+        assert critical == [w for w in swept if len(w) == 3]
+        assert bool(critical) == bool(swept)
