@@ -53,7 +53,7 @@ def load_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 values[key] = val
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values
 

@@ -16,7 +16,7 @@ import numpy as np
 from .hopf import HopfData
 from .linalg import Matrix, anticommutator, matmul, pauli_matrices
 from .qgamma import ActionConvention, action_coefficients
-from .rewrite import NCPolynomial, RewriteSystem
+from .rewrite import NCPolynomial, RewriteSystem, anticommutation_rules, central_rules
 from .scalars import (
     GaussRational,
     RadicalScalar,
@@ -87,32 +87,17 @@ CH_G3 = 3
 CH_G = (4, 5)
 
 
-def _central_swap_rules(rules, central, others):
-    """Everything in ``others`` moves right past each central generator."""
-    for c in central:
-        for x in others:
-            if x > c:
-                rules[(x, c)] = NCPolynomial.word((c, x))
-
-
 def build_ch2() -> HopfData:
     """Clifford-Hopf algebra: anticommuting G's squaring to central E's."""
     one = RadicalScalar.one()
-    rules: dict[tuple[int, int], NCPolynomial] = {}
-    # E's commute among themselves and are central
-    for j in CH_E:
-        for i in CH_E:
-            if j > i:
-                rules[(j, i)] = NCPolynomial.word((i, j))
-    _central_swap_rules(rules, CH_E, (CH_G3, *CH_G))
-    # grading generator: G3^2 = 1, anticommutes with G1, G2
-    rules[(CH_G3, CH_G3)] = NCPolynomial.unit()
-    for gmu in CH_G:
-        rules[(gmu, CH_G3)] = NCPolynomial.word((CH_G3, gmu), -1)
-    # G1, G2 anticommute; squares are the E's
-    rules[(CH_G[1], CH_G[0])] = NCPolynomial.word((CH_G[0], CH_G[1]), -1)
-    rules[(CH_G[0], CH_G[0])] = NCPolynomial.gen(CH_E[0])
-    rules[(CH_G[1], CH_G[1])] = NCPolynomial.gen(CH_E[1])
+    # the E's are central; G3^2 = 1 and G1^2, G2^2 are E1, E2
+    rules = central_rules(CH_E, len(CH_NAMES))
+    rules.update(
+        anticommutation_rules(
+            (CH_G3, *CH_G),
+            (NCPolynomial.unit(), NCPolynomial.gen(CH_E[0]), NCPolynomial.gen(CH_E[1])),
+        )
+    )
     rs = RewriteSystem(CH_NAMES, rules)
     g = rs.size
 
@@ -153,29 +138,19 @@ def build_chq2(include_inherited_antipode: bool = False) -> HopfData:
     q = qvar()
     qi = qinv()
     one = RadicalScalar.one()
-    rules: dict[tuple[int, int], NCPolynomial] = {}
-    central = [k for pair in CHQ_K for k in pair] + list(CHQ_E)
-    # central generators commute with everything (including each other)
-    for j in range(len(CHQ_NAMES)):
-        for i in central:
-            if j > i and j not in (i,):
-                if (j, i) not in rules:
-                    rules[(j, i)] = NCPolynomial.word((i, j))
+    # the K's, their inverses and the E's are central
+    rules = central_rules((*CHQ_K[0], *CHQ_K[1], *CHQ_E), len(CHQ_NAMES))
     # K K^{-1} = K^{-1} K = 1
     for k, kinv in CHQ_K:
         rules[(k, kinv)] = NCPolynomial.unit()
         rules[(kinv, k)] = NCPolynomial.unit()
-    rules[(CHQ_G3, CHQ_G3)] = NCPolynomial.unit()
-    for gmu in CHQ_G:
-        rules[(gmu, CHQ_G3)] = NCPolynomial.word((CHQ_G3, gmu), -1)
-    rules[(CHQ_G[1], CHQ_G[0])] = NCPolynomial.word((CHQ_G[0], CHQ_G[1]), -1)
-    # G_mu^2 = (K_mu^2 - K_mu^{-2}) / (q - q^{-1})
+    # G3^2 = 1 and G_mu^2 = (K_mu^2 - K_mu^{-2}) / (q - q^{-1})
     denom_inv = (q - qi).inverse()
-    for axis, gmu in enumerate(CHQ_G):
-        k, kinv = CHQ_K[axis]
-        rules[(gmu, gmu)] = NCPolynomial.word((k, k), denom_inv) + NCPolynomial.word(
-            (kinv, kinv), -denom_inv
-        )
+    squares = [NCPolynomial.unit()] + [
+        NCPolynomial.word((k, k), denom_inv) + NCPolynomial.word((kinv, kinv), -denom_inv)
+        for k, kinv in CHQ_K
+    ]
+    rules.update(anticommutation_rules((CHQ_G3, *CHQ_G), squares))
     rs = RewriteSystem(CHQ_NAMES, rules)
     g = rs.size
 

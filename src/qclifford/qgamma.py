@@ -16,8 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .blades import CL31, Multivector, dirac_matrices
+from .blades import CL31, dirac_matrices
 from .linalg import Matrix, anticommutator, kron, matmul, solve_exact
+from .rewrite import NCPolynomial
 from .scalars import (
     RadicalScalar,
     q_half,
@@ -193,21 +194,23 @@ def deformed_metric(gs: QGammaSet, conv: ActionConvention) -> DeformedMetricResu
 
 
 def deformed_metric_blade_oracle(gs: QGammaSet, conv: ActionConvention) -> Matrix:
-    """Independent route: expand {A_mu, A_nu} in the abstract blade algebra."""
-    sig = CL31
+    """Independent route: expand {A_mu, A_nu} in the Cl(3,1) presentation.
+
+    Each A_mu is the vector sum_nu c_nu e_nu, multiplied by the rewrite
+    rules of ``CL31``; no matrix product, anticommutator or trace is used.
+    """
     vectors = []
     for m in gs.matrices:
         coeffs = action_coefficients(m, conv)
-        v = Multivector.zero(sig)
-        for nu in range(4):
-            v = v + Multivector.generator(nu, sig).scale(coeffs[nu])
-        vectors.append(v)
+        vectors.append(NCPolynomial({(nu,): coeffs[nu] for nu in range(4)}))
     entries = []
     half = RadicalScalar.constant(1) / RadicalScalar.constant(2)
+    zero = RadicalScalar.zero()
     for mu in range(4):
         for nu in range(4):
-            ac = vectors[mu] * vectors[nu] + vectors[nu] * vectors[mu]
-            entries.append(ac.scalar_part() * half)
+            ac = CL31.multiply(vectors[mu], vectors[nu])
+            ac = ac + CL31.multiply(vectors[nu], vectors[mu])
+            entries.append(ac.terms.get((), zero) * half)
     return Matrix(4, 4, entries)
 
 

@@ -171,11 +171,19 @@ def format_text(config_dict: dict, reports: list[CheckReport]) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a renamed temp file.
+
+    ``mkstemp`` creates the temp file with mode 0600, which the rename would
+    keep; the report gets the mode a plain ``open`` would give it instead.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

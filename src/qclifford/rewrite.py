@@ -225,6 +225,22 @@ class RewriteSystem:
         return p.render(self.names)
 
 
+def anticommutation_rules(gens, squares) -> dict[tuple[int, int], NCPolynomial]:
+    """Clifford relations among ``gens``: x*x -> its square, y*x -> -x*y for x < y."""
+    rules: dict[tuple[int, int], NCPolynomial] = {}
+    for y, square in zip(gens, squares, strict=True):
+        rules[(y, y)] = square
+        for x in gens:
+            if x < y:
+                rules[(y, x)] = NCPolynomial.word((x, y), -1)
+    return rules
+
+
+def central_rules(central, size: int) -> dict[tuple[int, int], NCPolynomial]:
+    """Every later generator of a ``size``-letter alphabet moves right past each central one."""
+    return {(y, c): NCPolynomial.word((c, y)) for c in central for y in range(c + 1, size)}
+
+
 def local_confluence_check(rs: RewriteSystem) -> list[Word]:
     """The critical overlaps whose two one-step reducts have different normal forms.
 

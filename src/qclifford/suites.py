@@ -243,16 +243,16 @@ def _clifford_anticommutation(ctx: RunContext) -> CheckReport:
     "blade products map onto matrix products for all 16 basis blades",
 )
 def _clifford_blades(ctx: RunContext) -> CheckReport:
-    sig = blades.CL31
+    cl = blades.CL31
     gam = blades.dirac_matrices()
-    basis = blades.all_basis_blades(sig)
+    basis = blades.all_basis_blades(cl)
     ok = True
     witness = None
     for b1 in basis:
         for b2 in basis:
-            mv = blades.Multivector.blade(b1, sig) * blades.Multivector.blade(b2, sig)
+            prod = cl.multiply(NCPolynomial.word(b1), NCPolynomial.word(b2))
             expect = Matrix.zeros(4, 4)
-            for bl, c in mv.terms.items():
+            for bl, c in prod.terms.items():
                 expect = expect + blades.blade_matrix(bl, gam).scale(c)
             got = matmul(blades.blade_matrix(b1, gam), blades.blade_matrix(b2, gam))
             if got != expect:
@@ -266,22 +266,22 @@ def _clifford_blades(ctx: RunContext) -> CheckReport:
     "blade product is associative on seeded random multivector triples",
 )
 def _clifford_assoc(ctx: RunContext) -> CheckReport:
-    sig = blades.CL31
+    cl = blades.CL31
     rng = random.Random(ctx.seed + 101)
-    basis = blades.all_basis_blades(sig)
+    basis = blades.all_basis_blades(cl)
 
     def rand_mv():
-        mv = blades.Multivector.zero(sig)
+        mv = NCPolynomial.zero()
         for _ in range(3):
             b = basis[rng.randrange(len(basis))]
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            mv = mv + blades.Multivector.blade(b, sig, c)
+            mv = mv + NCPolynomial.word(b, c)
         return mv
 
     ok = True
     for _ in range(50):
         a, b, c = rand_mv(), rand_mv(), rand_mv()
-        if (a * b) * c != a * (b * c):
+        if cl.multiply(cl.multiply(a, b), c) != cl.multiply(a, cl.multiply(b, c)):
             ok = False
             break
     return _pass_fail(ok)
@@ -559,7 +559,7 @@ def _glq2_degree(ctx: RunContext) -> CheckReport:
 
 @_check(
     "glq2.local_confluence_len4",
-    "all critical peaks among the six relations rejoin up to length 4",
+    "the critical overlaps of the six relations rejoin, so normal forms are unique at every length",
 )
 def _glq2_confluence(ctx: RunContext) -> CheckReport:
     failures = local_confluence_check(ctx.glq2.rs)

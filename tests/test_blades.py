@@ -1,73 +1,85 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from qclifford.blades import (
     CL31,
-    Multivector,
-    Signature,
-    SignatureMismatch,
     all_basis_blades,
     blade_matrix,
     dirac_matrices,
 )
 from qclifford.linalg import Matrix, anticommutator, matmul
+from qclifford.rewrite import NCPolynomial, local_confluence_check
 
 
 @pytest.fixture(scope="module")
 def generators():
-    return [Multivector.generator(i, CL31) for i in range(4)]
+    return [NCPolynomial.gen(i) for i in range(4)]
+
+
+def mul(*factors):
+    return reduce(CL31.multiply, factors)
 
 
 class TestCliffordProduct:
     def test_plus_generator_square_cancels(self, generators):
         e = generators
-        assert e[1] * e[2] * e[2] == e[1]
+        assert mul(e[1], e[2], e[2]) == e[1]
 
     def test_timelike_generator_squares_to_minus_one(self, generators):
         e = generators
-        assert e[0] * e[0] == Multivector.scalar(-1, CL31)
+        assert mul(e[0], e[0]) == NCPolynomial.word((), -1)
 
     def test_bivector_of_plus_generators_squares_to_minus_one(self, generators):
         e = generators
-        b = e[1] * e[2]
-        assert b * b == Multivector.scalar(-1, CL31)
-
-    def test_signature_mismatch_rejected(self, generators):
-        other = Multivector.generator(0, Signature((1, 1)))
-        with pytest.raises(SignatureMismatch):
-            generators[0] * other
+        b = mul(e[1], e[2])
+        assert mul(b, b) == NCPolynomial.word((), -1)
 
     def test_associativity_on_300_random_triples(self):
         rng = random.Random(9)
         basis = all_basis_blades(CL31)
 
         def rand_mv():
-            mv = Multivector.zero(CL31)
+            mv = NCPolynomial.zero()
             for _ in range(rng.randint(1, 3)):
                 b = basis[rng.randrange(len(basis))]
-                mv = mv + Multivector.blade(b, CL31, Fraction(rng.randint(-3, 3)))
+                mv = mv + NCPolynomial.word(b, Fraction(rng.randint(-3, 3)))
             return mv
 
         for _ in range(300):
             a, b, c = rand_mv(), rand_mv(), rand_mv()
-            assert (a * b) * c == a * (b * c)
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
     def test_generator_anticommutation_matches_metric(self, generators):
         e = generators
         signs = (-1, 1, 1, 1)
         for mu in range(4):
             for nu in range(4):
-                ac = e[mu] * e[nu] + e[nu] * e[mu]
-                expect = Multivector.scalar(2 * signs[mu] if mu == nu else 0, CL31)
+                ac = mul(e[mu], e[nu]) + mul(e[nu], e[mu])
+                expect = NCPolynomial.word((), 2 * signs[mu] if mu == nu else 0)
                 assert ac == expect
+
+
+class TestPresentation:
+    def test_normal_words_are_the_basis_blades(self):
+        # by the diamond lemma the normal words of a confluent presentation
+        # form a basis; for Cl(3,1) they are the 16 sorted blades
+        assert local_confluence_check(CL31) == []
+        normal = [
+            w
+            for w in [()] + list(CL31.iter_words(5))
+            if all((w[i], w[i + 1]) not in CL31.rules for i in range(len(w) - 1))
+        ]
+        assert normal == all_basis_blades(CL31)
+        assert [sum(len(w) == d for w in normal) for d in range(6)] == [1, 4, 6, 4, 1, 0]
 
 
 class TestGradeSplit:
     def test_bivector_has_no_scalar_part(self, generators):
         e = generators
-        assert (e[1] * e[2]).scalar_part().is_zero()
+        assert () not in mul(e[1], e[2]).terms
 
 
 class TestDiracRepresentation:
@@ -93,9 +105,9 @@ class TestDiracRepresentation:
         assert len(basis) == 16
         for b1 in basis:
             for b2 in basis:
-                mv = Multivector.blade(b1, CL31) * Multivector.blade(b2, CL31)
+                prod = CL31.multiply(NCPolynomial.word(b1), NCPolynomial.word(b2))
                 expect = Matrix.zeros(4, 4)
-                for bl, c in mv.terms.items():
+                for bl, c in prod.terms.items():
                     expect = expect + blade_matrix(bl, gam).scale(c)
                 got = matmul(blade_matrix(b1, gam), blade_matrix(b2, gam))
                 assert got == expect, (b1, b2)

@@ -17,6 +17,7 @@ from qclifford.report import (
     format_float,
     load_report,
     validate_report,
+    write_atomic,
 )
 from qclifford.suites import REFERENCE_SAMPLES, RunContext, _seeded_irreps, registry
 
@@ -154,6 +155,21 @@ class TestReportFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_report_file_mode_follows_the_umask(self, tmp_path, umask):
+        out = tmp_path / "r.json"
+        old = os.umask(umask)
+        try:
+            write_atomic(str(out), "{}\n")
+            created = out.stat().st_mode & 0o777
+            out.chmod(0o600)
+            write_atomic(str(out), "{}\n")
+            overwritten = out.stat().st_mode & 0o777
+        finally:
+            os.umask(old)
+        assert created == overwritten == 0o666 & ~umask
 
 
 class TestDiffCommand:
@@ -320,6 +336,15 @@ class TestConfigFile:
     def test_bad_config_value_is_a_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"suite = clifford\n{line}\n")
+        code = main(["verify", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, no_checks):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 7\n\xff\xfe = 1\n")
         code = main(["verify", "--config", str(cfg)])
         assert code == 2
         err = capsys.readouterr().err

@@ -75,10 +75,15 @@ class TestReflectionRules:
                 assert w[0] < 2 <= w[1]
 
     def test_confluence_outcome_recorded(self):
-        # every left-hand side is a Z then a Zbar and no rule starts with a
-        # Zbar, so no two rules overlap
-        assert rewrite.local_confluence_check(reflection_rules(1)) == []
-        assert rewrite.local_confluence_check(reflection_rules(Fraction(3, 5))) == []
+        # one doublet: every left-hand side is a Z then a Zbar and no rule
+        # starts with a Zbar, so no two rules overlap; two doublets overlap,
+        # and the quadratic identity's word-by-word interpolation in k needs
+        # their normal forms unique
+        for k in (1, Fraction(3, 5)):
+            assert rewrite.local_confluence_check(reflection_rules(k)) == []
+            for convention in (CONVENTION_COMMUTE, CONVENTION_REFLECT):
+                rs = two_spinor_system(k, convention)
+                assert rewrite.local_confluence_check(rs) == [], (k, convention)
 
     def test_metric_is_invertible(self):
         eps = spinor_metric()
