@@ -7,7 +7,8 @@ Usage::
 Both reports must hold the same config, schema version, summary and check
 ids, and every check field must be equal except ``residual_max``, which may
 move by at most 1e-12 relative or 1e-12 absolute (a refactor that changes
-only the order of floating-point sums moves the last bits, nothing else).
+only the order of floating-point sums moves the last bits, nothing else); an
+infinite or NaN residual agrees only with the identical string.
 Prints one line per moved residual and a summary line; exits 0 when the
 reports agree and 1 otherwise.  A file that cannot be read, is not JSON or
 holds no list of checks exits 2 with one ``error:`` line on stderr.  It reads
@@ -17,6 +18,7 @@ the files with ``json`` alone, so it shares no code with ``qclifford diff``.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 REL_TOL = 1e-12
@@ -27,6 +29,8 @@ def _residual_close(old: str, new: str) -> bool:
     try:
         a, b = float(old), float(new)
     except (TypeError, ValueError):  # not a number: only equal strings agree
+        return False
+    if not (math.isfinite(a) and math.isfinite(b)):  # inf or nan: only equal strings agree
         return False
     return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 

@@ -6,16 +6,20 @@ every numeric quantity rendered as a decimal string, so identical
 configuration and seed produce byte-identical files.  Wall-clock timing
 is shown in the text rendering only; embedding it in the canonical JSON
 would break byte determinism.
+
+``REPORT_SCHEMA`` is the one definition of the format.  It is written in
+JSON Schema and read by the module's own validator, ``validate_report``,
+which knows exactly the keywords the schema uses, with JSON Schema's
+meaning for each.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-
-import jsonschema
 
 SCHEMA_VERSION = "1"
 
@@ -140,8 +144,63 @@ def reports_to_json(config_dict: dict, reports: list[CheckReport]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
+class SchemaError(Exception):
+    """A document that does not match ``REPORT_SCHEMA``; the message reads
+    ``WHERE: WHY``, with WHERE the path of the offending value (``$.config.seed``)."""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON Schema's type names; an integral float counts as an integer, a bool
+# as no number
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _check(value, schema: dict, where: str) -> None:
+    """Raise ``SchemaError`` at the first keyword of ``schema`` that ``value``
+    violates.  As in JSON Schema, a keyword about one type ignores values of
+    the others."""
+    names = schema.get("type", ())
+    names = [names] if isinstance(names, str) else names
+    if names and not any(_IS_TYPE[n](value) for n in names):
+        raise SchemaError(f"{where}: {value!r} is not of type {' or '.join(names)}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise SchemaError(f"{where}: {value!r} is not one of {schema['enum']!r}")
+    if "minimum" in schema and _is_number(value) and value < schema["minimum"]:
+        raise SchemaError(f"{where}: {value!r} is less than the minimum {schema['minimum']!r}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise SchemaError(f"{where}: {key!r} is a required property")
+        if schema.get("additionalProperties", True) is False:
+            extra = sorted(k for k in value if k not in properties)
+            if extra:
+                raise SchemaError(f"{where}: unexpected properties {extra!r}")
+        for key, sub in properties.items():
+            if key in value:
+                _check(value[key], sub, f"{where}.{key}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise SchemaError(f"{where}: {len(value)} items, fewer than {schema['minItems']}")
+        if len(value) > schema.get("maxItems", len(value)):
+            raise SchemaError(f"{where}: {len(value)} items, more than {schema['maxItems']}")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{where}[{i}]")
+
+
 def validate_report(doc: dict) -> None:
-    jsonschema.validate(doc, REPORT_SCHEMA)
+    _check(doc, REPORT_SCHEMA, "$")
 
 
 def format_text(config_dict: dict, reports: list[CheckReport]) -> str:
@@ -173,11 +232,18 @@ def format_text(config_dict: dict, reports: list[CheckReport]) -> str:
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a renamed temp file.
 
+    A symlink is followed, so the link survives and its target gets the
+    report.  A path that exists but is no regular file (a FIFO, a device,
+    ``/dev/stdout``) cannot be renamed over and is written in place.
     ``mkstemp`` creates the temp file with mode 0600, which the rename would
     keep; the report gets the mode a plain ``open`` would give it instead.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".report-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -202,8 +268,8 @@ def load_report(path: str) -> dict:
         validate_report(doc)
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ParseError(str(exc)) from exc
-    except jsonschema.ValidationError as exc:
-        raise ParseError(f"{path}: not a valid report: {exc.message}") from exc
+    except SchemaError as exc:
+        raise ParseError(f"{path}: not a valid report: {exc}") from exc
     return doc
 
 
@@ -222,7 +288,8 @@ _COMPARED = {"mismatch": False, "witness": None, "convention": None, "q_values":
 
 def diff_reports(doc_a: dict, doc_b: dict, tolerance: float = 0.0) -> list[ReportDiff]:
     """Checks whose status or any field of ``_COMPARED`` changed, or whose
-    residual moved beyond the tolerance."""
+    residual moved beyond the tolerance (an infinite or NaN residual moves
+    whenever its string changes)."""
     a_checks = {c["check_id"]: c for c in doc_a["checks"]}
     b_checks = {c["check_id"]: c for c in doc_b["checks"]}
     out = []
@@ -243,11 +310,16 @@ def diff_reports(doc_a: dict, doc_b: dict, tolerance: float = 0.0) -> list[Repor
             if va != vb:
                 out.append(ReportDiff(cid, kind, va, vb))
         ra, rb = ca["residual_max"], cb["residual_max"]
-        if ra != rb:
-            try:
-                drift = abs(float(ra) - float(rb))
-            except ValueError:
-                drift = float("inf")
-            if drift > tolerance:
-                out.append(ReportDiff(cid, "residual", ra, rb))
+        if ra != rb and not _residual_close(ra, rb, tolerance):
+            out.append(ReportDiff(cid, "residual", ra, rb))
     return out
+
+
+def _residual_close(ra: str, rb: str, tolerance: float) -> bool:
+    """Whether two different residual strings are finite numbers at most
+    ``tolerance`` apart; a non-finite one agrees only with itself."""
+    try:
+        a, b = float(ra), float(rb)
+    except ValueError:
+        return False
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tolerance

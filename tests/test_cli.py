@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import stat
 import subprocess
 import sys
 
@@ -13,6 +14,8 @@ from qclifford import suites as suites_mod
 from qclifford.cli import main
 from qclifford.report import (
     REPORT_SCHEMA,
+    ReportDiff,
+    SchemaError,
     diff_reports,
     format_float,
     load_report,
@@ -171,6 +174,37 @@ class TestReportFile:
             os.umask(old)
         assert created == overwritten == 0o666 & ~umask
 
+    @pytest.mark.parametrize("target_exists", [True, False], ids=["target", "dangling"])
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, target_exists):
+        _, expected = run_verify(tmp_path, "plain.json", FAST_SUITE)
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "sub" / "real.json"
+        if target_exists:
+            target.write_text("stale\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(os.path.join("sub", "real.json"))
+        code, payload = run_verify(tmp_path, "link.json", FAST_SUITE)
+        assert code == 0 and payload == expected
+        assert link.is_symlink() and target.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.json", "plain.json", "real.json", "sub"]
+
+    def test_out_onto_a_fifo_writes_into_it(self, tmp_path):
+        _, expected = run_verify(tmp_path, "plain.json", FAST_SUITE)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # a reader is open, so the writer's open does not block; the report
+        # is far smaller than the pipe buffer, so neither does its write
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code = main(["verify", *FAST_SUITE, "--format", "json", "--out", str(fifo)])
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "plain.json"]
+
 
 class TestDiffCommand:
     def test_identical_files_diff_empty(self, tmp_path, capsys):
@@ -210,6 +244,28 @@ class TestDiffCommand:
             assert code == 2, tolerance
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "old, new, tolerance, reported",
+        [
+            ("0", "1e-13", 1e-12, False),
+            ("0", "1e-09", 1e-12, True),
+            ("0", "zero", 1e-12, True),
+            ("0", "nan", 1e-12, True),
+            ("nan", "0", 1e-12, True),
+            ("nan", "NaN", 1e-12, True),
+            ("0", "inf", float("inf"), True),
+            ("inf", "Infinity", 1e-12, True),
+        ],
+    )
+    def test_residual_move_is_reported_beyond_the_tolerance(self, old, new, tolerance, reported):
+        golden = pathlib.Path(__file__).parent / "data" / "both_q32_seed7.json"
+        doc_a, doc_b = json.loads(golden.read_text()), json.loads(golden.read_text())
+        doc_a["checks"][0]["residual_max"] = old
+        doc_b["checks"][0]["residual_max"] = new
+        cid = doc_a["checks"][0]["check_id"]
+        expected = [ReportDiff(cid, "residual", old, new)] if reported else []
+        assert diff_reports(doc_a, doc_b, tolerance) == expected
 
     def test_changed_fields_are_reported_by_kind(self, tmp_path, capsys):
         golden = pathlib.Path(__file__).parent / "data" / "both_q32_seed7.json"
@@ -374,6 +430,111 @@ class TestGoldenReport:
         assert payload == golden.read_bytes()
 
 
+def _edit(path, value=None, delete=False):
+    """A mutant maker: set (or delete) the entry at ``path`` of a report."""
+
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if delete:
+            del doc[last]
+        else:
+            doc[last] = value
+
+    return mutate
+
+
+class TestReportSchema:
+    HOPF_GOLDEN = pathlib.Path(__file__).parent / "data" / "hopf_exact_seed7.json"
+    # one mutant of the hopf golden per keyword and level, with the verdict
+    # JSON Schema gives it
+    MUTANTS = {
+        "config_missing_seed": (_edit(["config", "seed"], delete=True), False),
+        "check_missing_residual": (_edit(["checks", 0, "residual_max"], delete=True), False),
+        "summary_missing_report": (_edit(["summary", "report"], delete=True), False),
+        "config_extra_key": (_edit(["config", "extra"], 1), False),
+        "check_extra_key": (_edit(["checks", 0, "extra"], 1), False),
+        "summary_extra_key": (_edit(["summary", "extra"], 1), False),
+        "top_level_extra_key": (_edit(["extra"], 1), False),
+        "seed_string": (_edit(["config", "seed"], "7"), False),
+        "seed_true": (_edit(["config", "seed"], True), False),
+        "seed_integral_float": (_edit(["config", "seed"], 7.0), True),
+        "seed_fractional_float": (_edit(["config", "seed"], 7.5), False),
+        "strict_one": (_edit(["config", "strict"], 1), False),
+        "witness_number": (_edit(["checks", 0, "witness"], 3), False),
+        "witness_string": (_edit(["checks", 0, "witness"], "w"), True),
+        "status_ok": (_edit(["checks", 0, "status"], "ok"), False),
+        "mode_fast": (_edit(["config", "mode"], "fast"), False),
+        "q_samples_zero": (_edit(["config", "q_samples"], 0), False),
+        "q_samples_one_as_float": (_edit(["config", "q_samples"], 1.0), True),
+        "q_range_one_item": (_edit(["config", "q_range"], ["0.5"]), False),
+        "q_range_three_items": (_edit(["config", "q_range"], ["0.5", "1.0", "2.0"]), False),
+        "q_range_item_number": (_edit(["config", "q_range", 0], 0.5), False),
+        "checks_object": (_edit(["checks"], {}), False),
+        "checks_empty": (_edit(["checks"], []), True),
+        "details_list": (_edit(["checks", 0, "details"], []), False),
+        "top_level_empty": (lambda doc: doc.clear(), False),
+    }
+
+    @staticmethod
+    def _accepts(validate, rejection, doc) -> bool:
+        try:
+            validate(doc)
+        except rejection:
+            return False
+        return True
+
+    def _mutant(self, name):
+        doc = json.loads(self.HOPF_GOLDEN.read_text())
+        mutate, accepted = self.MUTANTS[name]
+        mutate(doc)
+        return doc, accepted
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_verdict_matches_jsonschema_on_each_mutant(self, name):
+        jsonschema = pytest.importorskip("jsonschema")
+        doc, accepted = self._mutant(name)
+        oracle = self._accepts(
+            lambda d: jsonschema.validate(d, REPORT_SCHEMA), jsonschema.ValidationError, doc
+        )
+        assert self._accepts(validate_report, SchemaError, doc) == oracle == accepted
+
+    @pytest.mark.parametrize("golden_name", list(TestGoldenReport.GOLDENS))
+    def test_goldens_are_accepted_like_jsonschema(self, golden_name):
+        jsonschema = pytest.importorskip("jsonschema")
+        doc = json.loads((pathlib.Path(__file__).parent / "data" / golden_name).read_text())
+        jsonschema.validate(doc, REPORT_SCHEMA)
+        validate_report(doc)
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, ok) in MUTANTS.items() if not ok))
+    def test_diff_of_a_rejected_mutant_exits_2_with_one_error_line(self, tmp_path, capsys, name):
+        doc, _ = self._mutant(name)
+        mutant = tmp_path / "mutant.json"
+        mutant.write_text(json.dumps(doc))
+        code = main(["diff", str(self.HOPF_GOLDEN), str(mutant)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mutant}: not a valid report: $") and err.count("\n") == 1
+
+    def test_schema_uses_only_the_keywords_the_validator_reads(self):
+        # validate_report reads exactly these; a schema that adds another
+        # keyword needs the validator taught it first
+        supported = {
+            "type", "required", "properties", "additionalProperties", "items",
+            "enum", "minimum", "minItems", "maxItems",
+        }
+        used = set()
+        stack = [REPORT_SCHEMA]
+        while stack:
+            schema = stack.pop()
+            used |= set(schema)
+            stack.extend(schema.get("properties", {}).values())
+            stack.extend([schema["items"]] if "items" in schema else [])
+            assert schema.get("additionalProperties", False) is False
+        assert used == supported
+
+
 class TestRunContext:
     def test_exact_mode_draws_no_q_samples(self, monkeypatch):
         calls = []
@@ -486,3 +647,16 @@ def test_console_entry_point_runs_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     validate_report(json.loads(out.read_text()))
+
+
+def test_importing_the_cli_does_not_load_jsonschema():
+    # the package checks reports itself; importing jsonschema would add
+    # ~0.1 s to every start-up
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qclifford.cli; print('jsonschema' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_env_importing_this_qclifford(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

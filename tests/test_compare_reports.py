@@ -18,11 +18,11 @@ def compare(old, new):
     )
 
 
-def edited(tmp_path, edit):
+def edited(tmp_path, edit, name="new.json"):
     """A copy of the golden report with ``edit`` applied to its checks by id."""
     doc = json.loads(GOLDEN.read_text())
     edit({c["check_id"]: c for c in doc["checks"]})
-    path = tmp_path / "new.json"
+    path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
 
@@ -48,10 +48,13 @@ def test_residual_moved_within_tolerance_is_listed_and_agrees(tmp_path):
 
 
 def test_residual_moved_beyond_tolerance_disagrees(tmp_path):
-    new = edited(tmp_path, set_field("qgamma.transcription", "residual_max", "1e-09"))
-    proc = compare(GOLDEN, new)
-    assert proc.returncode == 1
-    assert "DIFFERENT: qgamma.transcription: residual_max 0 -> 1e-09" in proc.stdout
+    # an infinite or NaN residual agrees only with the identical string
+    for ra, rb in [("0", "1e-09"), ("0", "inf"), ("1", "inf"), ("0", "nan"), ("nan", "0"), ("inf", "Infinity")]:
+        old = edited(tmp_path, set_field("qgamma.transcription", "residual_max", ra), "old.json")
+        new = edited(tmp_path, set_field("qgamma.transcription", "residual_max", rb))
+        proc = compare(old, new)
+        assert proc.returncode == 1, (ra, rb)
+        assert f"DIFFERENT: qgamma.transcription: residual_max {ra} -> {rb}" in proc.stdout
 
 
 def test_non_numeric_residual_disagrees(tmp_path):
