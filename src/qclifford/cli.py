@@ -136,8 +136,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     fmt = args.format or "text"
     q_range = _parse_q_range(args.q_range) if args.q_range else (0.5, 2.0)
-    if q_samples < 1:
-        raise ConfigError("q_samples must be positive")
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if fmt not in _FORMATS:
@@ -165,7 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             seed=seed,
             conventions=conventions,
         )
-    except ValueError as exc:  # a q range the sampler cannot draw from
+    except ValueError as exc:  # a sample count or q range the sampler refuses
         raise ConfigError(str(exc)) from exc
     try:
         reports = suites_mod.run_checks(chosen, ctx)

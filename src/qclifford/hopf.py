@@ -171,11 +171,14 @@ def check_coassociativity(h: HopfData, max_len: int = 4) -> AxiomResult:
     Slot-sorted concatenations of normal slot parts are already normal in
     the tensor systems, so applying Delta to one leg of a normal-formed
     coproduct is pure linear assembly over memoized coproduct values.
+    Both legs of each tensor word (u, v) are expanded once per sweep, as
+    the tensor-cube terms of (Delta x id)(u v) and (id x Delta)(u v).
     """
     rs = h.rs
     g = rs.size
     delta, split = h.delta_images, h.split
-    shifted: dict[Word, Word] = {}  # tensor-square word -> its slots 1 and 2 in t3
+    # tensor word of the slot pair (u, v) -> tensor-cube terms of Delta(u) v and u Delta(v)
+    legs: dict[Word, tuple[list, list]] = {}
     checked = 0
     witnesses = []
     for w in rs.iter_words(max_len):
@@ -183,15 +186,18 @@ def check_coassociativity(h: HopfData, max_len: int = 4) -> AxiomResult:
         lhs: dict[Word, RadicalScalar] = {}
         rhs: dict[Word, RadicalScalar] = {}
         for tw, c in delta(w).terms.items():
-            u, v = split(tw)
-            v3 = tuple(x + 2 * g for x in v)
-            for tw2, c2 in delta(u).terms.items():
-                accumulate(lhs, tw2 + v3, c * c2)
-            for tw2, c2 in delta(v).terms.items():
-                up = shifted.get(tw2)
-                if up is None:
-                    up = shifted[tw2] = tuple(x + g for x in tw2)
-                accumulate(rhs, u + up, c * c2)
+            pair = legs.get(tw)
+            if pair is None:
+                u, v = split(tw)
+                v3 = tuple(x + 2 * g for x in v)
+                pair = legs[tw] = (
+                    [(tw2 + v3, c2) for tw2, c2 in delta(u).terms.items()],
+                    [(u + tuple(x + g for x in tw2), c2) for tw2, c2 in delta(v).terms.items()],
+                )
+            for tw3, c2 in pair[0]:
+                accumulate(lhs, tw3, c * c2)
+            for tw3, c2 in pair[1]:
+                accumulate(rhs, tw3, c * c2)
         if lhs != rhs:
             diff = NCPolynomial(lhs) - NCPolynomial(rhs)
             witnesses.append((rs.render(NCPolynomial.word(w)), h.t3.render(diff)))

@@ -266,8 +266,12 @@ def load_report(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         validate_report(doc)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+    except OSError as exc:  # the message names the path
         raise ParseError(str(exc)) from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: nested too deeply to read") from exc
     except SchemaError as exc:
         raise ParseError(f"{path}: not a valid report: {exc}") from exc
     return doc

@@ -17,11 +17,17 @@ keeps exact and principal-branch numeric values in agreement on the
 positive real q axis.  Each scalar has one canonical form, ``key()``, and
 evaluation sums terms in its order, so a float depends only on the exact
 value, never on the order in which the terms were built.
+
+Every ``RadicalScalar`` is hash-consed: construction goes through one weak
+table keyed on ``key()``, so there is one live object per value and ``is``
+decides equality between scalars.  Sums and products are memoised on the
+identity of their operands.
 """
 
 from __future__ import annotations
 
 import cmath
+import weakref
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt
 
@@ -646,15 +652,32 @@ class RadicalScalar:
     sorted by ``LaurentFrac.key()``, to its coefficient; the empty tuple
     keys the radical-free part.  Addition merges like keys,
     multiplication cancels paired radicands exactly.
+
+    Instances are interned: one live object per value, so ``a == b`` is
+    ``a is b`` between scalars, and nothing may mutate ``terms``.
     """
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms", "_key", "__weakref__")
 
-    def __init__(self, terms: dict[tuple[LaurentFrac, ...], LaurentFrac] | None = None):
+    def __new__(cls, terms: dict[tuple[LaurentFrac, ...], LaurentFrac] | None = None):
         if terms is None:
             terms = {}
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-        self._key = None
+        return RadicalScalar._nonzero({k: c for k, c in terms.items() if not c.is_zero()})
+
+    @staticmethod
+    def _nonzero(terms: dict) -> "RadicalScalar":
+        """The interned scalar with ``terms``; the caller guarantees no zero."""
+        out = object.__new__(RadicalScalar)
+        out.terms = terms
+        key = out._key = tuple(
+            (tuple(r.key() for r in k), c.key()) for k, c in out._ordered()
+        )
+        return _INTERN.setdefault(key, out)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the table; the default protocol
+        # would call __new__ with no terms and overwrite ZERO's slots
+        return (RadicalScalar, (self.terms,))
 
     # ---- constructors -------------------------------------------------
 
@@ -690,10 +713,7 @@ class RadicalScalar:
         return not self.terms
 
     def is_one(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        coeff = self.terms.get(())
-        return coeff is not None and coeff.is_one()
+        return self is ONE
 
     def is_fraction(self) -> bool:
         return all(k == () for k in self.terms)
@@ -708,10 +728,11 @@ class RadicalScalar:
     # ---- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not RadicalScalar:
+            try:
+                other = _coerce(other)
+            except TypeError:
+                return NotImplemented
         if not other.terms:
             return self
         if not self.terms:
@@ -724,10 +745,10 @@ class RadicalScalar:
         out = dict(self.terms)
         for k, c in other.terms.items():
             accumulate(out, k, c)
-        return RadicalScalar(out)
+        return RadicalScalar._nonzero(out)
 
     def __neg__(self) -> "RadicalScalar":
-        return RadicalScalar({k: -c for k, c in self.terms.items()})
+        return RadicalScalar._nonzero({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         try:
@@ -744,18 +765,15 @@ class RadicalScalar:
         return other + (-self)
 
     def __mul__(self, other):
+        if type(other) is not RadicalScalar:
+            try:
+                other = _coerce(other)
+            except TypeError:
+                return NotImplemented
         if other is ONE:
             return self
         if self is ONE:
-            return other if isinstance(other, RadicalScalar) else _coerce(other)
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
-        if self.is_one():
             return other
-        if other.is_one():
-            return self
         if not self.terms or not other.terms:
             return ZERO
         return _memo(RadicalScalar._mul, self, other)
@@ -784,7 +802,7 @@ class RadicalScalar:
                 merged.extend(k1[i:])
                 merged.extend(k2[j:])
                 accumulate(out, tuple(merged), coeff)
-        return RadicalScalar(out)
+        return RadicalScalar._nonzero(out)
 
     def __pow__(self, n: int) -> "RadicalScalar":
         if n < 0:
@@ -843,25 +861,18 @@ class RadicalScalar:
 
     def key(self) -> tuple:
         """Canonical form: radicand keys and coefficient key of each term."""
-        if self._key is None:
-            self._key = tuple(
-                (tuple(r.key() for r in k), c.key()) for k, c in self._ordered()
-            )
         return self._key
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if type(other) is not RadicalScalar:
             # the abc check on Fraction is slow, so it runs only off the fast path
-            if isinstance(other, (int, Fraction, GaussRational)):
-                other = _coerce(other)
-            elif not isinstance(other, RadicalScalar):
+            if not isinstance(other, (int, Fraction, GaussRational)):
                 return NotImplemented
-        return self.terms == other.terms
+            other = _coerce(other)
+        return self is other
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     # ---- evaluation ----------------------------------------------------
 
@@ -935,20 +946,25 @@ class RadicalScalar:
         return " + ".join(parts)
 
 
-# Sums and products keyed on the operation and each operand's value, shared
-# between callers (nothing mutates a scalar once built).
+# canonical key -> the one live scalar of that value; an entry goes when
+# its scalar does, and ZERO and ONE are held by this module for good
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+# Sums and products keyed on the operation and the identity of each operand,
+# shared between callers (nothing mutates a scalar once built).  An entry
+# holds its operands, so their ids cannot be reused while it lives.
 MEMO_CAP = 512
 _MEMO: dict = {}
 
 
 def _memo(op, a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
-    key = (op, a.key(), b.key())
-    out = _MEMO.get(key)
-    if out is None:
+    key = (op, id(a), id(b))
+    entry = _MEMO.get(key)
+    if entry is None:
         if len(_MEMO) >= MEMO_CAP:
             _MEMO.clear()
-        out = _MEMO[key] = op(a, b)
-    return out
+        entry = _MEMO[key] = (a, b, op(a, b))
+    return entry[2]
 
 
 def _coerce(x) -> RadicalScalar:

@@ -31,6 +31,9 @@ EXTRA_SUITES = ("selfcheck",)
 # fallback sample points used to measure exact residuals in exact mode
 REFERENCE_SAMPLES = (0.5, 0.75, 1.25, 1.5, 1.75)
 
+# most q samples a run may draw; each costs a float oracle pass per check
+MAX_Q_SAMPLES = 4096
+
 # (centre, radius): sampled q values keep at least this distance from each
 # centre, away from the classical point q = 1 and from q = 0
 Q_EXCLUSIONS = ((1.0, 0.05), (0.0, 1e-6))
@@ -51,6 +54,10 @@ class RunContext:
     conventions: tuple[qgamma.ActionConvention, ...] = qgamma.ALL_CONVENTIONS
 
     def __post_init__(self):
+        if not 1 <= self.q_samples <= MAX_Q_SAMPLES:
+            raise ValueError(
+                f"q_samples must be between 1 and {MAX_Q_SAMPLES}, got {self.q_samples}"
+            )
         lo, hi = self.q_range
         if admissible_q_length(lo, hi) <= 1e-9:
             raise ValueError(

@@ -298,6 +298,16 @@ class TestDiffCommand:
             assert code == 2, bad
             assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [0, 100000])
+    def test_malformed_file_exits_2_with_one_error_line_naming_it(self, tmp_path, capsys, depth):
+        # an empty file, or brackets nested past the JSON decoder's recursion limit
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * depth + "]" * depth)
+        code = main(["diff", str(bad), str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
 
 class TestConfigFile:
     def test_config_file_supplies_defaults(self, tmp_path):
@@ -377,6 +387,28 @@ class TestConfigFile:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "1e150:1e151" in proc.stderr
+
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    def test_q_samples_above_the_cap_exit_2_without_drawing(self, tmp_path, source):
+        # the sampler draws every sample up front: an uncapped count grows
+        # memory without bound, so this runs in a child with a timeout
+        too_many = str(suites_mod.MAX_Q_SAMPLES + 1)
+        if source == "argv":
+            extra = ["--q-samples", too_many]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"q_samples = {too_many}\n")
+            extra = ["--config", str(cfg)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qclifford.cli", "verify", "--suite", "clifford", *extra],
+            capture_output=True,
+            text=True,
+            env=_env_importing_this_qclifford(),
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert too_many in proc.stderr
 
     @pytest.mark.parametrize(
         "line",
@@ -536,6 +568,13 @@ class TestReportSchema:
 
 
 class TestRunContext:
+    def test_sample_count_is_capped(self):
+        cap = suites_mod.MAX_Q_SAMPLES
+        assert len(RunContext(q_samples=cap).samples) == cap
+        for count in (0, cap + 1):
+            with pytest.raises(ValueError, match="q_samples"):
+                RunContext(q_samples=count)
+
     def test_exact_mode_draws_no_q_samples(self, monkeypatch):
         calls = []
         uniform = random.Random.uniform

@@ -1,5 +1,8 @@
 import cmath
+import copy
+import gc
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,7 +24,9 @@ from qclifford.scalars import (
     HalfLaurent,
     LaurentFrac,
     NotInvertible,
+    ONE,
     RadicalScalar,
+    ZERO,
     ZeroBase,
     q_half,
     q_plus_qinv,
@@ -215,7 +220,8 @@ def test_string_rendering_is_deterministic(rng):
 
 
 class TestMemo:
-    """Sums and products are memoized on the value of each operand."""
+    """Sums and products are memoized on the identity of each operand, which
+    interning makes one object per value."""
 
     def test_equal_operands_in_another_term_order_share_one_product(self):
         b = sqrt(q_plus_qinv()) + qvar()
@@ -241,6 +247,28 @@ class TestMemo:
             filled = max(filled, len(scalars._MEMO))
         assert filled == scalars.MEMO_CAP
 
+    def test_entries_hold_the_operands_their_ids_name(self, rng):
+        scalars._MEMO.clear()
+        values = [random_scalar(rng) for _ in range(12)]
+        for a in values:
+            for b in values:
+                a * b
+                a + b
+        assert scalars._MEMO
+        for (_op, id_a, id_b), (a, b, _out) in scalars._MEMO.items():
+            assert (id_a, id_b) == (id(a), id(b))
+
+    def test_a_dropped_operand_never_hands_its_product_to_a_new_one(self):
+        # a freed scalar's address is soon reused; an entry that did not hold
+        # its operands would then answer for a different value
+        scalars._MEMO.clear()
+        q = qvar()
+        for k in range(300):
+            c = RadicalScalar.constant(k + 2)
+            assert c * q is RadicalScalar._mul(c, q)
+            assert c + q is RadicalScalar._add(c, q)
+            del c
+
 
 @st.composite
 def small_scalar_twins(draw):
@@ -262,8 +290,8 @@ def small_scalar_twins(draw):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(small_scalar_twins(), min_size=1, max_size=3))
 def test_memoized_ops_match_the_tower_in_term_order(twins):
-    # twins are one value built in two term orders: one canonical form and
-    # one float, so a value-keyed memo can hand either twin's result to both
+    # twins are one value built in two term orders: one canonical form,
+    # one float and one interned object, whose memoized results serve both
     for first, second in twins:
         assert first.key() == second.key()
         for q in (0.3, 0.7, 1.3, 1.9):
@@ -273,6 +301,48 @@ def test_memoized_ops_match_the_tower_in_term_order(twins):
         for b in values:
             assert a * b == RadicalScalar._mul(a, b)
             assert a + b == RadicalScalar._add(a, b)
+
+
+class TestInterning:
+    """One live object per value: ``is`` decides equality between scalars."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(small_scalar_twins(), min_size=1, max_size=3))
+    def test_equal_values_are_one_object(self, twins):
+        values = [x for pair in twins for x in pair]
+        for first, second in twins:
+            assert first is second
+        for a in values:
+            # oracles through the canonical form, never through identity
+            assert a.is_one() == (a.key() == ONE.key())
+            for b in values:
+                assert (a == b) == (a.key() == b.key())
+
+    def test_one_is_found_whichever_way_it_is_built(self):
+        x = q_half(3) * sqrt(q_plus_qinv())
+        assert x * x.inverse() is ONE
+        assert qvar() * qinv() is ONE
+        assert RadicalScalar.constant(Fraction(2, 2)) is ONE
+
+    def test_table_drains_when_its_scalars_are_dropped(self):
+        gc.collect()
+        before = len(scalars._INTERN)
+        made = [RadicalScalar.constant(Fraction(1, 10**6 + k)) for k in range(10000)]
+        assert len(scalars._INTERN) >= before + len(made)
+        del made
+        gc.collect()
+        assert len(scalars._INTERN) == before
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_the_interned_object(self, clone):
+        for x in (qvar(), sqrt(q_plus_qinv()) + qinv(), ZERO, ONE):
+            assert clone(x) is x
+        # the constants' slots are intact
+        assert ZERO.is_zero() and str(ZERO) == "0" and str(ONE) == "1"
 
 
 class TestSquarePart:
