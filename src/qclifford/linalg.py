@@ -3,14 +3,15 @@
 Everything the identity checks need: ring operations, Kronecker products,
 anticommutators, exact inversion and exact linear solving by Gaussian
 elimination over the radical-extended fraction field, plus numeric
-evaluation into numpy arrays for the sampling backend.
+evaluation for the sampling backend.  A numeric matrix is a list of rows of
+Python ``complex``; the few helpers the float cross-checks need (products,
+sums, scaling, the max-|z| norm and an elimination solver) work on those.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-import numpy as np
 
 from .scalars import (
     GaussRational,
@@ -121,23 +122,28 @@ class Matrix:
     def map(self, fn) -> "Matrix":
         return Matrix(self.rows, self.cols, [fn(a) for a in self.data])
 
-    def evaluate(self, q_value: complex) -> np.ndarray:
+    def evaluate(self, q_value: complex) -> CMatrix:
         return self.evaluate_with_flags(q_value)[0]
 
-    def evaluate_with_flags(self, q_value: complex) -> tuple[np.ndarray, bool]:
+    def evaluate_with_flags(self, q_value: complex) -> tuple[CMatrix, bool]:
         """Numeric matrix plus a flag for any branch-cut radicand hit."""
-        out = np.empty((self.rows, self.cols), dtype=complex)
+        out = []
         flagged = False
         for i in range(self.rows):
-            for j in range(self.cols):
-                val, flag = self[i, j].eval_with_flags(q_value)
-                out[i, j] = val
+            row = []
+            for s in self.row(i):
+                val, flag = s.eval_with_flags(q_value)
+                row.append(val)
                 flagged = flagged or flag
+            out.append(row)
         return out, flagged
 
     def max_abs_at(self, q_value: complex) -> float:
-        arr = self.evaluate(q_value)
-        return float(np.max(np.abs(arr))) if arr.size else 0.0
+        return max_abs(self.evaluate(q_value))
+
+    def rank(self) -> int:
+        """Rank over the scalar field, by exact row reduction."""
+        return len(_row_reduce([list(self.row(i)) for i in range(self.rows)], self.cols))
 
     def inverse(self) -> "Matrix":
         """Exact inverse by Gauss-Jordan elimination over the scalar field."""
@@ -249,6 +255,85 @@ def solve_exact(a: Matrix, rhs: list[RadicalScalar]):
     for row_idx, col in enumerate(pivots):
         solution[col] = aug[row_idx][n]
     return True, solution
+
+
+# ---------------------------------------------------------------------------
+# Numeric matrices: lists of rows of Python complex
+# ---------------------------------------------------------------------------
+
+CMatrix = list[list[complex]]
+
+# a pivot below this fraction of the largest entry counts as zero in
+# numeric_solve_residuals (rounding leaves ~1e-16 where exact elimination
+# leaves 0)
+PIVOT_CUTOFF = 1e-10
+
+
+def max_abs(m: CMatrix) -> float:
+    """Largest |z| over the entries of a numeric matrix."""
+    return max((abs(z) for row in m for z in row), default=0.0)
+
+
+def cmatmul(a: CMatrix, b: CMatrix) -> CMatrix:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def cadd(a: CMatrix, b: CMatrix) -> CMatrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def csub(a: CMatrix, b: CMatrix) -> CMatrix:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def cscale(c: complex, a: CMatrix) -> CMatrix:
+    return [[c * x for x in row] for row in a]
+
+
+def cidentity(n: int) -> CMatrix:
+    return [[1 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+
+
+def numeric_solve_residuals(a: CMatrix, rhs: CMatrix) -> list[float]:
+    """||a x - b||_2 for each b in ``rhs``, x solving a x = b by elimination.
+
+    ``a`` is reduced once for all right-hand sides, by Gaussian elimination
+    with partial pivoting.  A column whose largest remaining entry is below
+    ``PIVOT_CUTOFF`` times the largest entry of ``a`` has no pivot, so a
+    rank-deficient ``a`` is handled: its free variables are set to zero.  A
+    consistent system gets a residual at rounding level; an inconsistent one
+    keeps a residual of the size of its inconsistency.
+    """
+    m, n, k = len(a), len(a[0]), len(rhs)
+    cut = PIVOT_CUTOFF * max_abs(a)
+    aug = [list(a[i]) + [b[i] for b in rhs] for i in range(m)]
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        best = max(range(r, m), key=lambda i: abs(aug[i][col]))
+        if abs(aug[best][col]) <= cut:
+            continue
+        aug[r], aug[best] = aug[best], aug[r]
+        prow = aug[r]
+        for i in range(r + 1, m):
+            factor = aug[i][col] / prow[col]
+            if factor:
+                aug[i] = [x - factor * y for x, y in zip(aug[i], prow)]
+        pivots.append(col)
+    residuals = []
+    for j in range(k):
+        x = [0j] * n
+        for r in reversed(range(len(pivots))):
+            col = pivots[r]
+            row = aug[r]
+            acc = row[n + j] - sum(row[c] * x[c] for c in pivots[r + 1 :])
+            x[col] = acc / row[col]
+        res = [sum(aij * xj for aij, xj in zip(row, x)) - b for row, b in zip(a, rhs[j])]
+        residuals.append(math.hypot(*(p for z in res for p in (z.real, z.imag))))
+    return residuals
 
 
 def pauli_matrices() -> list[Matrix]:

@@ -9,12 +9,12 @@ su(2).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .hopf import HopfData
-from .linalg import Matrix, anticommutator, matmul, pauli_matrices
+from .linalg import CMatrix, Matrix, anticommutator, cscale, matmul, pauli_matrices
 from .qgamma import ActionConvention, action_coefficients
 from .rewrite import NCPolynomial, RewriteSystem, anticommutation_rules, central_rules
 from .scalars import (
@@ -281,10 +281,21 @@ def build_affine_irrep(params: IrrepParams) -> CH2Irrep:
 class IrrepRelationReport:
     """Exact residuals of the deformed relations for one irrep."""
 
+    irrep: CH2Irrep
     square_residuals: dict[tuple[int, str], Matrix]
     anticommutator_residuals: dict[tuple[int, str, str], Matrix]
     gamma3_square_residual: Matrix
-    cross_level_anticommutators: dict[tuple[str, str], Matrix]
+
+    @cached_property
+    def cross_level_anticommutators(self) -> dict[tuple[str, str], Matrix]:
+        """Anticommutators mixing the two levels, built on first read."""
+        g = self.irrep.gamma
+        return {
+            ("x", "y"): anticommutator(g(0, "x"), g(1, "y")),
+            ("y", "x"): anticommutator(g(0, "y"), g(1, "x")),
+            ("x", "x"): anticommutator(g(0, "x"), g(1, "x")),
+            ("y", "y"): anticommutator(g(0, "y"), g(1, "y")),
+        }
 
     def all_pass(self) -> bool:
         per_level = all(m.is_zero() for m in self.square_residuals.values()) and all(
@@ -296,8 +307,8 @@ class IrrepRelationReport:
 def verify_irrep_relations(irrep: CH2Irrep) -> IrrepRelationReport:
     """Check the square law and anticommutation per level.
 
-    Cross-level anticommutators are computed and reported but carry no
-    expectation: the relations are only required level by level.
+    Cross-level anticommutators are reported but carry no expectation: the
+    relations are only required level by level.
     """
     ident = Matrix.identity(2)
     squares = {}
@@ -313,39 +324,32 @@ def verify_irrep_relations(irrep: CH2Irrep) -> IrrepRelationReport:
             irrep.gamma(level, "x"), irrep.gamma(level, "y")
         )
     g3sq = matmul(irrep.gamma_3, irrep.gamma_3) - ident
-    cross = {
-        ("x", "y"): anticommutator(irrep.gamma(0, "x"), irrep.gamma(1, "y")),
-        ("y", "x"): anticommutator(irrep.gamma(0, "y"), irrep.gamma(1, "x")),
-        ("x", "x"): anticommutator(irrep.gamma(0, "x"), irrep.gamma(1, "x")),
-        ("y", "y"): anticommutator(irrep.gamma(0, "y"), irrep.gamma(1, "y")),
-    }
-    return IrrepRelationReport(squares, anticomms, g3sq, cross)
+    return IrrepRelationReport(irrep, squares, anticomms, g3sq)
 
 
 def affine_irrep_numeric(
     z: complex, lambda_x: complex, lambda_y: complex, q_value: complex
-) -> dict[str, np.ndarray]:
+) -> dict[str, CMatrix]:
     """Floating-point construction of the same matrices at a numeric q."""
     if q_value in (1, -1):
         raise DegenerateParams("q must differ from +1 and -1")
     if not z or not lambda_x or not lambda_y:
         raise DegenerateParams("parameters must be nonzero")
     denom = q_value - 1.0 / q_value
-    import cmath
 
     def flip(upper, lower):
-        return np.array([[0, upper], [lower, 0]], dtype=complex)
+        return [[0j, complex(upper)], [complex(lower), 0j]]
 
     pre_x0 = cmath.sqrt((1.0 / lambda_x - lambda_x) / denom)
     pre_y0 = cmath.sqrt((1.0 / lambda_y - lambda_y) / denom)
     pre_x1 = cmath.sqrt((lambda_x - 1.0 / lambda_x) / denom)
     pre_y1 = cmath.sqrt((lambda_y - 1.0 / lambda_y) / denom)
     return {
-        "x0": pre_x0 * flip(1.0 / z, z),
-        "y0": pre_y0 * flip(-1j / z, 1j * z),
-        "x1": pre_x1 * flip(z, 1.0 / z),
-        "y1": pre_y1 * flip(-1j * z, 1j / z),
-        "g3": np.diag([1.0 + 0j, -1.0 + 0j]),
+        "x0": cscale(pre_x0, flip(1.0 / z, z)),
+        "y0": cscale(pre_y0, flip(-1j / z, 1j * z)),
+        "x1": cscale(pre_x1, flip(z, 1.0 / z)),
+        "y1": cscale(pre_y1, flip(-1j * z, 1j / z)),
+        "g3": [[1 + 0j, 0j], [0j, -1 + 0j]],
     }
 
 

@@ -14,10 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .blades import CL31, dirac_matrices
-from .linalg import Matrix, anticommutator, kron, matmul, solve_exact
+from .linalg import (
+    CMatrix,
+    Matrix,
+    anticommutator,
+    cidentity,
+    cmatmul,
+    cscale,
+    csub,
+    kron,
+    matmul,
+    numeric_solve_residuals,
+    solve_exact,
+)
 from .rewrite import NCPolynomial
 from .scalars import (
     RadicalScalar,
@@ -309,26 +319,36 @@ def bare_relation_solve_exact_q1(gs: QGammaSet, qm: QMetric) -> BareRelationSolv
     return BareRelationSolve(solvable, witness, infeasible)
 
 
-# largest least-squares residual that still counts as solvable
+# largest solve residual that still counts as solvable
 BARE_SOLVE_TOL = 1e-9
 
 
 def bare_relation_solve_numeric(gs: QGammaSet, qm: QMetric, q_value: complex) -> tuple[bool, float]:
-    """Least-squares solvability of the same systems at one numeric q."""
+    """Solvability of the same systems at one numeric q.
+
+    The 16x16 coefficient matrix has rank 8, so the 16 systems are solved
+    together by elimination with a pivot cut-off; returns whether the largest
+    residual ||A x - b||_2 stays below ``BARE_SOLVE_TOL``, and that residual.
+    """
     mats = [m.evaluate(q_value) for m in gs.matrices]
     cinv = qm.c_inverse.evaluate(q_value)
     pref = (1.0 / q_value) * (q_value + 1.0 / q_value)
-    cols = []
-    for np_ in range(4):
-        for mp in range(4):
-            cols.append((q_value * mats[np_] @ mats[mp]).reshape(-1))
-    coeff = np.array(cols).T
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            target = pref * cinv[mu, nu] * np.eye(4, dtype=complex) - mats[mu] @ mats[nu]
-            b = target.reshape(-1)
-            sol, *_ = np.linalg.lstsq(coeff, b, rcond=None)
-            resid = float(np.linalg.norm(coeff @ sol - b))
-            worst = max(worst, resid)
+    cols = [
+        _flatten(cmatmul(cscale(q_value, mats[np_]), mats[mp]))
+        for np_ in range(4)
+        for mp in range(4)
+    ]
+    coeff = [list(row) for row in zip(*cols)]
+    targets = [
+        _flatten(
+            csub(cscale(pref * cinv[mu][nu], cidentity(4)), cmatmul(mats[mu], mats[nu]))
+        )
+        for mu in range(4)
+        for nu in range(4)
+    ]
+    worst = max(numeric_solve_residuals(coeff, targets))
     return worst < BARE_SOLVE_TOL, worst
+
+
+def _flatten(m: CMatrix) -> list[complex]:
+    return [z for row in m for z in row]

@@ -133,7 +133,9 @@ def test_criterion_4_chq2_irrep_suite():
         lx = complex(rng.uniform(0.3, 2.0), rng.uniform(-1, 1))
         ly = complex(rng.uniform(0.3, 2.0), rng.uniform(-1, 1))
         qv = rng.uniform(1.1, 2.0)
-        mats = presentations.affine_irrep_numeric(z, lx, ly, qv)
+        mats = {
+            k: np.asarray(m) for k, m in presentations.affine_irrep_numeric(z, lx, ly, qv).items()
+        }
         denom = qv - 1 / qv
         for lvl in (0, 1):
             for axis, lam in (("x", lx), ("y", ly)):

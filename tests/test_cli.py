@@ -699,3 +699,34 @@ def test_importing_the_cli_does_not_load_jsonschema():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_the_runtime_never_imports_numpy(tmp_path):
+    # numpy is a test oracle only: with it blocked, import fails loudly, and
+    # every command must still run and exit 0
+    golden = pathlib.Path(__file__).parent / "data" / "hopf_exact_seed7.json"
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(golden.read_bytes())
+    verify = [
+        "verify", "--suite", "clifford", "--suite", "qgamma", "--suite", "chq2",
+        "--suite", "fierz", "--mode", "both", "--q-samples", "5",
+        "--format", "json", "--out", str(tmp_path / "r.json"),
+    ]
+    script = "\n".join(
+        [
+            "import sys",
+            "import qclifford.cli",
+            "print('numpy' in sys.modules)",
+            "sys.modules['numpy'] = None",
+            f"print([qclifford.cli.main(a) for a in {[verify, ['list-checks'], ['diff', str(golden), str(copy)]]!r}])",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_env_importing_this_qclifford(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]", proc.stdout[-2000:]

@@ -135,6 +135,6 @@ def test_numeric_evaluation_matches_numpy_composition():
     a = random_matrix(rng, 3, 3)
     b = random_matrix(rng, 3, 3)
     for qv in (0.6, 1.4):
-        left = matmul(a, b).evaluate(qv)
-        right = a.evaluate(qv) @ b.evaluate(qv)
+        left = np.asarray(matmul(a, b).evaluate(qv))
+        right = np.asarray(a.evaluate(qv)) @ np.asarray(b.evaluate(qv))
         assert np.max(np.abs(left - right)) < 1e-10

@@ -159,7 +159,7 @@ class TestAffineIrrep:
             lx = complex(rng.uniform(0.3, 2.0), rng.uniform(-1, 1))
             ly = complex(rng.uniform(0.3, 2.0), rng.uniform(-1, 1))
             qv = rng.uniform(1.1, 2.0)
-            mats = affine_irrep_numeric(z, lx, ly, qv)
+            mats = {k: np.asarray(m) for k, m in affine_irrep_numeric(z, lx, ly, qv).items()}
             denom = qv - 1 / qv
             for lvl in (0, 1):
                 for axis, lam in (("x", lx), ("y", ly)):
