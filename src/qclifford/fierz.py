@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, matmul, kron, solve_exact
+from .linalg import Matrix, _row_reduce, kron, matmul
 from .qgamma import QGammaSet, gamma5
 from .rewrite import NCPolynomial, RewriteSystem
 from .scalars import (
@@ -371,16 +371,40 @@ def kpoly_gcd(a: KPolynomial, b: KPolynomial) -> KPolynomial:
     return KPolynomial([c * lead_inv for c in x])
 
 
-def _interpolate_k(nodes: list[Fraction], values: list[RadicalScalar]) -> KPolynomial:
-    """Exact coefficients of the unique degree < len(nodes) interpolant."""
-    n = len(nodes)
-    rows = []
-    for x in nodes:
-        rows.append([RadicalScalar.constant(x**d) for d in range(n)])
-    ok, sol = solve_exact(Matrix.from_rows(rows), values)
-    if not ok:
+# the residual is evaluated at K_NODES + K_VALIDATE rational values of the
+# exchange constant; the polynomial recovered from the first K_NODES must
+# reproduce the surplus points exactly, certifying the assumed degree bound
+K_NODES = 6
+K_VALIDATE = 2
+
+
+def _interpolate_k(
+    nodes: list[Fraction], columns: list[list[RadicalScalar]]
+) -> list[KPolynomial]:
+    """Exact interpolant of each column of values through the first K_NODES nodes.
+
+    The Vandermonde system is row-reduced once, augmented with every column;
+    each interpolant (degree < K_NODES) must then reproduce its column's
+    values at the surplus nodes exactly, which certifies the degree bound.
+    """
+    n = K_NODES
+    powers = [[RadicalScalar.constant(x**d) for d in range(n)] for x in nodes]
+    aug = [powers[i] + [col[i] for col in columns] for i in range(n)]
+    if len(_row_reduce(aug, n)) < n:
         raise ArithmeticError("interpolation system must be solvable")
-    return KPolynomial.from_list(list(sol))
+    polys = []
+    for j, col in enumerate(columns):
+        poly = KPolynomial.from_list([aug[d][n + j] for d in range(n)])
+        for row, v in zip(powers[n:], col[n:]):
+            predicted = RadicalScalar.zero()
+            for c, p in zip(poly.coeffs, row):
+                predicted = predicted + c * p
+            if not (predicted - v).is_zero():
+                raise ArithmeticError(
+                    "k-degree exceeds the interpolation bound; raise K_NODES"
+                )
+        polys.append(poly)
+    return polys
 
 
 @dataclass
@@ -434,13 +458,6 @@ def _quadratic_residual(
     return rs.normal_form(lhs - mid - rhs), rs
 
 
-# the residual is evaluated at K_NODES + K_VALIDATE rational values of the
-# exchange constant; the polynomial recovered from the first K_NODES must
-# reproduce the surplus points exactly, certifying the assumed degree bound
-K_NODES = 6
-K_VALIDATE = 2
-
-
 def quadratic_identity_report(
     gs: QGammaSet,
     convention: str = CONVENTION_COMMUTE,
@@ -457,20 +474,11 @@ def quadratic_identity_report(
     words = sorted(
         {w for res in residuals for w in res.terms}, key=lambda x: (len(x), x)
     )
-    k_dependence: dict[tuple[int, ...], KPolynomial] = {}
-    for w in words:
-        values = [res.terms.get(w, RadicalScalar.zero()) for res in residuals]
-        poly = _interpolate_k(nodes[:K_NODES], values[:K_NODES])
-        for x, v in zip(nodes[K_NODES:], values[K_NODES:]):
-            predicted = RadicalScalar.zero()
-            for d, c in enumerate(poly.coeffs):
-                predicted = predicted + c * RadicalScalar.constant(x**d)
-            if not (predicted - v).is_zero():
-                raise ArithmeticError(
-                    "k-degree exceeds the interpolation bound; raise K_NODES"
-                )
-        if not poly.is_zero():
-            k_dependence[w] = poly
+    zero = RadicalScalar.zero()
+    columns = [[res.terms.get(w, zero) for res in residuals] for w in words]
+    k_dependence = {
+        w: poly for w, poly in zip(words, _interpolate_k(nodes, columns)) if not poly.is_zero()
+    }
     gcd_poly = KPolynomial([])
     for poly in k_dependence.values():
         gcd_poly = kpoly_gcd(gcd_poly, poly) if not gcd_poly.is_zero() else poly

@@ -123,23 +123,32 @@ class Matrix:
         return Matrix(self.rows, self.cols, [fn(a) for a in self.data])
 
     def evaluate(self, q_value: complex) -> CMatrix:
-        return self.evaluate_with_flags(q_value)[0]
+        return [[s.eval_at(q_value) for s in self.row(i)] for i in range(self.rows)]
 
-    def evaluate_with_flags(self, q_value: complex) -> tuple[CMatrix, bool]:
-        """Numeric matrix plus a flag for any branch-cut radicand hit."""
-        out = []
+    def max_abs_at_points(self, points) -> tuple[list[float], bool]:
+        """Largest |entry| at each of ``points``, and whether any radicand
+        evaluated onto the branch cut.
+
+        Entry-major: each distinct entry (scalars are interned, so keyed by
+        identity) is evaluated once per point, and zero is not evaluated.
+        Entries are taken in the order a row-major scan first meets them, so
+        each point's ``max`` is the one the full numeric matrix gives, NaN
+        included.
+        """
+        zeros = [0.0] * len(points)
+        columns = []
         flagged = False
-        for i in range(self.rows):
-            row = []
-            for s in self.row(i):
-                val, flag = s.eval_with_flags(q_value)
-                row.append(val)
+        for s in {id(s): s for s in self.data}.values():
+            if s.is_zero():
+                columns.append(zeros)
+                continue
+            col = []
+            for x in points:
+                val, flag = s.eval_with_flags(x)
+                col.append(abs(val))
                 flagged = flagged or flag
-            out.append(row)
-        return out, flagged
-
-    def max_abs_at(self, q_value: complex) -> float:
-        return max_abs(self.evaluate(q_value))
+            columns.append(col)
+        return [max(at_x) for at_x in zip(*columns)], flagged
 
     def rank(self) -> int:
         """Rank over the scalar field, by exact row reduction."""

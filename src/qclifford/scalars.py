@@ -190,13 +190,14 @@ GR_ONE = GaussRational(1)
 class HalfLaurent:
     """Laurent polynomial in t = q^(1/2); exponent k means q^(k/2)."""
 
-    __slots__ = ("coeffs", "_key")
+    __slots__ = ("coeffs", "_key", "_complex")
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         self._key = None
+        self._complex = None
 
     @staticmethod
     def _nonzero(coeffs: dict) -> "HalfLaurent":
@@ -204,6 +205,7 @@ class HalfLaurent:
         out = object.__new__(HalfLaurent)
         out.coeffs = coeffs
         out._key = None
+        out._complex = None
         return out
 
     @staticmethod
@@ -308,9 +310,11 @@ class HalfLaurent:
         return sorted(items) if len(items) > 1 else items
 
     def eval_t(self, t: complex) -> complex:
+        if self._complex is None:
+            self._complex = tuple((k, complex(float(re), float(im))) for k, re, im in self.key())
         total = 0j
-        for k, re, im in self.key():
-            total += complex(float(re), float(im)) * t**k
+        for k, c in self._complex:
+            total += c * t**k
         return total
 
     def at_one(self) -> GaussRational:
@@ -884,6 +888,8 @@ class RadicalScalar:
         """
         if q_value == 0:
             raise ZeroBase("q must be nonzero")
+        if not self.terms:
+            return 0j, False
         t = cmath.sqrt(complex(q_value))
         total = 0j
         branch_cut = False

@@ -85,6 +85,7 @@ class RunContext:
         # set by the measurement helpers whenever a radicand evaluates onto
         # the principal branch cut; the runner copies it into the report
         self.branch_cut_hit = False
+        self._deformed_metrics: dict = {}
 
     # ---- lazily built shared objects ------------------------------------
 
@@ -136,6 +137,12 @@ class RunContext:
             out.append(((z, lx, ly, qv), presentations.affine_irrep_numeric(z, lx, ly, qv)))
         return out
 
+    def deformed_metric(self, conv: qgamma.ActionConvention) -> qgamma.DeformedMetricResult:
+        """The deformed metric of ``conv``, built on first use."""
+        if conv not in self._deformed_metrics:
+            self._deformed_metrics[conv] = qgamma.deformed_metric(self.gammas, conv)
+        return self._deformed_metrics[conv]
+
     # ---- measurement helpers --------------------------------------------
 
     @property
@@ -163,13 +170,10 @@ class RunContext:
         return self.q_values_field
 
     def measure_matrix(self, m: Matrix) -> float:
-        worst = 0.0
-        for x in self.measure_points:
-            arr, flag = m.evaluate_with_flags(x)
-            if flag:
-                self.branch_cut_hit = True
-            worst = max(worst, max_abs(arr))
-        return worst
+        maxima, flag = m.max_abs_at_points(self.measure_points)
+        if flag:
+            self.branch_cut_hit = True
+        return max([0.0, *maxima])
 
     def measure_scalar(self, s: RadicalScalar) -> float:
         worst = 0.0
@@ -391,7 +395,7 @@ def _deformed_metric_check(conv: qgamma.ActionConvention) -> None:
     def fn(ctx: RunContext) -> CheckReport | None:
         if conv not in ctx.conventions:
             return None
-        res = qgamma.deformed_metric(ctx.gammas, conv)
+        res = ctx.deformed_metric(conv)
         target = qgamma.deformed_metric_target()
         diff = res.matrix - target
         exact_match = diff.is_zero()
@@ -427,13 +431,11 @@ def _qgamma_dm_oracle(ctx: RunContext) -> CheckReport:
     worst = 0.0
     ok = True
     for conv in ctx.conventions:
-        engine = qgamma.deformed_metric(ctx.gammas, conv).matrix
+        engine = ctx.deformed_metric(conv).matrix
         oracle = qgamma.deformed_metric_blade_oracle(ctx.gammas, conv)
         if engine != oracle:
             ok = False
-        diff = engine - oracle
-        for x in ctx.oracle_points:
-            worst = max(worst, diff.max_abs_at(x))
+        worst = max([worst, *(engine - oracle).max_abs_at_points(ctx.oracle_points)[0]])
     if worst > 1e-10:
         ok = False
     return _pass_fail(ok, residual=format_float(worst), q_values=ctx.oracle_q_values)
@@ -926,16 +928,18 @@ def _fierz_linear(ctx: RunContext) -> CheckReport:
 )
 def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
     results = fierz.linear_relation_residuals(ctx.gammas)
+    points = ctx.oracle_points
+    e_norms = [res.residual.max_abs_at_points(points)[0] for res in results]
     worst_gap = 0.0
     ok = True
-    for x in ctx.oracle_points:
+    for i, x in enumerate(points):
         oracle = _oracle_numeric_gammas(x)
-        for (name, lhs, tag, rhs), res in zip(fierz.LINEAR_RELATIONS, results):
+        for (name, lhs, tag, rhs), norms in zip(fierz.LINEAR_RELATIONS, e_norms):
             o_res = csub(
                 cmatmul(oracle[lhs[0]], oracle[lhs[1]]),
                 cscale(_oracle_relation_scale(tag, x), cmatmul(oracle[rhs[0]], oracle[rhs[1]])),
             )
-            e_norm = res.residual.max_abs_at(x)
+            e_norm = norms[i]
             o_norm = max_abs(o_res)
             gap = abs(e_norm - o_norm)
             worst_gap = max(worst_gap, gap)

@@ -131,3 +131,9 @@ def cancelling_partners(a: LaurentFrac) -> list:
 @pytest.fixture
 def rng():
     return random.Random(20240814)
+
+
+@pytest.fixture
+def np():
+    """numpy, the independent float oracle; a test that takes it skips without it."""
+    return pytest.importorskip("numpy")

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qclifford
-from qclifford import presentations
+from qclifford import presentations, qgamma
 from qclifford import suites as suites_mod
 from qclifford.cli import main
 from qclifford.report import (
@@ -605,6 +605,23 @@ class TestRunContext:
         # checks that use five draws take a prefix of the same stream
         assert [p for p, _, _ in ctx.irreps[:5]] == [p for p, _, _ in _seeded_irreps(7, 5)]
 
+    def test_each_deformed_metric_is_built_once(self, monkeypatch):
+        # the per-convention checks and the blade oracle share one build
+        calls = []
+        build = qgamma.deformed_metric
+
+        def counting_build(gs, conv):
+            calls.append(conv)
+            return build(gs, conv)
+
+        monkeypatch.setattr(qgamma, "deformed_metric", counting_build)
+        suites_mod.run_checks(["qgamma"], RunContext(mode="exact"))
+        assert sorted(calls) == sorted(qgamma.ALL_CONVENTIONS)
+        calls.clear()
+        row_sum = (qgamma.ActionConvention.ROW_SUM,)
+        suites_mod.run_checks(["qgamma"], RunContext(mode="exact", conventions=row_sum))
+        assert calls == list(row_sum)
+
     def test_oracle_checks_name_the_reference_points_they_fell_back_to(self, tmp_path):
         # with fewer than five samples the oracles evaluate at REFERENCE_SAMPLES
         args = ["--suite", "qgamma", "--suite", "fierz", "--q-samples", "3"]
@@ -730,3 +747,78 @@ def test_the_runtime_never_imports_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "False"
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0]", proc.stdout[-2000:]
+
+
+# Run in a child process: numpy's import raises ImportError, as it does where
+# numpy is not installed (a ``None`` entry in sys.modules would instead break
+# sympy, which probes for numpy).  The whole suite is collected, then only the
+# tests that take the ``np`` fixture run.
+_WITHOUT_NUMPY = r'''
+import importlib.abc
+import json
+import sys
+
+
+class BlockNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"No module named {name!r}")
+        return None
+
+
+sys.meta_path.insert(0, BlockNumpy())
+import pytest
+
+
+class Probe:
+    def __init__(self):
+        self.modules = {"passed": [], "skipped": [], "failed": []}
+        self.outcomes = {}
+
+    def pytest_collectreport(self, report):
+        if report.nodeid.endswith(".py"):
+            self.modules[report.outcome].append(report.nodeid)
+
+    def pytest_collection_modifyitems(self, config, items):
+        config.hook.pytest_deselected(items=[i for i in items if "np" not in i.fixturenames])
+        items[:] = [i for i in items if "np" in i.fixturenames]
+
+    def pytest_runtest_logreport(self, report):
+        if report.when == "call" or report.outcome != "passed":
+            reason = report.longrepr[2] if report.skipped else ""
+            self.outcomes[report.nodeid] = [report.outcome, reason]
+
+
+probe = Probe()
+code = pytest.main([sys.argv[1], "-q", "-p", "no:cacheprovider"], plugins=[probe])
+print(json.dumps({"code": int(code), "modules": probe.modules, "outcomes": probe.outcomes}))
+'''
+
+
+def test_tier1_runs_without_numpy():
+    # numpy is an optional oracle: without it every test module still
+    # collects, and only the numpy-oracle tests skip
+    tests = pathlib.Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(tests)],
+        capture_output=True,
+        text=True,
+        cwd=tests.parent,
+        env=_env_importing_this_qclifford(),
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    modules = {p.name for p in tests.glob("test_*.py")}
+    assert result["modules"]["failed"] == []
+    assert [pathlib.Path(m).name for m in result["modules"]["skipped"]] == ["test_numeric_oracle.py"]
+    assert {pathlib.Path(m).name for m in result["modules"]["passed"]} == modules - {
+        "test_numeric_oracle.py"
+    }
+    outcomes = result["outcomes"]
+    assert {nodeid.split("::")[0].split("/")[-1] for nodeid in outcomes} >= {
+        "test_acceptance.py", "test_fierz.py", "test_linalg.py",
+        "test_presentations.py", "test_qgamma.py",
+    }
+    for nodeid, (outcome, reason) in outcomes.items():
+        assert outcome == "skipped" and "numpy" in reason, nodeid

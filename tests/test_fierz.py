@@ -1,7 +1,6 @@
 import cmath
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qclifford import fierz, rewrite
@@ -24,10 +23,10 @@ from qclifford.fierz import (
     spinor_metric,
     two_spinor_system,
 )
-from qclifford.linalg import Matrix, matmul
+from qclifford.linalg import Matrix, matmul, solve_exact
 from qclifford.qgamma import build_q_gammas, gamma5
 from qclifford.rewrite import BudgetExceeded, NCPolynomial
-from qclifford.scalars import RadicalScalar, q_half, q_plus_qinv, qinv, qvar
+from qclifford.scalars import RadicalScalar, q_half, q_plus_qinv, qinv, qvar, sqrt
 
 SAMPLES = (0.5, 0.8, 1.3, 1.6, 1.9)
 
@@ -146,7 +145,7 @@ class TestLinearRelations:
         results = linear_relation_residuals(gs)
         assert len(results) == 7
 
-    def test_engine_matches_float_oracle_classification(self, gs):
+    def test_engine_matches_float_oracle_classification(self, gs, np):
         results = linear_relation_residuals(gs)
 
         def oracle(q):
@@ -200,7 +199,7 @@ class TestLinearRelations:
                 # identical pass/fail classification at this sample
                 assert (o_norm < 1e-9) == (e_norm < 1e-9), name
 
-    def test_classification_matches_exact_zero_test(self, gs):
+    def test_classification_matches_exact_zero_test(self, gs, np):
         for res in linear_relation_residuals(gs):
             norms = [float(np.max(np.abs(res.residual.evaluate(qv)))) for qv in SAMPLES]
             if res.holds_exactly:
@@ -234,6 +233,51 @@ class TestQuadraticIdentity:
         monkeypatch.setattr(fierz, "K_VALIDATE", 3)
         r2 = quadratic_identity_report(gs, CONVENTION_COMMUTE)
         assert r1.render_k_dependence() == r2.render_k_dependence()
+
+    @staticmethod
+    def _values(coeffs, nodes):
+        """The polynomial with ``coeffs`` (index = power of k) at each node."""
+        out = []
+        for x in nodes:
+            v = RadicalScalar.zero()
+            for d, c in enumerate(coeffs):
+                v = v + c * RadicalScalar.constant(x**d)
+            out.append(v)
+        return out
+
+    def test_interpolation_matches_per_column_solve(self):
+        n = fierz.K_NODES
+        nodes = [Fraction(i + 1) for i in range(n + fierz.K_VALIDATE)]
+        q, one, zero = qvar(), RadicalScalar.one(), RadicalScalar.zero()
+        root = sqrt(q * q_plus_qinv())
+        columns = [
+            self._values(coeffs, nodes)
+            for coeffs in (
+                [],
+                [q],
+                [one, -q, root],
+                [zero, root * q, zero, qinv(), zero, -one],  # degree K_NODES - 1
+            )
+        ]
+        vandermonde = Matrix.from_rows(
+            [[RadicalScalar.constant(x**d) for d in range(n)] for x in nodes[:n]]
+        )
+        polys = fierz._interpolate_k(nodes, columns)
+        assert len(polys) == len(columns)
+        for poly, col in zip(polys, columns):
+            ok, sol = solve_exact(vandermonde, col[:n])
+            assert ok
+            assert poly == KPolynomial.from_list(sol)
+        assert polys[0].is_zero()
+        assert polys[2].coeffs == [one, -q, root]
+
+    def test_interpolation_rejects_degree_beyond_the_nodes(self):
+        n = fierz.K_NODES
+        nodes = [Fraction(i + 1) for i in range(n + fierz.K_VALIDATE)]
+        too_high = [RadicalScalar.zero()] * n + [RadicalScalar.one()]  # k^K_NODES
+        columns = [self._values([qvar()], nodes), self._values(too_high, nodes)]
+        with pytest.raises(ArithmeticError, match="k-degree exceeds the interpolation bound"):
+            fierz._interpolate_k(nodes, columns)
 
     def test_relabeling_invariance_under_commuting_convention(self, gs):
         plain = quadratic_identity_report(gs, CONVENTION_COMMUTE)

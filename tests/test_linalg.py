@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import random_light_scalar
@@ -14,7 +13,10 @@ from qclifford.linalg import (
     pauli_matrices,
     solve_exact,
 )
-from qclifford.scalars import GaussRational, NotInvertible, RadicalScalar, qvar
+from qclifford.presentations import su2_action_report
+from qclifford.qgamma import ALL_CONVENTIONS
+from qclifford.scalars import GaussRational, NotInvertible, RadicalScalar, qvar, sqrt
+from qclifford.suites import _seeded_irreps
 
 
 def random_matrix(rng, rows, cols):
@@ -130,7 +132,7 @@ class TestExactSolving:
         assert (sol[0] + sol[1]) == RadicalScalar.constant(5)
 
 
-def test_numeric_evaluation_matches_numpy_composition():
+def test_numeric_evaluation_matches_numpy_composition(np):
     rng = random.Random(7)
     a = random_matrix(rng, 3, 3)
     b = random_matrix(rng, 3, 3)
@@ -138,3 +140,60 @@ def test_numeric_evaluation_matches_numpy_composition():
         left = np.asarray(matmul(a, b).evaluate(qv))
         right = np.asarray(a.evaluate(qv)) @ np.asarray(b.evaluate(qv))
         assert np.max(np.abs(left - right)) < 1e-10
+
+
+def _point_major_maxima(m: Matrix, points):
+    """Reference: evaluate every entry at every point, row by row."""
+    maxima, flagged = [], False
+    for x in points:
+        values = []
+        for s in m.data:
+            val, flag = s.eval_with_flags(x)
+            values.append(val)
+            flagged = flagged or flag
+        maxima.append(max(abs(v) for v in values))
+    return maxima, flagged
+
+
+class TestMaxAbsAtPoints:
+    # 32 points in [0.5, 2] plus points where 1 - q is negative real
+    POINTS = [0.5 + 1.5 * k / 31 for k in range(32)]
+
+    def _assert_matches_point_major(self, m, points):
+        maxima, flagged = m.max_abs_at_points(points)
+        ref_maxima, ref_flagged = _point_major_maxima(m, points)
+        assert maxima == ref_maxima
+        assert max([0.0, *maxima]) == max([0.0, *ref_maxima])
+        assert flagged == ref_flagged
+        return flagged
+
+    def test_repeated_entries_and_zeros(self):
+        q = qvar()
+        a = q + q**-1
+        b = sqrt(q * a) - q**2
+        z = RadicalScalar.zero()
+        m = Matrix.from_rows([[z, a, b, a], [b, z, z, a], [a, a, b, z], [z, z, z, b]])
+        assert not self._assert_matches_point_major(m, self.POINTS)
+        assert m.max_abs_at_points(self.POINTS)[0] != [0.0] * len(self.POINTS)
+        zero = Matrix.zeros(2, 2)
+        assert zero.max_abs_at_points(self.POINTS) == ([0.0] * len(self.POINTS), False)
+
+    def test_chq2_su2_action_residual(self):
+        _, irrep, _ = _seeded_irreps(7, 1)[0]
+        residuals = [
+            m
+            for conv in ALL_CONVENTIONS
+            for level in (0, 1)
+            for m in su2_action_report(irrep, level, conv).residuals.values()
+            if not m.is_zero()
+        ]
+        assert residuals
+        for m in residuals:
+            self._assert_matches_point_major(m, self.POINTS)
+
+    def test_branch_cut_flag(self):
+        # 1 - q is a negative real radicand for every q > 1
+        r = sqrt(RadicalScalar.one() - qvar())
+        m = Matrix.from_rows([[r, 0], [qvar(), r]])
+        assert self._assert_matches_point_major(m, self.POINTS)
+        assert not self._assert_matches_point_major(m, [0.5, 0.75])

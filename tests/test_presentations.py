@@ -2,7 +2,6 @@ import cmath
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qclifford.hopf import check_antipode, check_coassociativity, check_counit
@@ -152,7 +151,7 @@ class TestAffineIrrep:
                 expect = q_bracket_of(RadicalScalar.constant(irrep.weight(level, axis)))
                 assert matmul(g, g) == Matrix.identity(2).scale(expect)
 
-    def test_numeric_relations_to_1e10(self):
+    def test_numeric_relations_to_1e10(self, np):
         rng = random.Random(32)
         for _ in range(20):
             z = complex(rng.uniform(0.3, 2.0), rng.uniform(-1, 1))
