@@ -7,19 +7,24 @@ matrices, the seven linear current relations reduced to matrix identities,
 and the quadratic current identity reduced to normal form in the spinor
 generator algebra.
 
-The exchange constant k is handled exactly: the residual is computed at
-several rational k values and its polynomial k-dependence is recovered by
-exact interpolation, validated on surplus sample points.
+The exchange constant k is handled exactly, through an invariant of the
+rules.  Only the reflection rules carry k: each one moves a Z past a Zbar,
+keeps both spinor labels, and is k times its k = 1 form.  A word W whose
+Z-before-Zbar pairs include d(W) pairs that exchange by reflection
+therefore normal-forms at k to k^d(W) times its normal form at k = 1,
+because normal words put every Zbar before every Z and the two-doublet
+systems are confluent (normal forms are unique by the diamond lemma).  The
+quadratic identity is expanded into words, grouped by d and normal-formed
+once per group at k = 1; group d is its coefficient of k^d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import Matrix, _row_reduce, kron, matmul
+from .linalg import Matrix, kron, matmul
 from .qgamma import QGammaSet, gamma5
-from .rewrite import NCPolynomial, RewriteSystem
+from .rewrite import NCPolynomial, RewriteSystem, Word
 from .scalars import (
     RadicalScalar,
     _coerce,
@@ -124,19 +129,26 @@ def _exchange_coefficients(k: RadicalScalar) -> dict:
     return coeffs
 
 
+def _exchange_rules(coeffs: dict, zed: tuple[int, int], zbar: tuple[int, int]) -> dict:
+    """The rules Z^i Zbar^l -> sum c Zbar^m Z^j for one Z doublet and one Zbar doublet.
+
+    ``zed`` and ``zbar`` are the letters of each doublet's two components.
+    """
+    return {
+        (zed[i], zbar[l]): NCPolynomial(
+            {(zbar[m], zed[j]): c for (m, j), c in body.items()}
+        )
+        for (i, l), body in coeffs.items()
+    }
+
+
 def reflection_rules(k) -> RewriteSystem:
     """Rewrite system for one spinor doublet and its conjugate.
 
     Alphabet Zb1 < Zb2 < Z1 < Z2; the four rules move a Z past a Zbar,
     producing scalar-weighted sums of Zbar-first words.
     """
-    coeffs = _exchange_coefficients(_coerce(k))
-    rules = {}
-    for (i, l), body in coeffs.items():
-        rhs = NCPolynomial(
-            {(m, 2 + j): c for (m, j), c in body.items()}
-        )
-        rules[(2 + i, l)] = rhs
+    rules = _exchange_rules(_exchange_coefficients(_coerce(k)), (2, 3), (0, 1))
     return RewriteSystem(("Zb1", "Zb2", "Z1", "Z2"), rules)
 
 
@@ -147,12 +159,28 @@ CONVENTION_REFLECT = "distinct_spinors_reflect"
 _SPINOR_NAMES = ("Zb1.1", "Zb1.2", "Zb2.1", "Zb2.2", "Z1.1", "Z1.2", "Z2.1", "Z2.2")
 
 
-def _zbar(spinor: int, comp: int) -> int:
-    return 2 * (spinor - 1) + (comp - 1)
+def _zbar(spinor: int) -> tuple[int, int]:
+    return 2 * spinor - 2, 2 * spinor - 1
 
 
-def _zed(spinor: int, comp: int) -> int:
-    return 4 + 2 * (spinor - 1) + (comp - 1)
+def _zed(spinor: int) -> tuple[int, int]:
+    return 2 * spinor + 2, 2 * spinor + 3
+
+
+def _spinor(letter: int) -> int:
+    return letter % 4 // 2 + 1
+
+
+def reflecting_pairs(convention: str) -> tuple[tuple[int, int], ...]:
+    """The (Z spinor, Zbar spinor) pairs that exchange by reflection.
+
+    Their rules are the only ones that carry the exchange constant k.
+    """
+    if convention == CONVENTION_COMMUTE:
+        return ((1, 1), (2, 2))
+    if convention == CONVENTION_REFLECT:
+        return ((1, 1), (2, 2), (1, 2), (2, 1))
+    raise ValueError(f"unknown convention {convention!r}")
 
 
 def two_spinor_system(k, convention: str) -> RewriteSystem:
@@ -165,52 +193,49 @@ def two_spinor_system(k, convention: str) -> RewriteSystem:
     """
     coeffs = _exchange_coefficients(_coerce(k))
     rules: dict[tuple[int, int], NCPolynomial] = {}
-
-    def add_reflection(a: int, b: int) -> None:
-        for (i, l), body in coeffs.items():
-            rhs = NCPolynomial(
-                {(_zbar(b, m + 1), _zed(a, j + 1)): c for (m, j), c in body.items()}
-            )
-            rules[(_zed(a, i + 1), _zbar(b, l + 1))] = rhs
-
-    add_reflection(1, 1)
-    add_reflection(2, 2)
+    for a, b in reflecting_pairs(convention):
+        rules.update(_exchange_rules(coeffs, _zed(a), _zbar(b)))
     if convention == CONVENTION_COMMUTE:
-        for i in (1, 2):
-            for l in (1, 2):
-                rules[(_zed(1, i), _zbar(2, l))] = NCPolynomial.word(
-                    (_zbar(2, l), _zed(1, i))
-                )
-                rules[(_zed(2, i), _zbar(1, l))] = NCPolynomial.word(
-                    (_zbar(1, l), _zed(2, i))
-                )
-                rules[(_zbar(2, i), _zbar(1, l))] = NCPolynomial.word(
-                    (_zbar(1, l), _zbar(2, i))
-                )
-                rules[(_zed(2, i), _zed(1, l))] = NCPolynomial.word(
-                    (_zed(1, l), _zed(2, i))
-                )
-    elif convention == CONVENTION_REFLECT:
-        add_reflection(1, 2)
-        add_reflection(2, 1)
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+        # each (later, earlier) pair of letter groups across the doublets
+        for later, earlier in (
+            (_zed(1), _zbar(2)),
+            (_zed(2), _zbar(1)),
+            (_zbar(2), _zbar(1)),
+            (_zed(2), _zed(1)),
+        ):
+            for x in later:
+                for y in earlier:
+                    rules[(x, y)] = NCPolynomial.word((y, x))
     return RewriteSystem(_SPINOR_NAMES, rules)
+
+
+def k_degree(word: Word, convention: str) -> int:
+    """The power of k that normal-ordering ``word`` picks up.
+
+    It counts the pairs of a Z and a later Zbar in ``word`` whose spinors
+    exchange by reflection: each reflection step removes one such pair and
+    is the only step that contributes a factor k, and no normal word has one.
+    """
+    pairs = reflecting_pairs(convention)
+    return sum(
+        (_spinor(z), _spinor(zb)) in pairs
+        for i, z in enumerate(word)
+        if z >= 4
+        for zb in word[i + 1 :]
+        if zb < 4
+    )
 
 
 def majorana_components(spinor: int) -> list[NCPolynomial]:
     """The four-component assembly (Z^1, Z^2, (Zbar eps^{-1})^1, (Zbar eps^{-1})^2)."""
     eps_inv = spinor_metric().inverse()
-    comps = [
-        NCPolynomial.gen(_zed(spinor, 1)),
-        NCPolynomial.gen(_zed(spinor, 2)),
-    ]
+    comps = [NCPolynomial.gen(z) for z in _zed(spinor)]
     for j in range(2):
         p = NCPolynomial.zero()
         for i in range(2):
             c = eps_inv[i, j]
             if not c.is_zero():
-                p = p + NCPolynomial.word((_zbar(spinor, i + 1),), c)
+                p = p + NCPolynomial.word((_zbar(spinor)[i],), c)
         comps.append(p)
     return comps
 
@@ -222,25 +247,21 @@ def current_prefactor() -> RadicalScalar:
 
 def bilinear_current(
     sandwich: Matrix,
-    rs: RewriteSystem,
     bar_components: list[NCPolynomial],
     ket_components: list[NCPolynomial],
 ) -> NCPolynomial:
-    """prefactor * sum_{a,b} bar[a] M[a,b] ket[b], normal-formed.
+    """prefactor * sum_{a,b} bar[a] M[a,b] ket[b], as concatenated words.
 
-    Each product comes out of ``rs.multiply`` in normal form, and scaling
-    and adding normal forms keep them normal.
+    No rule is applied: callers normal-form the current, or whatever they
+    build from it, in the rewrite system they need.
     """
-    pref = current_prefactor()
     out = NCPolynomial.zero()
     for a in range(4):
         for b in range(4):
             m_ab = sandwich[a, b]
-            if m_ab.is_zero():
-                continue
-            term = rs.multiply(bar_components[a], ket_components[b])
-            out = out + term.scale(m_ab)
-    return out.scale(pref)
+            if not m_ab.is_zero():
+                out = out + (bar_components[a] * ket_components[b]).scale(m_ab)
+    return out.scale(current_prefactor())
 
 
 # ---------------------------------------------------------------------------
@@ -371,42 +392,6 @@ def kpoly_gcd(a: KPolynomial, b: KPolynomial) -> KPolynomial:
     return KPolynomial([c * lead_inv for c in x])
 
 
-# the residual is evaluated at K_NODES + K_VALIDATE rational values of the
-# exchange constant; the polynomial recovered from the first K_NODES must
-# reproduce the surplus points exactly, certifying the assumed degree bound
-K_NODES = 6
-K_VALIDATE = 2
-
-
-def _interpolate_k(
-    nodes: list[Fraction], columns: list[list[RadicalScalar]]
-) -> list[KPolynomial]:
-    """Exact interpolant of each column of values through the first K_NODES nodes.
-
-    The Vandermonde system is row-reduced once, augmented with every column;
-    each interpolant (degree < K_NODES) must then reproduce its column's
-    values at the surplus nodes exactly, which certifies the degree bound.
-    """
-    n = K_NODES
-    powers = [[RadicalScalar.constant(x**d) for d in range(n)] for x in nodes]
-    aug = [powers[i] + [col[i] for col in columns] for i in range(n)]
-    if len(_row_reduce(aug, n)) < n:
-        raise ArithmeticError("interpolation system must be solvable")
-    polys = []
-    for j, col in enumerate(columns):
-        poly = KPolynomial.from_list([aug[d][n + j] for d in range(n)])
-        for row, v in zip(powers[n:], col[n:]):
-            predicted = RadicalScalar.zero()
-            for c, p in zip(poly.coeffs, row):
-                predicted = predicted + c * p
-            if not (predicted - v).is_zero():
-                raise ArithmeticError(
-                    "k-degree exceeds the interpolation bound; raise K_NODES"
-                )
-        polys.append(poly)
-    return polys
-
-
 @dataclass
 class QuadraticIdentityReport:
     """Everything the quadratic current identity evaluates to.
@@ -434,59 +419,46 @@ class QuadraticIdentityReport:
         return out
 
 
-def _quadratic_residual(
-    gs: QGammaSet,
-    k_value: Fraction,
-    convention: str,
-    swap_roles: bool = False,
-) -> tuple[NCPolynomial, RewriteSystem]:
-    rs = two_spinor_system(k_value, convention)
-    bar_spinor, ket_spinor = (2, 1) if swap_roles else (1, 2)
-    bar = majorana_components(bar_spinor)
-    ket = majorana_components(ket_spinor)
-    ident = Matrix.identity(4)
-    g03 = matmul(gs.gamma0, gs.gamma3)
-    g5 = gamma5(gs)
-    j_scalar = bilinear_current(ident, rs, bar, ket)
-    j_03 = bilinear_current(g03, rs, bar, ket)
-    j_5 = bilinear_current(g5, rs, bar, ket)
-    q = qvar()
-    big_q = q_plus_qinv()
-    lhs = rs.multiply(j_scalar, j_scalar).scale(q**4)
-    mid = rs.multiply(j_03, j_03)
-    rhs = rs.multiply(j_5, j_5).scale(big_q * (RadicalScalar.one() - q**-4))
-    return rs.normal_form(lhs - mid - rhs), rs
-
-
 def quadratic_identity_report(
     gs: QGammaSet,
     convention: str = CONVENTION_COMMUTE,
     swap_roles: bool = False,
 ) -> QuadraticIdentityReport:
-    """Reduce the quadratic identity and solve its k-dependence exactly."""
-    nodes = [Fraction(i + 1) for i in range(K_NODES + K_VALIDATE)]
-    residuals = []
-    names: tuple[str, ...] = _SPINOR_NAMES
-    for kv in nodes:
-        res, rs = _quadratic_residual(gs, kv, convention, swap_roles)
-        residuals.append(res)
-        names = rs.names
-    words = sorted(
-        {w for res in residuals for w in res.terms}, key=lambda x: (len(x), x)
+    """Reduce the quadratic identity and read its k-dependence off the k-grading."""
+    bar_spinor, ket_spinor = (2, 1) if swap_roles else (1, 2)
+    bar = majorana_components(bar_spinor)
+    ket = majorana_components(ket_spinor)
+    j_scalar = bilinear_current(Matrix.identity(4), bar, ket)
+    j_03 = bilinear_current(matmul(gs.gamma0, gs.gamma3), bar, ket)
+    j_5 = bilinear_current(gamma5(gs), bar, ket)
+    q = qvar()
+    identity = (
+        (j_scalar * j_scalar).scale(q**4)
+        - j_03 * j_03
+        - (j_5 * j_5).scale(q_plus_qinv() * (RadicalScalar.one() - q**-4))
     )
+    graded: dict[int, dict[Word, RadicalScalar]] = {}
+    for w, c in identity.terms.items():
+        graded.setdefault(k_degree(w, convention), {})[w] = c
+    rs = two_spinor_system(1, convention)
+    # by_degree[d] is the coefficient of k^d
+    by_degree = [NCPolynomial.zero()] * (max(graded, default=-1) + 1)
+    for d, terms in graded.items():
+        by_degree[d] = rs.normal_form(NCPolynomial(terms))
+    residual_ref = sum(by_degree, NCPolynomial.zero())
     zero = RadicalScalar.zero()
-    columns = [[res.terms.get(w, zero) for res in residuals] for w in words]
-    k_dependence = {
-        w: poly for w, poly in zip(words, _interpolate_k(nodes, columns)) if not poly.is_zero()
-    }
+    k_dependence = {}
+    words = {w for p in by_degree for w in p.terms}
+    for w in sorted(words, key=lambda x: (len(x), x)):
+        poly = KPolynomial.from_list([p.terms.get(w, zero) for p in by_degree])
+        if not poly.is_zero():
+            k_dependence[w] = poly
     gcd_poly = KPolynomial([])
     for poly in k_dependence.values():
         gcd_poly = kpoly_gcd(gcd_poly, poly) if not gcd_poly.is_zero() else poly
     roots: list[RadicalScalar] = []
     if not gcd_poly.is_zero() and gcd_poly.degree() == 1:
         roots.append(-(gcd_poly.coeffs[0] / gcd_poly.coeffs[1]))
-    reference_index = 0  # k = 1
-    residual_ref = residuals[reference_index]
     return QuadraticIdentityReport(
         convention=convention,
         residual_at_reference=residual_ref,
@@ -494,5 +466,5 @@ def quadratic_identity_report(
         k_dependence=k_dependence,
         gcd_polynomial=gcd_poly,
         common_k_roots=roots,
-        names=names,
+        names=rs.names,
     )

@@ -83,6 +83,14 @@ class NCPolynomial:
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         return self + (-other)
 
+    def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
+        """Concatenation product; no rule is applied."""
+        out: dict[Word, RadicalScalar] = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                accumulate(out, w1 + w2, c1 * c2)
+        return NCPolynomial._nonzero(out)
+
     def scale(self, c) -> "NCPolynomial":
         c = _coerce(c)
         if c.is_zero():
@@ -187,11 +195,7 @@ class RewriteSystem:
 
     def multiply(self, p: NCPolynomial, r: NCPolynomial) -> NCPolynomial:
         """Concatenation product followed by normal form."""
-        raw: dict[Word, RadicalScalar] = {}
-        for w1, c1 in p.terms.items():
-            for w2, c2 in r.terms.items():
-                accumulate(raw, w1 + w2, c1 * c2)
-        return self.normal_form(NCPolynomial._nonzero(raw))
+        return self.normal_form(p * r)
 
     def tensor_power(self, n: int) -> "RewriteSystem":
         """n commuting slots, each carrying a copy of this system.

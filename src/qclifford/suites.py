@@ -94,6 +94,10 @@ class RunContext:
         return qgamma.build_q_gammas()
 
     @cached_property
+    def linear_relation_residuals(self) -> list[fierz.LinearRelationResult]:
+        return fierz.linear_relation_residuals(self.gammas)
+
+    @cached_property
     def metric(self) -> qgamma.QMetric:
         return qgamma.build_metric()
 
@@ -266,16 +270,16 @@ def _clifford_anticommutation(ctx: RunContext) -> CheckReport:
 def _clifford_blades(ctx: RunContext) -> CheckReport:
     cl = blades.CL31
     gam = blades.dirac_matrices()
-    basis = blades.all_basis_blades(cl)
+    images = {b: blades.blade_matrix(b, gam) for b in blades.all_basis_blades(cl)}
     ok = True
     witness = None
-    for b1 in basis:
-        for b2 in basis:
+    for b1 in images:
+        for b2 in images:
             prod = cl.multiply(NCPolynomial.word(b1), NCPolynomial.word(b2))
             expect = Matrix.zeros(4, 4)
             for bl, c in prod.terms.items():
-                expect = expect + blades.blade_matrix(bl, gam).scale(c)
-            got = matmul(blades.blade_matrix(b1, gam), blades.blade_matrix(b2, gam))
+                expect = expect + images[bl].scale(c)
+            got = matmul(images[b1], images[b2])
             if got != expect:
                 ok = False
                 witness = f"blades {b1} * {b2}"
@@ -905,7 +909,7 @@ def _oracle_relation_scale(tag: str, q: complex) -> complex:
     "exact residuals of the seven transcribed linear current relations",
 )
 def _fierz_linear(ctx: RunContext) -> CheckReport:
-    results = fierz.linear_relation_residuals(ctx.gammas)
+    results = ctx.linear_relation_residuals
     worst = 0.0
     holding = []
     for r in results:
@@ -927,7 +931,7 @@ def _fierz_linear(ctx: RunContext) -> CheckReport:
     "engine residuals match an independent float matrix oracle at sampled q",
 )
 def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
-    results = fierz.linear_relation_residuals(ctx.gammas)
+    results = ctx.linear_relation_residuals
     points = ctx.oracle_points
     e_norms = [res.residual.max_abs_at_points(points)[0] for res in results]
     worst_gap = 0.0

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qclifford
-from qclifford import presentations, qgamma
+from qclifford import fierz, presentations, qgamma
 from qclifford import suites as suites_mod
 from qclifford.cli import main
 from qclifford.report import (
@@ -454,7 +454,7 @@ class TestGoldenReport:
     }
 
     @pytest.mark.parametrize("golden_name", list(GOLDENS))
-    def test_hopf_exact_seed7_report_is_unchanged(self, tmp_path, golden_name):
+    def test_report_matches_golden(self, tmp_path, golden_name):
         golden = pathlib.Path(__file__).parent / "data" / golden_name
         args = self.GOLDENS[golden_name]
         code, payload = run_verify(tmp_path, "r.json", [*args, "--seed", "7"])
@@ -621,6 +621,22 @@ class TestRunContext:
         row_sum = (qgamma.ActionConvention.ROW_SUM,)
         suites_mod.run_checks(["qgamma"], RunContext(mode="exact", conventions=row_sum))
         assert calls == list(row_sum)
+
+    def test_linear_relation_residuals_are_built_once(self, monkeypatch):
+        # fierz.linear_relations and its float oracle share one computation
+        calls = []
+        build = fierz.linear_relation_residuals
+
+        def counting_build(gs):
+            calls.append(gs)
+            return build(gs)
+
+        monkeypatch.setattr(fierz, "linear_relation_residuals", counting_build)
+        ctx = RunContext(mode="exact")
+        reports = suites_mod.run_checks(["fierz"], ctx)
+        ids = {r.check_id for r in reports}
+        assert {"fierz.linear_relations", "fierz.linear_relations_oracle"} <= ids
+        assert calls == [ctx.gammas]
 
     def test_oracle_checks_name_the_reference_points_they_fell_back_to(self, tmp_path):
         # with fewer than five samples the oracles evaluate at REFERENCE_SAMPLES

@@ -15,6 +15,7 @@ from qclifford.fierz import (
     flip_matrix,
     hecke_residual,
     hecke_rmatrix,
+    k_degree,
     kpoly_gcd,
     linear_relation_residuals,
     majorana_components,
@@ -23,10 +24,10 @@ from qclifford.fierz import (
     spinor_metric,
     two_spinor_system,
 )
-from qclifford.linalg import Matrix, matmul, solve_exact
+from qclifford.linalg import Matrix, matmul
 from qclifford.qgamma import build_q_gammas, gamma5
 from qclifford.rewrite import BudgetExceeded, NCPolynomial
-from qclifford.scalars import RadicalScalar, q_half, q_plus_qinv, qinv, qvar, sqrt
+from qclifford.scalars import RadicalScalar, q_plus_qinv, qinv, qvar
 
 SAMPLES = (0.5, 0.8, 1.3, 1.6, 1.9)
 
@@ -76,13 +77,42 @@ class TestReflectionRules:
     def test_confluence_outcome_recorded(self):
         # one doublet: every left-hand side is a Z then a Zbar and no rule
         # starts with a Zbar, so no two rules overlap; two doublets overlap,
-        # and the quadratic identity's word-by-word interpolation in k needs
-        # their normal forms unique
+        # and reading the quadratic identity's k-dependence off the k-grading
+        # needs their normal forms unique
         for k in (1, Fraction(3, 5)):
             assert rewrite.local_confluence_check(reflection_rules(k)) == []
             for convention in (CONVENTION_COMMUTE, CONVENTION_REFLECT):
                 rs = two_spinor_system(k, convention)
                 assert rewrite.local_confluence_check(rs) == [], (k, convention)
+
+    @pytest.mark.parametrize("convention", [CONVENTION_COMMUTE, CONVENTION_REFLECT])
+    def test_only_reflecting_pairs_carry_k(self, convention):
+        # the k-grading invariant, rule by rule: a rule scales by k exactly
+        # when its left-hand side has k-degree one, and its right-hand side
+        # is normal-ordered with respect to the grading
+        k = Fraction(3, 5)
+        at_k = two_spinor_system(k, convention).rules
+        at_one = two_spinor_system(1, convention).rules
+        assert at_k.keys() == at_one.keys()
+        for lhs, rhs in at_k.items():
+            d = k_degree(lhs, convention)
+            assert rhs == at_one[lhs].scale(k**d), lhs
+            assert all(k_degree(w, convention) == 0 for w in rhs.terms), lhs
+        assert sum(k_degree(lhs, convention) for lhs in at_k) == 4 * len(
+            fierz.reflecting_pairs(convention)
+        )
+
+    def test_k_degree_counts_reflecting_pairs(self):
+        z11, z21 = fierz._zed(1)[0], fierz._zed(2)[0]
+        zb11, zb21 = fierz._zbar(1)[0], fierz._zbar(2)[0]
+        for convention in (CONVENTION_COMMUTE, CONVENTION_REFLECT):
+            assert k_degree((zb11, zb21, z11, z21), convention) == 0
+        assert k_degree((z11, zb11, z21, zb21), CONVENTION_COMMUTE) == 2
+        assert k_degree((z11, zb11, z21, zb21), CONVENTION_REFLECT) == 3
+        assert k_degree((z11, z21, zb11, zb21), CONVENTION_COMMUTE) == 2
+        assert k_degree((z11, z21, zb11, zb21), CONVENTION_REFLECT) == 4
+        with pytest.raises(ValueError, match="unknown convention"):
+            k_degree((z11, zb11), "no_such_convention")
 
     def test_metric_is_invertible(self):
         eps = spinor_metric()
@@ -99,17 +129,16 @@ class TestCurrents:
         rs = two_spinor_system(1, CONVENTION_COMMUTE)
         bar = majorana_components(1)
         ket = majorana_components(2)
-        j = bilinear_current(Matrix.identity(4), rs, bar, ket)
+        j = rs.normal_form(bilinear_current(Matrix.identity(4), bar, ket))
         assert 0 < len(j.terms) <= 4
         for w in j.terms:
             assert len(w) == 2
 
-    def test_residual_degree_at_most_four(self, gs, monkeypatch):
-        monkeypatch.setattr(fierz, "K_NODES", 4)
-        monkeypatch.setattr(fierz, "K_VALIDATE", 1)
+    def test_residual_degree_at_most_four(self, gs):
         rep = quadratic_identity_report(gs, CONVENTION_COMMUTE)
         for w in rep.residual_at_reference.terms:
             assert len(w) <= 4
+        assert all(poly.degree() < 4 for poly in rep.k_dependence.values())
 
     @staticmethod
     def _sandwiches(gs):
@@ -127,16 +156,23 @@ class TestCurrents:
         bar = majorana_components(1)
         ket = majorana_components(2)
         for sandwich in self._sandwiches(gs):
-            j = bilinear_current(sandwich, rs, bar, ket)
+            j = rs.normal_form(bilinear_current(sandwich, bar, ket))
             assert all(len(w) == 2 for w in j.terms)
 
     @pytest.mark.parametrize("convention", [CONVENTION_COMMUTE, CONVENTION_REFLECT])
     def test_bilinear_current_is_already_in_normal_form(self, gs, convention):
+        # the normal-formed current is the sum of the normal-formed products
+        # bar[a] * ket[b], and normal-forming it again changes nothing
         rs = two_spinor_system(Fraction(3, 5), convention)
         bar = majorana_components(1)
         ket = majorana_components(2)
         for sandwich in self._sandwiches(gs):
-            j = bilinear_current(sandwich, rs, bar, ket)
+            j = rs.normal_form(bilinear_current(sandwich, bar, ket))
+            by_product = NCPolynomial.zero()
+            for a in range(4):
+                for b in range(4):
+                    by_product = by_product + rs.multiply(bar[a], ket[b]).scale(sandwich[a, b])
+            assert j == by_product.scale(current_prefactor())
             assert rs.normal_form(j) == j
 
 
@@ -226,58 +262,45 @@ class TestQuadraticIdentity:
         assert [str(x) for x in r1.common_k_roots] == [str(x) for x in r2.common_k_roots]
         assert r1.gcd_polynomial.render() == r2.gcd_polynomial.render()
 
-    def test_interpolation_validated_on_surplus_nodes(self, gs, monkeypatch):
-        # more interpolation and validation points must not change the answer
-        r1 = quadratic_identity_report(gs, CONVENTION_COMMUTE)
-        monkeypatch.setattr(fierz, "K_NODES", 7)
-        monkeypatch.setattr(fierz, "K_VALIDATE", 3)
-        r2 = quadratic_identity_report(gs, CONVENTION_COMMUTE)
-        assert r1.render_k_dependence() == r2.render_k_dependence()
-
-    @staticmethod
-    def _values(coeffs, nodes):
-        """The polynomial with ``coeffs`` (index = power of k) at each node."""
-        out = []
-        for x in nodes:
-            v = RadicalScalar.zero()
-            for d, c in enumerate(coeffs):
-                v = v + c * RadicalScalar.constant(x**d)
-            out.append(v)
-        return out
-
-    def test_interpolation_matches_per_column_solve(self):
-        n = fierz.K_NODES
-        nodes = [Fraction(i + 1) for i in range(n + fierz.K_VALIDATE)]
-        q, one, zero = qvar(), RadicalScalar.one(), RadicalScalar.zero()
-        root = sqrt(q * q_plus_qinv())
-        columns = [
-            self._values(coeffs, nodes)
-            for coeffs in (
-                [],
-                [q],
-                [one, -q, root],
-                [zero, root * q, zero, qinv(), zero, -one],  # degree K_NODES - 1
+    @pytest.mark.parametrize("swap_roles", [False, True])
+    @pytest.mark.parametrize("convention", [CONVENTION_COMMUTE, CONVENTION_REFLECT])
+    def test_k_grading_matches_reduction_at_k(self, gs, convention, swap_roles):
+        # oracle: reduce the identity in the system at k itself, normal-forming
+        # each current and multiplying normal forms; word by word it must equal
+        # sum_d k^d (coefficient of k^d) read from the report
+        rep = quadratic_identity_report(gs, convention, swap_roles)
+        bar, ket = (majorana_components(s) for s in ((2, 1) if swap_roles else (1, 2)))
+        sandwiches = (Matrix.identity(4), matmul(gs.gamma0, gs.gamma3), gamma5(gs))
+        q = qvar()
+        assert any(poly.degree() > 0 for poly in rep.k_dependence.values())
+        for k in (Fraction(3, 5), Fraction(2), Fraction(-1, 2)):
+            rs = two_spinor_system(k, convention)
+            j, j_03, j_5 = (rs.normal_form(bilinear_current(m, bar, ket)) for m in sandwiches)
+            direct = rs.normal_form(
+                rs.multiply(j, j).scale(q**4)
+                - rs.multiply(j_03, j_03)
+                - rs.multiply(j_5, j_5).scale(q_plus_qinv() * (RadicalScalar.one() - q**-4))
             )
-        ]
-        vandermonde = Matrix.from_rows(
-            [[RadicalScalar.constant(x**d) for d in range(n)] for x in nodes[:n]]
-        )
-        polys = fierz._interpolate_k(nodes, columns)
-        assert len(polys) == len(columns)
-        for poly, col in zip(polys, columns):
-            ok, sol = solve_exact(vandermonde, col[:n])
-            assert ok
-            assert poly == KPolynomial.from_list(sol)
-        assert polys[0].is_zero()
-        assert polys[2].coeffs == [one, -q, root]
+            graded = {}
+            for w, poly in rep.k_dependence.items():
+                graded[w] = RadicalScalar.zero()
+                for d, c in enumerate(poly.coeffs):
+                    graded[w] = graded[w] + c * RadicalScalar.constant(k**d)
+            assert direct == NCPolynomial(graded), k
 
-    def test_interpolation_rejects_degree_beyond_the_nodes(self):
-        n = fierz.K_NODES
-        nodes = [Fraction(i + 1) for i in range(n + fierz.K_VALIDATE)]
-        too_high = [RadicalScalar.zero()] * n + [RadicalScalar.one()]  # k^K_NODES
-        columns = [self._values([qvar()], nodes), self._values(too_high, nodes)]
-        with pytest.raises(ArithmeticError, match="k-degree exceeds the interpolation bound"):
-            fierz._interpolate_k(nodes, columns)
+    def test_one_system_build_per_report(self, gs, monkeypatch):
+        calls = []
+        build = fierz.two_spinor_system
+
+        def counting_build(k, convention):
+            calls.append((k, convention))
+            return build(k, convention)
+
+        monkeypatch.setattr(fierz, "two_spinor_system", counting_build)
+        for convention in (CONVENTION_COMMUTE, CONVENTION_REFLECT):
+            calls.clear()
+            quadratic_identity_report(gs, convention)
+            assert calls == [(1, convention)]
 
     def test_relabeling_invariance_under_commuting_convention(self, gs):
         plain = quadratic_identity_report(gs, CONVENTION_COMMUTE)
