@@ -10,13 +10,22 @@ so the generator- and relation-level checks are the decisive content; the
 word sweep is a consistency net on top.
 
 Every structure map is applied by one mechanism, ``WordImages``: a word's
-image is its prefix's image times its last letter's image, memoised per
-word.  It gives the coproduct in the tensor square, the identity map's
-normal forms, and (on reversed words) the antipode; the counit is the same
-prefix rule over scalars.  The coproduct table and the counit memo live on
-the ``HopfData`` and are filled on first use, so every later sweep of the
-same algebra reads them; the structure maps must not change after that.
-The sweeps build their other tables afresh and drop them when they end.
+image is its prefix's image times its last letter's image.  It gives the
+coproduct in the tensor square, the identity map's normal forms, and (on
+reversed words) the antipode; the counit is the same prefix rule over
+scalars.  Images are interned, so equal images are one object, and each
+product is computed once per distinct (prefix image, last letter) pair.
+The coproduct and antipode tables and the counit memo live on the
+``HopfData`` and are filled on first use, so every later sweep of the same
+algebra reads them; the structure maps must not change after that.  The
+sweeps build the identity table and their side memos afresh and drop them
+when they end.
+
+Each side of each axiom is a function of the word's coproduct image alone
+(only the target, NF(w) or eps(w)*1, depends on the word), so the sweeps
+compute the sides once per distinct image, keyed on the image's ``id``.
+Those keys stay valid because the coproduct table holds every image it
+hands out.
 """
 
 from __future__ import annotations
@@ -63,6 +72,11 @@ class HopfData:
         """Coproducts of words, one table shared by every sweep of this algebra."""
         return WordImages(self.coproduct, self.t2)
 
+    @cached_property
+    def antipode_images(self) -> WordImages:
+        """Antipodes of reversed words, one table shared like ``delta_images``."""
+        return WordImages(self.antipode, self.rs)
+
     def split(self, tw: Word) -> tuple[Word, Word]:
         """The slot parts (u, v) of a slot-sorted tensor-square word, memoised."""
         parts = self._splits.get(tw)
@@ -89,7 +103,7 @@ class HopfData:
                 if letter not in self.antipode:
                     raise AntipodeMissing(self.rs.names[letter])
         reversed_p = NCPolynomial._nonzero({w[::-1]: c for w, c in p.terms.items()})
-        return WordImages(self.antipode, self.rs).extend(reversed_p)
+        return self.antipode_images.extend(reversed_p)
 
     def missing_antipode_generators(self) -> list[str]:
         return [
@@ -113,28 +127,42 @@ class WordImages:
     """Images of words under the algebra map fixed by its generator images.
 
     A word's image is its prefix's image times the image of its last
-    letter, multiplied in ``target`` and memoised per word, so each word
-    costs one multiplication once its prefix is known.  The structure
-    maps are multiplicative and the target systems confluent (tested in
+    letter, multiplied in ``target``.  The structure maps are
+    multiplicative and the target systems confluent (tested in
     ``tests/test_hopf.py::TestTargetConfluence``), so by the diamond lemma
     this bracketing gives the same normal form as any other.
-    Equal words in the cached images are one interned tuple.
+
+    Images are interned by their term set: equal images are one object,
+    and the product is computed once per distinct (prefix image, last
+    letter) pair, not once per word.  The table holds every image it hands
+    out, so an image's ``id`` is a stable memo key while the table lives.
+    Equal words in the images are one interned tuple.
     """
 
     def __init__(self, gen_images, target: RewriteSystem):
         self.gen_images = gen_images
         self.target = target
-        self.cache: dict[Word, NCPolynomial] = {(): NCPolynomial.unit()}
+        unit = NCPolynomial.unit()
+        self.cache: dict[Word, NCPolynomial] = {(): unit}
+        self.images: dict[frozenset, NCPolynomial] = {frozenset(unit.terms.items()): unit}
+        # (id of the prefix image, last letter) -> the word's image
+        self.products: dict[tuple[int, int], NCPolynomial] = {}
         self.words: dict[Word, Word] = {}
 
     def __call__(self, word) -> NCPolynomial:
         cached = self.cache.get(word)
         if cached is None:
-            image = self.target.multiply(self(word[:-1]), self.gen_images[word[-1]])
-            words = self.words
-            cached = NCPolynomial._nonzero(
-                {words.setdefault(w, w): c for w, c in image.terms.items()}
-            )
+            prefix = self(word[:-1])
+            key = (id(prefix), word[-1])
+            cached = self.products.get(key)
+            if cached is None:
+                image = self.target.multiply(prefix, self.gen_images[word[-1]])
+                words = self.words
+                terms = {words.setdefault(w, w): c for w, c in image.terms.items()}
+                cached = self.images.setdefault(
+                    frozenset(terms.items()), NCPolynomial._nonzero(terms)
+                )
+                self.products[key] = cached
             self.cache[word] = cached
         return cached
 
@@ -165,6 +193,26 @@ def _side_witnesses(rs, w, left: NCPolynomial, right: NCPolynomial, target: NCPo
     ]
 
 
+def _sweep(h: HopfData, name: str, max_len: int, sides, witnesses_of) -> AxiomResult:
+    """Check one axiom on every word up to ``max_len``.
+
+    ``sides(image)`` is evaluated once per distinct coproduct image, and
+    ``witnesses_of(w, sides)`` compares it with the word's own target.
+    """
+    delta = h.delta_images
+    memo: dict[int, object] = {}
+    checked = 0
+    witnesses = []
+    for w in h.rs.iter_words(max_len):
+        checked += 1
+        image = delta(w)
+        key = id(image)
+        if key not in memo:
+            memo[key] = sides(image)
+        witnesses += witnesses_of(w, memo[key])
+    return AxiomResult(name, not witnesses, checked, witnesses)
+
+
 def check_coassociativity(h: HopfData, max_len: int = 4) -> AxiomResult:
     """(Delta x id) o Delta = (id x Delta) o Delta on words up to max_len.
 
@@ -172,20 +220,19 @@ def check_coassociativity(h: HopfData, max_len: int = 4) -> AxiomResult:
     the tensor systems, so applying Delta to one leg of a normal-formed
     coproduct is pure linear assembly over memoized coproduct values.
     Both legs of each tensor word (u, v) are expanded once per sweep, as
-    the tensor-cube terms of (Delta x id)(u v) and (id x Delta)(u v).
+    the tensor-cube terms of (Delta x id)(u v) and (id x Delta)(u v), and
+    the residual is rendered once per distinct coproduct image.
     """
     rs = h.rs
     g = rs.size
     delta, split = h.delta_images, h.split
     # tensor word of the slot pair (u, v) -> tensor-cube terms of Delta(u) v and u Delta(v)
     legs: dict[Word, tuple[list, list]] = {}
-    checked = 0
-    witnesses = []
-    for w in rs.iter_words(max_len):
-        checked += 1
+
+    def residual(image: NCPolynomial) -> str | None:
         lhs: dict[Word, RadicalScalar] = {}
         rhs: dict[Word, RadicalScalar] = {}
-        for tw, c in delta(w).terms.items():
+        for tw, c in image.terms.items():
             pair = legs.get(tw)
             if pair is None:
                 u, v = split(tw)
@@ -198,33 +245,39 @@ def check_coassociativity(h: HopfData, max_len: int = 4) -> AxiomResult:
                 accumulate(lhs, tw3, c * c2)
             for tw3, c2 in pair[1]:
                 accumulate(rhs, tw3, c * c2)
-        if lhs != rhs:
-            diff = NCPolynomial(lhs) - NCPolynomial(rhs)
-            witnesses.append((rs.render(NCPolynomial.word(w)), h.t3.render(diff)))
-    return AxiomResult("coassociativity", not witnesses, checked, witnesses)
+        if lhs == rhs:
+            return None
+        return h.t3.render(NCPolynomial(lhs) - NCPolynomial(rhs))
+
+    def witnesses_of(w: Word, diff: str | None) -> list:
+        return [] if diff is None else [(rs.render(NCPolynomial.word(w)), diff)]
+
+    return _sweep(h, "coassociativity", max_len, residual, witnesses_of)
 
 
 def check_counit(h: HopfData, max_len: int = 4) -> AxiomResult:
     """(eps x id) o Delta = id = (id x eps) o Delta on words up to max_len.
 
     The slot parts of a normal-formed coproduct are themselves normal, so
-    collapsing one leg with the counit is linear assembly.
+    collapsing one leg with the counit is linear assembly, done once per
+    distinct coproduct image.
     """
     rs = h.rs
-    delta, split = h.delta_images, h.split
+    split = h.split
     bases = WordImages({i: NCPolynomial.gen(i) for i in range(rs.size)}, rs)
-    checked = 0
-    witnesses = []
-    for w in rs.iter_words(max_len):
-        checked += 1
+
+    def sides(image: NCPolynomial) -> tuple[NCPolynomial, NCPolynomial]:
         left: dict[Word, RadicalScalar] = {}
         right: dict[Word, RadicalScalar] = {}
-        for tw, c in delta(w).terms.items():
+        for tw, c in image.terms.items():
             u, v = split(tw)
             accumulate(left, v, c * h.counit_word(u))
             accumulate(right, u, c * h.counit_word(v))
-        witnesses += _side_witnesses(rs, w, NCPolynomial(left), NCPolynomial(right), bases(w))
-    return AxiomResult("counit", not witnesses, checked, witnesses)
+        return NCPolynomial(left), NCPolynomial(right)
+
+    return _sweep(
+        h, "counit", max_len, sides, lambda w, pair: _side_witnesses(rs, w, *pair, bases(w))
+    )
 
 
 def check_antipode(h: HopfData, max_len: int = 4) -> AxiomResult:
@@ -233,25 +286,23 @@ def check_antipode(h: HopfData, max_len: int = 4) -> AxiomResult:
     S is anti-multiplicative, so S(w) is the image of the reversed word.
     Each slot pair (u, v) of a coproduct term is multiplied out once per
     sweep, as S(u) v and u S(v); the sides are sums of those normal forms
-    and so are normal themselves.  Raises AntipodeMissing when some
-    generator has no antipode assigned; callers that want a report instead
-    should test ``missing_antipode_generators`` first.
+    and so are normal themselves, and are summed once per distinct
+    coproduct image.  Raises AntipodeMissing when some generator has no
+    antipode assigned; callers that want a report instead should test
+    ``missing_antipode_generators`` first.
     """
     missing = h.missing_antipode_generators()
     if missing:
         raise AntipodeMissing(", ".join(missing))
     rs = h.rs
-    delta, split = h.delta_images, h.split
-    s_images = WordImages(h.antipode, rs)
+    split, s_images = h.split, h.antipode_images
     # tensor word of the slot pair (u, v) -> (S(u) v, u S(v))
     products: dict[Word, tuple[NCPolynomial, NCPolynomial]] = {}
-    checked = 0
-    witnesses = []
-    for w in rs.iter_words(max_len):
-        checked += 1
+
+    def sides(image: NCPolynomial) -> tuple[NCPolynomial, NCPolynomial]:
         left: dict[Word, RadicalScalar] = {}
         right: dict[Word, RadicalScalar] = {}
-        for tw, c in delta(w).terms.items():
+        for tw, c in image.terms.items():
             pair = products.get(tw)
             if pair is None:
                 u, v = split(tw)
@@ -261,11 +312,12 @@ def check_antipode(h: HopfData, max_len: int = 4) -> AxiomResult:
                 )
             _add_scaled(left, pair[0], c)
             _add_scaled(right, pair[1], c)
-        target = NCPolynomial({(): h.counit_word(w)})
-        witnesses += _side_witnesses(
-            rs, w, NCPolynomial._nonzero(left), NCPolynomial._nonzero(right), target
-        )
-    return AxiomResult("antipode", not witnesses, checked, witnesses)
+        return NCPolynomial._nonzero(left), NCPolynomial._nonzero(right)
+
+    def witnesses_of(w: Word, pair) -> list:
+        return _side_witnesses(rs, w, *pair, NCPolynomial({(): h.counit_word(w)}))
+
+    return _sweep(h, "antipode", max_len, sides, witnesses_of)
 
 
 def check_bialgebra_compatibility(h: HopfData) -> AxiomResult:

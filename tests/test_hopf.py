@@ -4,6 +4,7 @@ import pytest
 
 from qclifford.hopf import (
     AntipodeMissing,
+    AxiomResult,
     WordImages,
     check_antipode,
     check_bialgebra_compatibility,
@@ -13,6 +14,7 @@ from qclifford.hopf import (
 from qclifford.presentations import (
     CH_G,
     CH_G3,
+    adjoint_action,
     build_ch2,
     build_chq2,
     build_glq2,
@@ -39,6 +41,86 @@ def apply_morphism(
 
 def _full_chq2():
     return build_chq2(include_inherited_antipode=True)
+
+
+def _broken_glq2():
+    gl = build_glq2()
+    gl.coproduct[0] = NCPolynomial.word((0, gl.rs.size + 1))  # Delta(a11) = a11 (x) a12
+    return gl
+
+
+class _PerWordImages(dict):
+    """Reference word images: one product per word, nothing interned."""
+
+    def __init__(self, gen_images, target: RewriteSystem):
+        super().__init__({(): NCPolynomial.unit()})
+        self.gen_images = gen_images
+        self.target = target
+
+    def __missing__(self, word):
+        image = self[word] = self.target.multiply(self[word[:-1]], self.gen_images[word[-1]])
+        return image
+
+
+def _reference_side_witnesses(rs, w, left, right, target):
+    return [
+        (rs.render(NCPolynomial.word(w)), rs.render(side - target))
+        for side in (left, right)
+        if side != target
+    ]
+
+
+def _reference_coassociativity(h, max_len):
+    """Reference sweep: both sides recomputed for every word, no image memo."""
+    rs, g = h.rs, h.rs.size
+    delta = _PerWordImages(h.coproduct, h.t2)
+    words = list(rs.iter_words(max_len))
+    witnesses = []
+    for w in words:
+        lhs, rhs = NCPolynomial.zero(), NCPolynomial.zero()
+        for tw, c in delta[w].terms.items():
+            u, v = h.split(tw)
+            v3 = tuple(x + 2 * g for x in v)
+            lhs += NCPolynomial({tw2 + v3: c * c2 for tw2, c2 in delta[u].terms.items()})
+            rhs += NCPolynomial(
+                {u + tuple(x + g for x in tw2): c * c2 for tw2, c2 in delta[v].terms.items()}
+            )
+        if lhs != rhs:
+            witnesses.append((rs.render(NCPolynomial.word(w)), h.t3.render(lhs - rhs)))
+    return AxiomResult("coassociativity", not witnesses, len(words), witnesses)
+
+
+def _reference_counit(h, max_len):
+    rs = h.rs
+    delta = _PerWordImages(h.coproduct, h.t2)
+    words = list(rs.iter_words(max_len))
+    witnesses = []
+    for w in words:
+        left, right = NCPolynomial.zero(), NCPolynomial.zero()
+        for tw, c in delta[w].terms.items():
+            u, v = h.split(tw)
+            left += NCPolynomial.word(v, c * h.counit_word(u))
+            right += NCPolynomial.word(u, c * h.counit_word(v))
+        target = rs.normal_form(NCPolynomial.word(w))
+        witnesses += _reference_side_witnesses(rs, w, left, right, target)
+    return AxiomResult("counit", not witnesses, len(words), witnesses)
+
+
+def _reference_antipode(h, max_len):
+    rs = h.rs
+    delta = _PerWordImages(h.coproduct, h.t2)
+    s_images = _PerWordImages(h.antipode, rs)
+    words = list(rs.iter_words(max_len))
+    witnesses = []
+    for w in words:
+        left, right = NCPolynomial.zero(), NCPolynomial.zero()
+        for tw, c in delta[w].terms.items():
+            u, v = h.split(tw)
+            left += rs.multiply(s_images[u[::-1]], NCPolynomial.word(v)).scale(c)
+            right += rs.multiply(NCPolynomial.word(u), s_images[v[::-1]]).scale(c)
+        target = NCPolynomial({(): h.counit_word(w)})
+        witnesses += _reference_side_witnesses(rs, w, left, right, target)
+    return AxiomResult("antipode", not witnesses, len(words), witnesses)
 
 
 class TestGroupToy:
@@ -158,6 +240,40 @@ class TestNegativeControls:
         assert lhs.is_zero() and rhs.is_zero()
 
 
+_COUNITAL = [
+    (check_coassociativity, _reference_coassociativity),
+    (check_counit, _reference_counit),
+]
+_ALL_THREE = _COUNITAL + [(check_antipode, _reference_antipode)]
+
+
+class TestSweepOracle:
+    """Sides memoised per distinct coproduct image against the word-by-word
+    reference: the full AxiomResult, witnesses in order included."""
+
+    @pytest.mark.parametrize(
+        "build, max_len, checkers",
+        [
+            (build_group_toy, 3, _ALL_THREE),
+            (build_glq2, 4, _COUNITAL),
+            (_broken_glq2, 3, _COUNITAL),
+            (build_ch2, 4, _ALL_THREE),
+            (_full_chq2, 3, _ALL_THREE),
+            (lambda: _perturbed_ch2("coassoc"), 3, _ALL_THREE),
+            (lambda: _perturbed_ch2("counit"), 3, _ALL_THREE),
+            (lambda: _perturbed_ch2("antipode"), 3, _ALL_THREE),
+        ],
+        ids=[
+            "toy", "glq2", "glq2_broken_delta", "ch2", "chq2", "perturbed_coassoc",
+            "perturbed_counit", "perturbed_antipode",
+        ],
+    )
+    def test_memoised_sweeps_equal_reference(self, build, max_len, checkers):
+        h = build()
+        for checker, reference in checkers:
+            assert checker(h, max_len) == reference(build(), max_len), checker.__name__
+
+
 class TestTargetConfluence:
     """Every system the Hopf checkers multiply in has unique normal forms,
     the diamond-lemma premise of ``WordImages``."""
@@ -176,12 +292,44 @@ class TestTargetConfluence:
 class TestWordImages:
     """The shared prefix cache against the direct letter-by-letter extension."""
 
-    @pytest.mark.parametrize("build", [build_glq2, build_ch2], ids=["glq2", "ch2"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_glq2,
+            build_ch2,
+            _full_chq2,
+            lambda: _perturbed_ch2("coassoc"),
+            lambda: _perturbed_ch2("counit"),
+            lambda: _perturbed_ch2("antipode"),
+        ],
+        ids=[
+            "glq2", "ch2", "chq2", "perturbed_coassoc", "perturbed_counit",
+            "perturbed_antipode",
+        ],
+    )
     def test_coproduct_images_match_apply_morphism(self, build):
         h = build()
-        for w in chain([()], h.rs.iter_words(3)):
-            expect = apply_morphism(NCPolynomial.word(w), h.coproduct, h.t2)
-            assert h.delta_images(w) == expect, w
+        words = list(chain([()], h.rs.iter_words(3)))
+        # fill the whole table first, so every shared image has been handed out
+        images = [h.delta_images(w) for w in words]
+        for w, image in zip(words, images, strict=True):
+            assert image == apply_morphism(NCPolynomial.word(w), h.coproduct, h.t2), w
+
+    @pytest.mark.parametrize(
+        "build, max_len, distinct",
+        [(build_ch2, 4, 187), (_full_chq2, 3, 284), (build_glq2, 4, 217)],
+        ids=["ch2", "chq2", "glq2"],
+    )
+    def test_equal_images_are_one_object(self, build, max_len, distinct):
+        h = build()
+        words = list(h.rs.iter_words(max_len))
+        images = [h.delta_images(w) for w in words]
+        by_value = {}
+        for w, image in zip(words, images, strict=True):
+            assert by_value.setdefault(image, image) is image, w
+        assert len({id(image) for image in images}) == len(by_value) == distinct
+        # Delta respects the relations, so equal images are equal normal forms
+        assert len({h.rs.normal_form(NCPolynomial.word(w)) for w in words}) == distinct
 
     @pytest.mark.parametrize("build", [build_glq2, build_ch2], ids=["glq2", "ch2"])
     def test_equal_words_in_the_table_are_one_object(self, build):
@@ -224,6 +372,22 @@ class TestStructureMaps:
         gl = build_glq2()
         with pytest.raises(AntipodeMissing, match="a12"):
             gl.antipode_of(NCPolynomial.word((0, 1)))
+
+    def test_one_antipode_table_per_algebra(self, monkeypatch):
+        h = _full_chq2()
+        built = []
+        init = WordImages.__init__
+
+        def counting(self, gen_images, target):
+            built.append(gen_images)
+            init(self, gen_images, target)
+
+        monkeypatch.setattr(WordImages, "__init__", counting)
+        for w in h.rs.iter_words(2):
+            h.antipode_of(NCPolynomial.word(w))
+            adjoint_action(h, NCPolynomial.word(w), NCPolynomial.gen(0))
+        assert check_antipode(h, 2).ok and check_antipode(h, 3).ok
+        assert sum(1 for images in built if images is h.antipode) == 1
 
     def test_counit_word_computes_each_word_once(self, monkeypatch):
         h = build_ch2()
@@ -292,8 +456,12 @@ class TestSharedCoproductTable:
         monkeypatch.setattr(RewriteSystem, "multiply", counting)
         assert check_coassociativity(h, 4).ok and check_counit(h, 4).ok
         assert check_antipode(h, 4).ok
-        # one tensor-square product per word of length 1 to 4 over six letters
-        assert sum(1 for rs in calls if rs is h.t2) == 6 + 6**2 + 6**3 + 6**4
+        # one tensor-square product per distinct (prefix image, last letter)
+        # pair, fewer than the one per word of length 1 to 4 over six letters
+        words = list(h.rs.iter_words(4))
+        pairs = {(h.delta_images(w[:-1]), w[-1]) for w in words}
+        t2_products = sum(1 for rs in calls if rs is h.t2)
+        assert t2_products == len(pairs) < len(words) == 6 + 6**2 + 6**3 + 6**4
 
         calls.clear()
         assert check_antipode(h, 4).ok
