@@ -145,7 +145,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot write report: {args.out} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ConfigError(f"cannot write report: the directory of {args.out} does not exist")
-    conv_values = args.convention or list(_CONVENTION_VALUES)
+    # repeats are dropped in order, as resolve_suites does for --suite
+    conv_values = list(dict.fromkeys(args.convention or _CONVENTION_VALUES))
     for value in conv_values:
         if value not in _CONVENTION_VALUES:
             raise ConfigError(f"unknown convention {value!r}")

@@ -669,6 +669,19 @@ class TestConventionFilter:
         assert metric_checks == ["qgamma.deformed_metric.row_sum"]
         assert doc["config"]["conventions"] == ["row_sum"]
 
+    def test_repeated_convention_gives_the_bytes_of_a_single_one(self, tmp_path):
+        base = ["--suite", "qgamma", "--mode", "exact", "--q-samples", "3"]
+        _, single = run_verify(tmp_path, "one.json", [*base, "--convention", "row_sum"])
+        _, repeated = run_verify(
+            tmp_path, "two.json", [*base, "--convention", "row_sum", "--convention", "row_sum"]
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("convention = row_sum, row_sum\n")
+        _, from_file = run_verify(tmp_path, "cfg.json", [*base, "--config", str(cfg)])
+        assert json.loads(single)["config"]["conventions"] == ["row_sum"]
+        assert repeated == single
+        assert from_file == single
+
 
 class TestListChecks:
     def test_lists_every_registered_check(self, capsys):

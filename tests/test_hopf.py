@@ -387,7 +387,25 @@ class TestStructureMaps:
             h.antipode_of(NCPolynomial.word(w))
             adjoint_action(h, NCPolynomial.word(w), NCPolynomial.gen(0))
         assert check_antipode(h, 2).ok and check_antipode(h, 3).ok
+        assert check_counit(h, 2).ok and check_counit(h, 3).ok
         assert sum(1 for images in built if images is h.antipode) == 1
+        # the counit sweeps share one identity-map table as well
+        identity = {i: NCPolynomial.gen(i) for i in range(h.rs.size)}
+        assert sum(1 for images in built if images == identity) == 1
+
+    def test_a_second_counit_sweep_multiplies_nothing(self, monkeypatch):
+        h = build_ch2()
+        first = check_counit(h, 4)
+        calls = []
+        multiply = RewriteSystem.multiply
+
+        def counting(self, *args, **kw):
+            calls.append(self)
+            return multiply(self, *args, **kw)
+
+        monkeypatch.setattr(RewriteSystem, "multiply", counting)
+        assert check_counit(h, 4) == first
+        assert calls == []
 
     def test_counit_word_computes_each_word_once(self, monkeypatch):
         h = build_ch2()

@@ -24,6 +24,8 @@ from qclifford.scalars import (
     qvar,
     sqrt,
 )
+from qclifford.report import format_float
+from qclifford.suites import RunContext, registry
 
 SAMPLES = (0.5, 0.8, 1.3, 1.6, 1.9)
 
@@ -195,6 +197,15 @@ class TestBareRelation:
         assert np.max(np.abs(got - expected)) < 1e-12
         # and in this case the residual is exactly zero
         assert np.max(np.abs(expected)) < 1e-12
+
+    def test_flip_mismatch_is_decided_by_the_exact_zero_count(self, monkeypatch):
+        # a nonzero residual that measures 0.0 at every sample still mismatches
+        monkeypatch.setattr(RunContext, "measure_matrix", lambda self, m: 0.0)
+        (check,) = [c for c in registry() if c.check_id == "qgamma.bare_relation_flip"]
+        report = check.fn(RunContext(mode="exact"))
+        assert report.residual_max == format_float(0.0)
+        assert report.details["pairs_exactly_zero"] < 16
+        assert report.mismatch
 
     def test_flip_residuals_deterministic(self, gs, qm):
         r1 = bare_relation_flip_residuals(gs, qm)
