@@ -11,13 +11,13 @@ word sweep is a consistency net on top.
 
 Every structure map is applied by one mechanism, ``WordImages``: a word's
 image is its prefix's image times its last letter's image.  It gives the
-coproduct in the tensor square, the identity map's normal forms, and (on
-reversed words) the antipode; the counit is the same prefix rule over
-scalars.  Images are interned, so equal images are one object, and each
+coproduct in the tensor square, and in the algebra itself the identity
+map's normal forms, the counit as eps(w) * 1 and (on reversed words) the
+antipode.  Images are interned, so equal images are one object, and each
 product is computed once per distinct (prefix image, last letter) pair.
-These tables and the counit memo live on the ``HopfData`` and are filled
-on first use, so every later sweep of the same algebra reads them; the
-structure maps must not change after that.
+These four tables live on the ``HopfData`` and are filled on first use,
+so every later sweep of the same algebra reads them; the structure maps
+must not change after that.
 
 Every axiom is swept by one loop, ``_sweep``, and is given to it as legs
 plus a target.  The legs of a slot pair (u, v) of a coproduct term are
@@ -33,6 +33,7 @@ image.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,10 +59,6 @@ class HopfData:
     counit: dict[int, RadicalScalar]
     antipode: dict[int, NCPolynomial] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._splits: dict[Word, tuple[Word, Word]] = {}
-        self._counits: dict[Word, RadicalScalar] = {(): RadicalScalar.one()}
-
     @cached_property
     def t2(self) -> RewriteSystem:
         return self.rs.tensor_power(2)
@@ -85,24 +82,19 @@ class HopfData:
         """Normal forms of words, the identity map's images, shared the same way."""
         return WordImages({i: NCPolynomial.gen(i) for i in range(self.rs.size)}, self.rs)
 
+    @cached_property
+    def counit_images(self) -> WordImages:
+        """eps(w) * 1 for every word: the counit as a map into ``rs``, shared the same way."""
+        return WordImages({i: NCPolynomial({(): e}) for i, e in self.counit.items()}, self.rs)
+
     def split(self, tw: Word) -> tuple[Word, Word]:
-        """The slot parts (u, v) of a slot-sorted tensor-square word, memoised."""
-        parts = self._splits.get(tw)
-        if parts is None:
-            g = self.rs.size
-            parts = (tuple(i for i in tw if i < g), tuple(i - g for i in tw if i >= g))
-            self._splits[tw] = parts
-        return parts
+        """The slot parts (u, v) of a slot-sorted tensor-square word."""
+        g = self.rs.size
+        k = bisect_left(tw, g)  # slot-0 letters (< g) all come first
+        return tw[:k], tuple(i - g for i in tw[k:])
 
     def delta(self, p: NCPolynomial) -> NCPolynomial:
         return self.delta_images.extend(p)
-
-    def counit_word(self, w: Word) -> RadicalScalar:
-        """eps(w) = eps(w[:-1]) * eps(last letter), memoised per word."""
-        val = self._counits.get(w)
-        if val is None:
-            val = self._counits[w] = self.counit_word(w[:-1]) * self.counit[w[-1]]
-        return val
 
     def antipode_of(self, p: NCPolynomial) -> NCPolynomial:
         """S(p); S is anti-multiplicative, so S(w) is the image of w reversed."""
@@ -178,14 +170,9 @@ class WordImages:
         """The image of ``p``: a sum of normal forms, and so normal itself."""
         out: dict[Word, RadicalScalar] = {}
         for w, c in p.terms.items():
-            _add_scaled(out, self(w), c)
+            for w2, c2 in self(w).terms.items():
+                accumulate(out, w2, c * c2)
         return NCPolynomial._nonzero(out)
-
-
-def _add_scaled(out: dict, p: NCPolynomial, c: RadicalScalar) -> None:
-    """out += c * p, term by term."""
-    for w, c2 in p.terms.items():
-        accumulate(out, w, c * c2)
 
 
 def _sweep(h: HopfData, name: str, max_len: int, legs, target=None) -> AxiomResult:
@@ -200,7 +187,8 @@ def _sweep(h: HopfData, name: str, max_len: int, legs, target=None) -> AxiomResu
     witness is their difference in the tensor cube.
     """
     rs, delta, split = h.rs, h.delta_images, h.split
-    # tensor word of the slot pair (u, v) -> legs(u, v)
+    # tensor word of the slot pair (u, v) -> legs(u, v); kept per call, as
+    # a memo on the HopfData raised peak RSS more than repeat sweeps saved
     leg_pairs: dict[Word, tuple[NCPolynomial, NCPolynomial]] = {}
     # id of a coproduct image -> its (left, right) sides and, without a
     # target, their rendered difference when they differ
@@ -265,15 +253,15 @@ def check_counit(h: HopfData, max_len: int = 4) -> AxiomResult:
     the legs eps(u) v and eps(v) u are single terms or zero, and the target
     is the word's normal form.
     """
-    # most counit legs vanish (1,506 of 1,764 on ch2 at length 4), so they
-    # share one zero polynomial instead of allocating one each
-    zero = NCPolynomial.zero()
+    eps = h.counit_images
 
-    def leg(w: Word, e: RadicalScalar) -> NCPolynomial:
-        return zero if e.is_zero() else NCPolynomial._nonzero({w: e})
+    # most counit legs vanish (1,506 of 1,764 on ch2 at length 4), so they
+    # share the table's one interned zero instead of allocating one each
+    def leg(w: Word, e: NCPolynomial) -> NCPolynomial:
+        return e if e.is_zero() else NCPolynomial._nonzero({w: e.terms[()]})
 
     def legs(u: Word, v: Word) -> tuple[NCPolynomial, NCPolynomial]:
-        return leg(v, h.counit_word(u)), leg(u, h.counit_word(v))
+        return leg(v, eps(u)), leg(u, eps(v))
 
     return _sweep(h, "counit", max_len, legs, h.nf_images)
 
@@ -298,25 +286,24 @@ def check_antipode(h: HopfData, max_len: int = 4) -> AxiomResult:
             rs.multiply(NCPolynomial.word(u), s_images(v[::-1])),
         )
 
-    return _sweep(h, "antipode", max_len, legs, lambda w: NCPolynomial({(): h.counit_word(w)}))
+    return _sweep(h, "antipode", max_len, legs, h.counit_images)
 
 
 def check_bialgebra_compatibility(h: HopfData) -> AxiomResult:
     """Delta and eps respect every defining relation of the presentation.
 
     For each rule L -> R this compares Delta(L) with Delta(R) in the
-    tensor square and eps(L) with eps(R) as scalars.
+    tensor square and eps(L) * 1 with eps(R) * 1 in the algebra; an eps
+    witness is the scalar difference.
     """
-    rs, t2 = h.rs, h.t2
+    rs, t2, delta, eps = h.rs, h.t2, h.delta_images, h.counit_images
     witnesses = []
     for (a, b), rhs in rs.rules.items():
         name = f"{rs.names[a]}*{rs.names[b]}"
-        diff = h.delta(NCPolynomial.word((a, b))) - h.delta(rhs)
+        diff = delta((a, b)) - delta.extend(rhs)
         if not diff.is_zero():
             witnesses.append((f"Delta({name})", t2.render(diff)))
-        e_diff = h.counit_word((a, b)) - sum(
-            (c * h.counit_word(w) for w, c in rhs.terms.items()), RadicalScalar.zero()
-        )
+        e_diff = eps((a, b)) - eps.extend(rhs)
         if not e_diff.is_zero():
-            witnesses.append((f"eps({name})", str(e_diff)))
+            witnesses.append((f"eps({name})", str(e_diff.terms[()])))
     return AxiomResult("bialgebra_compatibility", not witnesses, len(rs.rules), witnesses)

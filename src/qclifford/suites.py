@@ -48,11 +48,15 @@ MAX_Q_SAMPLES = 4096
 # centre, away from the classical point q = 1 and from q = 0
 Q_EXCLUSIONS = ((1.0, 0.05), (0.0, 1e-6))
 
+# least share of the q range the sampler may keep once the exclusions are cut
+# out: it rejection-samples, so a share s costs about 1/s draws per sample
+MIN_ADMISSIBLE_SHARE = 0.01
 
-def admissible_q_length(lo: float, hi: float) -> float:
-    """Length of [lo, hi] left to the q sampler once the exclusions are cut out."""
+
+def admissible_q_share(lo: float, hi: float) -> float:
+    """Share of [lo, hi] left to the q sampler once the exclusions are cut out."""
     covered = sum(max(0.0, min(hi, c + r) - max(lo, c - r)) for c, r in Q_EXCLUSIONS)
-    return hi - lo - covered
+    return 1.0 - covered / (hi - lo) if lo < hi else 0.0
 
 
 @dataclass
@@ -69,10 +73,17 @@ class RunContext:
                 f"q_samples must be between 1 and {MAX_Q_SAMPLES}, got {self.q_samples}"
             )
         lo, hi = self.q_range
-        if admissible_q_length(lo, hi) <= 1e-9:
+        share = admissible_q_share(lo, hi)
+        if share <= 0.0:
             raise ValueError(
                 f"q range {lo}:{hi} has no admissible samples: every q in it lies "
                 "within 0.05 of 1 or within 1e-6 of 0"
+            )
+        if share < MIN_ADMISSIBLE_SHARE:
+            raise ValueError(
+                f"q range {lo}:{hi} has too few admissible samples: only {share:.3g} of "
+                f"it lies 0.05 or more from 1 and 1e-6 or more from 0, below the "
+                f"least share {MIN_ADMISSIBLE_SHARE}"
             )
         # exact mode measures at REFERENCE_SAMPLES and reports no q values
         self.samples = []

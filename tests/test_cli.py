@@ -5,8 +5,10 @@ import random
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import qclifford
 from qclifford import fierz, presentations, qgamma
@@ -388,6 +390,31 @@ class TestConfigFile:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "1e150:1e151" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "q_range, code",
+        [
+            # an admissible sliver of 2e-9 hung the rejection sampler, and one
+            # of 1e-7 took seconds for eight samples
+            ("0.95:1.050000002", 2),
+            ("0.95:1.0500001", 2),
+            # a range far from every exclusion is admissible however short
+            ("0.5:0.5000000005", 0),
+        ],
+    )
+    def test_q_range_is_judged_by_its_admissible_share(self, q_range, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qclifford.cli", "verify", "--suite", "clifford",
+             "--q-range", q_range],
+            capture_output=True,
+            text=True,
+            env=_env_importing_this_qclifford(),
+            timeout=2 if code == 2 else 60,
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+            assert "too few admissible samples" in proc.stderr
+
     @pytest.mark.parametrize("source", ["argv", "config"])
     def test_q_samples_above_the_cap_exit_2_without_drawing(self, tmp_path, source):
         # the sampler draws every sample up front: an uncapped count grows
@@ -451,6 +478,8 @@ class TestGoldenReport:
         "both_q32_seed7.json": [
             "--suite", "qgamma", "--suite", "fierz", "--mode", "both", "--q-samples", "32",
         ],
+        # the only golden that holds glq2
+        "all_exact_seed7.json": ["--suite", "all", "--mode", "exact"],
     }
 
     @pytest.mark.parametrize("golden_name", list(GOLDENS))
@@ -567,6 +596,25 @@ class TestReportSchema:
         assert used == supported
 
 
+# points on either side of the edges of the two windows the q sampler
+# excludes, |q - 1| < 0.05 and |q| < 1e-6, at distances from 1e-12 to 0.1, so
+# a range of two of them may lie inside a window, overlap one or straddle both
+_NEAR_EXCLUSION_EDGES = st.builds(
+    lambda edge, sign, exponent: edge + sign * 10.0**exponent,
+    st.sampled_from([-1e-6, 1e-6, 0.95, 1.05]),
+    st.sampled_from([-1, 0, 1]),
+    st.floats(-12, -1),
+)
+
+
+def _exact_admissible_share(lo: float, hi: float) -> Fraction:
+    """Share of [lo, hi] outside both windows, in exact rational arithmetic."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    windows = [(Fraction(95, 100), Fraction(105, 100)), (Fraction(-1, 10**6), Fraction(1, 10**6))]
+    covered = sum(max(Fraction(0), min(hi, b) - max(lo, a)) for a, b in windows)
+    return 1 - covered / (hi - lo)
+
+
 class TestRunContext:
     def test_sample_count_is_capped(self):
         cap = suites_mod.MAX_Q_SAMPLES
@@ -574,6 +622,21 @@ class TestRunContext:
         for count in (0, cap + 1):
             with pytest.raises(ValueError, match="q_samples"):
                 RunContext(q_samples=count)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=_NEAR_EXCLUSION_EDGES, hi=_NEAR_EXCLUSION_EDGES)
+    def test_a_range_is_accepted_only_with_enough_admissible_share(self, lo, hi):
+        assume(lo < hi)
+        share = _exact_admissible_share(lo, hi)
+        # float and exact arithmetic may disagree right at the threshold
+        assume(abs(share - suites_mod.MIN_ADMISSIBLE_SHARE) > 1e-9)
+        if share >= suites_mod.MIN_ADMISSIBLE_SHARE:
+            samples = RunContext(q_range=(lo, hi)).samples
+            assert len(samples) == 8
+            assert all(lo <= x <= hi and abs(x - 1) >= 0.05 and abs(x) >= 1e-6 for x in samples)
+        else:
+            with pytest.raises(ValueError, match="admissible samples"):
+                RunContext(q_range=(lo, hi))
 
     def test_exact_mode_draws_no_q_samples(self, monkeypatch):
         calls = []

@@ -62,6 +62,14 @@ class _PerWordImages(dict):
         return image
 
 
+def _plain_counit(h, w):
+    """Reference eps(w): the plain product of the letters' counits, no memo."""
+    val = RadicalScalar.one()
+    for letter in w:
+        val = val * h.counit[letter]
+    return val
+
+
 def _reference_side_witnesses(rs, w, left, right, target):
     return [
         (rs.render(NCPolynomial.word(w)), rs.render(side - target))
@@ -99,8 +107,8 @@ def _reference_counit(h, max_len):
         left, right = NCPolynomial.zero(), NCPolynomial.zero()
         for tw, c in delta[w].terms.items():
             u, v = h.split(tw)
-            left += NCPolynomial.word(v, c * h.counit_word(u))
-            right += NCPolynomial.word(u, c * h.counit_word(v))
+            left += NCPolynomial.word(v, c * _plain_counit(h, u))
+            right += NCPolynomial.word(u, c * _plain_counit(h, v))
         target = rs.normal_form(NCPolynomial.word(w))
         witnesses += _reference_side_witnesses(rs, w, left, right, target)
     return AxiomResult("counit", not witnesses, len(words), witnesses)
@@ -118,7 +126,7 @@ def _reference_antipode(h, max_len):
             u, v = h.split(tw)
             left += rs.multiply(s_images[u[::-1]], NCPolynomial.word(v)).scale(c)
             right += rs.multiply(NCPolynomial.word(u), s_images[v[::-1]]).scale(c)
-        target = NCPolynomial({(): h.counit_word(w)})
+        target = NCPolynomial({(): _plain_counit(h, w)})
         witnesses += _reference_side_witnesses(rs, w, left, right, target)
     return AxiomResult("antipode", not witnesses, len(words), witnesses)
 
@@ -232,11 +240,31 @@ class TestNegativeControls:
         failing3 = {w for w, _ in w3}
         assert failing2 <= failing3
 
+    @pytest.mark.parametrize(
+        "which, witnesses",
+        [
+            (
+                "coassoc",
+                [
+                    ("Delta(G1*G1)", "(-1)*E1[0] + (-1)*E1[1] + E1[0]*E2[1]"),
+                    ("Delta(G1*G3)", "(2)*G3[0]*G1[0]*G3[1]*G2[1]"),
+                ],
+            ),
+            ("counit", [("eps(G1*G1)", "1"), ("eps(G1*G3)", "2")]),
+            ("antipode", []),
+        ],
+    )
+    def test_perturbed_maps_break_the_relations(self, which, witnesses):
+        # ch2 has 18 rules; a perturbed Delta or eps breaks the ones with G1
+        # on the left, while the antipode does not enter the compatibility
+        expect = AxiomResult("bialgebra_compatibility", not witnesses, 18, witnesses)
+        assert check_bialgebra_compatibility(_perturbed_ch2(which)) == expect
+
     def test_eps_respects_relations_by_plain_substitution(self):
         gl = build_glq2()
         # eps(a11 a12) = 0 = q eps(a12 a11)
-        lhs = gl.counit_word((0, 1))
-        rhs = gl.counit_word((1, 0))
+        lhs = gl.counit_images((0, 1))
+        rhs = gl.counit_images((1, 0))
         assert lhs.is_zero() and rhs.is_zero()
 
 
@@ -388,10 +416,14 @@ class TestStructureMaps:
             adjoint_action(h, NCPolynomial.word(w), NCPolynomial.gen(0))
         assert check_antipode(h, 2).ok and check_antipode(h, 3).ok
         assert check_counit(h, 2).ok and check_counit(h, 3).ok
+        assert check_bialgebra_compatibility(h).ok
         assert sum(1 for images in built if images is h.antipode) == 1
         # the counit sweeps share one identity-map table as well
         identity = {i: NCPolynomial.gen(i) for i in range(h.rs.size)}
         assert sum(1 for images in built if images == identity) == 1
+        # and the counit, antipode and compatibility checks one counit table
+        counit = {i: NCPolynomial({(): e}) for i, e in h.counit.items()}
+        assert sum(1 for images in built if images == counit) == 1
 
     def test_a_second_counit_sweep_multiplies_nothing(self, monkeypatch):
         h = build_ch2()
@@ -407,27 +439,30 @@ class TestStructureMaps:
         assert check_counit(h, 4) == first
         assert calls == []
 
-    def test_counit_word_computes_each_word_once(self, monkeypatch):
-        h = build_ch2()
+    @pytest.mark.parametrize(
+        "build", [build_glq2, build_ch2, _full_chq2], ids=["glq2", "ch2", "chq2"]
+    )
+    def test_counit_images_compute_each_distinct_product_once(self, build, monkeypatch):
+        h = build()
         words = list(h.rs.iter_words(3))
-        expect = []
-        for w in words:
-            val = RadicalScalar.one()
-            for letter in w:
-                val = val * h.counit[letter]
-            expect.append(val)
+        expect = [NCPolynomial({(): _plain_counit(h, w)}) for w in words]
         calls = []
-        multiply = RadicalScalar.__mul__
+        multiply = RewriteSystem.multiply
 
-        def counting(a, b):
-            calls.append(b)
-            return multiply(a, b)
+        def counting(self, *args, **kw):
+            calls.append(self)
+            return multiply(self, *args, **kw)
 
-        monkeypatch.setattr(RadicalScalar, "__mul__", counting)
-        assert [h.counit_word(w) for w in words] == expect
-        assert [h.counit_word(w) for w in words] == expect
-        # every prefix of a word comes before it, so each word is one product
-        assert len(calls) == len(words)
+        monkeypatch.setattr(RewriteSystem, "multiply", counting)
+        assert [h.counit_images(w) for w in words] == expect
+        # one product in the algebra per distinct (prefix image, last
+        # letter) pair, far fewer than one per word: eps takes few values
+        pairs = {(h.counit_images(w[:-1]), w[-1]) for w in words}
+        assert all(rs is h.rs for rs in calls)
+        assert len(calls) == len(pairs) < len(words)
+        calls.clear()
+        assert [h.counit_images(w) for w in words] == expect
+        assert calls == []
 
 
 _WITH_ANTIPODE = [
