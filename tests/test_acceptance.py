@@ -61,9 +61,9 @@ def test_criterion_1_classical_clifford():
 def test_criterion_2_ch2_hopf_suite():
     ch = presentations.build_ch2()
     ok = (
-        hopf.check_coassociativity(ch, 4).ok
-        and hopf.check_counit(ch, 4).ok
-        and hopf.check_antipode(ch, 4).ok
+        hopf.check_coassociativity(ch).ok
+        and hopf.check_counit(ch).ok
+        and hopf.check_antipode(ch).ok
     )
     # three negative controls, one per axiom, must each fail
     broken_coassoc = presentations.build_ch2()
@@ -77,9 +77,9 @@ def test_criterion_2_ch2_hopf_suite():
         (presentations.CH_G3,), -1
     )
     controls_fail = (
-        not hopf.check_coassociativity(broken_coassoc, 4).ok
-        and not hopf.check_counit(broken_counit, 4).ok
-        and not hopf.check_antipode(broken_antipode, 4).ok
+        not hopf.check_coassociativity(broken_coassoc).ok
+        and not hopf.check_counit(broken_counit).ok
+        and not hopf.check_antipode(broken_antipode).ok
     )
     conclude(
         2,

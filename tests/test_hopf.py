@@ -5,7 +5,6 @@ import pytest
 from qclifford.hopf import (
     AntipodeMissing,
     AxiomResult,
-    WordImages,
     check_antipode,
     check_bialgebra_compatibility,
     check_coassociativity,
@@ -14,7 +13,6 @@ from qclifford.hopf import (
 from qclifford.presentations import (
     CH_G,
     CH_G3,
-    adjoint_action,
     build_ch2,
     build_chq2,
     build_glq2,
@@ -47,6 +45,18 @@ def _broken_glq2():
     gl = build_glq2()
     gl.coproduct[0] = NCPolynomial.word((0, gl.rs.size + 1))  # Delta(a11) = a11 (x) a12
     return gl
+
+
+def _primitive_g1_ch2():
+    """ch2 with a primitive Delta(G1) = G1 (x) 1 + 1 (x) G1 and S(G1) = -G1.
+
+    Every law holds on the generators, but Delta(G1) Delta(G1) differs from
+    Delta(E1), so Delta is not defined on H and no law may pass."""
+    h = build_ch2()
+    g1 = CH_G[0]
+    h.coproduct[g1] = NCPolynomial.gen(g1) + NCPolynomial.gen(h.rs.size + g1)
+    h.antipode[g1] = NCPolynomial.word((g1,), -1)
+    return h
 
 
 class _PerWordImages(dict):
@@ -131,22 +141,33 @@ def _reference_antipode(h, max_len):
     return AxiomResult("antipode", not witnesses, len(words), witnesses)
 
 
+
+
+# witnesses of check_bialgebra_compatibility on the perturbed Delta and eps,
+# which lead the lemma's witnesses of every law that needs that premise
+PERTURBED_COASSOC_DELTA = [
+    ("Delta(G1*G1)", "(-1)*E1[0] + (-1)*E1[1] + E1[0]*E2[1]"),
+    ("Delta(G1*G3)", "(2)*G3[0]*G1[0]*G3[1]*G2[1]"),
+]
+PERTURBED_EPS = [("eps(G1*G1)", "1"), ("eps(G1*G3)", "2")]
+
+
 class TestGroupToy:
     def test_all_three_axioms_pass(self):
         toy = build_group_toy()
-        assert check_coassociativity(toy, 3).ok
-        assert check_counit(toy, 3).ok
-        assert check_antipode(toy, 3).ok
+        assert check_coassociativity(toy).ok
+        assert check_counit(toy).ok
+        assert check_antipode(toy).ok
 
 
 class TestQuantumMatrixBialgebra:
     def test_matrix_coproduct_is_coassociative(self):
         gl = build_glq2()
-        assert check_coassociativity(gl, 3).ok
+        assert check_coassociativity(gl).ok
 
     def test_counit_laws(self):
         gl = build_glq2()
-        assert check_counit(gl, 3).ok
+        assert check_counit(gl).ok
 
     def test_relations_preserved_by_coproduct_and_counit(self):
         gl = build_glq2()
@@ -157,15 +178,16 @@ class TestQuantumMatrixBialgebra:
         gl = build_glq2()
         assert gl.missing_antipode_generators() == list(gl.rs.names)
         with pytest.raises(AntipodeMissing):
-            check_antipode(gl, 2)
+            check_antipode(gl)
 
 
 class TestCliffordHopf:
     def test_axioms_to_length_three(self):
+        # the lemma decides all of H, and so every word of length 3 with it
         ch = build_ch2()
-        assert check_coassociativity(ch, 3).ok
-        assert check_counit(ch, 3).ok
-        assert check_antipode(ch, 3).ok
+        assert check_coassociativity(ch).ok
+        assert check_counit(ch).ok
+        assert check_antipode(ch).ok
         assert check_bialgebra_compatibility(ch).ok
 
     def test_grading_generator_antipode_squares_to_counit(self):
@@ -187,7 +209,7 @@ class TestCliffordHopf:
         # S(E1) = -E1 makes -E1 + E1 = 0 = eps(E1)
         ch = build_ch2()
         assert ch.antipode[0] == NCPolynomial.word((0,), -1)
-        assert check_antipode(ch, 1).ok
+        assert check_antipode(ch).ok
 
 
 class TestDeformedCliffordHopf:
@@ -198,11 +220,11 @@ class TestDeformedCliffordHopf:
 
     def test_deformed_coproduct_coassociative(self):
         chq = build_chq2()
-        assert check_coassociativity(chq, 2).ok
+        assert check_coassociativity(chq).ok
 
     def test_counit_compatible_with_weight_generators(self):
         chq = build_chq2()
-        assert check_counit(chq, 2).ok
+        assert check_counit(chq).ok
 
     def test_antipode_reported_missing_for_deformed_generators(self):
         chq = build_chq2()
@@ -210,35 +232,36 @@ class TestDeformedCliffordHopf:
 
     def test_undeformed_antipode_still_satisfies_axiom(self):
         chq = build_chq2(include_inherited_antipode=True)
-        assert check_antipode(chq, 2).ok
+        assert check_antipode(chq).ok
 
 
 class TestNegativeControls:
     def test_broken_coproduct_fails_coassociativity(self):
         gl = build_glq2()
         gl.coproduct[0] = NCPolynomial.word((0, gl.rs.size + 1))
-        r = check_coassociativity(gl, 2)
+        r = check_coassociativity(gl)
         assert not r.ok
         assert r.witnesses
 
     def test_broken_counit_fails(self):
         ch = build_ch2()
         ch.counit[CH_G[0]] = RadicalScalar.one()
-        assert not check_counit(ch, 2).ok
+        assert not check_counit(ch).ok
 
     def test_broken_antipode_fails(self):
         ch = build_ch2()
         ch.antipode[CH_G3] = NCPolynomial.word((CH_G3,), -1)
-        assert not check_antipode(ch, 2).ok
+        assert not check_antipode(ch).ok
 
     def test_failures_persist_at_longer_lengths(self):
-        gl = build_glq2()
-        gl.coproduct[0] = NCPolynomial.word((0, gl.rs.size + 1))
-        w2 = check_coassociativity(gl, 2).witnesses
-        w3 = check_coassociativity(gl, 3).witnesses
-        failing2 = {w for w, _ in w2}
-        failing3 = {w for w, _ in w3}
-        assert failing2 <= failing3
+        # the generators where the lemma finds coassociativity broken fail
+        # the reference sweep too, and its failing words only grow with length
+        gl = _broken_glq2()
+        lemma = {w for w, _ in check_coassociativity(gl).witnesses if "(" not in w}
+        failing2 = {w for w, _ in _reference_coassociativity(gl, 2).witnesses}
+        failing3 = {w for w, _ in _reference_coassociativity(gl, 3).witnesses}
+        assert lemma == {"a11", "a12", "a21"}
+        assert lemma <= failing2 <= failing3
 
     @pytest.mark.parametrize(
         "which, witnesses",
@@ -262,10 +285,11 @@ class TestNegativeControls:
 
     def test_eps_respects_relations_by_plain_substitution(self):
         gl = build_glq2()
-        # eps(a11 a12) = 0 = q eps(a12 a11)
-        lhs = gl.counit_images((0, 1))
-        rhs = gl.counit_images((1, 0))
+        # eps(a11 a12) = 0 = q eps(a12 a11), and each is the plain product
+        lhs = gl.counit_of(NCPolynomial.word((0, 1)))
+        rhs = gl.counit_of(NCPolynomial.word((1, 0)))
         assert lhs.is_zero() and rhs.is_zero()
+        assert _plain_counit(gl, (0, 1)).is_zero() and _plain_counit(gl, (1, 0)).is_zero()
 
 
 _COUNITAL = [
@@ -276,8 +300,10 @@ _ALL_THREE = _COUNITAL + [(check_antipode, _reference_antipode)]
 
 
 class TestSweepOracle:
-    """Sides memoised per distinct coproduct image against the word-by-word
-    reference: the full AxiomResult, witnesses in order included."""
+    """The lemma's verdict on all of H against the word-by-word reference sweep.
+
+    A law that holds on H holds on every word, and every failure below
+    shows up within the swept lengths, so the verdicts must agree."""
 
     @pytest.mark.parametrize(
         "build, max_len, checkers",
@@ -296,15 +322,75 @@ class TestSweepOracle:
             "perturbed_counit", "perturbed_antipode",
         ],
     )
-    def test_memoised_sweeps_equal_reference(self, build, max_len, checkers):
+    def test_lemma_verdict_equals_reference_sweep(self, build, max_len, checkers):
         h = build()
         for checker, reference in checkers:
-            assert checker(h, max_len) == reference(build(), max_len), checker.__name__
+            assert checker(h).ok == reference(build(), max_len).ok, checker.__name__
+
+    @pytest.mark.parametrize(
+        "which, expect",
+        [
+            (
+                "coassoc",
+                {
+                    "coassociativity": PERTURBED_COASSOC_DELTA + [
+                        ("G1", "(-1)*G1[0]*G2[1] + (-1)*G1[0]*G3[1]*G2[2] + G1[0]*G2[1]*G2[2]"),
+                    ],
+                    "counit": PERTURBED_COASSOC_DELTA + [("G1", "(-1)*G1"), ("G1", "(-1)*G1")],
+                    "antipode": PERTURBED_COASSOC_DELTA + [
+                        ("G1", "(-1)*G3*G1*G2"), ("G1", "G3*G1*G2"),
+                    ],
+                },
+            ),
+            (
+                "counit",
+                {
+                    "coassociativity": [],
+                    "counit": PERTURBED_EPS + [("G1", "1"), ("G1", "G3")],
+                    "antipode": PERTURBED_EPS + [("G1", "(-1)*1"), ("G1", "(-1)*1")],
+                },
+            ),
+            (
+                "antipode",
+                {
+                    "coassociativity": [],
+                    "counit": [],
+                    "antipode": [
+                        ("G3", "(-2)*1"), ("G3", "(-2)*1"), ("G1", "(-2)*G3*G1"),
+                        ("G2", "(-2)*G3*G2"),
+                    ],
+                },
+            ),
+        ],
+    )
+    def test_perturbation_witnesses(self, which, expect):
+        # premise witnesses (a broken relation) lead, generator witnesses follow;
+        # a perturbed eps or S leaves coassociativity, which reads Delta only
+        h = _perturbed_ch2(which)
+        for checker in (check_coassociativity, check_counit, check_antipode):
+            r = checker(h)
+            witnesses = expect[r.name]
+            assert r == AxiomResult(r.name, not witnesses, 6, witnesses)
+
+    def test_failed_premise_fails_every_law(self):
+        # the laws hold on every generator; only Delta(G1*G1) = Delta(E1) fails
+        h = _primitive_g1_ch2()
+        delta_witnesses = [
+            ("Delta(G1*G1)", "(2)*G1[0]*G1[1]"),
+            ("Delta(G2*G1)", "(2)*G2[0]*G1[1]"),
+        ]
+        s_witnesses = [("S(G1*G1)", "(2)*E1"), ("S(G2*G1)", "(-2)*G3*G1*G2")]
+        assert check_coassociativity(h) == AxiomResult("coassociativity", False, 6, delta_witnesses)
+        assert check_counit(h) == AxiomResult("counit", False, 6, delta_witnesses)
+        interleaved = [delta_witnesses[0], s_witnesses[0], delta_witnesses[1], s_witnesses[1]]
+        assert check_antipode(h) == AxiomResult("antipode", False, 6, interleaved)
+        # the length-3 counit sweep misses it: the lemma is the stricter net
+        assert _reference_counit(_primitive_g1_ch2(), 3).ok
 
 
 class TestTargetConfluence:
-    """Every system the Hopf checkers multiply in has unique normal forms,
-    the diamond-lemma premise of ``WordImages``."""
+    """Every system the Hopf checkers multiply in has unique normal forms, the
+    premise under which comparing normal forms decides equality in H."""
 
     @pytest.mark.parametrize(
         "build",
@@ -315,66 +401,6 @@ class TestTargetConfluence:
         h = build()
         for rs in (h.rs, h.t2, h.t3):
             assert local_confluence_check(rs) == [], rs.names
-
-
-class TestWordImages:
-    """The shared prefix cache against the direct letter-by-letter extension."""
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            build_glq2,
-            build_ch2,
-            _full_chq2,
-            lambda: _perturbed_ch2("coassoc"),
-            lambda: _perturbed_ch2("counit"),
-            lambda: _perturbed_ch2("antipode"),
-        ],
-        ids=[
-            "glq2", "ch2", "chq2", "perturbed_coassoc", "perturbed_counit",
-            "perturbed_antipode",
-        ],
-    )
-    def test_coproduct_images_match_apply_morphism(self, build):
-        h = build()
-        words = list(chain([()], h.rs.iter_words(3)))
-        # fill the whole table first, so every shared image has been handed out
-        images = [h.delta_images(w) for w in words]
-        for w, image in zip(words, images, strict=True):
-            assert image == apply_morphism(NCPolynomial.word(w), h.coproduct, h.t2), w
-
-    @pytest.mark.parametrize(
-        "build, max_len, distinct",
-        [(build_ch2, 4, 187), (_full_chq2, 3, 284), (build_glq2, 4, 217)],
-        ids=["ch2", "chq2", "glq2"],
-    )
-    def test_equal_images_are_one_object(self, build, max_len, distinct):
-        h = build()
-        words = list(h.rs.iter_words(max_len))
-        images = [h.delta_images(w) for w in words]
-        by_value = {}
-        for w, image in zip(words, images, strict=True):
-            assert by_value.setdefault(image, image) is image, w
-        assert len({id(image) for image in images}) == len(by_value) == distinct
-        # Delta respects the relations, so equal images are equal normal forms
-        assert len({h.rs.normal_form(NCPolynomial.word(w)) for w in words}) == distinct
-
-    @pytest.mark.parametrize("build", [build_glq2, build_ch2], ids=["glq2", "ch2"])
-    def test_equal_words_in_the_table_are_one_object(self, build):
-        h = build()
-        check_coassociativity(h, 3)
-        seen = {}
-        for image in h.delta_images.cache.values():
-            for tw in image.terms:
-                assert seen.setdefault(tw, tw) is tw, tw
-        assert len(seen) < sum(len(image.terms) for image in h.delta_images.cache.values())
-
-    def test_reversed_word_images_are_the_antipode(self):
-        h = build_ch2()
-        s_images = WordImages(h.antipode, h.rs)
-        for w in chain([()], h.rs.iter_words(3)):
-            expect = apply_morphism(NCPolynomial.word(w[::-1]), h.antipode, h.rs)
-            assert s_images(w[::-1]) == expect, w
 
 
 class TestStructureMaps:
@@ -396,134 +422,16 @@ class TestStructureMaps:
             expect = apply_morphism(NCPolynomial.word(w[::-1]), h.antipode, h.rs)
             assert h.antipode_of(NCPolynomial.word(w)) == expect, w
 
+    @pytest.mark.parametrize(
+        "build", [build_glq2, build_ch2, _full_chq2], ids=["glq2", "ch2", "chq2"]
+    )
+    def test_counit_of_is_the_plain_product(self, build):
+        h = build()
+        for w in chain([()], h.rs.iter_words(3)):
+            expect = NCPolynomial({(): _plain_counit(h, w)})
+            assert h.counit_of(NCPolynomial.word(w)) == expect, w
+
     def test_antipode_of_raises_for_an_unassigned_generator(self):
         gl = build_glq2()
         with pytest.raises(AntipodeMissing, match="a12"):
             gl.antipode_of(NCPolynomial.word((0, 1)))
-
-    def test_one_antipode_table_per_algebra(self, monkeypatch):
-        h = _full_chq2()
-        built = []
-        init = WordImages.__init__
-
-        def counting(self, gen_images, target):
-            built.append(gen_images)
-            init(self, gen_images, target)
-
-        monkeypatch.setattr(WordImages, "__init__", counting)
-        for w in h.rs.iter_words(2):
-            h.antipode_of(NCPolynomial.word(w))
-            adjoint_action(h, NCPolynomial.word(w), NCPolynomial.gen(0))
-        assert check_antipode(h, 2).ok and check_antipode(h, 3).ok
-        assert check_counit(h, 2).ok and check_counit(h, 3).ok
-        assert check_bialgebra_compatibility(h).ok
-        assert sum(1 for images in built if images is h.antipode) == 1
-        # the counit sweeps share one identity-map table as well
-        identity = {i: NCPolynomial.gen(i) for i in range(h.rs.size)}
-        assert sum(1 for images in built if images == identity) == 1
-        # and the counit, antipode and compatibility checks one counit table
-        counit = {i: NCPolynomial({(): e}) for i, e in h.counit.items()}
-        assert sum(1 for images in built if images == counit) == 1
-
-    def test_a_second_counit_sweep_multiplies_nothing(self, monkeypatch):
-        h = build_ch2()
-        first = check_counit(h, 4)
-        calls = []
-        multiply = RewriteSystem.multiply
-
-        def counting(self, *args, **kw):
-            calls.append(self)
-            return multiply(self, *args, **kw)
-
-        monkeypatch.setattr(RewriteSystem, "multiply", counting)
-        assert check_counit(h, 4) == first
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "build", [build_glq2, build_ch2, _full_chq2], ids=["glq2", "ch2", "chq2"]
-    )
-    def test_counit_images_compute_each_distinct_product_once(self, build, monkeypatch):
-        h = build()
-        words = list(h.rs.iter_words(3))
-        expect = [NCPolynomial({(): _plain_counit(h, w)}) for w in words]
-        calls = []
-        multiply = RewriteSystem.multiply
-
-        def counting(self, *args, **kw):
-            calls.append(self)
-            return multiply(self, *args, **kw)
-
-        monkeypatch.setattr(RewriteSystem, "multiply", counting)
-        assert [h.counit_images(w) for w in words] == expect
-        # one product in the algebra per distinct (prefix image, last
-        # letter) pair, far fewer than one per word: eps takes few values
-        pairs = {(h.counit_images(w[:-1]), w[-1]) for w in words}
-        assert all(rs is h.rs for rs in calls)
-        assert len(calls) == len(pairs) < len(words)
-        calls.clear()
-        assert [h.counit_images(w) for w in words] == expect
-        assert calls == []
-
-
-_WITH_ANTIPODE = [
-    (check_antipode, 2),
-    (check_coassociativity, 3),
-    (check_counit, 3),
-    (check_antipode, 3),
-]
-
-
-class TestSharedCoproductTable:
-    """One HopfData swept in mixed order and lengths gives the fresh results."""
-
-    @pytest.mark.parametrize(
-        "build, sweeps",
-        [
-            (build_group_toy, _WITH_ANTIPODE),
-            (build_glq2, [(check_counit, 2), (check_coassociativity, 3), (check_counit, 3)]),
-            (build_ch2, _WITH_ANTIPODE),
-            (_full_chq2, _WITH_ANTIPODE),
-            (lambda: _perturbed_ch2("coassoc"), _WITH_ANTIPODE),
-            (lambda: _perturbed_ch2("counit"), _WITH_ANTIPODE),
-            (lambda: _perturbed_ch2("antipode"), _WITH_ANTIPODE),
-        ],
-        ids=[
-            "toy", "glq2", "ch2", "chq2", "perturbed_coassoc", "perturbed_counit",
-            "perturbed_antipode",
-        ],
-    )
-    def test_shared_sweeps_equal_fresh_sweeps(self, build, sweeps):
-        shared = build()
-        for checker, max_len in sweeps:
-            assert checker(shared, max_len) == checker(build(), max_len), (checker, max_len)
-
-    def test_each_product_is_computed_once(self, monkeypatch):
-        h = build_ch2()
-        calls = []
-        multiply = RewriteSystem.multiply
-
-        def counting(self, *args, **kw):
-            calls.append(self)
-            return multiply(self, *args, **kw)
-
-        monkeypatch.setattr(RewriteSystem, "multiply", counting)
-        assert check_coassociativity(h, 4).ok and check_counit(h, 4).ok
-        assert check_antipode(h, 4).ok
-        # one tensor-square product per distinct (prefix image, last letter)
-        # pair, fewer than the one per word of length 1 to 4 over six letters
-        words = list(h.rs.iter_words(4))
-        pairs = {(h.delta_images(w[:-1]), w[-1]) for w in words}
-        t2_products = sum(1 for rs in calls if rs is h.t2)
-        assert t2_products == len(pairs) < len(words) == 6 + 6**2 + 6**3 + 6**4
-
-        calls.clear()
-        assert check_antipode(h, 4).ok
-        pairs = {tw for w in h.rs.iter_words(4) for tw in h.delta_images(w).terms}
-        image_words = {
-            part[::-1][:k]
-            for tw in pairs
-            for part in h.split(tw)
-            for k in range(1, len(part) + 1)
-        }
-        assert all(rs is h.rs for rs in calls)
-        assert len(calls) <= 2 * len(pairs) + len(image_words)

@@ -3,11 +3,13 @@
 ``perfbench/tracer.py`` wraps each ``PROBES`` target by replacing the entry
 in its owner's ``__dict__``, and ``perfbench/micro.py`` builds its operands
 with the scalar constructors; a refactor that renames, moves or inherits
-one of them would break ``perfbench/run.py --trace 1``.  Each file is read
+one of them would break ``perfbench/run.py --trace 1``, and so would a
+result that lacks a field a probe's ``on_return`` reads.  Each file is read
 as text and executed in a fresh namespace, so these tests write nothing
 under ``perfbench/``.
 """
 
+import collections
 import importlib
 import json
 import types
@@ -47,3 +49,18 @@ def test_every_microbenchmark_runs_once_against_the_package():
     for name, op in ops.items():
         result = op()
         assert not result.is_zero(), name
+
+
+def test_hopf_probes_read_the_checkers_results():
+    hopf = importlib.import_module("qclifford.hopf")
+    ch = importlib.import_module("qclifford.presentations").build_ch2()
+    probes = [p for p in _load("tracer").PROBES if p[1] == "hopf" and p[4] is not None]
+    assert {attrs for _, _, attrs, *_ in probes} == {
+        ("check_coassociativity",), ("check_counit",), ("check_antipode",)
+    }
+    for name, _, (attr,), _, on_return in probes:
+        result = getattr(hopf, attr)(ch)
+        tracer = types.SimpleNamespace(extras=collections.defaultdict(float))
+        on_return(tracer, (ch,), result)
+        # the metric counts the six generators each law was decided on
+        assert tracer.extras == {f"{name}.words": 6}

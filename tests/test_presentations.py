@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from qclifford.hopf import check_antipode, check_coassociativity, check_counit
 from qclifford.linalg import Matrix, matmul
 from qclifford.presentations import (
     CH_G,
