@@ -53,6 +53,14 @@ Q_EXCLUSIONS = ((1.0, 0.05), (0.0, 1e-6))
 MIN_ADMISSIBLE_SHARE = 0.01
 
 
+def _draw_q(rng: random.Random, lo: float, hi: float) -> float:
+    """One q drawn uniformly from [lo, hi] outside every exclusion window."""
+    while True:
+        x = rng.uniform(lo, hi)
+        if all(abs(x - c) >= r for c, r in Q_EXCLUSIONS):
+            return x
+
+
 def admissible_q_share(lo: float, hi: float) -> float:
     """Share of [lo, hi] left to the q sampler once the exclusions are cut out."""
     covered = sum(max(0.0, min(hi, c + r) - max(lo, c - r)) for c, r in Q_EXCLUSIONS)
@@ -86,13 +94,9 @@ class RunContext:
                 f"least share {MIN_ADMISSIBLE_SHARE}"
             )
         # exact mode measures at REFERENCE_SAMPLES and reports no q values
-        self.samples = []
-        if self.mode != "exact":
-            rng = random.Random(self.seed)
-            while len(self.samples) < self.q_samples:
-                x = rng.uniform(lo, hi)
-                if all(abs(x - c) >= r for c, r in Q_EXCLUSIONS):
-                    self.samples.append(x)
+        rng = random.Random(self.seed)
+        count = 0 if self.mode == "exact" else self.q_samples
+        self.samples = [_draw_q(rng, lo, hi) for _ in range(count)]
         # set by the measurement helpers whenever a radicand evaluates onto
         # the principal branch cut; the runner copies it into the report
         self.branch_cut_hit = False
@@ -146,9 +150,7 @@ class RunContext:
             z = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
             lx = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
             ly = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
-            qv = rng.uniform(*self.q_range)
-            if abs(qv - 1.0) < 0.05:
-                qv += 0.1
+            qv = _draw_q(rng, *self.q_range)
             out.append(((z, lx, ly, qv), presentations.affine_irrep_numeric(z, lx, ly, qv)))
         return out
 

@@ -638,6 +638,12 @@ class TestRunContext:
             with pytest.raises(ValueError, match="admissible samples"):
                 RunContext(q_range=(lo, hi))
 
+    def test_numeric_irreps_draw_q_by_the_samplers_rule(self):
+        # each irrep's q lies in the user's range and outside every window
+        qs = [params[3] for params, _ in RunContext(q_range=(0.9, 1.0), seed=7).numeric_irreps]
+        assert len(qs) == 20
+        assert all(0.9 <= q <= 1.0 and abs(q - 1) >= 0.05 and abs(q) >= 1e-6 for q in qs), qs
+
     def test_exact_mode_draws_no_q_samples(self, monkeypatch):
         calls = []
         uniform = random.Random.uniform
