@@ -40,7 +40,7 @@ class AntipodeMissing(Exception):
     """Antipode requested for a generator that has none assigned."""
 
 
-def extend(p: NCPolynomial, images, target: RewriteSystem) -> NCPolynomial:
+def extend(p: NCPolynomial, images: dict, target: RewriteSystem) -> NCPolynomial:
     """The image of ``p`` under the algebra map with these generator images.
 
     Letter images are multiplied left to right in ``target``; a sum of
@@ -61,8 +61,8 @@ def _counit_images(counit: dict[int, RadicalScalar]) -> dict[int, NCPolynomial]:
 
 
 def _on_slots(g: int, first: dict, second: dict, by: int = 0) -> dict[int, NCPolynomial]:
-    """Letter images of a map out of the tensor square: slot 0's by ``first``,
-    slot 1's by ``second`` with its letters moved ``by`` places up."""
+    """Images of the tensor square's letters: slot 0's from ``first``, slot 1's
+    from ``second`` with every letter moved ``by`` places up."""
     shifted = {
         g + i: NCPolynomial._nonzero({tuple(x + by for x in w): c for w, c in p.terms.items()})
         for i, p in second.items()
@@ -210,7 +210,6 @@ def check_antipode(h: HopfData) -> AxiomResult:
     missing = h.missing_antipode_generators()
     if missing:
         raise AntipodeMissing(", ".join(missing))
-    rs = h.rs
 
     def law(x: int, d: NCPolynomial):
         left = right = NCPolynomial.zero()
@@ -218,9 +217,10 @@ def check_antipode(h: HopfData) -> AxiomResult:
             u, v = (NCPolynomial.word(part) for part in h.split(tw))
             left += (h.antipode_of(u) * v).scale(c)
             right += (u * h.antipode_of(v)).scale(c)
-        return [rs.normal_form(left), rs.normal_form(right)], h.counit_of(NCPolynomial.gen(x))
+        sides = [h.rs.normal_form(left), h.rs.normal_form(right)]
+        return sides, h.counit_of(NCPolynomial.gen(x))
 
-    return _decide(h, "antipode", ("Delta", "eps", "S"), law, rs.render)
+    return _decide(h, "antipode", ("Delta", "eps", "S"), law, h.rs.render)
 
 
 def check_bialgebra_compatibility(h: HopfData) -> AxiomResult:
