@@ -1,7 +1,9 @@
 """Exact scalar arithmetic for the verification engine.
 
-The scalar ring is built in three layers:
+The scalar ring is built in layers:
 
+* ``GaussRational`` -- Gaussian rationals (x + y i)/d held as three ints
+  in lowest terms, so the arithmetic never touches ``Fraction``;
 * ``HalfLaurent`` -- Laurent polynomials in t = q^(1/2) with Gaussian
   rational coefficients (the exponent k stands for q^(k/2));
 * ``LaurentFrac`` -- the fraction field of ``HalfLaurent``, reduced to a
@@ -14,9 +16,10 @@ identity whose radicals only ever appear squared is decided exactly.
 Numeric evaluation uses the principal branch throughout; only positive
 rational squares and even powers of t are ever moved out of a root, which
 keeps exact and principal-branch numeric values in agreement on the
-positive real q axis.  Each scalar has one canonical form, ``key()``, and
-evaluation sums terms in its order, so a float depends only on the exact
-value, never on the order in which the terms were built.
+positive real q axis.  Each scalar has one canonical form, ``key()``, a
+nested tuple of ints, and evaluation sums terms in its order, so a float
+depends only on the exact value, never on the order in which the terms
+were built.
 
 Every ``RadicalScalar`` is hash-consed: construction goes through one weak
 table keyed on ``key()``, so there is one live object per value and ``is``
@@ -29,7 +32,7 @@ from __future__ import annotations
 import cmath
 import weakref
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt, lcm
 
 
 class ScalarError(Exception):
@@ -50,20 +53,6 @@ class NotInvertible(ScalarError):
 
 class EvalPole(ScalarError):
     """Numeric evaluation hit a zero of a denominator."""
-
-
-def _exact(x):
-    """``x`` as an ``int`` when integral, else as a reduced ``Fraction``.
-
-    The paper's structure constants are integral, so most parts stay plain
-    ints; an int and a Fraction of equal value hash, compare, print and
-    convert to float alike, so the choice never shows in a report.
-    """
-    if type(x) is not Fraction:
-        if type(x) is int:
-            return x
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def _square_part(n: int) -> int:
@@ -87,15 +76,6 @@ def _square_part(n: int) -> int:
     return s * r if r * r == n else s
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = _int_gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
-
-
 def accumulate(out: dict, key, value) -> None:
     """Add ``value`` into ``out[key]``, dropping the key when the sum is zero."""
     s = out.get(key)
@@ -106,48 +86,88 @@ def accumulate(out: dict, key, value) -> None:
         out[key] = s
 
 
-class GaussRational:
-    """Complex number with exact rational real and imaginary parts.
+_new = object.__new__
 
-    Each part is an ``int`` when integral and a ``Fraction`` otherwise.
+
+def _gauss(x: int, y: int, d: int) -> "GaussRational":
+    """(x + y i)/d for ints already in lowest terms."""
+    out = _new(GaussRational)
+    out.x, out.y, out.d = x, y, d
+    return out
+
+
+def _lowest(x: int, y: int, d: int) -> "GaussRational":
+    """(x + y i)/d brought to lowest terms (d > 0); builds the result in
+    line, as ``_gauss`` does, because every sum and product runs it."""
+    if d != 1:
+        g = _int_gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    out = _new(GaussRational)
+    out.x, out.y, out.d = x, y, d
+    return out
+
+
+def _part(n: int, d: int):
+    """n/d as an ``int`` when integral, else as a reduced ``Fraction``."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+class GaussRational:
+    """Complex number (x + y i)/d with exact rational real and imaginary parts.
+
+    The three ints are kept in lowest terms, d > 0 and gcd(x, y, d) = 1, so
+    equal values have equal fields and each operation is integer arithmetic
+    plus one gcd.  ``re`` and ``im`` read each part as an ``int`` when
+    integral and a reduced ``Fraction`` otherwise.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is int else _exact(re)
-        self.im = im if type(im) is int else _exact(im)
+        if type(re) is int and type(im) is int:
+            self.x, self.y, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        self.x = re.numerator * (d // re.denominator)
+        self.y = im.numerator * (d // im.denominator)
+        self.d = d
+
+    re = property(lambda self: _part(self.x, self.d))
+    im = property(lambda self: _part(self.y, self.d))
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.x and not self.y
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _lowest(self.x + other.x, self.y + other.y, d)
+        return _lowest(self.x * e + other.x * d, self.y * e + other.y * d, d * e)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _gauss(-self.x, -self.y, self.d)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        if not self.im and not other.im:
-            return GaussRational(self.re * other.re)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not self.y and not other.y:
+            return _lowest(self.x * other.x, 0, self.d * other.d)
+        x, y, u, v = self.x, self.y, other.x, other.y
+        return _lowest(x * u - y * v, x * v + y * u, self.d * other.d)
 
     def inverse(self) -> "GaussRational":
-        re, im = self.re, self.im
-        if not im and re in (1, -1):
-            return self
-        n = re * re + im * im
-        if not n:
+        x, y, d = self.x, self.y, self.d
+        if y:
+            return _lowest(d * x, -d * y, x * x + y * y)
+        if not x:
             raise NotInvertible("division by zero")
-        if type(n) is int:
-            n = Fraction(n)  # int / int would be a float
-        return GaussRational(re / n, -im / n)
+        if d == 1 and x in (1, -1):
+            return self
+        # d/x is in lowest terms already: gcd(x, d) = 1
+        return _gauss(d if x > 0 else -d, 0, abs(x))
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         return self * other.inverse()
@@ -155,15 +175,17 @@ class GaussRational:
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, GaussRational)
-            and self.re == other.re
-            and self.im == other.im
+            and self.x == other.x
+            and self.y == other.y
+            and self.d == other.d
         )
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, so this equals float() of each part
+        return complex(self.x / self.d, self.y / self.d)
 
     def __repr__(self) -> str:
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -225,7 +247,7 @@ class HalfLaurent:
 
     def is_one(self) -> bool:
         c = self.coeffs.get(0)
-        return c is not None and len(self.coeffs) == 1 and c.re == 1 and not c.im
+        return c is not None and len(self.coeffs) == 1 and c.x == 1 and not c.y and c.d == 1
 
     def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
         if not self.coeffs:
@@ -269,7 +291,7 @@ class HalfLaurent:
     def scale(self, c: GaussRational) -> "HalfLaurent":
         if c.is_zero():
             return HalfLaurent.zero()
-        if c.re == 1 and not c.im:
+        if c.x == 1 and not c.y and c.d == 1:
             return self
         return HalfLaurent({k: v * c for k, v in self.coeffs.items()})
 
@@ -311,7 +333,7 @@ class HalfLaurent:
 
     def eval_t(self, t: complex) -> complex:
         if self._complex is None:
-            self._complex = tuple((k, complex(float(re), float(im))) for k, re, im in self.key())
+            self._complex = tuple((k, complex(x / d, y / d)) for k, x, y, d in self.key())
         total = 0j
         for k, c in self._complex:
             total += c * t**k
@@ -335,9 +357,10 @@ class HalfLaurent:
         return total
 
     def key(self) -> tuple:
-        """Canonical form: ``(exponent, re, im)`` triples by ascending exponent."""
+        """Canonical form: all-int ``(exponent, x, y, d)`` tuples, one per term
+        (x + y i)/d * t^exponent, by ascending exponent."""
         if self._key is None:
-            self._key = tuple((k, c.re, c.im) for k, c in self._ordered())
+            self._key = tuple((k, c.x, c.y, c.d) for k, c in self._ordered())
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -601,21 +624,12 @@ class LaurentFrac:
         return f"({self.num})/({self.den})"
 
 
-def _split_gauss_square(c: GaussRational) -> tuple[Fraction, GaussRational]:
+def _split_gauss_square(c: GaussRational) -> tuple[GaussRational, GaussRational]:
     """Write c = s^2 * c0 with s a positive rational; extraction is maximal
     over positive rational squares, so the result is canonical."""
-    if not c.im:
-        cr = c.re
-        mag = abs(cr)
-        ns = _square_part(mag.numerator)
-        ds = _square_part(mag.denominator)
-        s = Fraction(ns, ds)
-        c0 = GaussRational(cr / (s * s))
-        return s, c0
-    g = _frac_gcd(abs(c.re), abs(c.im))
-    gs = Fraction(_square_part(g.numerator), _square_part(g.denominator))
-    inv = 1 / (gs * gs)
-    return gs, GaussRational(c.re * inv, c.im * inv)
+    # c = (g/d) * (x + y i)/g with g = gcd(x, y), and g/d is in lowest terms
+    sg, sd = _square_part(_int_gcd(c.x, c.y)), _square_part(c.d)
+    return _gauss(sg, 0, sd), _gauss(c.x // (sg * sg), c.y // (sg * sg), c.d // (sd * sd))
 
 
 def _split_radical(r: LaurentFrac) -> tuple[LaurentFrac, LaurentFrac | None]:
@@ -642,7 +656,7 @@ def _split_radical(r: LaurentFrac) -> tuple[LaurentFrac, LaurentFrac | None]:
     # part stays under the root (sqrt(x/f) = sqrt(x f)/f is not branch-safe).
     s_den, f_den = squarefree_split(r.den)
     inside = LaurentFrac(f_num.scale(c0).shifted(b), f_den)
-    out_num = s_num.scale(GaussRational(s_rat)).shifted(a)
+    out_num = s_num.scale(s_rat).shifted(a)
     outside = LaurentFrac(out_num, s_den)
     if inside.is_one():
         return outside, None

@@ -61,10 +61,22 @@ def _draw_q(rng: random.Random, lo: float, hi: float) -> float:
             return x
 
 
-def admissible_q_share(lo: float, hi: float) -> float:
-    """Share of [lo, hi] left to the q sampler once the exclusions are cut out."""
-    covered = sum(max(0.0, min(hi, c + r) - max(lo, c - r)) for c, r in Q_EXCLUSIONS)
-    return 1.0 - covered / (hi - lo) if lo < hi else 0.0
+def admissible_q_share(lo: float, hi: float) -> Fraction:
+    """Share of [lo, hi] left to the q sampler once the exclusions are cut out.
+
+    The share is exact in the float values of the bounds, centres and radii:
+    near a centre ``x - c`` is exact in floats, so ``_draw_q`` keeps exactly
+    the x with |x - c| >= r, and a float share would round a window edge
+    past a bound it admits.
+    """
+    if not lo < hi:
+        return Fraction(0)
+    lo, hi = Fraction(lo), Fraction(hi)
+    covered = sum(
+        max(0, min(hi, Fraction(c) + Fraction(r)) - max(lo, Fraction(c) - Fraction(r)))
+        for c, r in Q_EXCLUSIONS
+    )
+    return 1 - covered / (hi - lo)
 
 
 @dataclass
@@ -89,7 +101,7 @@ class RunContext:
             )
         if share < MIN_ADMISSIBLE_SHARE:
             raise ValueError(
-                f"q range {lo}:{hi} has too few admissible samples: only {share:.3g} of "
+                f"q range {lo}:{hi} has too few admissible samples: only {float(share):.3g} of "
                 f"it lies 0.05 or more from 1 and 1e-6 or more from 0, below the "
                 f"least share {MIN_ADMISSIBLE_SHARE}"
             )

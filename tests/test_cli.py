@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qclifford
 from qclifford import fierz, presentations, qgamma
@@ -625,6 +625,7 @@ class TestRunContext:
 
     @settings(max_examples=200, deadline=None)
     @given(lo=_NEAR_EXCLUSION_EDGES, hi=_NEAR_EXCLUSION_EDGES)
+    @example(lo=0.95, hi=0.9500000000000001)
     def test_a_range_is_accepted_only_with_enough_admissible_share(self, lo, hi):
         assume(lo < hi)
         share = _exact_admissible_share(lo, hi)

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     DEN_FACTORS,
@@ -388,6 +388,15 @@ class TestGaussRationalParts:
 
     @settings(max_examples=200, deadline=None)
     @given(rationals, rationals, rationals, rationals)
+    # (2+4i)/6 is (1+2i)/3, a gcd shared by both parts, and times 3 it is integral
+    @example(Fraction(2, 6), Fraction(4, 6), Fraction(3), Fraction(0))
+    # a real part over 6, no imaginary part: the sum 4/6 reduces to 2/3
+    @example(Fraction(5, 6), Fraction(0), Fraction(-1, 6), Fraction(0))
+    # the inverse of the pure imaginary 2/3 i is -3/2 i
+    @example(Fraction(0), Fraction(2, 3), Fraction(1), Fraction(-1))
+    @example(Fraction(-3, 4), Fraction(-5, 6), Fraction(-1, 2), Fraction(-7, 3))
+    # numerators and denominators above 2**64
+    @example(Fraction(2**70 + 1, 3), Fraction(-(2**65), 7), Fraction(3**45, 2), Fraction(1, 2**66))
     def test_ring_operations_match_the_reference(self, ar, ai, br, bi):
         a = GaussRational(_as_given(ar), _as_given(ai))
         b = GaussRational(_as_given(br), _as_given(bi))
@@ -410,6 +419,38 @@ class TestGaussRationalParts:
         assert str(from_int) == str(from_frac)
         assert from_int.to_complex() == from_frac.to_complex() == complex(re, im)
         assert str(from_int.re) == str(Fraction(re)) and str(from_int.im) == str(Fraction(im))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70), st.integers(1, 10**6), st.integers(-4, 4))
+def test_int_and_fraction_built_values_are_one_value(x, y, d, k):
+    assume(x or y)
+    re, im = Fraction(x, d), Fraction(y, d)
+    from_ints = HalfLaurent({k: GaussRational(x, y) / GaussRational(d)})
+    from_fracs = HalfLaurent({k: GaussRational(re, im)})
+    assert from_ints.key() == from_fracs.key()
+    assert RadicalScalar.from_frac(LaurentFrac(from_ints)) is RadicalScalar.from_frac(LaurentFrac(from_fracs))
+    bits = lambda z: (z.real.hex(), z.imag.hex())
+    want = bits(complex(float(re), float(im)))
+    for h in (from_ints, from_fracs):
+        assert bits(h.coeffs[k].to_complex()) == bits(h.eval_t(1.0)) == want
+    assert bits(from_ints.eval_t(0.5 + 0.25j)) == bits(from_fracs.eval_t(0.5 + 0.25j))
+
+
+def test_interned_keys_hold_only_ints(capsys):
+    from qclifford.cli import main
+
+    assert main(["verify", "--suite", "chq2", "--suite", "fierz", "--mode", "exact"]) == 0
+
+    def leaves(key):
+        if type(key) is tuple:
+            for part in key:
+                yield from leaves(part)
+        else:
+            yield key
+
+    kinds = {type(leaf) for key in list(scalars._INTERN.keys()) for leaf in leaves(key)}
+    assert kinds == {int}
 
 
 @st.composite
