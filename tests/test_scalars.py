@@ -438,6 +438,7 @@ def test_int_and_fraction_built_values_are_one_value(x, y, d, k):
 
 
 def test_interned_keys_hold_only_ints(capsys):
+    # capsys keeps the report off the test output
     from qclifford.cli import main
 
     assert main(["verify", "--suite", "chq2", "--suite", "fierz", "--mode", "exact"]) == 0
