@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .linalg import Matrix, matmul
 from .rewrite import NCPolynomial, RewriteSystem, anticommutation_rules
-from .scalars import GaussRational, RadicalScalar
+from .scalars import GaussRational
 
 # Cl(3,1) on e0..e3 with metric diag(-1, 1, 1, 1): e_mu e_mu -> g_mu and
 # e_nu e_mu -> -e_mu e_nu for mu < nu
@@ -39,16 +39,10 @@ def dirac_matrices() -> list[Matrix]:
     i = GaussRational(0, 1)
     mi = GaussRational(0, -1)
     z = 0
-
-    def m(rows):
-        return Matrix.from_rows(
-            [[RadicalScalar.constant(GaussRational(x) if isinstance(x, int) else x) for x in row] for row in rows]
-        )
-
-    g0 = m([[i, z, z, z], [z, i, z, z], [z, z, mi, z], [z, z, z, mi]])
-    g1 = m([[z, z, z, i], [z, z, i, z], [z, mi, z, z], [mi, z, z, z]])
-    g2 = m([[z, z, z, 1], [z, z, -1, z], [z, -1, z, z], [1, z, z, z]])
-    g3 = m([[z, z, i, z], [z, z, z, mi], [mi, z, z, z], [z, i, z, z]])
+    g0 = Matrix.from_rows([[i, z, z, z], [z, i, z, z], [z, z, mi, z], [z, z, z, mi]])
+    g1 = Matrix.from_rows([[z, z, z, i], [z, z, i, z], [z, mi, z, z], [mi, z, z, z]])
+    g2 = Matrix.from_rows([[z, z, z, 1], [z, z, -1, z], [z, -1, z, z], [1, z, z, z]])
+    g3 = Matrix.from_rows([[z, z, i, z], [z, z, z, mi], [mi, z, z, z], [z, i, z, z]])
     return [g0, g1, g2, g3]
 
 

@@ -28,7 +28,6 @@ from .rewrite import NCPolynomial, RewriteSystem, Word
 from .scalars import (
     RadicalScalar,
     _coerce,
-    accumulate,
     q_half,
     q_plus_qinv,
     qinv,
@@ -56,18 +55,9 @@ def hecke_rmatrix() -> Matrix:
     )
 
 
-def flip_matrix(n: int = 2) -> Matrix:
-    """Permutation matrix swapping the two tensor factors of C^n x C^n."""
-    z = RadicalScalar.zero()
-    one = RadicalScalar.one()
-    dim = n * n
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [z] * dim
-            row[j * n + i] = one
-            rows.append(row)
-    return Matrix(dim, dim, [x for row in rows for x in row])
+def flip_matrix() -> Matrix:
+    """Permutation matrix swapping the two tensor factors of C^2 x C^2."""
+    return Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
 def hecke_residual(r: Matrix) -> Matrix:
@@ -98,47 +88,30 @@ def spinor_metric() -> Matrix:
     )
 
 
-def _exchange_coefficients(k: RadicalScalar) -> dict:
+def _exchange_coefficients(k: RadicalScalar) -> Matrix:
     """Coefficients of the rules Z^i Zbar^l -> sum c Zbar^m Z^j.
 
     Obtained from the doublet relation by inverting the metric on the left
-    leg: c[(i, l), (m, j)] = k * sum_j' eps_inv[l, j'] R[(i, j'), (i', j)] eps[i', m].
+    leg: the matrix k (I x eps^{-1}) R (eps x I), whose row 2i + l holds
+    rule (i, l) with the coefficient of Zbar^m Z^j in column 2m + j.
     """
-    r = hecke_rmatrix()
     eps = spinor_metric()
-    eps_inv = eps.inverse()
-    coeffs: dict[tuple[int, int], dict[tuple[int, int], RadicalScalar]] = {}
-    for i in range(2):
-        for l in range(2):
-            body: dict[tuple[int, int], RadicalScalar] = {}
-            for j in range(2):
-                e_lj = eps_inv[l, j]
-                if e_lj.is_zero():
-                    continue
-                for ip in range(2):
-                    for jp in range(2):
-                        r_entry = r[i * 2 + j, ip * 2 + jp]
-                        if r_entry.is_zero():
-                            continue
-                        for m in range(2):
-                            e_im = eps[ip, m]
-                            if e_im.is_zero():
-                                continue
-                            accumulate(body, (m, jp), k * e_lj * r_entry * e_im)
-            coeffs[(i, l)] = body
-    return coeffs
+    ident = Matrix.identity(2)
+    exchange = matmul(matmul(kron(ident, eps.inverse()), hecke_rmatrix()), kron(eps, ident))
+    return exchange.scale(k)
 
 
-def _exchange_rules(coeffs: dict, zed: tuple[int, int], zbar: tuple[int, int]) -> dict:
+def _exchange_rules(coeffs: Matrix, zed: tuple[int, int], zbar: tuple[int, int]) -> dict:
     """The rules Z^i Zbar^l -> sum c Zbar^m Z^j for one Z doublet and one Zbar doublet.
 
     ``zed`` and ``zbar`` are the letters of each doublet's two components.
     """
     return {
         (zed[i], zbar[l]): NCPolynomial(
-            {(zbar[m], zed[j]): c for (m, j), c in body.items()}
+            {(zbar[m], zed[j]): coeffs[2 * i + l, 2 * m + j] for m in range(2) for j in range(2)}
         )
-        for (i, l), body in coeffs.items()
+        for i in range(2)
+        for l in range(2)
     }
 
 

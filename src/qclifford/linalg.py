@@ -246,24 +246,28 @@ def _row_reduce(aug: list[list[RadicalScalar]], ncols: int) -> list[int]:
     return pivots
 
 
-def solve_exact(a: Matrix, rhs: list[RadicalScalar]):
-    """Solve a x = rhs exactly; returns (solvable, solution or None).
+def solve_exact(a: Matrix, rhs: list[list]) -> list[tuple[bool, list[RadicalScalar] | None]]:
+    """Solve a x = b exactly for each b in ``rhs``.
 
-    Row-reduces the augmented system over the scalar field; when the
-    system is consistent, free variables are set to zero.
+    [a | b_1 ... b_k] is row-reduced once over the scalar field.  Returns
+    one (solvable, solution or None) per b; in a solution, free variables
+    are set to zero.
     """
-    if len(rhs) != a.rows:
-        raise ShapeMismatch("rhs length does not match row count")
     m, n = a.rows, a.cols
-    aug = [list(a.row(i)) + [_coerce(rhs[i])] for i in range(m)]
+    if any(len(b) != m for b in rhs):
+        raise ShapeMismatch("rhs length does not match row count")
+    aug = [list(a.row(i)) + [_coerce(b[i]) for b in rhs] for i in range(m)]
     pivots = _row_reduce(aug, n)
-    for rr in range(len(pivots), m):
-        if not aug[rr][n].is_zero():
-            return False, None
-    solution = [RadicalScalar.zero()] * n
-    for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][n]
-    return True, solution
+    out = []
+    for j in range(n, n + len(rhs)):
+        if any(not aug[rr][j].is_zero() for rr in range(len(pivots), m)):
+            out.append((False, None))
+            continue
+        solution = [RadicalScalar.zero()] * n
+        for row_idx, col in enumerate(pivots):
+            solution[col] = aug[row_idx][j]
+        out.append((True, solution))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -279,44 +279,27 @@ def bare_relation_solve_exact_q1(gs: QGammaSet, qm: QMetric) -> BareRelationSolv
     """Solve for the 256 braiding entries exactly at q = 1.
 
     For each index pair (mu, nu) the 16 unknowns R^{mu nu}_{nu' mu'} enter
-    one 4x4 matrix equation linearly, giving 16 independent 16x16 systems
-    over the exact scalar field.
+    one 4x4 matrix equation linearly, giving 16 16x16 systems over the exact
+    scalar field that share one coefficient matrix, solved by one
+    elimination.
     """
     mats1 = [m.map(lambda s: s.limit_q1()) for m in gs.matrices]
     cinv1 = qm.c_inverse.map(lambda s: s.limit_q1())
-    q1 = RadicalScalar.one()
     prefactor = RadicalScalar.constant(2)  # q^{-1} Q at q = 1
-    products = {}
-    for np_ in range(4):
-        for mp in range(4):
-            products[(np_, mp)] = matmul(mats1[np_], mats1[mp])
-    # coefficient matrix: entry row = flattened matrix position, column = (nu', mu')
-    coeff_rows = []
-    for e in range(16):
-        i, j = divmod(e, 4)
-        row = []
-        for np_ in range(4):
-            for mp in range(4):
-                row.append(q1 * products[(np_, mp)][i, j])
-        coeff_rows.append(row)
-    coeff = Matrix.from_rows(coeff_rows)
     ident = Matrix.identity(4)
-    witness_rows = []
-    infeasible = []
-    for mu in range(4):
-        for nu in range(4):
-            lhs = matmul(mats1[mu], mats1[nu])
-            target = ident.scale(prefactor * cinv1[mu, nu]) - lhs
-            rhs = [target[divmod(e, 4)] for e in range(16)]
-            ok, sol = solve_exact(coeff, rhs)
-            if not ok:
-                infeasible.append((mu, nu))
-                witness_rows.append([RadicalScalar.zero()] * 16)
-            else:
-                witness_rows.append(sol)
-    solvable = not infeasible
-    witness = Matrix.from_rows(witness_rows) if solvable else None
-    return BareRelationSolve(solvable, witness, infeasible)
+    # column (nu', mu') of the coefficient matrix is g_nu' g_mu' flattened
+    # row-major, as is each target
+    cols = [matmul(a, b).data for a in mats1 for b in mats1]
+    targets = [
+        (ident.scale(prefactor * cinv1[mu, nu]) - matmul(mats1[mu], mats1[nu])).data
+        for mu in range(4)
+        for nu in range(4)
+    ]
+    solved = solve_exact(Matrix.from_rows(list(zip(*cols))), targets)
+    infeasible = [divmod(p, 4) for p, (ok, _) in enumerate(solved) if not ok]
+    if infeasible:
+        return BareRelationSolve(False, None, infeasible)
+    return BareRelationSolve(True, Matrix.from_rows([sol for _, sol in solved]), [])
 
 
 # largest solve residual that still counts as solvable

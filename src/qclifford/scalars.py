@@ -423,16 +423,12 @@ def poly_gcd(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
     """Monic gcd of the valuation-stripped polynomial parts (1 if coprime).
 
     Units t^k are ignored: the result always has valuation 0, and a
-    monomial operand is such a unit, so it needs no Euclid.
+    monomial operand is such a unit, so it needs no Euclid.  Both operands
+    must be nonzero: a zero one raises ValueError from valuation() unless
+    the other is a monomial.
     """
     if len(a.coeffs) == 1 or len(b.coeffs) == 1:
         return HalfLaurent.one()
-    if a.is_zero() and b.is_zero():
-        return HalfLaurent.zero()
-    if a.is_zero():
-        return b.shifted(-b.valuation()).monic_pair()[0]
-    if b.is_zero():
-        return a.shifted(-a.valuation()).monic_pair()[0]
     x = a.shifted(-a.valuation())
     y = b.shifted(-b.valuation())
     while not y.is_zero():
@@ -473,8 +469,8 @@ def _cancel(p: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
 def _monic_den(num: HalfLaurent, den: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
     """Rescale num/den so that den is monic with valuation 0 (den nonzero)."""
     vd = den.valuation()
-    den, lead = den.shifted(-vd).monic_pair()
-    return num.shifted(-vd).scale(lead.inverse()), den
+    inv = den.lead_coeff().inverse()
+    return num.shifted(-vd).scale(inv), den.shifted(-vd).scale(inv)
 
 
 class LaurentFrac:

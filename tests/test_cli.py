@@ -861,7 +861,7 @@ import sys
 class BlockNumpy(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path, target=None):
         if name == "numpy" or name.startswith("numpy."):
-            raise ImportError(f"No module named {name!r}")
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
         return None
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,21 @@ class TestReflectionRules:
         assert k_degree((z11, z21, zb11, zb21), CONVENTION_REFLECT) == 4
         with pytest.raises(ValueError, match="unknown convention"):
             k_degree((z11, zb11), "no_such_convention")
+
+    @pytest.mark.parametrize("k", [1, Fraction(3, 5)], ids=["k=1", "k=3/5"])
+    def test_exchange_coefficients_match_the_index_sum(self, k):
+        # oracle: rule (i, l) has coefficient
+        # k sum_{j, i'} eps^{-1}[l, j] R[(i, j), (i', j')] eps[i', m] on Zbar^m Z^j'
+        k = RadicalScalar.constant(k)
+        r, eps = hecke_rmatrix(), spinor_metric()
+        eps_inv = eps.inverse()
+        coeffs = fierz._exchange_coefficients(k)
+        for i, l, m, jp in itertools.product(range(2), repeat=4):
+            expected = RadicalScalar.zero()
+            for j in range(2):
+                for ip in range(2):
+                    expected = expected + k * eps_inv[l, j] * r[2 * i + j, 2 * ip + jp] * eps[ip, m]
+            assert coeffs[2 * i + l, 2 * m + jp] == expected, (i, l, m, jp)
 
     def test_metric_is_invertible(self):
         eps = spinor_metric()

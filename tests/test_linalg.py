@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_light_scalar
+from qclifford import linalg
 from qclifford.linalg import (
     Matrix,
     ShapeMismatch,
@@ -112,7 +113,7 @@ class TestExactSolving:
     def test_solve_consistent_system(self):
         q = qvar()
         m = Matrix.from_rows([[q, 1], [1, 0]])
-        ok, sol = solve_exact(m, [RadicalScalar.one(), RadicalScalar.zero()])
+        [(ok, sol)] = solve_exact(m, [[RadicalScalar.one(), RadicalScalar.zero()]])
         assert ok
         got = [
             sol[0] * m[0, 0] + sol[1] * m[0, 1],
@@ -122,14 +123,41 @@ class TestExactSolving:
 
     def test_solve_flags_inconsistent_system(self):
         m = Matrix.from_rows([[1, 1], [1, 1]])
-        ok, sol = solve_exact(m, [RadicalScalar.one(), RadicalScalar.zero()])
+        [(ok, sol)] = solve_exact(m, [[RadicalScalar.one(), RadicalScalar.zero()]])
         assert not ok and sol is None
 
     def test_underdetermined_system_gets_particular_solution(self):
         m = Matrix.from_rows([[1, 1]])
-        ok, sol = solve_exact(m, [RadicalScalar.constant(5)])
+        [(ok, sol)] = solve_exact(m, [[RadicalScalar.constant(5)]])
         assert ok
         assert (sol[0] + sol[1]) == RadicalScalar.constant(5)
+
+    # one matrix cannot have both a unique solution and a free unknown, so
+    # each case runs on a tall matrix of full column rank and on a square
+    # one of rank 2, whose third unknown is free
+    @pytest.mark.parametrize("free_unknown", [False, True])
+    def test_one_elimination_solves_every_right_hand_side(self, monkeypatch, free_unknown):
+        q = qvar()
+        rows = [[q, 1], [1, 0], [q + 1, 1]]
+        if free_unknown:
+            rows = [r + [c] for r, c in zip(rows, (0, 1, 1))]
+        m = Matrix.from_rows(rows)
+        zero, one = RadicalScalar.zero(), RadicalScalar.one()
+        # consistent, inconsistent (row 3 is the sum of rows 1 and 2), consistent
+        rhs = [[one, zero, one], [one, one, one], [q, zero, q]]
+        alone = [solve_exact(m, [b]) for b in rhs]
+        calls = []
+        row_reduce = linalg._row_reduce
+        monkeypatch.setattr(linalg, "_row_reduce", lambda aug, n: calls.append(n) or row_reduce(aug, n))
+        together = solve_exact(m, rhs)
+        assert len(calls) == 1
+        assert together == [r for [r] in alone]
+        assert [ok for ok, _ in together] == [True, False, True]
+        for (ok, sol), b in zip(together, rhs):
+            if ok:
+                assert [sum((m[i, j] * sol[j] for j in range(m.cols)), zero) for i in range(3)] == b
+                if free_unknown:
+                    assert sol[2].is_zero()
 
 
 def test_numeric_evaluation_matches_numpy_composition(np):

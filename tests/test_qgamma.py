@@ -2,6 +2,7 @@ import cmath
 
 import pytest
 
+from qclifford import qgamma
 from qclifford.linalg import Matrix, matmul
 from qclifford.qgamma import (
     ALL_CONVENTIONS,
@@ -237,6 +238,13 @@ class TestBareRelation:
                         total = total + matmul(mats[np_], mats[mp]).scale(coeff)
                 target = Matrix.identity(4).scale(two * cinv[mu, nu])
                 assert total == target, (mu, nu)
+
+    def test_exact_solve_at_q1_is_one_elimination(self, gs, qm, monkeypatch):
+        calls = []
+        solve = qgamma.solve_exact
+        monkeypatch.setattr(qgamma, "solve_exact", lambda a, rhs: calls.append(len(rhs)) or solve(a, rhs))
+        bare_relation_solve_exact_q1(gs, qm)
+        assert calls == [16]
 
     def test_numeric_solve_away_from_one(self, gs, qm):
         for qv in (0.7, 1.4):

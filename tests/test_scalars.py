@@ -501,6 +501,17 @@ class TestHenriciCost:
             assert len(operand.coeffs) <= len(den.coeffs) and operand.degree() <= den.degree()
         assert total.key() == LaurentFrac(HalfLaurent({0: GaussRational(1), 1: GaussRational(1)}), den).key()
 
+    def test_canonical_denominator_inverts_its_leading_coefficient_once(self, monkeypatch):
+        calls = []
+        inverse = GaussRational.inverse
+        monkeypatch.setattr(GaussRational, "inverse", lambda c: calls.append(c) or inverse(c))
+        half = LaurentFrac(HalfLaurent.one(), HalfLaurent({0: GaussRational(2)}))
+        assert len(calls) == 1
+        third = LaurentFrac(HalfLaurent({0: GaussRational(3)})).inverse()
+        assert len(calls) == 2
+        assert half.key() == LaurentFrac(HalfLaurent({0: GaussRational(Fraction(1, 2))})).key()
+        assert third.key() == LaurentFrac(HalfLaurent({0: GaussRational(Fraction(1, 3))})).key()
+
     def test_product_of_monomial_numerators_runs_no_division(self, monkeypatch):
         one_plus_t2, t_minus_2, _ = DEN_FACTORS
         a = LaurentFrac(HalfLaurent.t_power(2), one_plus_t2)
