@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product as _cartesian
 
-from .scalars import RadicalScalar, _coerce, accumulate
+from .scalars import RadicalScalar, _coerce, accumulate, deduct
 
 # most rewrite steps one normal_form call may take before BudgetExceeded
 STEP_BUDGET = 10**6
@@ -81,7 +81,10 @@ class NCPolynomial:
         return NCPolynomial._nonzero({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return self + (-other)
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            deduct(out, w, c)
+        return NCPolynomial._nonzero(out)
 
     def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
         """Concatenation product; no rule is applied."""

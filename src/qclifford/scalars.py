@@ -23,8 +23,11 @@ were built.
 
 Every ``RadicalScalar`` is hash-consed: construction goes through one weak
 table keyed on ``key()``, so there is one live object per value and ``is``
-decides equality between scalars.  Sums and products are memoised on the
-identity of their operands.
+decides equality between scalars.  Every ``RadicalScalar`` operation goes
+through one memo keyed on the identity of its operands: sums and products
+on the unordered pair, differences on the ordered pair, negations and
+inverses on the one operand.  The memo keeps the entries of two
+generations and drops the older one whole when the younger one fills.
 """
 
 from __future__ import annotations
@@ -80,6 +83,17 @@ def accumulate(out: dict, key, value) -> None:
     """Add ``value`` into ``out[key]``, dropping the key when the sum is zero."""
     s = out.get(key)
     s = value if s is None else s + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def deduct(out: dict, key, value) -> None:
+    """Subtract ``value`` from ``out[key]``, dropping the key when the
+    difference is zero; ``-value`` is built only for an absent key."""
+    s = out.get(key)
+    s = -value if s is None else s - value
     if s.is_zero():
         out.pop(key, None)
     else:
@@ -668,7 +682,10 @@ class RadicalScalar:
     multiplication cancels paired radicands exactly.
 
     Instances are interned: one live object per value, so ``a == b`` is
-    ``a is b`` between scalars, and nothing may mutate ``terms``.
+    ``a is b`` between scalars, and nothing may mutate ``terms``.  Each of
+    ``+``, ``*``, ``-`` (both forms) and ``inverse()`` is answered from the
+    identity memo ``_memo`` when it already holds the result; ``a + b`` and
+    ``b + a`` (and ``a * b`` and ``b * a``) share one entry.
     """
 
     __slots__ = ("terms", "_key", "__weakref__")
@@ -751,6 +768,8 @@ class RadicalScalar:
             return self
         if not self.terms:
             return other
+        if id(other) < id(self):
+            return _memo(RadicalScalar._add, other, self)
         return _memo(RadicalScalar._add, self, other)
 
     __radd__ = __add__
@@ -762,21 +781,36 @@ class RadicalScalar:
         return RadicalScalar._nonzero(out)
 
     def __neg__(self) -> "RadicalScalar":
+        return _memo(RadicalScalar._neg, self)
+
+    def _neg(self) -> "RadicalScalar":
         return RadicalScalar._nonzero({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not RadicalScalar:
+            try:
+                other = _coerce(other)
+            except TypeError:
+                return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        return _memo(RadicalScalar._sub, self, other)
 
     def __rsub__(self, other):
         try:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        return other + (-self)
+        return other - self
+
+    def _sub(self, other: "RadicalScalar") -> "RadicalScalar":
+        """self - other, subtracting term by term so -other is never built."""
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            deduct(out, k, c)
+        return RadicalScalar._nonzero(out)
 
     def __mul__(self, other):
         if type(other) is not RadicalScalar:
@@ -790,6 +824,8 @@ class RadicalScalar:
             return other
         if not self.terms or not other.terms:
             return ZERO
+        if id(other) < id(self):
+            return _memo(RadicalScalar._mul, other, self)
         return _memo(RadicalScalar._mul, self, other)
 
     __rmul__ = __mul__
@@ -831,6 +867,10 @@ class RadicalScalar:
         return out
 
     def inverse(self) -> "RadicalScalar":
+        """Exact inverse, from the memo when it holds one, else ``_inverse``."""
+        return _memo(RadicalScalar._inverse, self)
+
+    def _inverse(self) -> "RadicalScalar":
         """Exact inverse by successive conjugation over each radical."""
         if self.is_zero():
             raise NotInvertible("division by zero")
@@ -966,20 +1006,31 @@ class RadicalScalar:
 # its scalar does, and ZERO and ONE are held by this module for good
 _INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-# Sums and products keyed on the operation and the identity of each operand,
-# shared between callers (nothing mutates a scalar once built).  An entry
-# holds its operands, so their ids cannot be reused while it lives.
+# Results of every RadicalScalar operation, keyed on the operation and the
+# identity of each operand, shared between callers (nothing mutates a scalar
+# once built).  Sums and products come in with their operands ordered by id,
+# so both orders share one entry; differences keep their order; negations and
+# inverses have None for the second operand.  An entry holds its operands, so
+# their ids cannot be reused while it lives.  The entries live in two
+# generations of MEMO_CAP // 2: a hit in the older one moves its entry to the
+# younger, and when the younger is full the older is dropped and the younger
+# takes its place, so at most MEMO_CAP entries are ever held.
 MEMO_CAP = 512
 _MEMO: dict = {}
+_MEMO_OLD: dict = {}
 
 
-def _memo(op, a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
+def _memo(op, a: RadicalScalar, b: RadicalScalar | None = None) -> RadicalScalar:
+    global _MEMO, _MEMO_OLD
     key = (op, id(a), id(b))
     entry = _MEMO.get(key)
     if entry is None:
-        if len(_MEMO) >= MEMO_CAP:
-            _MEMO.clear()
-        entry = _MEMO[key] = (a, b, op(a, b))
+        entry = _MEMO_OLD.pop(key, None)
+        if entry is None:
+            entry = (a, b, op(a) if b is None else op(a, b))
+        if len(_MEMO) >= MEMO_CAP // 2:
+            _MEMO_OLD, _MEMO = _MEMO, {}
+        _MEMO[key] = entry
     return entry[2]
 
 

@@ -1,9 +1,12 @@
+import os
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+import qclifford
 from qclifford.scalars import (
     GaussRational,
     HalfLaurent,
@@ -13,6 +16,15 @@ from qclifford.scalars import (
     qvar,
     sqrt,
 )
+
+
+def env_importing_this_qclifford() -> dict:
+    """The environment with the directory of the imported package first on
+    PYTHONPATH, so a child process runs the same code from an uninstalled
+    checkout."""
+    root = str(pathlib.Path(qclifford.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
 
 
 def random_gauss(rng: random.Random, complex_ok: bool = True) -> GaussRational:

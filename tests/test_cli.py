@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import qclifford
+from conftest import env_importing_this_qclifford
 from qclifford import fierz, presentations, qgamma
 from qclifford import suites as suites_mod
 from qclifford.cli import main
@@ -383,7 +383,7 @@ class TestConfigFile:
             ],
             capture_output=True,
             text=True,
-            env=_env_importing_this_qclifford(),
+            env=env_importing_this_qclifford(),
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -407,7 +407,7 @@ class TestConfigFile:
              "--q-range", q_range],
             capture_output=True,
             text=True,
-            env=_env_importing_this_qclifford(),
+            env=env_importing_this_qclifford(),
             timeout=2 if code == 2 else 60,
         )
         assert proc.returncode == code, proc.stderr
@@ -430,7 +430,7 @@ class TestConfigFile:
             [sys.executable, "-m", "qclifford.cli", "verify", "--suite", "clifford", *extra],
             capture_output=True,
             text=True,
-            env=_env_importing_this_qclifford(),
+            env=env_importing_this_qclifford(),
             timeout=60,
         )
         assert proc.returncode == 2, proc.stderr
@@ -772,15 +772,6 @@ class TestListChecks:
         assert len(ids) == len(set(ids))
 
 
-def _env_importing_this_qclifford() -> dict:
-    """The environment with the directory of the imported package first on
-    PYTHONPATH, so a child process runs the same code from an uninstalled
-    checkout."""
-    root = str(pathlib.Path(qclifford.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
-
-
 def test_console_entry_point_runs_in_subprocess(tmp_path):
     out = tmp_path / "r.json"
     proc = subprocess.run(
@@ -798,7 +789,7 @@ def test_console_entry_point_runs_in_subprocess(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=_env_importing_this_qclifford(),
+        env=env_importing_this_qclifford(),
     )
     assert proc.returncode == 0, proc.stderr
     validate_report(json.loads(out.read_text()))
@@ -811,7 +802,7 @@ def test_importing_the_cli_does_not_load_jsonschema():
         [sys.executable, "-c", "import sys, qclifford.cli; print('jsonschema' in sys.modules)"],
         capture_output=True,
         text=True,
-        env=_env_importing_this_qclifford(),
+        env=env_importing_this_qclifford(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
@@ -841,7 +832,7 @@ def test_the_runtime_never_imports_numpy(tmp_path):
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env=_env_importing_this_qclifford(),
+        env=env_importing_this_qclifford(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "False"
@@ -903,7 +894,7 @@ def test_tier1_runs_without_numpy():
         capture_output=True,
         text=True,
         cwd=tests.parent,
-        env=_env_importing_this_qclifford(),
+        env=env_importing_this_qclifford(),
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     result = json.loads(proc.stdout.splitlines()[-1])

@@ -1,9 +1,12 @@
 import cmath
 import copy
 import gc
+import json
 import math
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (
     DEN_FACTORS,
     cancelling_partners,
+    env_importing_this_qclifford,
     pooled_fraction_pairs,
     radical_pool,
     random_halflaurent,
@@ -219,8 +223,32 @@ def test_string_rendering_is_deterministic(rng):
     assert str(v) == str(sqrt(q_plus_qinv()) + qvar() - RadicalScalar.constant(Fraction(1, 2)))
 
 
+def _clear_memo():
+    """Empty both generations of the operation memo."""
+    scalars._MEMO.clear()
+    scalars._MEMO_OLD.clear()
+
+
+def _counted(fn, counts: list):
+    """``fn`` wrapped so that each call appends its arguments to ``counts``."""
+
+    def counting(*args):
+        counts.append(args)
+        return fn(*args)
+
+    return counting
+
+
+def _count_interned_builds(monkeypatch) -> list:
+    """Record every call of ``RadicalScalar._nonzero`` from now on."""
+    builds = []
+    raw = RadicalScalar.__dict__["_nonzero"].__func__
+    monkeypatch.setattr(RadicalScalar, "_nonzero", staticmethod(_counted(raw, builds)))
+    return builds
+
+
 class TestMemo:
-    """Sums and products are memoized on the identity of each operand, which
+    """Every operation is memoized on the identity of each operand, which
     interning makes one object per value."""
 
     def test_equal_operands_in_another_term_order_share_one_product(self):
@@ -231,43 +259,88 @@ class TestMemo:
         second = RadicalScalar.from_frac(LaurentFrac(p2))
         assert list(p1.coeffs) != list(p2.coeffs)
         assert first == second and first.key() == second.key()
-        scalars._MEMO.clear()
+        _clear_memo()
         product = first * b
         assert second * b is product
         total = first + b
         assert second + b is total
 
-    def test_table_stays_within_its_cap(self):
-        scalars._MEMO.clear()
+    def test_table_stays_within_its_cap(self, monkeypatch):
+        # two generations of MEMO_CAP // 2: together they fill up to the cap
+        # and never past it
+        _clear_memo()
+        calls = []
+        monkeypatch.setattr(RadicalScalar, "_mul", _counted(RadicalScalar._mul, calls))
         q = qvar()
+        constants = [RadicalScalar.constant(k + 2) for k in range(scalars.MEMO_CAP + 50)]
         filled = 0
-        for k in range(scalars.MEMO_CAP + 50):
-            q * RadicalScalar.constant(k + 2)
-            assert len(scalars._MEMO) <= scalars.MEMO_CAP
-            filled = max(filled, len(scalars._MEMO))
+        for c in constants:
+            q * c
+            held = len(scalars._MEMO) + len(scalars._MEMO_OLD)
+            assert held <= scalars.MEMO_CAP
+            filled = max(filled, held)
         assert filled == scalars.MEMO_CAP
+        assert len(calls) == len(constants)
+        # an entry of the older generation answers without a recomputation
+        (key, (a, b, product)), *_ = scalars._MEMO_OLD.items()
+        assert a * b is product
+        assert len(calls) == len(constants)
+        assert key in scalars._MEMO and key not in scalars._MEMO_OLD
 
     def test_entries_hold_the_operands_their_ids_name(self, rng):
-        scalars._MEMO.clear()
+        _clear_memo()
         values = [random_scalar(rng) for _ in range(12)]
         for a in values:
+            -a
+            if not a.is_zero():
+                a.inverse()
             for b in values:
                 a * b
                 a + b
-        assert scalars._MEMO
-        for (_op, id_a, id_b), (a, b, _out) in scalars._MEMO.items():
+                a - b
+        assert scalars._MEMO and scalars._MEMO_OLD
+        for (_op, id_a, id_b), (a, b, _out) in [*scalars._MEMO.items(), *scalars._MEMO_OLD.items()]:
             assert (id_a, id_b) == (id(a), id(b))
 
     def test_a_dropped_operand_never_hands_its_product_to_a_new_one(self):
         # a freed scalar's address is soon reused; an entry that did not hold
         # its operands would then answer for a different value
-        scalars._MEMO.clear()
+        _clear_memo()
         q = qvar()
         for k in range(300):
             c = RadicalScalar.constant(k + 2)
             assert c * q is RadicalScalar._mul(c, q)
             assert c + q is RadicalScalar._add(c, q)
+            assert c - q is RadicalScalar._sub(c, q)
+            assert -c is RadicalScalar._neg(c)
+            assert c.inverse() is RadicalScalar._inverse(c)
             del c
+
+    def test_the_second_order_of_a_product_or_sum_computes_nothing(self, monkeypatch):
+        a, b = sqrt(q_plus_qinv()) + qvar(), qinv() + RadicalScalar.constant(3)
+        _clear_memo()
+        muls, adds = [], []
+        monkeypatch.setattr(RadicalScalar, "_mul", _counted(RadicalScalar._mul, muls))
+        monkeypatch.setattr(RadicalScalar, "_add", _counted(RadicalScalar._add, adds))
+        assert a * b is b * a
+        assert a + b is b + a
+        assert len(muls) == len(adds) == 1
+
+    def test_a_second_inverse_does_no_elimination(self, monkeypatch):
+        _clear_memo()
+        x = q_half(3) + sqrt(q_plus_qinv())
+        first = x.inverse()
+        builds = _count_interned_builds(monkeypatch)
+        assert x.inverse() is first
+        assert builds == []
+
+    def test_a_difference_interns_exactly_one_scalar(self, monkeypatch):
+        _clear_memo()
+        a, b = sqrt(q_plus_qinv()) + qvar(), qinv() + RadicalScalar.constant(3)
+        builds = _count_interned_builds(monkeypatch)
+        diff = a - b
+        assert len(builds) == 1
+        assert diff is a + -b
 
 
 @st.composite
@@ -301,6 +374,86 @@ def test_memoized_ops_match_the_tower_in_term_order(twins):
         for b in values:
             assert a * b == RadicalScalar._mul(a, b)
             assert a + b == RadicalScalar._add(a, b)
+
+
+memo_operands = st.one_of(
+    small_scalar_twins().map(lambda twins: twins[0]),
+    st.integers(0, 2**32 - 1).map(lambda seed: random_scalar(random.Random(seed))),
+)
+
+
+class TestMemoPremises:
+    """What the memo takes for granted, decided on the raw operations.
+
+    Each example empties the memo first, so the oracle shares no entry with
+    the memoized operators: one result for both operand orders of a sum or
+    product, a difference that is the sum with the negation, and negation
+    and inverse that undo themselves, all as one interned object."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(memo_operands, memo_operands)
+    def test_sums_and_products_ignore_the_operand_order(self, a, b):
+        _clear_memo()
+        assert RadicalScalar._mul(a, b) is RadicalScalar._mul(b, a)
+        assert RadicalScalar._add(a, b) is RadicalScalar._add(b, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(memo_operands, memo_operands)
+    def test_a_difference_is_the_sum_with_the_negation(self, a, b):
+        _clear_memo()
+        assert RadicalScalar._sub(a, b) is RadicalScalar._add(a, RadicalScalar._neg(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(memo_operands)
+    def test_negation_and_inverse_undo_themselves(self, a):
+        _clear_memo()
+        assert RadicalScalar._neg(RadicalScalar._neg(a)) is a
+        # conjugating away three radical terms can run for minutes on some draws
+        assume(0 < len(a.terms) <= 2)
+        assert RadicalScalar._inverse(RadicalScalar._inverse(a)) is a
+
+
+# Counts LaurentFrac products, gcds and interned RadicalScalar builds over one
+# hopf-exact run (the command of perfbench's hopf-exact workload at seed 7).
+_COUNT_BUILDS = """
+import collections, contextlib, io, json
+from qclifford import scalars
+from qclifford.cli import main
+
+counts = collections.Counter()
+
+def counting(label, fn):
+    def wrapper(*args):
+        counts[label] += 1
+        return fn(*args)
+    return wrapper
+
+scalars.LaurentFrac.__mul__ = counting("laurentfrac_mul", scalars.LaurentFrac.__mul__)
+scalars.poly_gcd = counting("poly_gcd", scalars.poly_gcd)
+scalars.RadicalScalar._nonzero = staticmethod(counting("interned", scalars.RadicalScalar._nonzero))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"])
+print(json.dumps({"exit": code, **counts}))
+"""
+
+
+def test_hopf_exact_run_builds_each_scalar_about_once():
+    # a fresh process, because the memo and intern tables carry state from
+    # one test to the next; without the memo's order-free and fused entries
+    # the run makes 2,164 products, 938 gcds and 5,184 interned builds
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_BUILDS],
+        capture_output=True,
+        text=True,
+        env=env_importing_this_qclifford(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["exit"] == 0
+    assert counts["laurentfrac_mul"] <= 1250
+    assert counts["poly_gcd"] <= 560
+    assert counts["interned"] <= 2400
 
 
 class TestInterning:
