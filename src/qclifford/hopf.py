@@ -21,19 +21,22 @@ a*b -> R, so that it is well defined on H:
   those where m (id x S) Delta = eps * 1 holds.
 
 A failed premise fails the verdict and leads its witnesses, so no verdict
-passes vacuously; each law reads only its own premises.  All comparisons
-are of normal forms in the algebra and its tensor powers, which are
-confluent (``tests/test_hopf.py::TestTargetConfluence``).
+passes vacuously; each law reads only its own premises.  A premise is a
+fact about the presentation and one map, not about a law: each premise row
+(one map on every rule) is computed once per rewrite system and generator
+images, compared by content, and shared by every law and every algebra on
+that system.  All comparisons are of normal forms in the algebra and its
+tensor powers, which are confluent
+(``tests/test_hopf.py::TestTargetConfluence``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .rewrite import NCPolynomial, RewriteSystem, Word
-from .scalars import RadicalScalar, accumulate
+from .scalars import ZERO, RadicalScalar, accumulate
 
 
 class AntipodeMissing(Exception):
@@ -53,6 +56,15 @@ def extend(p: NCPolynomial, images: dict, target: RewriteSystem) -> NCPolynomial
         for w2, c2 in image.terms.items():
             accumulate(out, w2, c * c2)
     return NCPolynomial._nonzero(out)
+
+
+def _once(rs: RewriteSystem, key, build, *args):
+    """``build(*args)``, computed once per system: it is kept in
+    ``rs.derived``, so it lives no longer than ``rs``."""
+    derived = rs.derived
+    if key not in derived:
+        derived[key] = build(*args)
+    return derived[key]
 
 
 def _counit_images(counit: dict[int, RadicalScalar]) -> dict[int, NCPolynomial]:
@@ -84,13 +96,13 @@ class HopfData:
     counit: dict[int, RadicalScalar]
     antipode: dict[int, NCPolynomial] = field(default_factory=dict)
 
-    @cached_property
+    @property
     def t2(self) -> RewriteSystem:
-        return self.rs.tensor_power(2)
+        return _once(self.rs, ("tensor_power", 2), self.rs.tensor_power, 2)
 
-    @cached_property
+    @property
     def t3(self) -> RewriteSystem:
-        return self.rs.tensor_power(3)
+        return _once(self.rs, ("tensor_power", 3), self.rs.tensor_power, 3)
 
     def split(self, tw: Word) -> tuple[Word, Word]:
         """The slot parts (u, v) of a slot-sorted tensor-square word."""
@@ -102,8 +114,14 @@ class HopfData:
         return extend(p, self.coproduct, self.t2)
 
     def counit_of(self, p: NCPolynomial) -> NCPolynomial:
-        """eps(p) * 1 in ``rs``."""
-        return extend(p, _counit_images(self.counit), self.rs)
+        """eps(p) * 1 in ``rs``.  eps is a character, so eps(w) is the product
+        of its letters' counits: a scalar, found with no normal form."""
+        total = ZERO
+        for w, c in p.terms.items():
+            for letter in w:
+                c = c * self.counit[letter]
+            total = total + c
+        return NCPolynomial({(): total})
 
     def antipode_of(self, p: NCPolynomial) -> NCPolynomial:
         """S(p); S is anti-multiplicative, so S(w) is the image of w reversed."""
@@ -131,26 +149,38 @@ class AxiomResult:
     witnesses: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _premise_witnesses(h: HopfData, maps: tuple[str, ...]) -> list[tuple[str, str]]:
-    """The rules a*b -> R that the named structure maps fail to respect.
+def _premise_row(h: HopfData, m: str) -> list[tuple[str, str] | None]:
+    """Map ``m`` on every rule a*b -> R of ``h.rs``: the witness where m does
+    not respect the rule, else None.
 
     "Delta" compares Delta(a) Delta(b) with Delta(R), "eps" eps(a) eps(b)
     with eps(R) (the witness is the scalar difference), and "S" S(b) S(a)
-    with S(R); witnesses run rule by rule, in the order of ``maps``."""
+    with S(R).  A row depends only on the system and m's generator images,
+    so it is computed once per system and images, compared by content: an
+    algebra whose map was changed reads its own row."""
     rs = h.rs
-    premises = {
-        "Delta": (h.delta, h.t2.render),
-        "eps": (h.counit_of, lambda d: str(d.terms[()])),
-        "S": (h.antipode_of, rs.render),
-    }
-    witnesses = []
-    for (a, b), rhs in rs.rules.items():
-        for m in maps:
-            image, render = premises[m]
+    images, image, render = {
+        "Delta": (h.coproduct, h.delta, h.t2.render),
+        "eps": (h.counit, h.counit_of, lambda d: str(d.terms[()])),
+        "S": (h.antipode, h.antipode_of, rs.render),
+    }[m]
+
+    def build() -> list[tuple[str, str] | None]:
+        row = []
+        for (a, b), rhs in rs.rules.items():
             diff = image(NCPolynomial.word((a, b))) - image(rhs)
-            if not diff.is_zero():
-                witnesses.append((f"{m}({rs.names[a]}*{rs.names[b]})", render(diff)))
-    return witnesses
+            label = f"{m}({rs.names[a]}*{rs.names[b]})"
+            row.append(None if diff.is_zero() else (label, render(diff)))
+        return row
+
+    return _once(rs, (m, frozenset(images.items())), build)
+
+
+def _premise_witnesses(h: HopfData, maps: tuple[str, ...]) -> list[tuple[str, str]]:
+    """The rules a*b -> R that the named structure maps fail to respect,
+    rule by rule, and within a rule in the order of ``maps``."""
+    rows = [_premise_row(h, m) for m in maps]
+    return [w for per_rule in zip(*rows) for w in per_rule if w is not None]
 
 
 def _decide(h: HopfData, name: str, maps: tuple[str, ...], law, render) -> AxiomResult:

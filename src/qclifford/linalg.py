@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .scalars import (
     GaussRational,
@@ -349,11 +350,13 @@ def numeric_solve_residuals(a: CMatrix, rhs: CMatrix) -> list[float]:
     return residuals
 
 
-def pauli_matrices() -> list[Matrix]:
-    """sigma_1, sigma_2, sigma_3 in the convention sigma_1 sigma_2 = i sigma_3."""
+@cache
+def pauli_matrices() -> tuple[Matrix, Matrix, Matrix]:
+    """sigma_1, sigma_2, sigma_3 in the convention sigma_1 sigma_2 = i sigma_3,
+    built once (a Matrix is immutable)."""
     i = GaussRational(0, 1)
     one = Fraction(1)
-    return [
+    return (
         Matrix.from_rows([[0, 1], [1, 0]]),
         Matrix.from_rows(
             [
@@ -362,4 +365,4 @@ def pauli_matrices() -> list[Matrix]:
             ]
         ),
         Matrix.from_rows([[one, 0], [0, -one]]),
-    ]
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .hopf import HopfData
 from .linalg import CMatrix, Matrix, anticommutator, cscale, matmul, pauli_matrices
@@ -22,6 +22,7 @@ from .scalars import (
     RadicalScalar,
     accumulate,
     q_bracket_of,
+    q_minus_qinv_inverse,
     qinv,
     qvar,
     sqrt,
@@ -39,12 +40,14 @@ class DegenerateParams(Exception):
 GL_NAMES = ("a11", "a12", "a21", "a22")
 
 
-def build_glq2() -> HopfData:
-    """The six-relation quantum matrix bialgebra with matrix coproduct.
+# Each presentation's rewrite system is built once per process and shared by
+# every HopfData on it, so that its tensor powers and Hopf premise rows (kept
+# in ``rs.derived``) are computed once too.  The structure-map dicts of a
+# HopfData are built fresh on every call: callers may change them.
 
-    No antipode is assigned (the presentation does not localize the
-    quantum determinant).
-    """
+
+@cache
+def _glq2_system() -> RewriteSystem:
     q = qvar()
     qi = qinv()
     rules = {
@@ -55,7 +58,16 @@ def build_glq2() -> HopfData:
         (3, 2): NCPolynomial.word((2, 3), qi),
         (3, 0): NCPolynomial.word((0, 3)) + NCPolynomial.word((1, 2), -(q - qi)),
     }
-    rs = RewriteSystem(GL_NAMES, rules)
+    return RewriteSystem(GL_NAMES, rules)
+
+
+def build_glq2() -> HopfData:
+    """The six-relation quantum matrix bialgebra with matrix coproduct.
+
+    No antipode is assigned (the presentation does not localize the
+    quantum determinant).
+    """
+    rs = _glq2_system()
     g = rs.size
     # Delta(a_ij) = sum_k a_ik (x) a_kj with a_ij at index 2(i-1)+(j-1)
     def idx(i, j):
@@ -87,9 +99,8 @@ CH_G3 = 3
 CH_G = (4, 5)
 
 
-def build_ch2() -> HopfData:
-    """Clifford-Hopf algebra: anticommuting G's squaring to central E's."""
-    one = RadicalScalar.one()
+@cache
+def _ch2_system() -> RewriteSystem:
     # the E's are central; G3^2 = 1 and G1^2, G2^2 are E1, E2
     rules = central_rules(CH_E, len(CH_NAMES))
     rules.update(
@@ -98,7 +109,13 @@ def build_ch2() -> HopfData:
             (NCPolynomial.unit(), NCPolynomial.gen(CH_E[0]), NCPolynomial.gen(CH_E[1])),
         )
     )
-    rs = RewriteSystem(CH_NAMES, rules)
+    return RewriteSystem(CH_NAMES, rules)
+
+
+def build_ch2() -> HopfData:
+    """Clifford-Hopf algebra: anticommuting G's squaring to central E's."""
+    one = RadicalScalar.one()
+    rs = _ch2_system()
     g = rs.size
 
     coproduct = {}
@@ -125,6 +142,24 @@ CHQ_G3 = 7
 CHQ_G = (8, 9)
 
 
+@cache
+def _chq2_system() -> RewriteSystem:
+    # the K's, their inverses and the E's are central
+    rules = central_rules((*CHQ_K[0], *CHQ_K[1], *CHQ_E), len(CHQ_NAMES))
+    # K K^{-1} = K^{-1} K = 1
+    for k, kinv in CHQ_K:
+        rules[(k, kinv)] = NCPolynomial.unit()
+        rules[(kinv, k)] = NCPolynomial.unit()
+    # G3^2 = 1 and G_mu^2 = (K_mu^2 - K_mu^{-2}) / (q - q^{-1})
+    denom_inv = q_minus_qinv_inverse()
+    squares = [NCPolynomial.unit()] + [
+        NCPolynomial.word((k, k), denom_inv) + NCPolynomial.word((kinv, kinv), -denom_inv)
+        for k, kinv in CHQ_K
+    ]
+    rules.update(anticommutation_rules((CHQ_G3, *CHQ_G), squares))
+    return RewriteSystem(CHQ_NAMES, rules)
+
+
 def build_chq2(include_inherited_antipode: bool = False) -> HopfData:
     """One-parameter deformation of the Clifford-Hopf algebra.
 
@@ -135,23 +170,8 @@ def build_chq2(include_inherited_antipode: bool = False) -> HopfData:
     undeformed assignment S(G) = G*G3 is consistent with the deformed
     coproduct, but it is reported rather than presumed.
     """
-    q = qvar()
-    qi = qinv()
     one = RadicalScalar.one()
-    # the K's, their inverses and the E's are central
-    rules = central_rules((*CHQ_K[0], *CHQ_K[1], *CHQ_E), len(CHQ_NAMES))
-    # K K^{-1} = K^{-1} K = 1
-    for k, kinv in CHQ_K:
-        rules[(k, kinv)] = NCPolynomial.unit()
-        rules[(kinv, k)] = NCPolynomial.unit()
-    # G3^2 = 1 and G_mu^2 = (K_mu^2 - K_mu^{-2}) / (q - q^{-1})
-    denom_inv = (q - qi).inverse()
-    squares = [NCPolynomial.unit()] + [
-        NCPolynomial.word((k, k), denom_inv) + NCPolynomial.word((kinv, kinv), -denom_inv)
-        for k, kinv in CHQ_K
-    ]
-    rules.update(anticommutation_rules((CHQ_G3, *CHQ_G), squares))
-    rs = RewriteSystem(CHQ_NAMES, rules)
+    rs = _chq2_system()
     g = rs.size
 
     coproduct = {}
@@ -183,13 +203,18 @@ def build_chq2(include_inherited_antipode: bool = False) -> HopfData:
     return HopfData(rs, coproduct, counit, antipode)
 
 
-def build_group_toy() -> HopfData:
-    """Single grouplike generator with an explicit inverse; sanity case."""
+@cache
+def _group_toy_system() -> RewriteSystem:
     rules = {
         (0, 1): NCPolynomial.unit(),
         (1, 0): NCPolynomial.unit(),
     }
-    rs = RewriteSystem(("g", "g_inv"), rules)
+    return RewriteSystem(("g", "g_inv"), rules)
+
+
+def build_group_toy() -> HopfData:
+    """Single grouplike generator with an explicit inverse; sanity case."""
+    rs = _group_toy_system()
     one = RadicalScalar.one()
     coproduct = {
         0: NCPolynomial.word((0, 2)),
@@ -262,12 +287,12 @@ def build_affine_irrep(params: IrrepParams) -> CH2Irrep:
     lxi = RadicalScalar.constant(params.lambda_x.inverse())
     ly = RadicalScalar.constant(params.lambda_y)
     lyi = RadicalScalar.constant(params.lambda_y.inverse())
-    denom = qvar() - qinv()
+    denom_inv = q_minus_qinv_inverse()
 
-    pre_x0 = sqrt((lxi - lx) / denom)
-    pre_y0 = sqrt((lyi - ly) / denom)
-    pre_x1 = sqrt((lx - lxi) / denom)
-    pre_y1 = sqrt((ly - lyi) / denom)
+    pre_x0 = sqrt((lxi - lx) * denom_inv)
+    pre_y0 = sqrt((lyi - ly) * denom_inv)
+    pre_x1 = sqrt((lx - lxi) * denom_inv)
+    pre_y1 = sqrt((ly - lyi) * denom_inv)
 
     gamma_x0 = _flip_matrix(z_inv, z_val).scale(pre_x0)
     gamma_y0 = _flip_matrix(-(i_unit * z_inv), i_unit * z_val).scale(pre_y0)
@@ -368,6 +393,13 @@ class Su2ActionReport:
     residuals: dict[str, Matrix]
 
 
+@cache
+def _identity_and_four() -> tuple[Matrix, Matrix]:
+    """I and 4 I, the 2x2 constants every su(2) action report compares with."""
+    ident = Matrix.identity(2)
+    return ident, ident.scale(4)
+
+
 def su2_action_report(
     irrep: CH2Irrep, level: int, conv: ActionConvention
 ) -> Su2ActionReport:
@@ -387,8 +419,7 @@ def su2_action_report(
         for mu in range(2):
             a = a + paulis[mu].scale(coeffs[mu][nu])
         alpha.append(a)
-    ident = Matrix.identity(2)
-    four = ident.scale(4)
+    ident, four = _identity_and_four()
     residuals = {
         "alpha1_squared": matmul(alpha[0], alpha[0]),
         "alpha2_squared": matmul(alpha[1], alpha[1]),

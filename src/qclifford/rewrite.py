@@ -36,7 +36,11 @@ def deglex_less(a: Word, b: Word) -> bool:
 
 
 class NCPolynomial:
-    """Sparse noncommutative polynomial: word -> scalar coefficient."""
+    """Sparse noncommutative polynomial: word -> scalar coefficient.
+
+    Nothing writes to a polynomial's ``terms`` once it is built, so one
+    polynomial may be shared by every caller, as ``unit()`` is.
+    """
 
     __slots__ = ("terms",)
 
@@ -58,7 +62,7 @@ class NCPolynomial:
 
     @staticmethod
     def unit() -> "NCPolynomial":
-        return NCPolynomial({(): RadicalScalar.one()})
+        return _UNIT
 
     @staticmethod
     def word(w, coeff=1) -> "NCPolynomial":
@@ -120,6 +124,9 @@ class NCPolynomial:
         return " + ".join(parts)
 
 
+_UNIT = NCPolynomial({(): RadicalScalar.one()})
+
+
 class RewriteSystem:
     """Ordered alphabet plus terminating two-letter rewrite rules.
 
@@ -139,6 +146,10 @@ class RewriteSystem:
         self.rules: dict[tuple[int, int], NCPolynomial] = dict(rules)
         # integer-keyed view of the rules (hot path)
         self._flat = {a * n + b: rhs.terms for (a, b), rhs in self.rules.items()}
+        # what the layers above compute once per system (its tensor powers,
+        # the Hopf premise rows), kept here so that it lives exactly as long
+        # as the system
+        self.derived: dict = {}
 
     @property
     def size(self) -> int:

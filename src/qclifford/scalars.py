@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import weakref
 from fractions import Fraction
+from functools import cache
 from math import gcd as _int_gcd, isqrt, lcm
 
 
@@ -1003,18 +1004,18 @@ class RadicalScalar:
 
 
 # canonical key -> the one live scalar of that value; an entry goes when
-# its scalar does, and ZERO and ONE are held by this module for good
+# its scalar does, and ZERO, ONE, q and 1/q are held by this module for good
 _INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 # Results of every RadicalScalar operation, keyed on the operation and the
 # identity of each operand, shared between callers (nothing mutates a scalar
 # once built).  Sums and products come in with their operands ordered by id,
-# so both orders share one entry; differences keep their order; negations and
-# inverses have None for the second operand.  An entry holds its operands, so
-# their ids cannot be reused while it lives.  The entries live in two
-# generations of MEMO_CAP // 2: a hit in the older one moves its entry to the
-# younger, and when the younger is full the older is dropped and the younger
-# takes its place, so at most MEMO_CAP entries are ever held.
+# so both orders share one entry; differences keep their order; negations,
+# inverses and square roots have None for the second operand.  An entry holds
+# its operands, so their ids cannot be reused while it lives.  The entries
+# live in two generations of MEMO_CAP // 2: a hit in the older one moves its
+# entry to the younger, and when the younger is full the older is dropped and
+# the younger takes its place, so at most MEMO_CAP entries are ever held.
 MEMO_CAP = 512
 _MEMO: dict = {}
 _MEMO_OLD: dict = {}
@@ -1054,7 +1055,10 @@ def _coerce(x) -> RadicalScalar:
 
 def sqrt(x: RadicalScalar) -> RadicalScalar:
     """Formal square root of a radical-free scalar (principal branch)."""
-    x = _coerce(x)
+    return _memo(_sqrt, _coerce(x))
+
+
+def _sqrt(x: RadicalScalar) -> RadicalScalar:
     outside, rad = _split_radical(x.as_fraction())
     if rad is None:
         return RadicalScalar.from_frac(outside)
@@ -1065,15 +1069,23 @@ def sqrt(x: RadicalScalar) -> RadicalScalar:
 
 ZERO = RadicalScalar()
 ONE = RadicalScalar({(): LaurentFrac.one()})
+_Q = RadicalScalar.t_power(2)
+_QINV = RadicalScalar.t_power(-2)
 
 
 def qvar() -> RadicalScalar:
     """The deformation parameter q."""
-    return RadicalScalar.t_power(2)
+    return _Q
 
 
 def qinv() -> RadicalScalar:
-    return RadicalScalar.t_power(-2)
+    return _QINV
+
+
+@cache
+def q_minus_qinv_inverse() -> RadicalScalar:
+    """1 / (q - q^(-1)), the denominator of every q-bracket."""
+    return (_Q - _QINV).inverse()
 
 
 def q_half(k: int = 1) -> RadicalScalar:
@@ -1088,5 +1100,4 @@ def q_plus_qinv() -> RadicalScalar:
 
 def q_bracket_of(value: RadicalScalar) -> RadicalScalar:
     """(v - v^(-1)) / (q - q^(-1)) for an invertible v standing for q^E."""
-    denom = qvar() - qinv()
-    return (value - value.inverse()) / denom
+    return (value - value.inverse()) * q_minus_qinv_inverse()

@@ -490,6 +490,49 @@ class TestGoldenReport:
         assert code == 0
         assert payload == golden.read_bytes()
 
+    def test_hopf_report_does_not_depend_on_check_order(self, tmp_path):
+        # the Hopf premise rows and tensor powers are shared for the life of
+        # the process, so which check pays for them depends on the order the
+        # checks run in; the verdicts and witnesses must not
+        out = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", _REVERSED_HOPF_RUN, str(out)],
+            capture_output=True,
+            text=True,
+            env=env_importing_this_qclifford(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["exit"] == 0
+        assert len(result["ran"]) > 1 and result["ran"] == sorted(result["ran"], reverse=True)
+        golden = pathlib.Path(__file__).parent / "data" / "hopf_exact_seed7.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+
+# Runs the hopf golden's command in a fresh process with the check registry
+# reversed, and prints the exit code and the ids in the order they ran.
+_REVERSED_HOPF_RUN = """
+import contextlib, dataclasses, io, json, sys
+from qclifford import suites
+from qclifford.cli import main
+
+forward = suites.registry
+ran = []
+
+def recorded(check):
+    def fn(ctx):
+        ran.append(check.check_id)
+        return check.fn(ctx)
+    return dataclasses.replace(check, fn=fn)
+
+suites.registry = lambda: [recorded(c) for c in reversed(forward())]
+argv = ["verify", "--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main([*argv, "--format", "json", "--out", sys.argv[1]])
+print(json.dumps({"exit": code, "ran": ran}))
+"""
+
 
 def _edit(path, value=None, delete=False):
     """A mutant maker: set (or delete) the entry at ``path`` of a report."""

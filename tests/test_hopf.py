@@ -1,14 +1,21 @@
+import json
+import subprocess
+import sys
 from itertools import chain
 
 import pytest
 
+from conftest import env_importing_this_qclifford
 from qclifford.hopf import (
     AntipodeMissing,
     AxiomResult,
+    _premise_row,
+    _premise_witnesses,
     check_antipode,
     check_bialgebra_compatibility,
     check_coassociativity,
     check_counit,
+    extend,
 )
 from qclifford.presentations import (
     CH_G,
@@ -78,6 +85,38 @@ def _plain_counit(h, w):
     for letter in w:
         val = val * h.counit[letter]
     return val
+
+
+def _reference_premises(h, maps):
+    """Reference premise witnesses, rule by rule and in the order of ``maps``:
+    each image recomputed by apply_morphism (eps as the plain product of the
+    letters' counits) in a freshly built tensor square, nothing cached."""
+    rs = h.rs
+    t2 = rs.tensor_power(2)
+
+    def eps(p):
+        total = RadicalScalar.zero()
+        for w, c in p.terms.items():
+            total = total + c * _plain_counit(h, w)
+        return total
+
+    def antipode(p):
+        reversed_p = NCPolynomial({w[::-1]: c for w, c in p.terms.items()})
+        return apply_morphism(reversed_p, h.antipode, rs)
+
+    premises = {
+        "Delta": (lambda p: apply_morphism(p, h.coproduct, t2), t2.render),
+        "eps": (eps, str),
+        "S": (antipode, rs.render),
+    }
+    witnesses = []
+    for (a, b), rhs in rs.rules.items():
+        for m in maps:
+            image, render = premises[m]
+            diff = image(NCPolynomial.word((a, b))) - image(rhs)
+            if not diff.is_zero():
+                witnesses.append((f"{m}({rs.names[a]}*{rs.names[b]})", render(diff)))
+    return witnesses
 
 
 def _reference_side_witnesses(rs, w, left, right, target):
@@ -435,3 +474,144 @@ class TestStructureMaps:
         gl = build_glq2()
         with pytest.raises(AntipodeMissing, match="a12"):
             gl.antipode_of(NCPolynomial.word((0, 1)))
+
+
+_THREE_MAPS = ("Delta", "eps", "S")
+
+
+class TestPremiseRows:
+    """Premise rows are shared per system and generator images; the witnesses
+    they give must be those of a cache-free reference, whatever filled them."""
+
+    @pytest.mark.parametrize(
+        "build, base, maps",
+        [
+            (build_group_toy, build_group_toy, _THREE_MAPS),
+            (build_glq2, build_glq2, ("Delta", "eps")),
+            (_broken_glq2, build_glq2, ("Delta", "eps")),
+            (build_ch2, build_ch2, _THREE_MAPS),
+            (_full_chq2, build_chq2, _THREE_MAPS),
+            (lambda: _perturbed_ch2("coassoc"), build_ch2, _THREE_MAPS),
+            (lambda: _perturbed_ch2("counit"), build_ch2, _THREE_MAPS),
+            (lambda: _perturbed_ch2("antipode"), build_ch2, _THREE_MAPS),
+            (_primitive_g1_ch2, build_ch2, _THREE_MAPS),
+        ],
+        ids=[
+            "toy", "glq2", "glq2_broken_delta", "ch2", "chq2", "perturbed_coassoc",
+            "perturbed_counit", "perturbed_antipode", "primitive_g1",
+        ],
+    )
+    def test_witnesses_equal_the_reference_on_a_cold_and_a_filled_cache(self, build, base, maps):
+        h = build()
+        expect = _reference_premises(h, maps)
+        h.rs.derived.clear()
+        assert _premise_witnesses(h, maps) == expect
+        # the unperturbed algebra on the same system fills the rows it can
+        h.rs.derived.clear()
+        b = base()
+        skip = "S" if b.missing_antipode_generators() else None
+        _premise_witnesses(b, tuple(m for m in maps if m != skip))
+        assert _premise_witnesses(h, maps) == expect
+        assert _premise_witnesses(h, maps) == expect
+
+    def test_changing_a_map_after_a_check_changes_the_next_verdict(self):
+        h = build_ch2()
+        assert check_counit(h).ok and check_antipode(h).ok
+        h.counit[CH_G[0]] = RadicalScalar.one()
+        assert check_counit(h).witnesses[:2] == PERTURBED_EPS
+        h.counit[CH_G[0]] = RadicalScalar.zero()
+        assert check_counit(h).ok
+        # a primitive G1 breaks only the Delta and S premises, never a law on
+        # a generator: a stale row would let every law pass
+        primitive = _primitive_g1_ch2()
+        saved = h.coproduct[CH_G[0]], h.antipode[CH_G[0]]
+        h.coproduct[CH_G[0]], h.antipode[CH_G[0]] = (
+            primitive.coproduct[CH_G[0]], primitive.antipode[CH_G[0]]
+        )
+        assert check_coassociativity(h) == check_coassociativity(primitive)
+        assert not check_antipode(h).ok
+        assert check_antipode(h) == check_antipode(primitive)
+        h.coproduct[CH_G[0]], h.antipode[CH_G[0]] = saved
+        assert check_coassociativity(h).ok and check_antipode(h).ok
+
+    def test_algebras_on_one_presentation_share_its_system_and_rows(self):
+        ch2 = build_ch2()
+        for which in ("coassoc", "counit", "antipode"):
+            perturbed = _perturbed_ch2(which)
+            assert perturbed.rs is ch2.rs
+            assert perturbed.t2 is ch2.t2 and perturbed.t3 is ch2.t3
+        chq2, full = build_chq2(), _full_chq2()
+        assert full.rs is chq2.rs and full.t2 is chq2.t2
+        for m in ("Delta", "eps"):
+            assert _premise_row(full, m) is _premise_row(chq2, m)
+        # the structure-map dicts stay fresh: changing one changes no other
+        assert ch2.coproduct is not build_ch2().coproduct
+        assert chq2.antipode != full.antipode
+
+
+class TestSharedUnit:
+    def test_unit_is_one_shared_polynomial(self):
+        assert NCPolynomial.unit() is NCPolynomial.unit()
+        assert NCPolynomial.unit() == NCPolynomial({(): RadicalScalar.one()})
+
+    def test_extend_builds_no_unit(self, monkeypatch):
+        h = build_ch2()
+        t2 = h.t2  # built before counting: a tensor power copies the unit rule
+        built = []
+        init = NCPolynomial.__init__
+
+        def counting_init(self, terms=None):
+            init(self, terms)
+            built.append(self.terms)
+
+        monkeypatch.setattr(NCPolynomial, "__init__", counting_init)
+        p = NCPolynomial.word((CH_G[0], CH_G3, CH_G[1])) + NCPolynomial.word((CH_G3,), 2)
+        image = extend(p, h.coproduct, t2)
+        monkeypatch.undo()
+        assert image == apply_morphism(p, h.coproduct, t2)
+        assert {(): RadicalScalar.one()} not in built
+
+
+# Counts tensor powers built, normal forms taken and structure maps applied
+# over one hopf-exact run (the command of perfbench's hopf-exact workload).
+_COUNT_HOPF_WORK = """
+import collections, contextlib, io, json
+from qclifford import hopf, rewrite
+from qclifford.cli import main
+
+counts = collections.Counter()
+
+def counting(label, fn):
+    def wrapper(*args):
+        counts[label] += 1
+        return fn(*args)
+    return wrapper
+
+rs = rewrite.RewriteSystem
+rs.tensor_power = counting("tensor_power", rs.tensor_power)
+rs.normal_form = counting("normal_form", rs.normal_form)
+hopf.extend = counting("extend", hopf.extend)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"])
+print(json.dumps({"exit": code, **counts}))
+"""
+
+
+def test_hopf_exact_run_decides_each_premise_once():
+    # a fresh process, because the rewrite systems and their rows live for
+    # the whole process; with a system, its tensor powers and its premise
+    # rows rebuilt per algebra and per law, the run builds 11 tensor powers
+    # and takes 2,960 normal forms and 1,598 structure-map applications
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_HOPF_WORK],
+        capture_output=True,
+        text=True,
+        env=env_importing_this_qclifford(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["exit"] == 0
+    assert counts["tensor_power"] <= 6
+    assert counts["normal_form"] <= 1400
+    assert counts["extend"] <= 800
