@@ -1,24 +1,30 @@
 """Executable Hopf algebra axiom checkers.
 
 A ``HopfData`` bundles a finitely presented algebra with generator-level
-coproduct, counit and (optionally partial) antipode assignments.  One
-helper, ``extend``, applies every structure map letter by letter: Delta in
-the tensor square, the counit as eps(w) * 1 in the algebra, and the
-anti-multiplicative antipode on the reversed word.
+coproduct, counit and (optionally partial) antipode assignments.
+``extend`` applies Delta (into the tensor square) and the antipode (on the
+reversed word) letter by letter; eps is a character, so eps(w) is the
+product of its letters' counits.
 
 Each law is decided on all of H by the standard lemma (Kassel, *Quantum
 Groups*, GTM 155, ch. III; Majid, *Foundations of Quantum Group Theory*,
 ch. 1): it holds on H once its premises hold and it holds on every
-generator.  A premise says that a structure map respects every rule
-a*b -> R, so that it is well defined on H:
+generator x, where its sides are sums over the terms c (u x v) of Delta(x),
+u and v normal words of H.  A premise says that a structure map respects
+every rule a*b -> R, so that it is well defined on H:
 
 - coassociativity needs Delta(a) Delta(b) = Delta(R); both sides are then
-  algebra maps into the tensor cube, equal on H when equal on generators;
+  algebra maps into the tensor cube.  At x they are sum c Delta(u) x v and
+  sum c u x Delta(v): a slot-sorted word whose slots are normal words of H
+  is a normal form of the cube, so they are built by concatenation and no
+  cube is built;
 - the counit law needs that and eps(a) eps(b) = eps(R); both sides and the
-  identity are then algebra maps H -> H;
+  identity are then algebra maps H -> H.  At x they are sum c eps(u) v and
+  sum c eps(v) u, normal forms as they stand;
 - the antipode law needs both and S(b) S(a) = S(R); the elements where
   m (S x id) Delta = eps * 1 holds then form a subalgebra, and so do
-  those where m (id x S) Delta = eps * 1 holds.
+  those where m (id x S) Delta = eps * 1 holds.  At x the sides are the
+  normal forms of sum c S(u) v and sum c u S(v).
 
 A failed premise fails the verdict and leads its witnesses, so no verdict
 passes vacuously; each law reads only its own premises.  A premise is a
@@ -26,7 +32,7 @@ fact about the presentation and one map, not about a law: each premise row
 (one map on every rule) is computed once per rewrite system and generator
 images, compared by content, and shared by every law and every algebra on
 that system.  All comparisons are of normal forms in the algebra and its
-tensor powers, which are confluent
+tensor square and cube, which are confluent
 (``tests/test_hopf.py::TestTargetConfluence``).
 """
 
@@ -67,19 +73,14 @@ def _once(rs: RewriteSystem, key, build, *args):
     return derived[key]
 
 
-def _counit_images(counit: dict[int, RadicalScalar]) -> dict[int, NCPolynomial]:
-    """eps(x) * 1 for each generator x: the counit as a map into the algebra."""
-    return {i: NCPolynomial({(): e}) for i, e in counit.items()}
+def _shift(p: NCPolynomial, by: int) -> NCPolynomial:
+    """``p`` with every letter moved ``by`` places up, into a later tensor slot."""
+    return NCPolynomial._nonzero({tuple(i + by for i in w): c for w, c in p.terms.items()})
 
 
-def _on_slots(g: int, first: dict, second: dict, by: int = 0) -> dict[int, NCPolynomial]:
-    """Images of the tensor square's letters: slot 0's from ``first``, slot 1's
-    from ``second`` with every letter moved ``by`` places up."""
-    shifted = {
-        g + i: NCPolynomial._nonzero({tuple(x + by for x in w): c for w, c in p.terms.items()})
-        for i, p in second.items()
-    }
-    return {**first, **shifted}
+def _convolve(terms, f) -> NCPolynomial:
+    """sum c f(u, v) over the terms (c, u, v) of some Delta(p)."""
+    return sum((f(u, v).scale(c) for c, u, v in terms), NCPolynomial.zero())
 
 
 @dataclass
@@ -100,15 +101,15 @@ class HopfData:
     def t2(self) -> RewriteSystem:
         return _once(self.rs, ("tensor_power", 2), self.rs.tensor_power, 2)
 
-    @property
-    def t3(self) -> RewriteSystem:
-        return _once(self.rs, ("tensor_power", 3), self.rs.tensor_power, 3)
-
     def split(self, tw: Word) -> tuple[Word, Word]:
         """The slot parts (u, v) of a slot-sorted tensor-square word."""
         g = self.rs.size
         k = bisect_left(tw, g)  # slot-0 letters (< g) all come first
         return tw[:k], tuple(i - g for i in tw[k:])
+
+    def terms(self, p: NCPolynomial) -> list:
+        """Delta(p) = sum c u x v as its terms (c, u, v), u and v normal words of H."""
+        return [(c, *map(NCPolynomial.word, self.split(tw))) for tw, c in self.delta(p).terms.items()]
 
     def delta(self, p: NCPolynomial) -> NCPolynomial:
         return extend(p, self.coproduct, self.t2)
@@ -186,46 +187,43 @@ def _premise_witnesses(h: HopfData, maps: tuple[str, ...]) -> list[tuple[str, st
 def _decide(h: HopfData, name: str, maps: tuple[str, ...], law, render) -> AxiomResult:
     """Decide a law on all of H: the premises on ``maps``, then each generator.
 
-    ``law(x, d)`` gives the sides of the law at generator x, whose coproduct
-    is d, and the value each must equal; a side that differs gives the
-    witness (x, side - goal)."""
+    ``law(x, terms)`` gives the sides of the law at generator x, from the
+    terms of Delta(x), and the value each must equal; a side that differs
+    gives the witness (x, side - goal)."""
     rs = h.rs
     witnesses = _premise_witnesses(h, maps)
     for x in range(rs.size):
-        sides, goal = law(x, h.delta(NCPolynomial.gen(x)))
+        sides, goal = law(x, h.terms(NCPolynomial.gen(x)))
         witnesses += [(rs.names[x], render(side - goal)) for side in sides if side != goal]
     return AxiomResult(name, not witnesses, rs.size, witnesses)
+
+
+def _coassociativity_sides(h: HopfData, terms) -> tuple[list[NCPolynomial], NCPolynomial]:
+    """[(Delta x id) Delta(p)] and (id x Delta) Delta(p), as ``_decide`` reads a law's
+    sides, from the terms of Delta(p): v moves to slot 2, Delta(v) to slots 1 and 2."""
+    g = h.rs.size
+    left = _convolve(terms, lambda u, v: h.delta(u) * _shift(v, 2 * g))
+    return [left], _convolve(terms, lambda u, v: u * _shift(h.delta(v), g))
 
 
 def check_coassociativity(h: HopfData) -> AxiomResult:
     """(Delta x id) o Delta = (id x Delta) o Delta on all of H.
 
-    Delta x id and id x Delta are algebra maps from the tensor square to the
-    tensor cube, extended from their images of its letters.
-    """
-    g = h.rs.size
-    identity = {i: NCPolynomial.gen(i) for i in range(g)}
-    left = _on_slots(g, h.coproduct, identity, 2 * g)
-    right = _on_slots(g, identity, h.coproduct, g)
-
-    def law(x: int, d: NCPolynomial):
-        return [extend(d, left, h.t3)], extend(d, right, h.t3)
-
-    return _decide(h, "coassociativity", ("Delta",), law, h.t3.render)
+    Witnesses name the cube's letters as ``tensor_power(3)`` would."""
+    names = h.rs.tensor_names(3)
+    return _decide(
+        h, "coassociativity", ("Delta",), lambda x, terms: _coassociativity_sides(h, terms),
+        lambda p: p.render(names),
+    )
 
 
 def check_counit(h: HopfData) -> AxiomResult:
-    """(eps x id) o Delta = id = (id x eps) o Delta on all of H.
+    """(eps x id) o Delta = id = (id x eps) o Delta on all of H."""
 
-    eps x id and id x eps are algebra maps from the tensor square to the
-    algebra, extended from their images of its letters.
-    """
-    g = h.rs.size
-    identity, eps = {i: NCPolynomial.gen(i) for i in range(g)}, _counit_images(h.counit)
-    maps = (_on_slots(g, eps, identity), _on_slots(g, identity, eps))
-
-    def law(x: int, d: NCPolynomial):
-        return [extend(d, m, h.rs) for m in maps], NCPolynomial.gen(x)
+    def law(x: int, terms):
+        left = _convolve(terms, lambda u, v: h.counit_of(u) * v)
+        right = _convolve(terms, lambda u, v: u * h.counit_of(v))
+        return [left, right], NCPolynomial.gen(x)
 
     return _decide(h, "counit", ("Delta", "eps"), law, h.rs.render)
 
@@ -233,22 +231,17 @@ def check_counit(h: HopfData) -> AxiomResult:
 def check_antipode(h: HopfData) -> AxiomResult:
     """mult o (S x id) o Delta = unit o eps = mult o (id x S) o Delta on all of H.
 
-    Each term c (u x v) of Delta(x) adds c S(u) v and c u S(v) to the sides
-    at x.  Raises AntipodeMissing when a generator has no antipode; callers
-    that want a report test ``missing_antipode_generators`` first.
+    Raises AntipodeMissing when a generator has no antipode; callers that
+    want a report test ``missing_antipode_generators`` first.
     """
     missing = h.missing_antipode_generators()
     if missing:
         raise AntipodeMissing(", ".join(missing))
 
-    def law(x: int, d: NCPolynomial):
-        left = right = NCPolynomial.zero()
-        for tw, c in d.terms.items():
-            u, v = (NCPolynomial.word(part) for part in h.split(tw))
-            left += (h.antipode_of(u) * v).scale(c)
-            right += (u * h.antipode_of(v)).scale(c)
-        sides = [h.rs.normal_form(left), h.rs.normal_form(right)]
-        return sides, h.counit_of(NCPolynomial.gen(x))
+    def law(x: int, terms):
+        left = _convolve(terms, lambda u, v: h.antipode_of(u) * v)
+        right = _convolve(terms, lambda u, v: u * h.antipode_of(v))
+        return [h.rs.normal_form(left), h.rs.normal_form(right)], h.counit_of(NCPolynomial.gen(x))
 
     return _decide(h, "antipode", ("Delta", "eps", "S"), law, h.rs.render)
 

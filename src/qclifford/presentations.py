@@ -41,7 +41,7 @@ GL_NAMES = ("a11", "a12", "a21", "a22")
 
 
 # Each presentation's rewrite system is built once per process and shared by
-# every HopfData on it, so that its tensor powers and Hopf premise rows (kept
+# every HopfData on it, so that its tensor square and Hopf premise rows (kept
 # in ``rs.derived``) are computed once too.  The structure-map dicts of a
 # HopfData are built fresh on every call: callers may change them.
 

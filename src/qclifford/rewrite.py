@@ -146,7 +146,7 @@ class RewriteSystem:
         self.rules: dict[tuple[int, int], NCPolynomial] = dict(rules)
         # integer-keyed view of the rules (hot path)
         self._flat = {a * n + b: rhs.terms for (a, b), rhs in self.rules.items()}
-        # what the layers above compute once per system (its tensor powers,
+        # what the layers above compute once per system (its tensor square,
         # the Hopf premise rows), kept here so that it lives exactly as long
         # as the system
         self.derived: dict = {}
@@ -219,7 +219,7 @@ class RewriteSystem:
         part * ...
         """
         g = self.size
-        names = [f"{nm}[{s}]" for s in range(n) for nm in self.names]
+        names = self.tensor_names(n)
         rules: dict[tuple[int, int], NCPolynomial] = {}
         for s in range(n):
             off = s * g
@@ -234,6 +234,10 @@ class RewriteSystem:
                         lhs = (s_hi * g + a, s_lo * g + b)
                         rules[lhs] = NCPolynomial.word((s_lo * g + b, s_hi * g + a))
         return RewriteSystem(names, rules)
+
+    def tensor_names(self, n: int) -> list[str]:
+        """Letter names of the n-fold tensor power: slot s's copy of x is x[s]."""
+        return [f"{nm}[{s}]" for s in range(n) for nm in self.names]
 
     def iter_words(self, max_len: int):
         for length in range(1, max_len + 1):

@@ -523,31 +523,33 @@ def _qgamma_solve(ctx: RunContext) -> CheckReport:
 # ===========================================================================
 
 # One row per check: (check id, checker, word-length bound L whose word
-# count goes into details.words or None, witnesses shown on failure,
-# description).  The checkers decide each law on all of H from the
-# generators; details.words counts the words of length 1 to L that the
-# id's claim names.  The id's first component names both the suite and the
-# RunContext algebra the check runs on.
+# count goes into details.words or None, description).  The checkers decide
+# each law on all of H from the generators; details.words counts the words
+# of length 1 to L that the id's claim names.  The id's first component
+# names the suite and the RunContext algebra the check runs on.  A failing
+# check shows its first WITNESSES_SHOWN witnesses, failed premises first.
+WITNESSES_SHOWN = 3
+
 _AXIOM_CHECKS = (
-    ("glq2.bialgebra_relations", hopf.check_bialgebra_compatibility, None, 2,
+    ("glq2.bialgebra_relations", hopf.check_bialgebra_compatibility, None,
      "coproduct and counit preserve all six defining relations exactly"),
-    ("glq2.coassociativity_len4", hopf.check_coassociativity, 4, 1,
+    ("glq2.coassociativity_len4", hopf.check_coassociativity, 4,
      "matrix coproduct is coassociative on all words to length 4"),
-    ("glq2.counit_len4", hopf.check_counit, 4, 1,
+    ("glq2.counit_len4", hopf.check_counit, 4,
      "counit laws hold on all words to length 4"),
-    ("ch2.bialgebra_relations", hopf.check_bialgebra_compatibility, None, 0,
+    ("ch2.bialgebra_relations", hopf.check_bialgebra_compatibility, None,
      "coproduct and counit preserve every defining relation"),
-    ("ch2.coassociativity_len4", hopf.check_coassociativity, 4, 0,
+    ("ch2.coassociativity_len4", hopf.check_coassociativity, 4,
      "coassociativity on all six generators and words to length 4"),
-    ("ch2.counit_len4", hopf.check_counit, None, 0,
+    ("ch2.counit_len4", hopf.check_counit, None,
      "counit laws on all words to length 4"),
-    ("ch2.antipode_len4", hopf.check_antipode, None, 0,
+    ("ch2.antipode_len4", hopf.check_antipode, None,
      "antipode axiom on all words to length 4"),
-    ("chq2.bialgebra_relations", hopf.check_bialgebra_compatibility, None, 1,
+    ("chq2.bialgebra_relations", hopf.check_bialgebra_compatibility, None,
      "deformed coproduct and counit preserve every defining relation"),
-    ("chq2.coassociativity_len3", hopf.check_coassociativity, 3, 0,
+    ("chq2.coassociativity_len3", hopf.check_coassociativity, 3,
      "deformed coproduct is coassociative on all words to length 3"),
-    ("chq2.counit_len3", hopf.check_counit, None, 0,
+    ("chq2.counit_len3", hopf.check_counit, None,
      "counit laws on all words to length 3"),
 )
 
@@ -557,7 +559,7 @@ def _word_count(letters: int, max_len: int) -> int:
     return sum(letters**k for k in range(1, max_len + 1))
 
 
-def _axiom_check(check_id, checker, max_len, shown, description) -> None:
+def _axiom_check(check_id, checker, max_len, description) -> None:
     suite = check_id.split(".")[0]
 
     @_check(check_id, description)
@@ -566,7 +568,7 @@ def _axiom_check(check_id, checker, max_len, shown, description) -> None:
         r = checker(h)
         return _pass_fail(
             r.ok,
-            witness=None if r.ok or not shown else str(r.witnesses[:shown]),
+            witness=None if r.ok else str(r.witnesses[:WITNESSES_SHOWN]),
             details={} if max_len is None else {"words": _word_count(h.rs.size, max_len)},
         )
 

@@ -468,8 +468,8 @@ class TestConfigFile:
 
 class TestGoldenReport:
     # byte oracles for refactors: each file is the output of `qclifford verify
-    # <args> --format json` and changes only with the report; the `both` row
-    # also pins the sampled float residuals
+    # <args> --format json` and changes only with the report; the two `both`
+    # rows also pin the sampled float residuals
     GOLDENS = {
         "hopf_exact_seed7.json": ["--suite", "ch2", "--suite", "chq2", "--mode", "exact"],
         "matrix_exact_seed7.json": [
@@ -478,6 +478,8 @@ class TestGoldenReport:
         "both_q32_seed7.json": [
             "--suite", "qgamma", "--suite", "fierz", "--mode", "both", "--q-samples", "32",
         ],
+        # chq2's numeric cross-checks at the q samples of perfbench's matrix-both
+        "chq2_both_q32_seed7.json": ["--suite", "chq2", "--mode", "both", "--q-samples", "32"],
         # the only golden that holds glq2
         "all_exact_seed7.json": ["--suite", "all", "--mode", "exact"],
     }

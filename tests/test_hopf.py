@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from conftest import env_importing_this_qclifford
 from qclifford.hopf import (
     AntipodeMissing,
     AxiomResult,
+    _coassociativity_sides,
     _premise_row,
     _premise_witnesses,
     check_antipode,
@@ -27,7 +29,13 @@ from qclifford.presentations import (
 )
 from qclifford.rewrite import NCPolynomial, RewriteSystem, local_confluence_check
 from qclifford.scalars import RadicalScalar
-from qclifford.suites import _perturbed_ch2
+from qclifford.suites import (
+    _AXIOM_CHECKS,
+    WITNESSES_SHOWN,
+    RunContext,
+    _perturbed_ch2,
+    registry,
+)
 
 
 def apply_morphism(
@@ -143,7 +151,8 @@ def _reference_coassociativity(h, max_len):
                 {u + tuple(x + g for x in tw2): c * c2 for tw2, c2 in delta[v].terms.items()}
             )
         if lhs != rhs:
-            witnesses.append((rs.render(NCPolynomial.word(w)), h.t3.render(lhs - rhs)))
+            cube = rs.tensor_power(3)
+            witnesses.append((rs.render(NCPolynomial.word(w)), cube.render(lhs - rhs)))
     return AxiomResult("coassociativity", not witnesses, len(words), witnesses)
 
 
@@ -337,6 +346,19 @@ _COUNITAL = [
 ]
 _ALL_THREE = _COUNITAL + [(check_antipode, _reference_antipode)]
 
+# the algebras the lemma is checked on against the reference sweep, with the
+# sweep's length and the laws it covers
+_ORACLE_ALGEBRAS = {
+    "toy": (build_group_toy, 3, _ALL_THREE),
+    "glq2": (build_glq2, 4, _COUNITAL),
+    "glq2_broken_delta": (_broken_glq2, 3, _COUNITAL),
+    "ch2": (build_ch2, 4, _ALL_THREE),
+    "chq2": (_full_chq2, 3, _ALL_THREE),
+    "perturbed_coassoc": (lambda: _perturbed_ch2("coassoc"), 3, _ALL_THREE),
+    "perturbed_counit": (lambda: _perturbed_ch2("counit"), 3, _ALL_THREE),
+    "perturbed_antipode": (lambda: _perturbed_ch2("antipode"), 3, _ALL_THREE),
+}
+
 
 class TestSweepOracle:
     """The lemma's verdict on all of H against the word-by-word reference sweep.
@@ -345,21 +367,7 @@ class TestSweepOracle:
     shows up within the swept lengths, so the verdicts must agree."""
 
     @pytest.mark.parametrize(
-        "build, max_len, checkers",
-        [
-            (build_group_toy, 3, _ALL_THREE),
-            (build_glq2, 4, _COUNITAL),
-            (_broken_glq2, 3, _COUNITAL),
-            (build_ch2, 4, _ALL_THREE),
-            (_full_chq2, 3, _ALL_THREE),
-            (lambda: _perturbed_ch2("coassoc"), 3, _ALL_THREE),
-            (lambda: _perturbed_ch2("counit"), 3, _ALL_THREE),
-            (lambda: _perturbed_ch2("antipode"), 3, _ALL_THREE),
-        ],
-        ids=[
-            "toy", "glq2", "glq2_broken_delta", "ch2", "chq2", "perturbed_coassoc",
-            "perturbed_counit", "perturbed_antipode",
-        ],
+        "build, max_len, checkers", list(_ORACLE_ALGEBRAS.values()), ids=list(_ORACLE_ALGEBRAS)
     )
     def test_lemma_verdict_equals_reference_sweep(self, build, max_len, checkers):
         h = build()
@@ -427,9 +435,68 @@ class TestSweepOracle:
         assert _reference_counit(_primitive_g1_ch2(), 3).ok
 
 
+class TestAxiomCheckWitnesses:
+    """A failing check of the Hopf table names its leading witnesses."""
+
+    def test_perturbed_ch2_coassociativity_names_its_witnesses(self):
+        ctx = RunContext(mode="exact")
+        ctx.ch2 = _perturbed_ch2("coassoc")
+        check = next(c for c in registry() if c.check_id == "ch2.coassociativity_len4")
+        r = check.fn(ctx)
+        generator = ("G1", "(-1)*G1[0]*G2[1] + (-1)*G1[0]*G3[1]*G2[2] + G1[0]*G2[1]*G2[2]")
+        assert r.status == "fail"
+        assert r.witness == str(PERTURBED_COASSOC_DELTA + [generator])
+
+    @pytest.mark.parametrize("row", _AXIOM_CHECKS, ids=[row[0] for row in _AXIOM_CHECKS])
+    def test_every_row_shows_the_same_leading_witnesses(self, row):
+        # Delta(x0) + x0 (x) 1 breaks a relation of every suite algebra
+        check_id, checker = row[:2]
+        suite = check_id.split(".")[0]
+        ctx = RunContext(mode="exact")
+        h = getattr(ctx, suite)
+        broken = {**h.coproduct, 0: h.coproduct[0] + NCPolynomial.gen(0)}
+        setattr(ctx, suite, dataclasses.replace(h, coproduct=broken))
+        r = next(c for c in registry() if c.check_id == check_id).fn(ctx)
+        expect = checker(getattr(ctx, suite)).witnesses
+        assert r.status == "fail" and expect
+        assert r.witness == str(expect[:WITNESSES_SHOWN])
+
+
+class TestCoassociativityByConcatenation:
+    """The coassociativity sides are built by concatenation, with no tensor
+    cube; against the cube itself, each term is a normal form and each sum is
+    (Delta x id) Delta or (id x Delta) Delta applied letter by letter."""
+
+    @pytest.mark.parametrize(
+        "build", [b for b, _, _ in _ORACLE_ALGEBRAS.values()], ids=list(_ORACLE_ALGEBRAS)
+    )
+    def test_sides_are_cube_normal_forms_of_the_morphisms(self, build):
+        h = build()
+        g = h.rs.size
+        t3 = h.rs.tensor_power(3)
+        # slot 1 goes to slot 2 on the left; Delta moves up one slot on the right
+        left_images = {**h.coproduct, **{g + i: NCPolynomial.gen(2 * g + i) for i in range(g)}}
+        right_images = {i: NCPolynomial.gen(i) for i in range(g)}
+        for i, p in h.coproduct.items():
+            shifted = {tuple(x + g for x in w): c for w, c in p.terms.items()}
+            right_images[g + i] = NCPolynomial(shifted)
+        for w in chain([()], h.rs.iter_words(3)):
+            terms = h.terms(NCPolynomial.word(w))
+            for term in terms:
+                [left], right = _coassociativity_sides(h, [term])
+                for side in (left, right):
+                    assert t3.normal_form(side) == side, (w, term)
+            d = h.delta(NCPolynomial.word(w))
+            [left], right = _coassociativity_sides(h, terms)
+            assert left == apply_morphism(d, left_images, t3), w
+            assert right == apply_morphism(d, right_images, t3), w
+
+
 class TestTargetConfluence:
-    """Every system the Hopf checkers multiply in has unique normal forms, the
-    premise under which comparing normal forms decides equality in H."""
+    """Every system the Hopf checkers compare normal forms in has unique normal
+    forms, the premise under which comparing them decides equality in H.  The
+    checkers never build the tensor cube, but their coassociativity sides are
+    its normal forms, so its confluence is checked here too."""
 
     @pytest.mark.parametrize(
         "build",
@@ -438,7 +505,7 @@ class TestTargetConfluence:
     )
     def test_algebra_and_its_tensor_powers_are_confluent(self, build):
         h = build()
-        for rs in (h.rs, h.t2, h.t3):
+        for rs in (h.rs, h.t2, h.rs.tensor_power(3)):
             assert local_confluence_check(rs) == [], rs.names
 
 
@@ -539,7 +606,7 @@ class TestPremiseRows:
         for which in ("coassoc", "counit", "antipode"):
             perturbed = _perturbed_ch2(which)
             assert perturbed.rs is ch2.rs
-            assert perturbed.t2 is ch2.t2 and perturbed.t3 is ch2.t3
+            assert perturbed.t2 is ch2.t2
         chq2, full = build_chq2(), _full_chq2()
         assert full.rs is chq2.rs and full.t2 is chq2.t2
         for m in ("Delta", "eps"):
@@ -572,14 +639,16 @@ class TestSharedUnit:
         assert {(): RadicalScalar.one()} not in built
 
 
-# Counts tensor powers built, normal forms taken and structure maps applied
-# over one hopf-exact run (the command of perfbench's hopf-exact workload).
+# Counts tensor powers built (by their n), normal forms taken and structure
+# maps applied over one hopf-exact run (the command of perfbench's hopf-exact
+# workload).
 _COUNT_HOPF_WORK = """
 import collections, contextlib, io, json
 from qclifford import hopf, rewrite
 from qclifford.cli import main
 
 counts = collections.Counter()
+powers = []
 
 def counting(label, fn):
     def wrapper(*args):
@@ -588,20 +657,30 @@ def counting(label, fn):
     return wrapper
 
 rs = rewrite.RewriteSystem
-rs.tensor_power = counting("tensor_power", rs.tensor_power)
+tensor_power = rs.tensor_power
+
+def counting_power(self, n):
+    powers.append(n)
+    return tensor_power(self, n)
+
+rs.tensor_power = counting_power
 rs.normal_form = counting("normal_form", rs.normal_form)
 hopf.extend = counting("extend", hopf.extend)
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["verify", "--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"])
-print(json.dumps({"exit": code, **counts}))
+print(json.dumps({"exit": code, "tensor_powers": powers, **counts}))
 """
 
 
 def test_hopf_exact_run_decides_each_premise_once():
     # a fresh process, because the rewrite systems and their rows live for
-    # the whole process; with a system, its tensor powers and its premise
-    # rows rebuilt per algebra and per law, the run builds 11 tensor powers
-    # and takes 2,960 normal forms and 1,598 structure-map applications
+    # the whole process.  One tensor square per presentation (ch2, chq2 and
+    # the group toy) and no cube: the coassociativity sides are built by
+    # concatenation, and the counit sides are sums of normal words.  The run
+    # takes 903 normal forms.  With the cube built and the counit laws
+    # extended into the algebra, it built 6 tensor powers and took 1,076;
+    # with every system and premise row also rebuilt per algebra and per
+    # law, 11 and 2,960, and 1,598 structure-map applications.
     proc = subprocess.run(
         [sys.executable, "-c", _COUNT_HOPF_WORK],
         capture_output=True,
@@ -612,6 +691,6 @@ def test_hopf_exact_run_decides_each_premise_once():
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
     assert counts["exit"] == 0
-    assert counts["tensor_power"] <= 6
-    assert counts["normal_form"] <= 1400
+    assert counts["tensor_powers"] == [2, 2, 2]
+    assert counts["normal_form"] <= 950
     assert counts["extend"] <= 800
