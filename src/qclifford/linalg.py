@@ -18,6 +18,7 @@ from .scalars import (
     GaussRational,
     NotInvertible,
     RadicalScalar,
+    ZERO,
     _coerce,
 )
 
@@ -178,19 +179,16 @@ class Matrix:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    # zero is one interned object, so an identity test finds it
+    bcols = [b.data[j :: b.cols] for j in range(b.cols)]
     out = []
     for i in range(a.rows):
         arow = a.row(i)
-        for j in range(b.cols):
-            s = RadicalScalar.zero()
-            for k in range(a.cols):
-                aik = arow[k]
-                if aik.is_zero():
-                    continue
-                bkj = b[k, j]
-                if bkj.is_zero():
-                    continue
-                s = s + aik * bkj
+        for bcol in bcols:
+            s = ZERO
+            for aik, bkj in zip(arow, bcol):
+                if aik is not ZERO and bkj is not ZERO:
+                    s = s + aik * bkj
             out.append(s)
     return Matrix(a.rows, b.cols, out)
 

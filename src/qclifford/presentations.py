@@ -401,14 +401,32 @@ def _identity_and_four() -> tuple[Matrix, Matrix]:
 
 
 def su2_action_report(
-    irrep: CH2Irrep, level: int, conv: ActionConvention
+    irrep: CH2Irrep, level: int, conv: ActionConvention, products: dict | None = None
 ) -> Su2ActionReport:
     """Build the mapped generators and evaluate the claimed relations.
 
     Claims evaluated (none asserted): squares of the mapped sigma_1 and
     sigma_2 vanish; the mapped sigma_3 squares to one; the mixed bracket
     with sigma_3 vanishes; brackets among the first two equal 4.
+    ``products`` maps a pair of matrices to their product; a product it
+    holds is read, and a new one is entered, so reports that share the
+    table share their products.  A pair is keyed by the identities of its
+    entries, which interning makes equal for equal matrices, and its entry
+    holds both matrices, so those identities stay taken while it lives.
     """
+    if products is None:
+        products = {}
+
+    def mul(a: Matrix, b: Matrix) -> Matrix:
+        key = (tuple(map(id, a.data)), tuple(map(id, b.data)))
+        entry = products.get(key)
+        if entry is None:
+            entry = products[key] = (a, b, matmul(a, b))
+        return entry[2]
+
+    def anticomm(a: Matrix, b: Matrix) -> Matrix:
+        return mul(a, b) + mul(b, a)
+
     s1, s2, s3 = pauli_matrices()
     paulis = (s1, s2)
     mats = (irrep.gamma(level, "x"), irrep.gamma(level, "y"))
@@ -421,16 +439,29 @@ def su2_action_report(
         alpha.append(a)
     ident, four = _identity_and_four()
     residuals = {
-        "alpha1_squared": matmul(alpha[0], alpha[0]),
-        "alpha2_squared": matmul(alpha[1], alpha[1]),
-        "alpha3_squared_minus_1": matmul(s3, s3) - ident,
-        "anticomm_alpha1_sigma3": anticommutator(alpha[0], s3),
-        "anticomm_alpha2_sigma3": anticommutator(alpha[1], s3),
-        "anticomm_11_minus_4": anticommutator(alpha[0], alpha[0]) - four,
-        "anticomm_12_minus_4": anticommutator(alpha[0], alpha[1]) - four,
-        "anticomm_22_minus_4": anticommutator(alpha[1], alpha[1]) - four,
+        "alpha1_squared": mul(alpha[0], alpha[0]),
+        "alpha2_squared": mul(alpha[1], alpha[1]),
+        "alpha3_squared_minus_1": mul(s3, s3) - ident,
+        "anticomm_alpha1_sigma3": anticomm(alpha[0], s3),
+        "anticomm_alpha2_sigma3": anticomm(alpha[1], s3),
+        "anticomm_11_minus_4": anticomm(alpha[0], alpha[0]) - four,
+        "anticomm_12_minus_4": anticomm(alpha[0], alpha[1]) - four,
+        "anticomm_22_minus_4": anticomm(alpha[1], alpha[1]) - four,
     }
     return Su2ActionReport(conv, level, alpha, residuals)
+
+
+def su2_action_reports(
+    irrep: CH2Irrep, level: int, convs
+) -> dict[ActionConvention, Su2ActionReport]:
+    """``su2_action_report`` of each of ``convs`` at one (irrep, level).
+
+    The reports share one table of products: for the antidiagonal irrep
+    matrices the conventions map (sigma_1, sigma_2) to (A, B), (B, A),
+    (0, A) and (0, B), so most products repeat between them.
+    """
+    products: dict = {}
+    return {conv: su2_action_report(irrep, level, conv, products) for conv in convs}
 
 
 # ---------------------------------------------------------------------------

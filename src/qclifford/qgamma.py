@@ -18,7 +18,6 @@ from .blades import CL31, dirac_matrices
 from .linalg import (
     CMatrix,
     Matrix,
-    anticommutator,
     cidentity,
     cmatmul,
     cscale,
@@ -180,7 +179,8 @@ def deformed_metric(gs: QGammaSet, conv: ActionConvention) -> DeformedMetricResu
 
     A_mu = sum_nu c_nu(gamma_mu_q) gamma_nu over the classical gamma basis;
     the scalar part is extracted as trace/8 and any deviation from a pure
-    multiple of the identity is recorded.
+    multiple of the identity is recorded.  Each of the 16 products
+    A_mu A_nu is made once and serves both anticommutators it enters.
     """
     gammas = dirac_matrices()
     images = []
@@ -190,12 +190,13 @@ def deformed_metric(gs: QGammaSet, conv: ActionConvention) -> DeformedMetricResu
         for nu in range(4):
             a = a + gammas[nu].scale(coeffs[nu])
         images.append(a)
+    products = [[matmul(a, b) for b in images] for a in images]
     entries = []
     deviation_zero = True
     quarter = RadicalScalar.constant(1) / RadicalScalar.constant(4)
     for mu in range(4):
         for nu in range(4):
-            ac = anticommutator(images[mu], images[nu])
+            ac = products[mu][nu] + products[nu][mu]
             ident_coeff = ac.trace() * quarter
             entries.append(ident_coeff * (RadicalScalar.constant(1) / RadicalScalar.constant(2)))
             if not (ac - Matrix.identity(4).scale(ident_coeff)).is_zero():
@@ -208,18 +209,20 @@ def deformed_metric_blade_oracle(gs: QGammaSet, conv: ActionConvention) -> Matri
 
     Each A_mu is the vector sum_nu c_nu e_nu, multiplied by the rewrite
     rules of ``CL31``; no matrix product, anticommutator or trace is used.
+    Each of the 16 ordered products A_mu A_nu is made once and serves both
+    anticommutators it enters.
     """
     vectors = []
     for m in gs.matrices:
         coeffs = action_coefficients(m, conv)
         vectors.append(NCPolynomial({(nu,): coeffs[nu] for nu in range(4)}))
+    products = [[CL31.multiply(u, v) for v in vectors] for u in vectors]
     entries = []
     half = RadicalScalar.constant(1) / RadicalScalar.constant(2)
     zero = RadicalScalar.zero()
     for mu in range(4):
         for nu in range(4):
-            ac = CL31.multiply(vectors[mu], vectors[nu])
-            ac = ac + CL31.multiply(vectors[nu], vectors[mu])
+            ac = products[mu][nu] + products[nu][mu]
             entries.append(ac.terms.get((), zero) * half)
     return Matrix(4, 4, entries)
 

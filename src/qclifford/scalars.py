@@ -21,13 +21,34 @@ nested tuple of ints, and evaluation sums terms in its order, so a float
 depends only on the exact value, never on the order in which the terms
 were built.
 
-Every ``RadicalScalar`` is hash-consed: construction goes through one weak
-table keyed on ``key()``, so there is one live object per value and ``is``
-decides equality between scalars.  Every ``RadicalScalar`` operation goes
-through one memo keyed on the identity of its operands: sums and products
-on the unordered pair, differences on the ordered pair, negations and
-inverses on the one operand.  The memo keeps the entries of two
-generations and drops the older one whole when the younger one fills.
+Every ``RadicalScalar`` is hash-consed: construction goes through one table
+``_INTERN`` from ``key()`` to a weak reference, so there is one live object
+per value and ``is`` decides equality between scalars.  The key is built
+first and the table read before a scalar is made; a reference's callback
+drops the entry when its scalar goes.  Every ``RadicalScalar`` operation
+goes through one memo keyed on the identity of its operands: sums and
+products on the unordered pair, differences on the ordered pair, negations
+and inverses on the one operand.  The memo keeps the entries of two
+generations and drops the older one whole when the younger one fills;
+``*`` and ``+`` read a hit in line.
+
+Each operation does only the work its result needs:
+
+* ``x * MINUS_ONE`` is the memoized ``-x``; a sum or difference that
+  cancels is ``ZERO`` without a table lookup;
+* ``RadicalScalar.constant`` reads the table at the constant's key and
+  builds the tower only for a value with no live scalar;
+* ``HalfLaurent.one()``/``zero()`` and ``LaurentFrac.one()``/``zero()`` are
+  shared objects, so ``is_one`` mostly decides by identity, and a
+  ``LaurentFrac`` builds its key once;
+* a product of two one-term scalars with a radical-free factor skips the
+  radicand merge, and a product of two monomial fractions over
+  denominator 1 is one coefficient product.
+
+Numeric values are cached on the objects that have them: a scalar keeps
+(value, branch-cut flag) per q, and a polynomial its value per point, for
+up to ``POINTS_HELD`` points each.  A cache goes with its object, and an
+evaluation that raises (``EvalPole``, ``ZeroBase``) stores nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +57,7 @@ import cmath
 import weakref
 from fractions import Fraction
 from functools import cache
-from math import gcd as _int_gcd, isqrt, lcm
+from math import copysign, gcd as _int_gcd, isqrt, lcm
 
 
 class ScalarError(Exception):
@@ -227,7 +248,7 @@ GR_ONE = GaussRational(1)
 class HalfLaurent:
     """Laurent polynomial in t = q^(1/2); exponent k means q^(k/2)."""
 
-    __slots__ = ("coeffs", "_key", "_complex")
+    __slots__ = ("coeffs", "_key", "_complex", "_values")
 
     def __init__(self, coeffs=None):
         if coeffs is None:
@@ -235,23 +256,25 @@ class HalfLaurent:
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         self._key = None
         self._complex = None
+        self._values = None
 
     @staticmethod
     def _nonzero(coeffs: dict) -> "HalfLaurent":
         """Wrap ``coeffs`` as is; the caller guarantees it holds no zero."""
-        out = object.__new__(HalfLaurent)
+        out = _new(HalfLaurent)
         out.coeffs = coeffs
         out._key = None
         out._complex = None
+        out._values = None
         return out
 
     @staticmethod
     def zero() -> "HalfLaurent":
-        return HalfLaurent()
+        return _HL_ZERO
 
     @staticmethod
     def one() -> "HalfLaurent":
-        return HalfLaurent({0: GR_ONE})
+        return _HL_ONE
 
     @staticmethod
     def t_power(k: int) -> "HalfLaurent":
@@ -261,6 +284,8 @@ class HalfLaurent:
         return not self.coeffs
 
     def is_one(self) -> bool:
+        if self is _HL_ONE:
+            return True
         c = self.coeffs.get(0)
         return c is not None and len(self.coeffs) == 1 and c.x == 1 and not c.y and c.d == 1
 
@@ -354,6 +379,19 @@ class HalfLaurent:
             total += c * t**k
         return total
 
+    def _value(self, t: complex, at) -> complex:
+        """``eval_t(t)``, computed once per point: ``at`` is the point key
+        (see ``_point_key``) of the q whose square root is ``t``."""
+        values = self._values
+        if values is None:
+            values = self._values = {}
+        v = values.get(at)
+        if v is None:
+            v = self.eval_t(t)
+            if len(values) < POINTS_HELD:
+                values[at] = v
+        return v
+
     def at_one(self) -> GaussRational:
         total = GR_ZERO
         for c in self.coeffs.values():
@@ -407,6 +445,10 @@ def _render_term(c: GaussRational, k: int) -> str:
     if cs == "-1":
         return f"-{qpart}"
     return f"{cs}*{qpart}"
+
+
+_HL_ZERO = HalfLaurent()
+_HL_ONE = HalfLaurent({0: GR_ONE})
 
 
 def _poly_divmod(a: HalfLaurent, b: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
@@ -485,6 +527,8 @@ def _monic_den(num: HalfLaurent, den: HalfLaurent) -> tuple[HalfLaurent, HalfLau
     """Rescale num/den so that den is monic with valuation 0 (den nonzero)."""
     vd = den.valuation()
     inv = den.lead_coeff().inverse()
+    if len(den.coeffs) == 1:
+        return num.shifted(-vd).scale(inv), _HL_ONE
     return num.shifted(-vd).scale(inv), den.shifted(-vd).scale(inv)
 
 
@@ -495,18 +539,19 @@ class LaurentFrac:
     valuation-stripped numerator, so equal values compare equal.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_key")
 
     def __init__(self, num: HalfLaurent, den: HalfLaurent | None = None):
+        self._key = None
         if den is None or den.is_one():
             self.num = num
-            self.den = HalfLaurent.one()
+            self.den = _HL_ONE
             return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num = HalfLaurent.zero()
-            self.den = HalfLaurent.one()
+            self.num = _HL_ZERO
+            self.den = _HL_ONE
             return
         num, den = _monic_den(num, den)
         if not den.is_one():
@@ -518,18 +563,19 @@ class LaurentFrac:
     @staticmethod
     def _reduced(num: HalfLaurent, den: HalfLaurent) -> "LaurentFrac":
         """The fraction with parts already in canonical form, built as is."""
-        out = object.__new__(LaurentFrac)
+        out = _new(LaurentFrac)
         out.num = num
         out.den = den
+        out._key = None
         return out
 
     @staticmethod
     def zero() -> "LaurentFrac":
-        return LaurentFrac(HalfLaurent.zero())
+        return _LF_ZERO
 
     @staticmethod
     def one() -> "LaurentFrac":
-        return LaurentFrac(HalfLaurent.one())
+        return _LF_ONE
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -558,7 +604,7 @@ class LaurentFrac:
             b1, d1 = _cancel(b, g), _cancel(d, g)
         t = a * d1 + c * b1
         if not t.coeffs:
-            return LaurentFrac.zero()
+            return _LF_ZERO
         g2 = poly_gcd(t, g)
         return LaurentFrac._reduced(_cancel(t, g2), b1 * _cancel(d, g2))
 
@@ -575,7 +621,11 @@ class LaurentFrac:
             return self
         a, b, c, d = self.num, self.den, other.num, other.den
         if not a.coeffs or not c.coeffs:
-            return LaurentFrac.zero()
+            return _LF_ZERO
+        if len(a.coeffs) == 1 and len(c.coeffs) == 1 and b.is_one() and d.is_one():
+            # two monomials: one coefficient product, nothing to cancel
+            ((j, x),), ((k, y),) = a.coeffs.items(), c.coeffs.items()
+            return LaurentFrac._reduced(HalfLaurent._nonzero({j + k: x * y}), _HL_ONE)
         # Henrici: cross-cancel each numerator against the other denominator
         if not d.is_one():
             g = poly_gcd(a, d)
@@ -595,11 +645,13 @@ class LaurentFrac:
     def __truediv__(self, other: "LaurentFrac") -> "LaurentFrac":
         return self * other.inverse()
 
-    def eval_t(self, t: complex) -> complex:
-        d = self.den.eval_t(t)
+    def _value(self, t: complex, at) -> complex:
+        """The value at t = sqrt(q), from the point caches of both parts (see
+        ``HalfLaurent._value``); a pole raises on every call."""
+        d = self.den._value(t, at)
         if d == 0:
             raise EvalPole("denominator vanishes at this q")
-        return self.num.eval_t(t) / d
+        return self.num._value(t, at) / d
 
     def at_one(self) -> GaussRational:
         d = self.den.at_one()
@@ -614,7 +666,10 @@ class LaurentFrac:
         return self.num.subs_q(q) / d
 
     def key(self) -> tuple:
-        return (self.num.key(), self.den.key())
+        key = self._key
+        if key is None:
+            key = self._key = (self.num.key(), self.den.key())
+        return key
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -633,6 +688,10 @@ class LaurentFrac:
         if self.den.is_one():
             return str(self.num)
         return f"({self.num})/({self.den})"
+
+
+_LF_ZERO = LaurentFrac(_HL_ZERO)
+_LF_ONE = LaurentFrac(_HL_ONE)
 
 
 def _split_gauss_square(c: GaussRational) -> tuple[GaussRational, GaussRational]:
@@ -679,17 +738,19 @@ class RadicalScalar:
 
     ``terms`` maps a tuple of distinct radicands (from ``_split_radical``),
     sorted by ``LaurentFrac.key()``, to its coefficient; the empty tuple
-    keys the radical-free part.  Addition merges like keys,
+    keys the radical-free part.  The terms are held in the order of their
+    radicands' keys, the order of ``key()``, in which evaluation sums them.  Addition merges like keys,
     multiplication cancels paired radicands exactly.
 
     Instances are interned: one live object per value, so ``a == b`` is
     ``a is b`` between scalars, and nothing may mutate ``terms``.  Each of
     ``+``, ``*``, ``-`` (both forms) and ``inverse()`` is answered from the
     identity memo ``_memo`` when it already holds the result; ``a + b`` and
-    ``b + a`` (and ``a * b`` and ``b * a``) share one entry.
+    ``b + a`` (and ``a * b`` and ``b * a``) share one entry.  A product with
+    ``MINUS_ONE`` is the memoized negation.
     """
 
-    __slots__ = ("terms", "_key", "__weakref__")
+    __slots__ = ("terms", "_key", "_values", "__weakref__")
 
     def __new__(cls, terms: dict[tuple[LaurentFrac, ...], LaurentFrac] | None = None):
         if terms is None:
@@ -698,13 +759,30 @@ class RadicalScalar:
 
     @staticmethod
     def _nonzero(terms: dict) -> "RadicalScalar":
-        """The interned scalar with ``terms``; the caller guarantees no zero."""
-        out = object.__new__(RadicalScalar)
+        """The interned scalar with ``terms``; the caller guarantees no zero.
+
+        The key is built first and the table read before anything else is:
+        a scalar is made only for a value that has no live one.
+        """
+        if len(terms) < 2:
+            key = tuple([(tuple([r.key() for r in k]) if k else (), c.key()) for k, c in terms.items()])
+        else:
+            # radicand tuples differ term by term, so the sort never
+            # compares the radicands or coefficients themselves
+            ordered = sorted([(tuple([r.key() for r in k]), k, c) for k, c in terms.items()])
+            key = tuple([(rkeys, c.key()) for rkeys, _, c in ordered])
+            terms = {k: c for _, k, c in ordered}
+        entry = _INTERN.get(key)
+        if entry is not None:
+            out = entry()
+            if out is not None:
+                return out
+        out = _new(RadicalScalar)
         out.terms = terms
-        key = out._key = tuple(
-            (tuple(r.key() for r in k), c.key()) for k, c in out._ordered()
-        )
-        return _INTERN.setdefault(key, out)
+        out._key = key
+        out._values = None
+        _INTERN[key] = weakref.KeyedRef(out, _forget, key)
+        return out
 
     def __reduce__(self):
         # copy and pickle rebuild through the table; the default protocol
@@ -727,12 +805,24 @@ class RadicalScalar:
 
     @staticmethod
     def constant(c) -> "RadicalScalar":
-        """The constant c: an int, a Fraction or a GaussRational."""
-        if not isinstance(c, GaussRational):
+        """The constant c: an int, a Fraction or a GaussRational.
+
+        The table is read at the constant's canonical key first; the tower
+        of fraction, polynomial and coefficient is built only for a constant
+        that has no live scalar.
+        """
+        if type(c) is not GaussRational:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"cannot coerce {type(c)!r} to GaussRational")
             c = GaussRational(c)
-        return RadicalScalar({(): LaurentFrac(HalfLaurent({0: c}))})
+        if not c.x and not c.y:
+            return ZERO
+        entry = _INTERN.get((((), (((0, c.x, c.y, c.d),), _ONE_KEY)),))
+        if entry is not None:
+            out = entry()
+            if out is not None:
+                return out
+        return RadicalScalar._nonzero({(): LaurentFrac._reduced(HalfLaurent._nonzero({0: c}), _HL_ONE)})
 
     @staticmethod
     def t_power(k: int) -> "RadicalScalar":
@@ -770,8 +860,15 @@ class RadicalScalar:
         if not self.terms:
             return other
         if id(other) < id(self):
-            return _memo(RadicalScalar._add, other, self)
-        return _memo(RadicalScalar._add, self, other)
+            self, other = other, self
+        # the memo hit, read in line; _add is looked up per call, so a
+        # replaced _add is the one that computes and keys the entry
+        op = RadicalScalar._add
+        key = (op, id(self), id(other))
+        entry = _MEMO.get(key)
+        if entry is not None:
+            return entry[2]
+        return _remember(key, op, self, other)
 
     __radd__ = __add__
 
@@ -779,7 +876,7 @@ class RadicalScalar:
         out = dict(self.terms)
         for k, c in other.terms.items():
             accumulate(out, k, c)
-        return RadicalScalar._nonzero(out)
+        return RadicalScalar._nonzero(out) if out else ZERO
 
     def __neg__(self) -> "RadicalScalar":
         return _memo(RadicalScalar._neg, self)
@@ -811,7 +908,7 @@ class RadicalScalar:
         out = dict(self.terms)
         for k, c in other.terms.items():
             deduct(out, k, c)
-        return RadicalScalar._nonzero(out)
+        return RadicalScalar._nonzero(out) if out else ZERO
 
     def __mul__(self, other):
         if type(other) is not RadicalScalar:
@@ -825,13 +922,30 @@ class RadicalScalar:
             return other
         if not self.terms or not other.terms:
             return ZERO
+        if other is MINUS_ONE:
+            return _memo(RadicalScalar._neg, self)
+        if self is MINUS_ONE:
+            return _memo(RadicalScalar._neg, other)
         if id(other) < id(self):
-            return _memo(RadicalScalar._mul, other, self)
-        return _memo(RadicalScalar._mul, self, other)
+            self, other = other, self
+        # as in __add__: the memo hit in line, _mul looked up per call
+        op = RadicalScalar._mul
+        key = (op, id(self), id(other))
+        entry = _MEMO.get(key)
+        if entry is not None:
+            return entry[2]
+        return _remember(key, op, self, other)
 
     __rmul__ = __mul__
 
     def _mul(self, other: "RadicalScalar") -> "RadicalScalar":
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # a radical-free factor leaves the other's radicands as they are
+            ((k1, c1),), ((k2, c2),) = self.terms.items(), other.terms.items()
+            if not k1:
+                return RadicalScalar._nonzero({k2: c1 * c2})
+            if not k2:
+                return RadicalScalar._nonzero({k1: c1 * c2})
         out: dict[tuple[LaurentFrac, ...], LaurentFrac] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -907,13 +1021,6 @@ class RadicalScalar:
 
     # ---- comparisons ---------------------------------------------------
 
-    def _ordered(self):
-        """(radicands, coefficient) pairs in the radicands' key order."""
-        items = self.terms.items()
-        if len(items) < 2:
-            return items
-        return sorted(items, key=lambda kv: tuple(r.key() for r in kv[0]))
-
     def key(self) -> tuple:
         """Canonical form: radicand keys and coefficient key of each term."""
         return self._key
@@ -936,7 +1043,22 @@ class RadicalScalar:
 
         The flag is set when any radicand evaluates to a negative real
         number (the principal square root then sits on the branch cut).
+        Computed once per point and then read from the scalar's own cache;
+        an evaluation that raises stores nothing.
         """
+        at = q_value if type(q_value) is float else _point_key(q_value)
+        values = self._values
+        if values is None:
+            values = self._values = {}
+        hit = values.get(at)
+        if hit is None:
+            hit = self._evaluate(q_value, at)
+            if len(values) < POINTS_HELD:
+                values[at] = hit
+        return hit
+
+    def _evaluate(self, q_value: complex, at) -> tuple[complex, bool]:
+        """``eval_with_flags`` computed afresh; ``at`` names the point."""
         if q_value == 0:
             raise ZeroBase("q must be nonzero")
         if not self.terms:
@@ -944,10 +1066,10 @@ class RadicalScalar:
         t = cmath.sqrt(complex(q_value))
         total = 0j
         branch_cut = False
-        for key, coeff in self._ordered():
-            val = coeff.eval_t(t)
+        for key, coeff in self.terms.items():
+            val = coeff._value(t, at)
             for rad in key:
-                rv = rad.eval_t(t)
+                rv = rad._value(t, at)
                 if rv.imag == 0.0 and rv.real < 0.0:
                     branch_cut = True
                 val *= cmath.sqrt(rv)
@@ -987,7 +1109,7 @@ class RadicalScalar:
         if not self.terms:
             return "0"
         parts = []
-        for key, coeff in self._ordered():
+        for key, coeff in self.terms.items():
             cs = str(coeff)
             if key:
                 roots = "*".join(f"sqrt({r})" for r in key)
@@ -1003,9 +1125,36 @@ class RadicalScalar:
         return " + ".join(parts)
 
 
-# canonical key -> the one live scalar of that value; an entry goes when
-# its scalar does, and ZERO, ONE, q and 1/q are held by this module for good
-_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# canonical key -> a weak reference to the one live scalar of that value.
+# The reference's callback drops the entry when its scalar goes; ZERO, ONE,
+# MINUS_ONE, q and 1/q are held by this module for good.
+_INTERN: dict = {}
+
+
+def _forget(entry: weakref.KeyedRef, table: dict = _INTERN) -> None:
+    """Drop the entry of a scalar that has gone, unless a newer scalar took
+    its key already.  The table is bound here, so the callback still finds
+    it while the interpreter shuts down."""
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
+# the key of the denominator 1, shared by the key of every constant
+_ONE_KEY = _HL_ONE.key()
+
+# most points whose values one scalar or polynomial keeps: each scalar caches
+# (value, branch-cut flag) and each polynomial its value, keyed by point, so
+# a run with many q samples holds at most this many per object
+POINTS_HELD = 64
+
+
+def _point_key(q) -> tuple:
+    """The cache key of a non-float point: the complex value with the signs
+    of both parts, since cmath.sqrt tells -0.0 from 0.0 on the negative axis.
+    A float q is its own key: complex() gives it a +0.0 imaginary part."""
+    z = complex(q)
+    return (z, copysign(1.0, z.real), copysign(1.0, z.imag))
+
 
 # Results of every RadicalScalar operation, keyed on the operation and the
 # identity of each operand, shared between callers (nothing mutates a scalar
@@ -1022,16 +1171,23 @@ _MEMO_OLD: dict = {}
 
 
 def _memo(op, a: RadicalScalar, b: RadicalScalar | None = None) -> RadicalScalar:
-    global _MEMO, _MEMO_OLD
     key = (op, id(a), id(b))
     entry = _MEMO.get(key)
     if entry is None:
-        entry = _MEMO_OLD.pop(key, None)
-        if entry is None:
-            entry = (a, b, op(a) if b is None else op(a, b))
-        if len(_MEMO) >= MEMO_CAP // 2:
-            _MEMO_OLD, _MEMO = _MEMO, {}
-        _MEMO[key] = entry
+        return _remember(key, op, a, b)
+    return entry[2]
+
+
+def _remember(key: tuple, op, a: RadicalScalar, b: RadicalScalar | None) -> RadicalScalar:
+    """The result for ``key``, which the younger generation does not hold:
+    moved up from the older one, or computed, then entered in the younger."""
+    global _MEMO, _MEMO_OLD
+    entry = _MEMO_OLD.pop(key, None)
+    if entry is None:
+        entry = (a, b, op(a) if b is None else op(a, b))
+    if len(_MEMO) >= MEMO_CAP // 2:
+        _MEMO_OLD, _MEMO = _MEMO, {}
+    _MEMO[key] = entry
     return entry[2]
 
 
@@ -1069,6 +1225,7 @@ def _sqrt(x: RadicalScalar) -> RadicalScalar:
 
 ZERO = RadicalScalar()
 ONE = RadicalScalar({(): LaurentFrac.one()})
+MINUS_ONE = RadicalScalar.constant(-1)
 _Q = RadicalScalar.t_power(2)
 _QINV = RadicalScalar.t_power(-2)
 

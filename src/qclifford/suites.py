@@ -113,6 +113,7 @@ class RunContext:
         # the principal branch cut; the runner copies it into the report
         self.branch_cut_hit = False
         self._deformed_metrics: dict = {}
+        self._su2_actions: dict = {}
 
     # ---- lazily built shared objects ------------------------------------
 
@@ -171,6 +172,15 @@ class RunContext:
         if conv not in self._deformed_metrics:
             self._deformed_metrics[conv] = qgamma.deformed_metric(self.gammas, conv)
         return self._deformed_metrics[conv]
+
+    def su2_actions(self, index: int, level: int) -> dict:
+        """The su(2) action report of every requested convention for irrep
+        ``index`` of ``irreps`` at ``level``, built together on first use."""
+        key = (index, level)
+        if key not in self._su2_actions:
+            irrep = self.irreps[index][1]
+            self._su2_actions[key] = presentations.su2_action_reports(irrep, level, self.conventions)
+        return self._su2_actions[key]
 
     # ---- measurement helpers --------------------------------------------
 
@@ -850,9 +860,9 @@ def _su2_check(conv: qgamma.ActionConvention) -> None:
             return None
         worst = 0.0
         claim_zero: dict[str, bool] = {}
-        for _, irrep, _ in ctx.irreps[:5]:
+        for index in range(5):
             for level in (0, 1):
-                rep = presentations.su2_action_report(irrep, level, conv)
+                rep = ctx.su2_actions(index, level)[conv]
                 for name in sorted(rep.residuals):
                     m = rep.residuals[name]
                     z = m.is_zero()

@@ -413,14 +413,151 @@ class TestMemoPremises:
         assert RadicalScalar._inverse(RadicalScalar._inverse(a)) is a
 
 
-# Counts LaurentFrac products, gcds and interned RadicalScalar builds over one
-# hopf-exact run (the command of perfbench's hopf-exact workload at seed 7).
-_COUNT_BUILDS = """
-import collections, contextlib, io, json
-from qclifford import scalars
+def _reference_sum(x: LaurentFrac, y: LaurentFrac) -> LaurentFrac:
+    return LaurentFrac(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def _reference_times(x: LaurentFrac, y: LaurentFrac) -> LaurentFrac:
+    return LaurentFrac(x.num * y.num, x.den * y.den)
+
+
+def _reference_product(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
+    """a * b by the general merge: every pair of terms, each radicand the two
+    share multiplied out, like radicand tuples collected, and every fraction
+    built by the canonical constructor."""
+    out: dict = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            coeff = _reference_times(c1, c2)
+            merged = []
+            for r in sorted({*k1, *k2}, key=LaurentFrac.key):
+                if r in k1 and r in k2:
+                    coeff = _reference_times(coeff, r)
+                else:
+                    merged.append(r)
+            key = tuple(merged)
+            out[key] = _reference_sum(out[key], coeff) if key in out else coeff
+    return RadicalScalar(out)
+
+
+def _fresh_fraction_value(f: LaurentFrac, t: complex) -> complex:
+    d = f.den.eval_t(t)
+    if d == 0:
+        raise scalars.EvalPole("denominator vanishes at this q")
+    return f.num.eval_t(t) / d
+
+
+def _fresh_evaluation(x: RadicalScalar, q) -> tuple[complex, bool]:
+    """``eval_with_flags`` computed through the uncached ``HalfLaurent.eval_t``."""
+    t = cmath.sqrt(complex(q))
+    total, flag = 0j, False
+    for key, coeff in x.terms.items():
+        val = _fresh_fraction_value(coeff, t)
+        for rad in key:
+            rv = _fresh_fraction_value(rad, t)
+            flag = flag or (rv.imag == 0.0 and rv.real < 0.0)
+            val *= cmath.sqrt(rv)
+        total += val
+    return total, flag
+
+
+def _bits(value: tuple[complex, bool]) -> tuple:
+    z, flag = value
+    return z.real.hex(), z.imag.hex(), flag
+
+
+# the signed zeros put -2 + 0j and -2 - 0j on either side of the branch cut
+EVAL_POINTS = (0.3, 1.7, 3, -2.0, complex(-2.0, 0.0), complex(-2.0, -0.0), 0.5 + 0.25j)
+
+constants = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(GaussRational, st.integers(-3, 3), st.integers(-3, 3)),
+)
+
+
+class TestShortcuts:
+    """Each shortcut of the hot path gives the object, or the bits, that
+    the general route gives; every example empties the memo first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(memo_operands)
+    def test_a_product_with_minus_one_is_the_general_product(self, x):
+        _clear_memo()
+        want = _reference_product(x, scalars.MINUS_ONE)
+        assert x * scalars.MINUS_ONE is want
+        assert scalars.MINUS_ONE * x is want
+        assert RadicalScalar._mul(x, scalars.MINUS_ONE) is want
+
+    @settings(max_examples=100, deadline=None)
+    @given(constants)
+    def test_a_constant_is_the_scalar_its_tower_builds(self, c):
+        _clear_memo()
+        g = c if isinstance(c, GaussRational) else GaussRational(c)
+        built = RadicalScalar({(): LaurentFrac(HalfLaurent({0: g}))})
+        assert RadicalScalar.constant(c) is built
+
+    def test_a_constant_no_scalar_holds_is_built_by_its_tower(self):
+        for k in range(5):
+            v = Fraction(-1, 10**6 + k)
+            key = (((), (((0, -1, 0, 10**6 + k),), ((0, 1, 0, 1),))),)
+            gc.collect()
+            assert key not in scalars._INTERN
+            x = RadicalScalar.constant(v)
+            assert x.key() == key and scalars._INTERN[key]() is x
+            assert x is RadicalScalar({(): LaurentFrac(HalfLaurent({0: GaussRational(v)}))})
+
+    @settings(max_examples=80, deadline=None)
+    @given(memo_operands, memo_operands)
+    def test_single_term_products_are_the_general_product(self, a, b):
+        _clear_memo()
+        assert RadicalScalar._mul(a, b) is _reference_product(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(-4, 4), st.integers(-4, 4),
+        st.builds(GaussRational, st.integers(-3, 3), st.integers(-3, 3)).filter(lambda c: not c.is_zero()),
+        st.builds(GaussRational, st.integers(-3, 3), st.integers(-3, 3)).filter(lambda c: not c.is_zero()),
+    )
+    def test_a_product_of_monomials_is_the_multiplied_out_fraction(self, j, k, x, y):
+        a, b = LaurentFrac(HalfLaurent({j: x})), LaurentFrac(HalfLaurent({k: y}))
+        assert (a * b).key() == _reference_times(a, b).key()
+
+    @settings(max_examples=60, deadline=None)
+    @given(memo_operands)
+    def test_a_cached_value_is_the_fresh_value_at_its_own_point(self, x):
+        for points in (EVAL_POINTS, EVAL_POINTS[::-1]):
+            for q in points:
+                try:
+                    want = _fresh_evaluation(x, q)
+                except scalars.EvalPole:
+                    with pytest.raises(scalars.EvalPole):
+                        x.eval_with_flags(q)
+                    continue
+                assert _bits(x.eval_with_flags(q)) == _bits(want)
+
+    def test_an_evaluation_at_a_pole_raises_on_every_call(self):
+        _clear_memo()
+        # 1/(q - 1) * sqrt(q + 1/q): the denominator is exactly 0 at q = 1
+        x = (qvar() - ONE).inverse() * sqrt(q_plus_qinv())
+        for _ in range(3):
+            with pytest.raises(scalars.EvalPole):
+                x.eval_with_flags(1.0)
+            with pytest.raises(ZeroBase):
+                x.eval_with_flags(0.0)
+        assert _bits(x.eval_with_flags(2.0)) == _bits(_fresh_evaluation(x, 2.0))
+
+
+# Counts, over one run of a command in a fresh process: LaurentFrac products,
+# gcds, interned RadicalScalar builds, numeric evaluations computed (not read
+# from a cache) and the matrix products made inside su(2) action reports.
+_COUNT_WORK = """
+import collections, contextlib, io, json, sys
+from qclifford import linalg, presentations, scalars
 from qclifford.cli import main
 
 counts = collections.Counter()
+in_su2_report = [0]
 
 def counting(label, fn):
     def wrapper(*args):
@@ -428,21 +565,37 @@ def counting(label, fn):
         return fn(*args)
     return wrapper
 
+def su2_report(*args):
+    in_su2_report[0] += 1
+    try:
+        return raw_su2_report(*args)
+    finally:
+        in_su2_report[0] -= 1
+
+def matmul(a, b):
+    if in_su2_report[0]:
+        counts["su2_products"] += 1
+    return raw_matmul(a, b)
+
 scalars.LaurentFrac.__mul__ = counting("laurentfrac_mul", scalars.LaurentFrac.__mul__)
 scalars.poly_gcd = counting("poly_gcd", scalars.poly_gcd)
 scalars.RadicalScalar._nonzero = staticmethod(counting("interned", scalars.RadicalScalar._nonzero))
+scalars.RadicalScalar._evaluate = counting("scalar_evaluations", scalars.RadicalScalar._evaluate)
+scalars.HalfLaurent.eval_t = counting("polynomial_evaluations", scalars.HalfLaurent.eval_t)
+raw_matmul, raw_su2_report = linalg.matmul, presentations.su2_action_report
+linalg.matmul = presentations.matmul = matmul
+presentations.su2_action_report = su2_report
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["verify", "--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"])
+    code = main(json.loads(sys.argv[1]))
 print(json.dumps({"exit": code, **counts}))
 """
 
 
-def test_hopf_exact_run_builds_each_scalar_about_once():
-    # a fresh process, because the memo and intern tables carry state from
-    # one test to the next; without the memo's order-free and fused entries
-    # the run makes 2,164 products, 938 gcds and 5,184 interned builds
+def _count_work(argv: list) -> dict:
+    # a fresh process, because the memo, the intern table and the numeric
+    # caches carry state from one test to the next
     proc = subprocess.run(
-        [sys.executable, "-c", _COUNT_BUILDS],
+        [sys.executable, "-c", _COUNT_WORK, json.dumps(argv)],
         capture_output=True,
         text=True,
         env=env_importing_this_qclifford(),
@@ -451,9 +604,35 @@ def test_hopf_exact_run_builds_each_scalar_about_once():
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
     assert counts["exit"] == 0
-    assert counts["laurentfrac_mul"] <= 1250
+    return counts
+
+
+def test_hopf_exact_run_builds_each_scalar_about_once():
+    # perfbench's hopf-exact command at seed 7.  Without the memo's
+    # order-free and fused entries the run makes 2,164 products, 938 gcds
+    # and 5,184 interned builds; without the shortcuts for constants, for
+    # products with -1 and for sums that cancel, 1,064 products and 1,637
+    # builds.  One report per convention, each making its own products,
+    # made 520 products in the su(2) reports.
+    counts = _count_work(["verify", "--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"])
+    assert counts["laurentfrac_mul"] <= 900
     assert counts["poly_gcd"] <= 560
-    assert counts["interned"] <= 2400
+    assert counts["interned"] <= 1350
+    assert counts["su2_products"] <= 220
+
+
+def test_matrix_both_run_evaluates_each_value_once_per_point():
+    # perfbench's matrix-both command at seed 7: 32 sample points.  Without
+    # the point caches the run evaluates scalars 10,715 times and
+    # polynomials 26,656 times.
+    counts = _count_work(
+        [
+            "verify", "--suite", "clifford", "--suite", "qgamma", "--suite", "chq2",
+            "--suite", "fierz", "--mode", "both", "--q-samples", "32", "--seed", "7",
+        ]
+    )
+    assert counts["scalar_evaluations"] <= 5400
+    assert counts["polynomial_evaluations"] <= 6400
 
 
 class TestInterning:
