@@ -16,7 +16,6 @@ class ConfigError(Exception):
     pass
 
 
-_MODES = ("exact", "numeric", "both")
 _FORMATS = ("text", "json")
 _CONVENTION_VALUES = tuple(c.value for c in ActionConvention)
 _CONFIG_KEYS = (
@@ -65,13 +64,20 @@ def _config_int(values: dict, key: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from exc
 
 
+def _config_list(values: dict, key: str) -> list[str]:
+    items = [s.strip() for s in values[key].split(",") if s.strip()]
+    if not items:
+        raise ConfigError(f"{key} must name at least one value, got {values[key]!r}")
+    return items
+
+
 def _apply_config_file(args: argparse.Namespace, values: dict) -> None:
     """File values fill in anything the command line left at its default."""
     unknown = [key for key in values if key not in _CONFIG_KEYS]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    if "suite" in values and not args.suite:
-        args.suite = [s.strip() for s in values["suite"].split(",") if s.strip()]
+    if "suite" in values and args.suite is None:
+        args.suite = _config_list(values, "suite")
     if "mode" in values and args.mode is None:
         args.mode = values["mode"]
     if "q_samples" in values and args.q_samples is None:
@@ -85,10 +91,8 @@ def _apply_config_file(args: argparse.Namespace, values: dict) -> None:
         if flag not in _TRUE + _FALSE:
             raise ConfigError(f"strict must be 1/true/yes or 0/false/no, got {values['strict']!r}")
         args.strict = args.strict or flag in _TRUE
-    if "convention" in values and not args.convention:
-        args.convention = [
-            s.strip() for s in values["convention"].split(",") if s.strip()
-        ]
+    if "convention" in values and args.convention is None:
+        args.convention = _config_list(values, "convention")
     if "format" in values and args.format is None:
         args.format = values["format"]
     if "out" in values and args.out is None:
@@ -105,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("verify", help="run verification suites")
     run.add_argument("--suite", action="append", default=None, metavar="S",
                      help="suite name or 'all'; repeatable")
-    run.add_argument("--mode", choices=_MODES, default=None)
+    run.add_argument("--mode", choices=suites_mod.MODES, default=None)
     run.add_argument("--q-samples", dest="q_samples", type=int, default=None)
     run.add_argument("--q-range", dest="q_range", default=None, metavar="LO:HI")
     run.add_argument("--seed", type=int, default=None)
@@ -130,41 +134,33 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.config:
         _apply_config_file(args, load_config_file(args.config))
-    suites = args.suite or ["all"]
-    mode = args.mode or "both"
-    q_samples = args.q_samples if args.q_samples is not None else 8
-    seed = args.seed if args.seed is not None else 0
-    fmt = args.format or "text"
-    q_range = _parse_q_range(args.q_range) if args.q_range else (0.5, 2.0)
-    if mode not in _MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    if fmt not in _FORMATS:
-        raise ConfigError(f"unknown format {fmt!r}")
-    if args.out:  # refused before any check runs
+    # RunContext declares the defaults, so it is given only the options set
+    options = {k: v for k in ("mode", "q_samples", "seed") if (v := getattr(args, k)) is not None}
+    if args.q_range is not None:
+        options["q_range"] = _parse_q_range(args.q_range)
+    if args.convention is not None:
+        unknown = [v for v in args.convention if v not in _CONVENTION_VALUES]
+        if unknown:
+            raise ConfigError(f"unknown convention {unknown[0]!r}")
+        # repeats are dropped in order, as resolve_suites does for --suite
+        options["conventions"] = tuple(ActionConvention(v) for v in dict.fromkeys(args.convention))
+    if args.format not in (None, *_FORMATS):
+        raise ConfigError(f"unknown format {args.format!r}")
+    if args.out is not None:  # refused before any check runs
+        if not args.out:
+            raise ConfigError("out must name a file, got ''")
         if os.path.isdir(args.out):
             raise ConfigError(f"cannot write report: {args.out} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ConfigError(f"cannot write report: the directory of {args.out} does not exist")
-    # repeats are dropped in order, as resolve_suites does for --suite
-    conv_values = list(dict.fromkeys(args.convention or _CONVENTION_VALUES))
-    for value in conv_values:
-        if value not in _CONVENTION_VALUES:
-            raise ConfigError(f"unknown convention {value!r}")
-    conventions = tuple(ActionConvention(v) for v in conv_values)
     try:
-        chosen = suites_mod.resolve_suites(suites)
+        chosen = suites_mod.resolve_suites(["all"] if args.suite is None else args.suite)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     try:
-        ctx = suites_mod.RunContext(
-            mode=mode,
-            q_samples=q_samples,
-            q_range=q_range,
-            seed=seed,
-            conventions=conventions,
-        )
-    except ValueError as exc:  # a sample count or q range the sampler refuses
+        ctx = suites_mod.RunContext(**options)
+    except ValueError as exc:  # a mode, sample count or q range the context refuses
         raise ConfigError(str(exc)) from exc
     try:
         reports = suites_mod.run_checks(chosen, ctx)
@@ -172,18 +168,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"q range {args.q_range!r} overflows float evaluation: {exc}") from exc
     config_dict = {
         "suites": chosen,
-        "mode": mode,
-        "q_samples": q_samples,
-        "q_range": [report_mod.format_float(q_range[0]), report_mod.format_float(q_range[1])],
-        "seed": seed,
+        "mode": ctx.mode,
+        "q_samples": ctx.q_samples,
+        "q_range": [report_mod.format_float(x) for x in ctx.q_range],
+        "seed": ctx.seed,
         "strict": bool(args.strict),
-        "conventions": sorted(c.value for c in conventions),
+        "conventions": sorted(c.value for c in ctx.conventions),
     }
-    if fmt == "json":
+    if args.format == "json":
         text = report_mod.reports_to_json(config_dict, reports)
     else:
         text = report_mod.format_text(config_dict, reports)
-    if args.out:
+    if args.out is not None:
         try:
             report_mod.write_atomic(args.out, text)
         except OSError as exc:

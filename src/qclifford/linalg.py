@@ -128,29 +128,9 @@ class Matrix:
         return [[s.eval_at(q_value) for s in self.row(i)] for i in range(self.rows)]
 
     def max_abs_at_points(self, points) -> tuple[list[float], bool]:
-        """Largest |entry| at each of ``points``, and whether any radicand
-        evaluated onto the branch cut.
-
-        Entry-major: each distinct entry (scalars are interned, so keyed by
-        identity) is evaluated once per point, and zero is not evaluated.
-        Entries are taken in the order a row-major scan first meets them, so
-        each point's ``max`` is the one the full numeric matrix gives, NaN
-        included.
-        """
-        zeros = [0.0] * len(points)
-        columns = []
-        flagged = False
-        for s in {id(s): s for s in self.data}.values():
-            if s.is_zero():
-                columns.append(zeros)
-                continue
-            col = []
-            for x in points:
-                val, flag = s.eval_with_flags(x)
-                col.append(abs(val))
-                flagged = flagged or flag
-            columns.append(col)
-        return [max(at_x) for at_x in zip(*columns)], flagged
+        """``max_abs_at_points`` over the entries in row-major order, so each
+        point's ``max`` is the one the full numeric matrix gives."""
+        return max_abs_at_points(self.data, points)
 
     def rank(self) -> int:
         """Rank over the scalar field, by exact row reduction."""
@@ -174,6 +154,32 @@ class Matrix:
         for i in range(self.rows):
             rows.append("[" + ", ".join(str(x) for x in self.row(i)) + "]")
         return "[" + "; ".join(rows) + "]"
+
+
+def max_abs_at_points(values, points) -> tuple[list[float], bool]:
+    """Largest |v| over the scalars ``values`` at each of ``points``, and
+    whether any radicand evaluated onto the branch cut.
+
+    Entry-major: each distinct scalar (scalars are interned, so keyed by
+    identity) is evaluated once per point, and zero is not evaluated.
+    Scalars are taken in the order ``values`` first meets them, so each
+    point's ``max`` is the one a scan of ``values`` gives, NaN included.
+    With no values the list of maxima is empty.
+    """
+    zeros = [0.0] * len(points)
+    columns = []
+    flagged = False
+    for s in {id(s): s for s in values}.values():
+        if s.is_zero():
+            columns.append(zeros)
+            continue
+        col = []
+        for x in points:
+            val, flag = s.eval_with_flags(x)
+            col.append(abs(val))
+            flagged = flagged or flag
+        columns.append(col)
+    return [max(at_x) for at_x in zip(*columns)], flagged
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

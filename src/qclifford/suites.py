@@ -30,12 +30,14 @@ from .linalg import (
     csub,
     matmul,
     max_abs,
+    max_abs_at_points,
 )
 from .report import STATUS_FAIL, STATUS_PASS, STATUS_REPORT, CheckReport, format_float
 from .rewrite import NCPolynomial, local_confluence_check
 from .scalars import GaussRational, RadicalScalar
 
 SUITES = ("clifford", "qgamma", "glq2", "ch2", "chq2", "fierz")
+MODES = ("exact", "numeric", "both")
 EXTRA_SUITES = ("selfcheck",)
 
 # fallback sample points used to measure exact residuals in exact mode
@@ -88,6 +90,8 @@ class RunContext:
     conventions: tuple[qgamma.ActionConvention, ...] = qgamma.ALL_CONVENTIONS
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
         if not 1 <= self.q_samples <= MAX_Q_SAMPLES:
             raise ValueError(
                 f"q_samples must be between 1 and {MAX_Q_SAMPLES}, got {self.q_samples}"
@@ -105,15 +109,24 @@ class RunContext:
                 f"it lies 0.05 or more from 1 and 1e-6 or more from 0, below the "
                 f"least share {MIN_ADMISSIBLE_SHARE}"
             )
-        # exact mode measures at REFERENCE_SAMPLES and reports no q values
+        # exact mode draws no q samples (nor numeric irreps), measures at
+        # REFERENCE_SAMPLES and reports no q values
         rng = random.Random(self.seed)
         count = 0 if self.mode == "exact" else self.q_samples
         self.samples = [_draw_q(rng, lo, hi) for _ in range(count)]
-        # set by the measurement helpers whenever a radicand evaluates onto
-        # the principal branch cut; the runner copies it into the report
+        self.q_values_field = [format_float(x) for x in self.samples]
+        self.measure_points = list(REFERENCE_SAMPLES) if self.mode == "exact" else self.samples
+        # an oracle check compares five points, the reference points when
+        # fewer were drawn; its q_values then name them
+        if len(self.measure_points) >= 5:
+            self.oracle_points = self.measure_points[:5]
+            self.oracle_q_values = self.q_values_field
+        else:
+            self.oracle_points = list(REFERENCE_SAMPLES)
+            self.oracle_q_values = [format_float(x) for x in REFERENCE_SAMPLES]
+        # set by ``measure`` whenever a radicand evaluates onto the principal
+        # branch cut; the runner copies it into the report
         self.branch_cut_hit = False
-        self._deformed_metrics: dict = {}
-        self._su2_actions: dict = {}
 
     # ---- lazily built shared objects ------------------------------------
 
@@ -156,10 +169,11 @@ class RunContext:
 
     @cached_property
     def numeric_irreps(self) -> list:
-        """The 20 seeded numeric chq2 irreps as ((z, lx, ly, qv), matrices by name)."""
+        """The 20 seeded numeric chq2 irreps as ((z, lx, ly, qv), matrices by
+        name); none in exact mode."""
         rng = random.Random(self.seed + 13)
         out = []
-        for _ in range(20):
+        for _ in range(0 if self.mode == "exact" else 20):
             z = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
             lx = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
             ly = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
@@ -167,61 +181,29 @@ class RunContext:
             out.append(((z, lx, ly, qv), presentations.affine_irrep_numeric(z, lx, ly, qv)))
         return out
 
-    def deformed_metric(self, conv: qgamma.ActionConvention) -> qgamma.DeformedMetricResult:
-        """The deformed metric of ``conv``, built on first use."""
-        if conv not in self._deformed_metrics:
-            self._deformed_metrics[conv] = qgamma.deformed_metric(self.gammas, conv)
-        return self._deformed_metrics[conv]
+    @cached_property
+    def deformed_metrics(self) -> dict[qgamma.ActionConvention, qgamma.DeformedMetricResult]:
+        """The deformed metric of each requested convention."""
+        return {conv: qgamma.deformed_metric(self.gammas, conv) for conv in self.conventions}
 
-    def su2_actions(self, index: int, level: int) -> dict:
-        """The su(2) action report of every requested convention for irrep
-        ``index`` of ``irreps`` at ``level``, built together on first use."""
-        key = (index, level)
-        if key not in self._su2_actions:
-            irrep = self.irreps[index][1]
-            self._su2_actions[key] = presentations.su2_action_reports(irrep, level, self.conventions)
-        return self._su2_actions[key]
+    @cached_property
+    def su2_actions(self) -> list[dict]:
+        """The su(2) action reports of every requested convention, one table
+        per (irrep, level) for the first five ``irreps`` at levels 0 and 1;
+        the reports of one table share their matrix products."""
+        return [
+            presentations.su2_action_reports(irrep, level, self.conventions)
+            for _, irrep, _ in self.irreps[:5]
+            for level in (0, 1)
+        ]
 
-    # ---- measurement helpers --------------------------------------------
-
-    @property
-    def measure_points(self) -> list[float]:
-        if self.mode == "exact":
-            return list(REFERENCE_SAMPLES)
-        return self.samples
-
-    @property
-    def oracle_points(self) -> list[float]:
-        return self.measure_points[:5] if len(self.measure_points) >= 5 else list(
-            REFERENCE_SAMPLES
-        )
-
-    @property
-    def q_values_field(self) -> list[str]:
-        return [format_float(x) for x in self.samples]
-
-    @property
-    def oracle_q_values(self) -> list[str]:
-        """``q_values`` of an oracle check: the reference points when
-        ``oracle_points`` fell back to them, else the drawn samples."""
-        if len(self.measure_points) < 5:
-            return [format_float(x) for x in self.oracle_points]
-        return self.q_values_field
-
-    def measure_matrix(self, m: Matrix) -> float:
-        maxima, flag = m.max_abs_at_points(self.measure_points)
-        if flag:
-            self.branch_cut_hit = True
+    def measure(self, values, points=None) -> float:
+        """Largest |v(q)| over the scalars ``values`` at the measure points,
+        or at ``points``: 0.0 when there are none or all are zero.  Sets
+        ``branch_cut_hit`` when a radicand evaluates onto the branch cut."""
+        maxima, flag = max_abs_at_points(values, self.measure_points if points is None else points)
+        self.branch_cut_hit = self.branch_cut_hit or flag
         return max([0.0, *maxima])
-
-    def measure_scalar(self, s: RadicalScalar) -> float:
-        worst = 0.0
-        for x in self.measure_points:
-            val, flag = s.eval_with_flags(x)
-            if flag:
-                self.branch_cut_hit = True
-            worst = max(worst, abs(val))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -230,16 +212,18 @@ class CheckDef:
     suite: str
     description: str
     fn: object
+    # a check of one action convention runs only when that one is requested
+    convention: qgamma.ActionConvention | None = None
 
 
 _REGISTRY: list[CheckDef] = []
 
 
-def _check(check_id: str, description: str):
+def _check(check_id: str, description: str, convention: qgamma.ActionConvention | None = None):
     """Register a check; its suite is the first dotted component of its id."""
 
     def deco(fn):
-        _REGISTRY.append(CheckDef(check_id, check_id.split(".")[0], description, fn))
+        _REGISTRY.append(CheckDef(check_id, check_id.split(".")[0], description, fn, convention))
         return fn
 
     return deco
@@ -400,7 +384,7 @@ def _qgamma_plus_sq(ctx: RunContext) -> CheckReport:
     gs = ctx.gammas
     sq = matmul(gs.gamma_plus, gs.gamma_plus)
     ok = sq.is_zero()
-    return _pass_fail(ok, residual="0" if ok else format_float(ctx.measure_matrix(sq)))
+    return _pass_fail(ok, residual="0" if ok else format_float(ctx.measure(sq.data)))
 
 
 @_check(
@@ -430,11 +414,10 @@ def _deformed_metric_check(conv: qgamma.ActionConvention) -> None:
     @_check(
         f"qgamma.deformed_metric.{conv.value}",
         f"induced deformed metric vs the transcribed target ({conv.value})",
+        conv,
     )
-    def fn(ctx: RunContext) -> CheckReport | None:
-        if conv not in ctx.conventions:
-            return None
-        res = ctx.deformed_metric(conv)
+    def fn(ctx: RunContext) -> CheckReport:
+        res = ctx.deformed_metrics[conv]
         target = qgamma.deformed_metric_target()
         diff = res.matrix - target
         exact_match = diff.is_zero()
@@ -445,10 +428,9 @@ def _deformed_metric_check(conv: qgamma.ActionConvention) -> None:
             if diff[i, j].is_zero()
         )
         return _report(
-            format_float(ctx.measure_matrix(diff)),
+            format_float(ctx.measure(diff.data)),
             mismatch=not exact_match,
             witness=str(diff),
-            convention=conv.value,
             q_values=ctx.q_values_field,
             details={
                 "entries_matching_target": matched,
@@ -467,16 +449,12 @@ for _conv in qgamma.ALL_CONVENTIONS:
     "matrix-representation route agrees with the blade-algebra route per convention",
 )
 def _qgamma_dm_oracle(ctx: RunContext) -> CheckReport:
-    worst = 0.0
-    ok = True
-    for conv in ctx.conventions:
-        engine = ctx.deformed_metric(conv).matrix
-        oracle = qgamma.deformed_metric_blade_oracle(ctx.gammas, conv)
-        if engine != oracle:
-            ok = False
-        worst = max([worst, *(engine - oracle).max_abs_at_points(ctx.oracle_points)[0]])
-    if worst > 1e-10:
-        ok = False
+    diffs = [
+        res.matrix - qgamma.deformed_metric_blade_oracle(ctx.gammas, conv)
+        for conv, res in ctx.deformed_metrics.items()
+    ]
+    worst = ctx.measure((s for d in diffs for s in d.data), ctx.oracle_points)
+    ok = all(d.is_zero() for d in diffs) and worst <= 1e-10
     return _pass_fail(ok, residual=format_float(worst), q_values=ctx.oracle_q_values)
 
 
@@ -486,14 +464,8 @@ def _qgamma_dm_oracle(ctx: RunContext) -> CheckReport:
 )
 def _qgamma_flip(ctx: RunContext) -> CheckReport:
     residuals = qgamma.bare_relation_flip_residuals(ctx.gammas, ctx.metric)
-    worst = 0.0
-    zero_pairs = 0
-    for key in sorted(residuals):
-        m = residuals[key]
-        if m.is_zero():
-            zero_pairs += 1
-        else:
-            worst = max(worst, ctx.measure_matrix(m))
+    worst = ctx.measure(s for key in sorted(residuals) for s in residuals[key].data)
+    zero_pairs = sum(m.is_zero() for m in residuals.values())
     anchor = residuals[(1, 1)].map(lambda s: s.limit_q1())
     return _report(
         format_float(worst),
@@ -760,25 +732,24 @@ def _chq2_square_law(ctx: RunContext) -> CheckReport:
             if not rep.square_residuals[key].is_zero():
                 worst_exact = (params, key)
     numeric_worst = 0.0
-    if ctx.mode != "exact":
-        for (z, lx, ly, qv), mats in ctx.numeric_irreps:
-            denom = qv - 1.0 / qv
-            for level in (0, 1):
-                for axis, lval in (("x", lx), ("y", ly)):
-                    w = 1.0 / lval if level == 0 else lval
-                    bracket = (w - 1.0 / w) / denom
-                    m = mats[f"{axis}{level}"]
-                    numeric_worst = max(
-                        numeric_worst,
-                        max_abs(csub(cmatmul(m, m), cscale(bracket, cidentity(2)))),
-                    )
+    for (z, lx, ly, qv), mats in ctx.numeric_irreps:
+        denom = qv - 1.0 / qv
+        for level in (0, 1):
+            for axis, lval in (("x", lx), ("y", ly)):
+                w = 1.0 / lval if level == 0 else lval
+                bracket = (w - 1.0 / w) / denom
+                m = mats[f"{axis}{level}"]
+                numeric_worst = max(
+                    numeric_worst,
+                    max_abs(csub(cmatmul(m, m), cscale(bracket, cidentity(2)))),
+                )
     ok = worst_exact is None and numeric_worst <= 1e-10
     return _pass_fail(
         ok,
         residual=format_float(numeric_worst),
         witness=None if worst_exact is None else str(worst_exact),
         q_values=ctx.q_values_field,
-        details={"exact_draws": len(ctx.irreps), "numeric_draws": 0 if ctx.mode == "exact" else 20},
+        details={"exact_draws": len(ctx.irreps), "numeric_draws": len(ctx.numeric_irreps)},
     )
 
 
@@ -795,16 +766,15 @@ def _chq2_anticomm(ctx: RunContext) -> CheckReport:
             ok = False
             witness = str(params)
     numeric_worst = 0.0
-    if ctx.mode != "exact":
-        for _, mats in ctx.numeric_irreps:
-            for lvl in (0, 1):
-                x, y = mats[f"x{lvl}"], mats[f"y{lvl}"]
-                numeric_worst = max(numeric_worst, max_abs(cadd(cmatmul(x, y), cmatmul(y, x))))
-                for m in (x, y):
-                    numeric_worst = max(
-                        numeric_worst,
-                        max_abs(cadd(cmatmul(m, mats["g3"]), cmatmul(mats["g3"], m))),
-                    )
+    for _, mats in ctx.numeric_irreps:
+        for lvl in (0, 1):
+            x, y = mats[f"x{lvl}"], mats[f"y{lvl}"]
+            numeric_worst = max(numeric_worst, max_abs(cadd(cmatmul(x, y), cmatmul(y, x))))
+            for m in (x, y):
+                numeric_worst = max(
+                    numeric_worst,
+                    max_abs(cadd(cmatmul(m, mats["g3"]), cmatmul(mats["g3"], m))),
+                )
     if numeric_worst > 1e-10:
         ok = False
     return _pass_fail(
@@ -841,12 +811,12 @@ def _chq2_pinned(ctx: RunContext) -> CheckReport:
 )
 def _chq2_cross(ctx: RunContext) -> CheckReport:
     draws = ctx.irreps[:5]
-    worst = 0.0
-    for _, _, rep in draws:
-        for key in sorted(rep.cross_level_anticommutators):
-            m = rep.cross_level_anticommutators[key]
-            if not m.is_zero():
-                worst = max(worst, ctx.measure_matrix(m))
+    worst = ctx.measure(
+        s
+        for _, _, rep in draws
+        for key in sorted(rep.cross_level_anticommutators)
+        for s in rep.cross_level_anticommutators[key].data
+    )
     return _report(format_float(worst), q_values=ctx.q_values_field, details={"draws": len(draws)})
 
 
@@ -854,26 +824,16 @@ def _su2_check(conv: qgamma.ActionConvention) -> None:
     @_check(
         f"chq2.su2_action.{conv.value}",
         f"post-action relation values for the mapped Pauli basis ({conv.value})",
+        conv,
     )
-    def fn(ctx: RunContext) -> CheckReport | None:
-        if conv not in ctx.conventions:
-            return None
-        worst = 0.0
-        claim_zero: dict[str, bool] = {}
-        for index in range(5):
-            for level in (0, 1):
-                rep = ctx.su2_actions(index, level)[conv]
-                for name in sorted(rep.residuals):
-                    m = rep.residuals[name]
-                    z = m.is_zero()
-                    claim_zero[name] = claim_zero.get(name, True) and z
-                    if not z:
-                        worst = max(worst, ctx.measure_matrix(m))
+    def fn(ctx: RunContext) -> CheckReport:
+        residuals = [reports[conv].residuals for reports in ctx.su2_actions]
+        worst = ctx.measure(s for res in residuals for name in sorted(res) for s in res[name].data)
+        claims_zero = sorted(n for n in residuals[0] if all(res[n].is_zero() for res in residuals))
         return _report(
             format_float(worst),
-            convention=conv.value,
             q_values=ctx.q_values_field,
-            details={"claims_exactly_zero": sorted(k for k, v in claim_zero.items() if v)},
+            details={"claims_exactly_zero": claims_zero},
         )
 
 
@@ -956,13 +916,8 @@ def _oracle_relation_scale(tag: str, q: complex) -> complex:
 )
 def _fierz_linear(ctx: RunContext) -> CheckReport:
     results = ctx.linear_relation_residuals
-    worst = 0.0
-    holding = []
-    for r in results:
-        if r.holds_exactly:
-            holding.append(r.name)
-        else:
-            worst = max(worst, ctx.measure_matrix(r.residual))
+    worst = ctx.measure(s for r in results for s in r.residual.data)
+    holding = [r.name for r in results if r.holds_exactly]
     return _report(
         format_float(worst),
         mismatch=len(holding) != 7,
@@ -1041,9 +996,8 @@ def _quadratic_check(convention: str, tag: str) -> None:
     )
     def fn(ctx: RunContext) -> CheckReport:
         rep = fierz.quadratic_identity_report(ctx.gammas, convention)
-        worst = 0.0
-        for w in sorted(rep.residual_at_reference.terms, key=lambda x: (len(x), x)):
-            worst = max(worst, ctx.measure_scalar(rep.residual_at_reference.terms[w]))
+        terms = rep.residual_at_reference.terms
+        worst = ctx.measure(terms[w] for w in sorted(terms, key=lambda x: (len(x), x)))
         gcd = rep.gcd_polynomial
         k_info = {
             "nonzero_words": len(rep.k_dependence),
@@ -1103,12 +1057,14 @@ def run_checks(suites, ctx: RunContext) -> list[CheckReport]:
     for cdef in registry():
         if cdef.suite not in wanted:
             continue
+        if cdef.convention is not None and cdef.convention not in ctx.conventions:
+            continue
         t0 = time.monotonic()
         ctx.branch_cut_hit = False
         report = cdef.fn(ctx)
-        if report is None:  # check not applicable under this configuration
-            continue
         report.check_id = cdef.check_id  # check bodies leave it empty
+        if cdef.convention is not None:
+            report.convention = cdef.convention.value
         if ctx.branch_cut_hit:
             report.details = dict(report.details, branch_cut=True)
         report.elapsed_ms = int((time.monotonic() - t0) * 1000)

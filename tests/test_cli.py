@@ -24,6 +24,8 @@ from qclifford.report import (
     validate_report,
     write_atomic,
 )
+from qclifford.linalg import Matrix
+from qclifford.scalars import RadicalScalar, qvar, sqrt
 from qclifford.suites import REFERENCE_SAMPLES, RunContext, _seeded_irreps, registry
 
 FAST_SUITE = ["--suite", "clifford"]
@@ -446,6 +448,13 @@ class TestConfigFile:
             "format = xml",
             "sead = 3",
             "strict = ture",
+            # an empty value is refused, not read as the default
+            "suite =",
+            "mode =",
+            "format =",
+            "convention =",
+            "q_range =",
+            "out =",
         ],
     )
     def test_bad_config_value_is_a_config_error(self, tmp_path, capsys, line):
@@ -456,6 +465,14 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+
+    @pytest.mark.parametrize("flag, key", [("--q-range=", "q range"), ("--out=", "out")])
+    def test_empty_flag_value_is_refused_before_any_check(self, capsys, no_checks, flag, key):
+        # an empty range was read as the default range, an empty path as stdout
+        code = main(["verify", *FAST_SUITE, flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
     def test_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, no_checks):
         cfg = tmp_path / "run.cfg"
@@ -482,6 +499,11 @@ class TestGoldenReport:
         "chq2_both_q32_seed7.json": ["--suite", "chq2", "--mode", "both", "--q-samples", "32"],
         # the only golden that holds glq2
         "all_exact_seed7.json": ["--suite", "all", "--mode", "exact"],
+        # the only golden that restricts the action conventions
+        "conventions_exact_seed7.json": [
+            "--suite", "qgamma", "--suite", "chq2",
+            "--convention", "fixed_col_0", "--convention", "row_sum", "--mode", "exact",
+        ],
     }
 
     @pytest.mark.parametrize("golden_name", list(GOLDENS))
@@ -768,7 +790,56 @@ class TestRunContext:
         assert len(q_values["qgamma.bare_relation_flip"]) == 3
 
 
+class TestMeasure:
+    """``RunContext.measure`` is the largest |v(q)| over any scalars."""
+
+    @staticmethod
+    def _per_matrix_loop(matrices, points) -> tuple[float, bool]:
+        # the worst residual and branch-cut flag of the loop measure replaced
+        found = [m.max_abs_at_points(points) for m in matrices]
+        return max(max([0.0, *maxima]) for maxima, _ in found), any(f for _, f in found)
+
+    @pytest.mark.parametrize("mode", ["exact", "both"])
+    def test_equals_the_per_matrix_loop(self, mode):
+        ctx = RunContext(mode=mode, seed=7)
+        flip = list(qgamma.bare_relation_flip_residuals(ctx.gammas, ctx.metric).values())
+        cross = [
+            m for _, _, rep in ctx.irreps[:5] for m in rep.cross_level_anticommutators.values()
+        ]
+        for matrices in (flip, cross):
+            for points in (None, ctx.oracle_points):
+                worst, flag = self._per_matrix_loop(matrices, points or ctx.measure_points)
+                ctx.branch_cut_hit = False
+                assert worst > 0.0
+                assert ctx.measure((s for m in matrices for s in m.data), points) == worst
+                assert ctx.branch_cut_hit == flag
+
+    def test_no_values_and_zeros_measure_zero(self):
+        ctx = RunContext(mode="exact")
+        zero = RadicalScalar.zero()
+        assert ctx.measure([]) == 0.0
+        assert ctx.measure([zero, zero]) == 0.0
+        assert ctx.measure(Matrix.zeros(2, 2).data, [0.5, 3.0]) == 0.0
+
+    def test_a_radicand_on_the_branch_cut_sets_the_flag(self):
+        # sqrt(q) is the monomial q^(1/2); the radicand 1 + q is -1 at q = -2
+        root = sqrt(qvar() + RadicalScalar.one())
+        ctx = RunContext(mode="exact")
+        assert ctx.measure([root], [2.0]) == pytest.approx(3.0**0.5)
+        assert not ctx.branch_cut_hit
+        assert ctx.measure([root], [-2.0]) == pytest.approx(1.0)
+        assert ctx.branch_cut_hit
+
+
 class TestConventionFilter:
+    def test_exactly_the_per_convention_checks_carry_their_convention(self):
+        tagged = {c.check_id: c.convention for c in registry() if c.convention is not None}
+        assert tagged == {
+            f"{prefix}.{conv.value}": conv
+            for prefix in ("qgamma.deformed_metric", "chq2.su2_action")
+            for conv in qgamma.ALL_CONVENTIONS
+        }
+
     def test_convention_flag_restricts_per_convention_checks(self, tmp_path):
         _, payload = run_verify(
             tmp_path,
