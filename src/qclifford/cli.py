@@ -16,11 +16,17 @@ class ConfigError(Exception):
     pass
 
 
-_FORMATS = ("text", "json")
-_CONVENTION_VALUES = tuple(c.value for c in ActionConvention)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one line, like any other
+        raise ConfigError(message)
+
+
+# config keys, each mirroring the flag of its name; a list key gives one flag
+# per comma-separated item, and strict reads as a boolean
 _CONFIG_KEYS = (
     "suite", "mode", "q_samples", "q_range", "seed", "strict", "convention", "format", "out",
 )
+_LIST_KEYS = ("suite", "convention")
 _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
@@ -39,68 +45,42 @@ def _parse_q_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def load_config_file(path: str) -> dict:
-    """key = value lines; '#' starts a comment; lists are comma separated."""
-    values: dict = {}
+def config_flags(path: str) -> list[str]:
+    """The flags a config file's ``key = value`` lines stand for; '#' starts
+    a comment."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, val = (part.strip() for part in line.split("=", 1))
-                values[key] = val
-    except (OSError, UnicodeDecodeError) as exc:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError) as exc:  # also not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    return values
-
-
-def _config_int(values: dict, key: str) -> int:
-    try:
-        return int(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from exc
-
-
-def _config_list(values: dict, key: str) -> list[str]:
-    items = [s.strip() for s in values[key].split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{key} must name at least one value, got {values[key]!r}")
-    return items
-
-
-def _apply_config_file(args: argparse.Namespace, values: dict) -> None:
-    """File values fill in anything the command line left at its default."""
-    unknown = [key for key in values if key not in _CONFIG_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-    if "suite" in values and args.suite is None:
-        args.suite = _config_list(values, "suite")
-    if "mode" in values and args.mode is None:
-        args.mode = values["mode"]
-    if "q_samples" in values and args.q_samples is None:
-        args.q_samples = _config_int(values, "q_samples")
-    if "q_range" in values and args.q_range is None:
-        args.q_range = values["q_range"]
-    if "seed" in values and args.seed is None:
-        args.seed = _config_int(values, "seed")
-    if "strict" in values:
-        flag = values["strict"].lower()
-        if flag not in _TRUE + _FALSE:
-            raise ConfigError(f"strict must be 1/true/yes or 0/false/no, got {values['strict']!r}")
-        args.strict = args.strict or flag in _TRUE
-    if "convention" in values and args.convention is None:
-        args.convention = _config_list(values, "convention")
-    if "format" in values and args.format is None:
-        args.format = values["format"]
-    if "out" in values and args.out is None:
-        args.out = values["out"]
+    flags: list[str] = []
+    seen: set[str] = set()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is repeated")
+        seen.add(key)
+        if key == "strict":
+            if val.lower() not in _TRUE + _FALSE:
+                raise ConfigError(
+                    f"{path}:{lineno}: strict must be 1/true/yes or 0/false/no, got {val!r}"
+                )
+            flags += ["--strict"] * (val.lower() in _TRUE)
+        else:
+            items = val.split(",") if key in _LIST_KEYS else [val]
+            flags += [f"--{key.replace('_', '-')}={item.strip()}" for item in items]
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qclifford",
         description="Exact verification suites for deformed Clifford and Hopf algebra identities.",
     )
@@ -109,16 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("verify", help="run verification suites")
     run.add_argument("--suite", action="append", default=None, metavar="S",
                      help="suite name or 'all'; repeatable")
-    run.add_argument("--mode", choices=suites_mod.MODES, default=None)
+    run.add_argument("--mode", choices=report_mod.MODES, default=None)
     run.add_argument("--q-samples", dest="q_samples", type=int, default=None)
     run.add_argument("--q-range", dest="q_range", default=None, metavar="LO:HI")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--strict", action="store_true", default=False,
+    run.add_argument("--strict", action="store_true", default=None,
                      help="report-status mismatches against targets also fail")
-    run.add_argument("--format", choices=_FORMATS, default=None)
+    run.add_argument("--format", choices=("text", "json"), default=None)
     run.add_argument("--out", default=None, metavar="PATH")
     run.add_argument("--convention", action="append", default=None,
-                     choices=_CONVENTION_VALUES, help="restrict action conventions")
+                     choices=[c.value for c in ActionConvention],
+                     help="restrict action conventions")
     run.add_argument("--config", default=None, metavar="PATH",
                      help="key = value file mirroring the flags; flags win")
 
@@ -132,23 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.config:
-        _apply_config_file(args, load_config_file(args.config))
     # RunContext declares the defaults, so it is given only the options set
     options = {k: v for k in ("mode", "q_samples", "seed") if (v := getattr(args, k)) is not None}
     if args.q_range is not None:
         options["q_range"] = _parse_q_range(args.q_range)
     if args.convention is not None:
-        unknown = [v for v in args.convention if v not in _CONVENTION_VALUES]
-        if unknown:
-            raise ConfigError(f"unknown convention {unknown[0]!r}")
         # repeats are dropped in order, as resolve_suites does for --suite
         options["conventions"] = tuple(ActionConvention(v) for v in dict.fromkeys(args.convention))
-    if args.format not in (None, *_FORMATS):
-        raise ConfigError(f"unknown format {args.format!r}")
     if args.out is not None:  # refused before any check runs
-        if not args.out:
-            raise ConfigError("out must name a file, got ''")
+        if not args.out or "\0" in args.out:
+            raise ConfigError(f"out must name a file, got {args.out!r}")
         if os.path.isdir(args.out):
             raise ConfigError(f"cannot write report: {args.out} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
@@ -183,8 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         try:
             report_mod.write_atomic(args.out, text)
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
     return suites_mod.exit_code(reports, bool(args.strict))
@@ -193,12 +166,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     if not args.tolerance >= 0:  # also rejects nan
         raise ConfigError(f"tolerance must be a non-negative number, got {args.tolerance!r}")
-    try:
-        doc_a = report_mod.load_report(args.report_a)
-        doc_b = report_mod.load_report(args.report_b)
-    except report_mod.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc_a = report_mod.load_report(args.report_a)
+    doc_b = report_mod.load_report(args.report_b)
     diffs = report_mod.diff_reports(doc_a, doc_b, args.tolerance)
     for d in diffs:
         print(f"{d.check_id}: {d.kind} {d.a_value!r} -> {d.b_value!r}")
@@ -217,18 +186,24 @@ def _cmd_list_checks(_args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "diff":
-            return _cmd_diff(args)
-        if args.command == "list-checks":
-            return _cmd_list_checks(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = parser.parse_args(argv)
+        if args.command == "verify" and args.config is not None:
+            # the file fills only the options the command line left unset
+            flags = config_flags(args.config)
+            try:
+                from_file = parser.parse_args(["verify", *flags])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from exc
+            for key, value in vars(from_file).items():
+                if getattr(args, key) is None:
+                    setattr(args, key, value)
+        command = {"verify": _cmd_verify, "diff": _cmd_diff, "list-checks": _cmd_list_checks}
+        return command[args.command](args)
+    except (ConfigError, report_mod.ParseError) as exc:
+        # a message that quotes raw input (a path, an argument) stays one line
+        print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
 
+# run modes: exact decides at fixed reference points; both also draws q samples
+# and cross-checks in floating point
+MODES = ("exact", "both")
+
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_REPORT = "report"
@@ -47,7 +51,7 @@ REPORT_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "suites": {"type": "array", "items": {"type": "string"}},
-                "mode": {"enum": ["exact", "numeric", "both"]},
+                "mode": {"enum": list(MODES)},
                 "q_samples": {"type": "integer", "minimum": 1},
                 "q_range": {
                     "type": "array",
@@ -274,6 +278,13 @@ def load_report(path: str) -> dict:
         raise ParseError(f"{path}: nested too deeply to read") from exc
     except SchemaError as exc:
         raise ParseError(f"{path}: not a valid report: {exc}") from exc
+    # the schema cannot say that check ids are unique, and diff_reports keys
+    # the checks by id
+    seen = set()
+    for cid in (check["check_id"] for check in doc["checks"]):
+        if cid in seen:
+            raise ParseError(f"{path}: not a valid report: check id {cid!r} is repeated")
+        seen.add(cid)
     return doc
 
 

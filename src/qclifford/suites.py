@@ -32,12 +32,11 @@ from .linalg import (
     max_abs,
     max_abs_at_points,
 )
-from .report import STATUS_FAIL, STATUS_PASS, STATUS_REPORT, CheckReport, format_float
+from .report import MODES, STATUS_FAIL, STATUS_PASS, STATUS_REPORT, CheckReport, format_float
 from .rewrite import NCPolynomial, local_confluence_check
 from .scalars import GaussRational, RadicalScalar
 
 SUITES = ("clifford", "qgamma", "glq2", "ch2", "chq2", "fierz")
-MODES = ("exact", "numeric", "both")
 EXTRA_SUITES = ("selfcheck",)
 
 # fallback sample points used to measure exact residuals in exact mode
@@ -1047,7 +1046,7 @@ def resolve_suites(requested) -> list[str]:
             if s not in chosen:
                 chosen.append(s)
         else:
-            raise ValueError(f"unknown suite: {s}")
+            raise ValueError(f"unknown suite: {s!r}")
     return chosen
 
 

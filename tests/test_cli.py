@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conftest import env_importing_this_qclifford
 from qclifford import fierz, presentations, qgamma
@@ -64,17 +64,17 @@ class TestDeterminism:
         diffs = diff_reports(doc1, doc2)
         assert diffs == []
 
-    def test_exact_vs_numeric_statuses_identical(self, tmp_path):
+    def test_exact_vs_both_statuses_identical(self, tmp_path):
         _, b_exact = run_verify(
             tmp_path, "e.json", [*FAST_SUITE, "--suite", "qgamma", "--mode", "exact"]
         )
-        _, b_num = run_verify(
-            tmp_path, "n.json", [*FAST_SUITE, "--suite", "qgamma", "--mode", "numeric"]
+        _, b_both = run_verify(
+            tmp_path, "b.json", [*FAST_SUITE, "--suite", "qgamma", "--mode", "both"]
         )
-        doc_e, doc_n = json.loads(b_exact), json.loads(b_num)
+        doc_e, doc_b = json.loads(b_exact), json.loads(b_both)
         status_e = {c["check_id"]: c["status"] for c in doc_e["checks"]}
-        status_n = {c["check_id"]: c["status"] for c in doc_n["checks"]}
-        assert status_e == status_n
+        status_b = {c["check_id"]: c["status"] for c in doc_b["checks"]}
+        assert status_e == status_b
 
 
 class TestExitCodes:
@@ -117,6 +117,37 @@ class TestExitCodes:
         code = main(["verify", "--suite", "nonsense"])
         assert code == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--convention", "bogus"],
+            ["verify", "--q-samples", "abc"],
+            ["verify", "--bogus"],
+            ["verify", "--strict=yes"],
+            ["diff", "only-one.json"],
+            ["diff", "a.json", "b.json", "--tolerance", "x"],
+            ["bogus"],
+            [],
+        ],
+    )
+    def test_a_bad_command_line_is_one_error_line(self, capsys, no_checks, argv):
+        # argparse printed its usage block and a "qclifford verify: error:" line
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "usage:" not in err
+
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    def test_numeric_mode_is_refused_before_any_check(self, tmp_path, capsys, no_checks, source):
+        # it ran the same code as both
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = numeric\n")
+        extra = ["--mode", "numeric"] if source == "argv" else ["--config", str(cfg)]
+        code = main(["verify", *FAST_SUITE, *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'both'" in err
 
 
 class TestReportFile:
@@ -162,6 +193,16 @@ class TestReportFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_holding_a_nul_byte_is_refused_before_any_check(self, tmp_path, capsys, no_checks):
+        # every check ran, then writing the report raised a traceback and exit 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"suite = clifford\nout = {tmp_path}/x\0y.json\n")
+        code = main(["verify", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out ") and err.count("\n") == 1 and "\\x00" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
@@ -291,6 +332,19 @@ class TestDiffCommand:
             ("qgamma.deformed_metric.row_sum:", "convention"),
         }
         assert len(lines) == 4
+
+    def test_repeated_check_id_is_an_error_naming_it(self, tmp_path, capsys):
+        # diff keyed the checks by id, so the later copy hid the earlier one
+        run_verify(tmp_path, "a.json", FAST_SUITE)
+        doc = load_report(str(tmp_path / "a.json"))
+        doc["checks"].append({**doc["checks"][0], "status": "fail"})
+        (tmp_path / "b.json").write_text(json.dumps(doc))
+        code = main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        cid = doc["checks"][0]["check_id"]
+        assert err.startswith(f"error: {tmp_path / 'b.json'}: ") and err.count("\n") == 1
+        assert f"{cid!r} is repeated" in err
 
     def test_unparseable_file_is_an_error(self, tmp_path, capsys):
         (tmp_path / "junk.json").write_text("{nope")
@@ -459,11 +513,57 @@ class TestConfigFile:
     )
     def test_bad_config_value_is_a_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"suite = clifford\n{line}\n")
+        # a second suite line would be refused as a repeated key
+        cfg.write_text(f"{line}\n" if line.startswith("suite") else f"suite = clifford\n{line}\n")
         code = main(["verify", "--config", str(cfg)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "usage:" not in err
+
+    @pytest.mark.parametrize(
+        "key, lines", [("seed", "seed = 7\nseed = 8"), ("suite", "suite = clifford\nsuite = qgamma")]
+    )
+    def test_repeated_config_key_is_a_config_error(self, tmp_path, capsys, no_checks, key, lines):
+        # the last line won: seed = 7 then seed = 8 ran at seed 8
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{lines}\n")
+        code = main(["verify", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:2: config key {key!r} is repeated\n"
+
+    # each config line, and the flags it mirrors
+    MIRRORS = [
+        ("suite = clifford, qgamma", ["--suite", "clifford", "--suite", "qgamma"]),
+        ("mode = exact", ["--mode", "exact"]),
+        ("q_samples = 3", ["--q-samples", "3"]),
+        ("q_range = 0.6:1.7", ["--q-range", "0.6:1.7"]),
+        ("seed = 11", ["--seed", "11"]),
+        ("strict = Yes", ["--strict"]),
+        ("convention = col_sum, row_sum", ["--convention", "col_sum", "--convention", "row_sum"]),
+        ("format = json", ["--format", "json"]),
+        ("out = {out}", ["--out", "{out}"]),
+    ]
+
+    @pytest.mark.parametrize("line, flags", MIRRORS, ids=[line.split()[0] for line, _ in MIRRORS])
+    def test_a_config_line_gives_the_bytes_of_its_flags(self, tmp_path, line, flags):
+        out = tmp_path / "r.json"
+        key = line.split()[0]
+        # the other options come from the file in both runs
+        base = "".join(
+            f"{other}\n"
+            for other in ("suite = clifford", "format = json", f"out = {out}")
+            if other.split()[0] != key
+        )
+        runs = []
+        for text, argv in ((f"{base}{line}\n", []), (base, flags)):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text.format(out=out))
+            code = main(["verify", "--config", str(cfg), *(f.format(out=out) for f in argv)])
+            runs.append((code, out.read_bytes()))
+            out.unlink()
+        assert runs[0] == runs[1]
 
 
     @pytest.mark.parametrize("flag, key", [("--q-range=", "q range"), ("--out=", "out")])
@@ -481,6 +581,82 @@ class TestConfigFile:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# values each verify flag is fuzzed with, valid and not; paths are relative to
+# the test's temporary directory, which the fuzz runs in
+_FUZZ_VALUES = {
+    "suite": ["clifford", "all", "selfcheck", "nonsense"],
+    "mode": ["exact", "both", "numeric"],
+    "q_samples": ["3", "0", "-1", str(suites_mod.MAX_Q_SAMPLES + 1), "abc"],
+    "q_range": ["0.6:1.7", "2:1", "0:2", "nan:2", "0.97:1.03", "1e150:1e151"],
+    "seed": ["7", "-3", "x"],
+    "strict": ["yes", "0", "ture"],
+    "convention": [c.value for c in qgamma.ActionConvention] + ["bogus"],
+    "format": ["text", "json", "xml"],
+    "out": ["r.json", "sub", "missing/r.json", "x\0y.json", "run.cfg"],
+    "config": ["run.cfg", "sub", "missing.cfg"],
+}
+# free text holds no '/', so it can name no file outside the directory
+_JUNK = st.text(st.characters(blacklist_characters="/", blacklist_categories=("Cs",)), max_size=8)
+
+
+def _is_help(token: str) -> bool:
+    name = token.split("=", 1)[0]
+    return name.startswith("-h") or (len(name) > 2 and "--help".startswith(name))
+
+
+@st.composite
+def _argv_tokens(draw):
+    key = draw(st.sampled_from(sorted(_FUZZ_VALUES)))
+    flag = "--" + key.replace("_", "-")
+    value = draw(st.sampled_from(_FUZZ_VALUES[key]) | st.just("") | _JUNK)
+    return draw(st.sampled_from([[flag], [flag, value], [f"{flag}={value}"], [draw(_JUNK)]]))
+
+
+@st.composite
+def _config_line(draw):
+    key = draw(st.sampled_from(sorted(set(_FUZZ_VALUES) - {"config"})) | _JUNK)
+    value = draw(st.sampled_from(_FUZZ_VALUES.get(key, [""])) | st.just("") | _JUNK)
+    return draw(st.sampled_from([f"{key} = {value}", f"{key}={value} # note", value]))
+
+
+class TestUsageErrors:
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        argv=st.lists(_argv_tokens(), max_size=4).map(lambda parts: sum(parts, [])),
+        config=st.none() | st.lists(_config_line(), max_size=4),
+    )
+    # the empty values refused since config values stopped falling back to defaults
+    @example(argv=["--q-range="], config=None)
+    @example(argv=["--out="], config=None)
+    @example(argv=[], config=["suite ="])
+    @example(argv=[], config=["mode =", "format ="])
+    @example(argv=[], config=["convention =", "q_range =", "out ="])
+    # a NUL in out reached the report writer, after every check had run
+    @example(argv=[], config=["suite = clifford", "out = x\0y.json"])
+    @example(argv=["--mode", "numeric"], config=["mode = numeric"])
+    # argparse quotes an unrecognized argument as it is, line break and all
+    @example(argv=["two\nlines"], config=None)
+    def test_verify_exits_0_or_2_with_one_error_line(
+        self, tmp_path, monkeypatch, capsys, argv, config
+    ):
+        assume(not any(_is_help(token) for token in argv))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(suites_mod, "run_checks", lambda *args: [])
+        (tmp_path / "sub").mkdir(exist_ok=True)
+        capsys.readouterr()
+        if config is not None:
+            (tmp_path / "run.cfg").write_text("\n".join(config) + "\n", encoding="utf-8")
+            argv = ["--config", "run.cfg", *argv]
+        code = main(["verify", *argv])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert "usage:" not in err
 
 
 class TestGoldenReport:
@@ -594,6 +770,7 @@ class TestReportSchema:
         "witness_string": (_edit(["checks", 0, "witness"], "w"), True),
         "status_ok": (_edit(["checks", 0, "status"], "ok"), False),
         "mode_fast": (_edit(["config", "mode"], "fast"), False),
+        "mode_numeric": (_edit(["config", "mode"], "numeric"), False),
         "q_samples_zero": (_edit(["config", "q_samples"], 0), False),
         "q_samples_one_as_float": (_edit(["config", "q_samples"], 1.0), True),
         "q_range_one_item": (_edit(["config", "q_range"], ["0.5"]), False),
