@@ -49,9 +49,8 @@ def config_flags(path: str) -> list[str]:
     """The flags a config file's ``key = value`` lines stand for; '#' starts
     a comment."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, ValueError) as exc:  # also not UTF-8, or a NUL in the path
+        lines = report_mod.read_text(path).splitlines()
+    except (OSError, ValueError) as exc:  # also too large, not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config file: {exc}") from exc
     flags: list[str] = []
     seen: set[str] = set()

@@ -125,12 +125,7 @@ class Matrix:
         return Matrix(self.rows, self.cols, [fn(a) for a in self.data])
 
     def evaluate(self, q_value: complex) -> CMatrix:
-        return [[s.eval_at(q_value) for s in self.row(i)] for i in range(self.rows)]
-
-    def max_abs_at_points(self, points) -> tuple[list[float], bool]:
-        """``max_abs_at_points`` over the entries in row-major order, so each
-        point's ``max`` is the one the full numeric matrix gives."""
-        return max_abs_at_points(self.data, points)
+        return [[s.eval_with_flags(q_value)[0] for s in self.row(i)] for i in range(self.rows)]
 
     def rank(self) -> int:
         """Rank over the scalar field, by exact row reduction."""

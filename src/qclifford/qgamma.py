@@ -286,8 +286,8 @@ def bare_relation_solve_exact_q1(gs: QGammaSet, qm: QMetric) -> BareRelationSolv
     scalar field that share one coefficient matrix, solved by one
     elimination.
     """
-    mats1 = [m.map(lambda s: s.limit_q1()) for m in gs.matrices]
-    cinv1 = qm.c_inverse.map(lambda s: s.limit_q1())
+    mats1 = [m.map(lambda s: s.at(1)) for m in gs.matrices]
+    cinv1 = qm.c_inverse.map(lambda s: s.at(1))
     prefactor = RadicalScalar.constant(2)  # q^{-1} Q at q = 1
     ident = Matrix.identity(4)
     # column (nu', mu') of the coefficient matrix is g_nu' g_mu' flattened

@@ -265,10 +265,24 @@ class ParseError(Exception):
     pass
 
 
+# the most bytes read from any file the CLI is given (a report, a config
+# file); a report written at the largest q_samples is about 2.4 MB
+MAX_READ_BYTES = 16 * 2**20
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; a file of more than ``MAX_READ_BYTES``
+    bytes raises ``ValueError`` without being read further."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_READ_BYTES + 1)
+    if len(data) > MAX_READ_BYTES:
+        raise ValueError(f"file is larger than {MAX_READ_BYTES} bytes")
+    return data.decode("utf-8")
+
+
 def load_report(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
         validate_report(doc)
     except OSError as exc:  # the message names the path
         raise ParseError(str(exc)) from exc

@@ -13,11 +13,12 @@ The scalar ring is built in layers:
 
 Identical radicands multiply out exactly (sqrt(a)*sqrt(a) = a), so every
 identity whose radicals only ever appear squared is decided exactly.
-Numeric evaluation uses the principal branch throughout; only positive
-rational squares and even powers of t are ever moved out of a root, which
-keeps exact and principal-branch numeric values in agreement on the
-positive real q axis.  Each scalar has one canonical form, ``key()``, a
-nested tuple of ints, and evaluation sums terms in its order, so a float
+Each layer has one exact map, ``at(q)``, to its value at a rational q, and
+``eval_with_flags`` is the one numeric value.  Both take the principal
+branch, and only positive rational squares and even powers of t are ever
+moved out of a root, which keeps exact and numeric values in agreement on
+the positive real q axis.  Each scalar has one canonical form, ``key()``,
+a nested tuple of ints, and evaluation sums terms in its order, so a float
 depends only on the exact value, never on the order in which the terms
 were built.
 
@@ -65,11 +66,7 @@ class ScalarError(Exception):
 
 
 class ZeroBase(ScalarError):
-    """Numeric evaluation requested at q = 0."""
-
-
-class Divergent(ScalarError):
-    """The q -> 1 limit does not exist."""
+    """Evaluation, exact or numeric, requested at q = 0."""
 
 
 class NotInvertible(ScalarError):
@@ -77,7 +74,7 @@ class NotInvertible(ScalarError):
 
 
 class EvalPole(ScalarError):
-    """Numeric evaluation hit a zero of a denominator."""
+    """Evaluation, exact or numeric, hit a zero of a denominator."""
 
 
 def _square_part(n: int) -> int:
@@ -392,21 +389,20 @@ class HalfLaurent:
                 values[at] = v
         return v
 
-    def at_one(self) -> GaussRational:
-        total = GR_ZERO
-        for c in self.coeffs.values():
-            total = total + c
-        return total
-
-    def subs_q(self, q: Fraction) -> GaussRational:
-        """Exact value at a rational q; only integer powers of q allowed."""
-        if q == 0:
+    def at(self, q) -> GaussRational:
+        """Exact value at a nonzero rational q, with t = q^(1/2) > 0.  An odd
+        power of t is allowed only where t is rational: q a rational square."""
+        q = Fraction(q)
+        if not q:
             raise ZeroBase("q must be nonzero")
+        n, d = isqrt(max(q.numerator, 0)), isqrt(q.denominator)
+        square = n * n == q.numerator and d * d == q.denominator
         total = GR_ZERO
         for k, c in self.coeffs.items():
-            if k % 2:
+            if k % 2 and not square:
                 raise ScalarError("half-integer power of q has no rational value")
-            total = total + c * GaussRational(q ** (k // 2))
+            p = Fraction(n, d) ** k if square else q ** (k // 2)
+            total = total + c * _gauss(p.numerator, 0, p.denominator)
         return total
 
     def key(self) -> tuple:
@@ -653,17 +649,12 @@ class LaurentFrac:
             raise EvalPole("denominator vanishes at this q")
         return self.num._value(t, at) / d
 
-    def at_one(self) -> GaussRational:
-        d = self.den.at_one()
-        if d.is_zero():
-            raise Divergent("denominator vanishes at q = 1")
-        return self.num.at_one() / d
-
-    def subs_q(self, q: Fraction) -> GaussRational:
-        d = self.den.subs_q(q)
+    def at(self, q) -> GaussRational:
+        """Exact value at a rational q (see ``HalfLaurent.at``)."""
+        d = self.den.at(q)
         if d.is_zero():
             raise EvalPole("denominator vanishes at this q")
-        return self.num.subs_q(q) / d
+        return self.num.at(q) / d
 
     def key(self) -> tuple:
         key = self._key
@@ -1076,27 +1067,15 @@ class RadicalScalar:
             total += val
         return total, branch_cut
 
-    def eval_at(self, q_value: complex) -> complex:
-        return self.eval_with_flags(q_value)[0]
-
-    def subs_q(self, q: Fraction) -> GaussRational:
-        """Exact value at a rational q for radical-free even-power scalars."""
-        total = GR_ZERO
+    def at(self, q) -> "RadicalScalar":
+        """Exact value at a rational q, each radicand's value under ``sqrt``.
+        This evaluates; it takes no limit: a pole of a coefficient or radicand
+        raises ``EvalPole`` even where the scalar tends to a finite value."""
+        total = ZERO
         for key, coeff in self.terms.items():
-            if key:
-                raise ScalarError("value carries unresolved radicals")
-            total = total + coeff.subs_q(q)
-        return total
-
-    def limit_q1(self) -> "RadicalScalar":
-        """Value at q = 1 when finite; raises Divergent otherwise."""
-        total = RadicalScalar.zero()
-        for key, coeff in self.terms.items():
-            c1 = coeff.at_one()
-            term = RadicalScalar.constant(c1)
+            term = RadicalScalar.constant(coeff.at(q))
             for rad in key:
-                rv = rad.at_one()
-                term = term * sqrt(RadicalScalar.constant(rv))
+                term = term * sqrt(RadicalScalar.constant(rad.at(q)))
             total = total + term
         return total
 

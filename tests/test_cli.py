@@ -24,7 +24,7 @@ from qclifford.report import (
     validate_report,
     write_atomic,
 )
-from qclifford.linalg import Matrix
+from qclifford.linalg import Matrix, max_abs_at_points
 from qclifford.scalars import RadicalScalar, qvar, sqrt
 from qclifford.suites import REFERENCE_SAMPLES, RunContext, _seeded_irreps, registry
 
@@ -659,6 +659,48 @@ class TestUsageErrors:
             assert "usage:" not in err
 
 
+class TestBoundedReads:
+    """A file given to the CLI is read up to ``MAX_READ_BYTES`` and no further."""
+
+    GOLDEN = pathlib.Path(__file__).parent / "data" / "hopf_exact_seed7.json"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize("command", ["verify", "diff"])
+    def test_an_endless_file_exits_2_under_a_memory_limit(self, command):
+        # read whole, /dev/zero ran out of memory in the child, which died
+        # with a MemoryError traceback and exit 1
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        argv = {
+            "verify": ["verify", "--config", "/dev/zero"],
+            "diff": ["diff", "/dev/zero", str(self.GOLDEN)],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qclifford.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env_importing_this_qclifford(),
+            preexec_fn=cap_memory,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_a_report_above_three_megabytes_still_diffs(self, tmp_path, capsys):
+        doc = json.loads(self.GOLDEN.read_text(encoding="utf-8"))
+        doc["checks"][0]["witness"] = "w" * 3_000_000
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc), encoding="utf-8")
+        assert big.stat().st_size >= 3_000_000
+        assert main(["diff", str(big), str(big)]) == 0
+        assert capsys.readouterr().out == "no differences\n"
+
+
 class TestGoldenReport:
     # byte oracles for refactors: each file is the output of `qclifford verify
     # <args> --format json` and changes only with the report; the two `both`
@@ -973,7 +1015,7 @@ class TestMeasure:
     @staticmethod
     def _per_matrix_loop(matrices, points) -> tuple[float, bool]:
         # the worst residual and branch-cut flag of the loop measure replaced
-        found = [m.max_abs_at_points(points) for m in matrices]
+        found = [max_abs_at_points(m.data, points) for m in matrices]
         return max(max([0.0, *maxima]) for maxima, _ in found), any(f for _, f in found)
 
     @pytest.mark.parametrize("mode", ["exact", "both"])

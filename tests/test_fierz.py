@@ -47,7 +47,7 @@ class TestExchangeMatrix:
         assert r[1, 2].is_one() and r[2, 1].is_one()
 
     def test_flip_at_q_equals_one(self):
-        assert hecke_rmatrix().map(lambda s: s.limit_q1()) == flip_matrix()
+        assert hecke_rmatrix().map(lambda s: s.at(1)) == flip_matrix()
 
     def test_hecke_relation_exact(self):
         # oracle for the middle block: char poly x^2 - (q - q^{-1}) x - 1 has
@@ -65,7 +65,7 @@ class TestReflectionRules:
     def test_q1_unit_constant_gives_plain_commutation(self):
         rs = reflection_rules(1)
         for (a, b), rhs in rs.rules.items():
-            at_one = NCPolynomial({w: c.limit_q1() for w, c in rhs.terms.items()})
+            at_one = NCPolynomial({w: c.at(1) for w, c in rhs.terms.items()})
             assert at_one == NCPolynomial.word((b, a))
 
     def test_rules_preserve_bilinear_sector(self):

@@ -23,7 +23,7 @@ from conftest import (
 )
 from qclifford import scalars
 from qclifford.scalars import (
-    Divergent,
+    EvalPole,
     GaussRational,
     HalfLaurent,
     LaurentFrac,
@@ -84,20 +84,20 @@ class TestMultiplication:
 
 class TestEvaluation:
     def test_big_q_at_two(self):
-        assert q_plus_qinv().eval_at(2.0) == pytest.approx(2.5)
+        assert q_plus_qinv().eval_with_flags(2.0)[0] == pytest.approx(2.5)
 
     def test_three_half_power_at_four(self):
-        assert q_half(3).eval_at(4.0) == pytest.approx(8.0)
+        assert q_half(3).eval_with_flags(4.0)[0] == pytest.approx(8.0)
 
     def test_sqrt_q_big_q_at_one(self):
         # oracle: qQ = q^2 + 1 = 2 at q = 1
-        assert sqrt(qvar() * q_plus_qinv()).eval_at(1.0) == pytest.approx(
+        assert sqrt(qvar() * q_plus_qinv()).eval_with_flags(1.0)[0] == pytest.approx(
             math.sqrt(2.0)
         )
 
     def test_zero_base_rejected(self):
         with pytest.raises(ZeroBase):
-            qvar().eval_at(0.0)
+            qvar().eval_with_flags(0.0)
 
     def test_branch_cut_flagged_for_negative_radicand(self):
         lam = RadicalScalar.constant(2)
@@ -112,25 +112,34 @@ class TestEvaluation:
         r = (lam.inverse() - lam) / (qvar() - qinv())
         s = sqrt(r)
         for qv in (0.5, 0.75, 1.5, 3.0):
-            assert s.eval_at(qv) == pytest.approx(cmath.sqrt(r.eval_at(qv)))
+            assert s.eval_with_flags(qv)[0] == pytest.approx(cmath.sqrt(r.eval_with_flags(qv)[0]))
 
 
-class TestLimit:
-    def test_big_q_limit_is_two(self):
-        assert q_plus_qinv().limit_q1() == RadicalScalar.constant(2)
+class TestAtOne:
+    def test_big_q_at_one_is_two(self):
+        assert q_plus_qinv().at(1) == RadicalScalar.constant(2)
 
     def test_antisymmetric_combination_vanishes(self):
-        assert (qvar() ** 2 - qinv() ** 2).limit_q1().is_zero()
+        assert (qvar() ** 2 - qinv() ** 2).at(1).is_zero()
 
-    def test_bracket_with_nonunit_weight_diverges(self):
+    def test_bracket_with_nonunit_weight_has_a_pole(self):
         # (lambda^{-1} - lambda)/(q - q^{-1}) with lambda = 2 blows up at q = 1
         lam = RadicalScalar.constant(2)
         expr = (lam.inverse() - lam) / (qvar() - qinv())
-        with pytest.raises(Divergent):
-            expr.limit_q1()
+        with pytest.raises(EvalPole):
+            expr.at(1)
 
-    def test_radical_limits_keep_formal_roots(self):
-        assert sqrt(q_plus_qinv()).limit_q1() == sqrt(RadicalScalar.constant(2))
+    def test_radical_values_keep_formal_roots(self):
+        assert sqrt(q_plus_qinv()).at(1) == sqrt(RadicalScalar.constant(2))
+
+    def test_at_evaluates_and_takes_no_limit(self):
+        # (q - 1) sqrt(1/(q - 1)) = sqrt(q - 1) tends to 0 as q -> 1, but its
+        # radicand has a pole there, and at() evaluates each radicand
+        q = qvar()
+        x = (q - 1) * sqrt(1 / (q - 1))
+        assert abs(x.eval_with_flags(1.000001)[0]) < 2e-3
+        with pytest.raises(EvalPole):
+            x.at(1)
 
 
 class TestFieldStructure:
@@ -150,7 +159,7 @@ class TestFieldStructure:
             RadicalScalar.zero().inverse()
 
     def test_exact_substitution_at_rational_q(self):
-        val = (qvar() ** 2 - qinv()).subs_q(Fraction(3))
+        val = (qvar() ** 2 - qinv()).at(3)
         assert val == GaussRational(Fraction(9) - Fraction(1, 3))
 
 
@@ -179,10 +188,10 @@ class TestEvaluationHomomorphism:
         for i in range(0, 100, 2):
             a, b = scalars[i], scalars[i + 1]
             for qv in qs:
-                va, vb = a.eval_at(qv), b.eval_at(qv)
+                va, vb = a.eval_with_flags(qv)[0], b.eval_with_flags(qv)[0]
                 scale = max(1.0, abs(va * vb), abs(va + vb))
-                assert abs((a * b).eval_at(qv) - va * vb) <= 1e-12 * scale
-                assert abs((a + b).eval_at(qv) - (va + vb)) <= 1e-12 * scale
+                assert abs((a * b).eval_with_flags(qv)[0] - va * vb) <= 1e-12 * scale
+                assert abs((a + b).eval_with_flags(qv)[0] - (va + vb)) <= 1e-12 * scale
 
 
 @st.composite

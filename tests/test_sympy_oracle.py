@@ -4,7 +4,9 @@ Each scalar is transcribed into a sympy rational function of t = q^(1/2)
 straight from its coefficient dicts, never through the engine's own ring
 operations, so sympy's ``cancel`` is an independent judge of equality.
 Scalars with radicals are compared numerically, to 50 digits, against the
-value sympy builds from their defining expression.
+value sympy builds from their defining expression.  The exact value
+``at(q)`` at a rational q is compared with sympy's substitution of
+t = sqrt(q) into the same transcriptions.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from qclifford.scalars import (
     HalfLaurent,
     LaurentFrac,
     RadicalScalar,
+    ScalarError,
     q_half,
     q_plus_qinv,
     qinv,
@@ -100,18 +103,49 @@ def test_keys_differ_exactly_when_sympy_says_unequal(a, b, near):
         assert (x.key() == y.key()) == _sympy_equal(x, y)
 
 
+def _assert_at_matches_sympy(a: RadicalScalar, q: Fraction) -> None:
+    t = sympy.sqrt(sympy.Rational(q))
+    if _sym_poly(a.as_fraction().den).subs(T, t) == 0:
+        with pytest.raises(EvalPole):
+            a.at(q)
+        return
+    got = _sym(a.at(q))
+    assert not got.free_symbols
+    assert sympy.expand(_sym(a).subs(T, t) - got) == 0
+
+
+def _has_odd_power(a: RadicalScalar) -> bool:
+    f = a.as_fraction()
+    return any(k % 2 for k in (*f.num.coeffs, *f.den.coeffs))
+
+
 @settings(max_examples=60, deadline=None)
 @given(even_scalars, rationals)
-def test_subs_q_matches_sympy_at_rational_q(a, q):
+def test_at_matches_sympy_at_rational_q(a, q):
     assume(q != 0)
+    _assert_at_matches_sympy(a, q)
+
+
+# t = sqrt(q) is rational at these q, so odd powers of t have exact values
+SQUARE_Q = (Fraction(1), Fraction(4), Fraction(9, 4), Fraction(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars, st.sampled_from(SQUARE_Q))
+def test_at_matches_sympy_with_odd_powers_at_square_q(a, q):
+    assume(_has_odd_power(a))
+    _assert_at_matches_sympy(a, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalars, st.sampled_from([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 4), Fraction(-4)]))
+def test_odd_power_at_a_non_square_q_raises(a, q):
+    assume(_has_odd_power(a))
+    with pytest.raises(ScalarError) as raised:
+        a.at(q)
+    # a pole of an even-power denominator may be met first
     den = _sym_poly(a.as_fraction().den).subs(T, sympy.sqrt(sympy.Rational(q)))
-    if den == 0:
-        with pytest.raises(EvalPole):
-            a.subs_q(q)
-        return
-    want = _sym(a).subs(T, sympy.sqrt(sympy.Rational(q)))
-    got = a.subs_q(q)
-    assert sympy.expand(want - (sympy.Rational(got.re) + sympy.I * sympy.Rational(got.im))) == 0
+    assert raised.type is ScalarError or den == 0
 
 
 # Fraction-field oracle: sympy's own rational functions over Q(i), built from
@@ -230,8 +264,8 @@ def _radical_pool():
 RADICAL_T = (sympy.Rational(1, 3), sympy.Rational(5, 4), sympy.Rational(7, 2))
 
 
-def _agree_to_50_digits(x: RadicalScalar, want) -> None:
-    for t in RADICAL_T:
+def _agree_to_50_digits(x: RadicalScalar, want, points=RADICAL_T) -> None:
+    for t in points:
         got_v = sympy.N(_sym_radical(x).subs(T, t), 60)
         want_v = sympy.N(want.subs(T, t), 60)
         assert abs(got_v - want_v) <= sympy.Float(10) ** -50 * max(1, abs(want_v)), (str(x), t)
@@ -247,3 +281,19 @@ def test_radical_sums_products_and_inverses_match_sympy(i):
         _agree_to_50_digits(x + y, sx + sy)
         _agree_to_50_digits(x * y, sx * sy)
         _agree_to_50_digits((x + y).inverse(), 1 / (sx + sy))
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_radicals_at_one_and_four_match_sympy(i):
+    # a radicand with a pole at q = 1 raises there, where sympy's value is not finite
+    pool = _radical_pool()
+    x, sx = pool[i]
+    for y, sy in [(RadicalScalar.one(), sympy.Integer(1)), *pool[i:]]:
+        for got, want in ((x * y, sx * sy), (x + y, sx + sy)):
+            for q, t in ((1, 1), (4, 2)):
+                if not want.subs(T, t).is_finite:
+                    with pytest.raises(EvalPole):
+                        got.at(q)
+                    continue
+                assert not _sym_radical(got.at(q)).free_symbols
+                _agree_to_50_digits(got.at(q), want, points=(t,))
