@@ -51,7 +51,8 @@ def config_flags(path: str) -> list[str]:
     try:
         lines = report_mod.read_text(path).splitlines()
     except (OSError, ValueError) as exc:  # also too large, not UTF-8, or a NUL in the path
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # str() of an OSError repeats the path
+        raise ConfigError(f"{path}: cannot read config file: {reason}") from exc
     flags: list[str] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(lines, 1):

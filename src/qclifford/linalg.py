@@ -17,6 +17,7 @@ from functools import cache
 from .scalars import (
     GaussRational,
     NotInvertible,
+    PointSet,
     RadicalScalar,
     ZERO,
     _coerce,
@@ -124,8 +125,11 @@ class Matrix:
     def map(self, fn) -> "Matrix":
         return Matrix(self.rows, self.cols, [fn(a) for a in self.data])
 
-    def evaluate(self, q_value: complex) -> CMatrix:
-        return [[s.eval_with_flags(q_value)[0] for s in self.row(i)] for i in range(self.rows)]
+    def evaluate(self, points: PointSet) -> list[CMatrix]:
+        """The numeric matrix at each point, each entry evaluated over the
+        point set once."""
+        entries = [s.values_with_flag(points)[0] for s in self.data]
+        return [[list(at[i : i + self.cols]) for i in range(0, len(at), self.cols)] for at in zip(*entries)]
 
     def rank(self) -> int:
         """Rank over the scalar field, by exact row reduction."""
@@ -151,29 +155,22 @@ class Matrix:
         return "[" + "; ".join(rows) + "]"
 
 
-def max_abs_at_points(values, points) -> tuple[list[float], bool]:
+def max_abs_at_points(values, points: PointSet) -> tuple[list[float], bool]:
     """Largest |v| over the scalars ``values`` at each of ``points``, and
     whether any radicand evaluated onto the branch cut.
 
-    Entry-major: each distinct scalar (scalars are interned, so keyed by
-    identity) is evaluated once per point, and zero is not evaluated.
-    Scalars are taken in the order ``values`` first meets them, so each
-    point's ``max`` is the one a scan of ``values`` gives, NaN included.
-    With no values the list of maxima is empty.
+    Each distinct scalar (scalars are interned, so keyed by identity) is
+    evaluated once over the point set.  Scalars are taken in the order
+    ``values`` first meets them, so each point's ``max`` is the one a scan
+    of ``values`` gives, NaN included.  With no values the list of maxima
+    is empty.
     """
-    zeros = [0.0] * len(points)
     columns = []
     flagged = False
     for s in {id(s): s for s in values}.values():
-        if s.is_zero():
-            columns.append(zeros)
-            continue
-        col = []
-        for x in points:
-            val, flag = s.eval_with_flags(x)
-            col.append(abs(val))
-            flagged = flagged or flag
-        columns.append(col)
+        vals, flag = s.values_with_flag(points)
+        columns.append([abs(v) for v in vals])
+        flagged = flagged or flag
     return [max(at_x) for at_x in zip(*columns)], flagged
 
 

@@ -29,6 +29,7 @@ from .linalg import (
 )
 from .rewrite import NCPolynomial
 from .scalars import (
+    PointSet,
     RadicalScalar,
     q_half,
     q_plus_qinv,
@@ -309,31 +310,30 @@ def bare_relation_solve_exact_q1(gs: QGammaSet, qm: QMetric) -> BareRelationSolv
 BARE_SOLVE_TOL = 1e-9
 
 
-def bare_relation_solve_numeric(gs: QGammaSet, qm: QMetric, q_value: complex) -> tuple[bool, float]:
-    """Solvability of the same systems at one numeric q.
+def bare_relation_solve_numeric(gs: QGammaSet, qm: QMetric, points: PointSet) -> list[tuple[bool, float]]:
+    """Solvability of the same systems at each numeric q of ``points``, each
+    matrix evaluated once over them all.
 
-    The 16x16 coefficient matrix has rank 8, so the 16 systems are solved
-    together by elimination with a pivot cut-off; returns whether the largest
-    residual ||A x - b||_2 stays below ``BARE_SOLVE_TOL``, and that residual.
+    The 16x16 coefficient matrix has rank 8, so the 16 systems at one q are
+    solved together by elimination with a pivot cut-off; each q gives whether
+    the largest residual ||A x - b||_2 stays below ``BARE_SOLVE_TOL``, and
+    that residual.
     """
-    mats = [m.evaluate(q_value) for m in gs.matrices]
-    cinv = qm.c_inverse.evaluate(q_value)
-    pref = (1.0 / q_value) * (q_value + 1.0 / q_value)
-    cols = [
-        _flatten(cmatmul(cscale(q_value, mats[np_]), mats[mp]))
-        for np_ in range(4)
-        for mp in range(4)
-    ]
-    coeff = [list(row) for row in zip(*cols)]
-    targets = [
-        _flatten(
-            csub(cscale(pref * cinv[mu][nu], cidentity(4)), cmatmul(mats[mu], mats[nu]))
-        )
-        for mu in range(4)
-        for nu in range(4)
-    ]
-    worst = max(numeric_solve_residuals(coeff, targets))
-    return worst < BARE_SOLVE_TOL, worst
+    out = []
+    for q_value, cinv, *mats in zip(
+        points.qs, qm.c_inverse.evaluate(points), *(m.evaluate(points) for m in gs.matrices)
+    ):
+        pref = (1.0 / q_value) * (q_value + 1.0 / q_value)
+        cols = [_flatten(cmatmul(cscale(q_value, a), b)) for a in mats for b in mats]
+        coeff = [list(row) for row in zip(*cols)]
+        targets = [
+            _flatten(csub(cscale(pref * cinv[mu][nu], cidentity(4)), cmatmul(mats[mu], mats[nu])))
+            for mu in range(4)
+            for nu in range(4)
+        ]
+        worst = max(numeric_solve_residuals(coeff, targets))
+        out.append((worst < BARE_SOLVE_TOL, worst))
+    return out
 
 
 def _flatten(m: CMatrix) -> list[complex]:

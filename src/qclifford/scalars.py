@@ -14,7 +14,7 @@ The scalar ring is built in layers:
 Identical radicands multiply out exactly (sqrt(a)*sqrt(a) = a), so every
 identity whose radicals only ever appear squared is decided exactly.
 Each layer has one exact map, ``at(q)``, to its value at a rational q, and
-``eval_with_flags`` is the one numeric value.  Both take the principal
+one numeric map to its values over a ``PointSet``.  Both take the principal
 branch, and only positive rational squares and even powers of t are ever
 moved out of a root, which keeps exact and numeric values in agreement on
 the positive real q axis.  Each scalar has one canonical form, ``key()``,
@@ -46,10 +46,10 @@ Each operation does only the work its result needs:
   radicand merge, and a product of two monomial fractions over
   denominator 1 is one coefficient product.
 
-Numeric values are cached on the objects that have them: a scalar keeps
-(value, branch-cut flag) per q, and a polynomial its value per point, for
-up to ``POINTS_HELD`` points each.  A cache goes with its object, and an
-evaluation that raises (``EvalPole``, ``ZeroBase``) stores nothing.
+A numeric evaluation covers a whole point set at once.  Each polynomial,
+fraction and scalar keeps the values of the last set it was evaluated over,
+so a part shared by many scalars is computed once per set; an evaluation
+that raises (``EvalPole``, ``OverflowError``) stores nothing.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import cmath
 import weakref
 from fractions import Fraction
 from functools import cache
-from math import copysign, gcd as _int_gcd, isqrt, lcm
+from math import gcd as _int_gcd, isqrt, lcm
 
 
 class ScalarError(Exception):
@@ -216,10 +216,6 @@ class GaussRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def to_complex(self) -> complex:
-        # int / int rounds correctly, so this equals float() of each part
-        return complex(self.x / self.d, self.y / self.d)
-
     def __repr__(self) -> str:
         return f"GaussRational({self.re!r}, {self.im!r})"
 
@@ -242,18 +238,49 @@ GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
 
 
+class PointSet:
+    """Nonzero points q at which values are computed together, with t =
+    sqrt(q) taken once per point and ``t**k`` once per exponent k.  A set
+    made by ``prefix(n)`` holds the first n points of ``whole``, and a scalar
+    evaluated over it reads the values it holds for ``whole``."""
+
+    __slots__ = ("qs", "ts", "whole", "_powers")
+
+    def __init__(self, qs):
+        self.qs = tuple(qs)
+        if 0 in self.qs:
+            raise ZeroBase("q must be nonzero")
+        self.ts = [cmath.sqrt(complex(q)) for q in self.qs]
+        self.whole = self
+        self._powers = {}
+
+    def __len__(self) -> int:
+        return len(self.qs)
+
+    def prefix(self, n: int) -> "PointSet":
+        out = PointSet(self.qs[:n])
+        out.whole = self.whole
+        return out
+
+    def powers(self, k: int) -> list[complex]:
+        """``t**k`` at each point."""
+        p = self._powers.get(k)
+        if p is None:
+            p = self._powers[k] = [t**k for t in self.ts]
+        return p
+
+
 class HalfLaurent:
     """Laurent polynomial in t = q^(1/2); exponent k means q^(k/2)."""
 
-    __slots__ = ("coeffs", "_key", "_complex", "_values")
+    __slots__ = ("coeffs", "_key", "_at", "_values")
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         self._key = None
-        self._complex = None
-        self._values = None
+        self._at = None
 
     @staticmethod
     def _nonzero(coeffs: dict) -> "HalfLaurent":
@@ -261,8 +288,7 @@ class HalfLaurent:
         out = _new(HalfLaurent)
         out.coeffs = coeffs
         out._key = None
-        out._complex = None
-        out._values = None
+        out._at = None
         return out
 
     @staticmethod
@@ -368,26 +394,17 @@ class HalfLaurent:
         items = self.coeffs.items()
         return sorted(items) if len(items) > 1 else items
 
-    def eval_t(self, t: complex) -> complex:
-        if self._complex is None:
-            self._complex = tuple((k, complex(x / d, y / d)) for k, x, y, d in self.key())
-        total = 0j
-        for k, c in self._complex:
-            total += c * t**k
-        return total
-
-    def _value(self, t: complex, at) -> complex:
-        """``eval_t(t)``, computed once per point: ``at`` is the point key
-        (see ``_point_key``) of the q whose square root is ``t``."""
-        values = self._values
-        if values is None:
-            values = self._values = {}
-        v = values.get(at)
-        if v is None:
-            v = self.eval_t(t)
-            if len(values) < POINTS_HELD:
-                values[at] = v
-        return v
+    def values(self, points: PointSet) -> list[complex]:
+        """The value at each point: from 0j, ``c * t**k`` added term by term
+        in ascending exponent order."""
+        if self._at is points:
+            return self._values
+        vals = [0j] * len(points)
+        for k, x, y, d in self.key():
+            c = complex(x / d, y / d)  # int / int rounds correctly
+            vals = [v + c * p for v, p in zip(vals, points.powers(k))]
+        self._at, self._values = points, vals
+        return vals
 
     def at(self, q) -> GaussRational:
         """Exact value at a nonzero rational q, with t = q^(1/2) > 0.  An odd
@@ -395,14 +412,20 @@ class HalfLaurent:
         q = Fraction(q)
         if not q:
             raise ZeroBase("q must be nonzero")
-        n, d = isqrt(max(q.numerator, 0)), isqrt(q.denominator)
-        square = n * n == q.numerator and d * d == q.denominator
+        if q == 1:
+            return sum(self.coeffs.values(), GR_ZERO)
+        a, b = q.numerator, q.denominator
+        n, d = isqrt(max(a, 0)), isqrt(b)
+        square = n * n == a and d * d == b
+        if square:
+            a, b = n, d  # t = a/b, else t^2 = a/b; each is in lowest terms
         total = GR_ZERO
         for k, c in self.coeffs.items():
             if k % 2 and not square:
                 raise ScalarError("half-integer power of q has no rational value")
-            p = Fraction(n, d) ** k if square else q ** (k // 2)
-            total = total + c * _gauss(p.numerator, 0, p.denominator)
+            e = k if square else k // 2
+            p = _gauss(a ** abs(e), 0, b ** abs(e))
+            total = total + c * (p if e >= 0 else p.inverse())
         return total
 
     def key(self) -> tuple:
@@ -535,10 +558,11 @@ class LaurentFrac:
     valuation-stripped numerator, so equal values compare equal.
     """
 
-    __slots__ = ("num", "den", "_key")
+    __slots__ = ("num", "den", "_key", "_at", "_values")
 
     def __init__(self, num: HalfLaurent, den: HalfLaurent | None = None):
         self._key = None
+        self._at = None
         if den is None or den.is_one():
             self.num = num
             self.den = _HL_ONE
@@ -563,6 +587,7 @@ class LaurentFrac:
         out.num = num
         out.den = den
         out._key = None
+        out._at = None
         return out
 
     @staticmethod
@@ -641,13 +666,16 @@ class LaurentFrac:
     def __truediv__(self, other: "LaurentFrac") -> "LaurentFrac":
         return self * other.inverse()
 
-    def _value(self, t: complex, at) -> complex:
-        """The value at t = sqrt(q), from the point caches of both parts (see
-        ``HalfLaurent._value``); a pole raises on every call."""
-        d = self.den._value(t, at)
-        if d == 0:
+    def values(self, points: PointSet) -> list[complex]:
+        """num / den at each point; a pole at any point raises."""
+        if self._at is points:
+            return self._values
+        dens = self.den.values(points)
+        if 0 in dens:
             raise EvalPole("denominator vanishes at this q")
-        return self.num._value(t, at) / d
+        vals = [n / d for n, d in zip(self.num.values(points), dens)]
+        self._at, self._values = points, vals
+        return vals
 
     def at(self, q) -> GaussRational:
         """Exact value at a rational q (see ``HalfLaurent.at``)."""
@@ -741,7 +769,7 @@ class RadicalScalar:
     ``MINUS_ONE`` is the memoized negation.
     """
 
-    __slots__ = ("terms", "_key", "_values", "__weakref__")
+    __slots__ = ("terms", "_key", "_at", "_values", "_cut", "__weakref__")
 
     def __new__(cls, terms: dict[tuple[LaurentFrac, ...], LaurentFrac] | None = None):
         if terms is None:
@@ -771,7 +799,7 @@ class RadicalScalar:
         out = _new(RadicalScalar)
         out.terms = terms
         out._key = key
-        out._values = None
+        out._at = None
         _INTERN[key] = weakref.KeyedRef(out, _forget, key)
         return out
 
@@ -1029,43 +1057,28 @@ class RadicalScalar:
 
     # ---- evaluation ----------------------------------------------------
 
+    def values_with_flag(self, points: PointSet) -> tuple[list[complex], bool]:
+        """Principal-branch value at each point, plus a branch-cut flag: set
+        when a radicand is a negative real number at some point (its square
+        root then sits on the branch cut).  A prefix reads its whole set's."""
+        whole = points.whole
+        if self._at is not whole:
+            totals = [0j] * len(whole)
+            cut = len(whole)  # the first point at which the flag is set
+            for key, coeff in self.terms.items():
+                vals = coeff.values(whole)
+                for rad in key:
+                    rvs = rad.values(whole)
+                    cut = next((i for i, v in enumerate(rvs[:cut]) if v.imag == 0.0 and v.real < 0.0), cut)
+                    vals = [v * cmath.sqrt(rv) for v, rv in zip(vals, rvs)]
+                totals = [a + v for a, v in zip(totals, vals)]
+            self._at, self._values, self._cut = whole, totals, cut
+        return self._values[: len(points)], self._cut < len(points)
+
     def eval_with_flags(self, q_value: complex) -> tuple[complex, bool]:
-        """Principal-branch numeric value plus a branch-cut warning flag.
-
-        The flag is set when any radicand evaluates to a negative real
-        number (the principal square root then sits on the branch cut).
-        Computed once per point and then read from the scalar's own cache;
-        an evaluation that raises stores nothing.
-        """
-        at = q_value if type(q_value) is float else _point_key(q_value)
-        values = self._values
-        if values is None:
-            values = self._values = {}
-        hit = values.get(at)
-        if hit is None:
-            hit = self._evaluate(q_value, at)
-            if len(values) < POINTS_HELD:
-                values[at] = hit
-        return hit
-
-    def _evaluate(self, q_value: complex, at) -> tuple[complex, bool]:
-        """``eval_with_flags`` computed afresh; ``at`` names the point."""
-        if q_value == 0:
-            raise ZeroBase("q must be nonzero")
-        if not self.terms:
-            return 0j, False
-        t = cmath.sqrt(complex(q_value))
-        total = 0j
-        branch_cut = False
-        for key, coeff in self.terms.items():
-            val = coeff._value(t, at)
-            for rad in key:
-                rv = rad._value(t, at)
-                if rv.imag == 0.0 and rv.real < 0.0:
-                    branch_cut = True
-                val *= cmath.sqrt(rv)
-            total += val
-        return total, branch_cut
+        """``values_with_flag`` at the one point ``q_value``."""
+        values, flag = self.values_with_flag(PointSet((q_value,)))
+        return values[0], flag
 
     def at(self, q) -> "RadicalScalar":
         """Exact value at a rational q, each radicand's value under ``sqrt``.
@@ -1120,20 +1133,6 @@ def _forget(entry: weakref.KeyedRef, table: dict = _INTERN) -> None:
 
 # the key of the denominator 1, shared by the key of every constant
 _ONE_KEY = _HL_ONE.key()
-
-# most points whose values one scalar or polynomial keeps: each scalar caches
-# (value, branch-cut flag) and each polynomial its value, keyed by point, so
-# a run with many q samples holds at most this many per object
-POINTS_HELD = 64
-
-
-def _point_key(q) -> tuple:
-    """The cache key of a non-float point: the complex value with the signs
-    of both parts, since cmath.sqrt tells -0.0 from 0.0 on the negative axis.
-    A float q is its own key: complex() gives it a +0.0 imaginary part."""
-    z = complex(q)
-    return (z, copysign(1.0, z.real), copysign(1.0, z.imag))
-
 
 # Results of every RadicalScalar operation, keyed on the operation and the
 # identity of each operand, shared between callers (nothing mutates a scalar

@@ -34,7 +34,7 @@ from .linalg import (
 )
 from .report import MODES, STATUS_FAIL, STATUS_PASS, STATUS_REPORT, CheckReport, format_float
 from .rewrite import NCPolynomial, local_confluence_check
-from .scalars import GaussRational, RadicalScalar
+from .scalars import GaussRational, PointSet, RadicalScalar
 
 SUITES = ("clifford", "qgamma", "glq2", "ch2", "chq2", "fierz")
 EXTRA_SUITES = ("selfcheck",)
@@ -114,14 +114,14 @@ class RunContext:
         count = 0 if self.mode == "exact" else self.q_samples
         self.samples = [_draw_q(rng, lo, hi) for _ in range(count)]
         self.q_values_field = [format_float(x) for x in self.samples]
-        self.measure_points = list(REFERENCE_SAMPLES) if self.mode == "exact" else self.samples
-        # an oracle check compares five points, the reference points when
-        # fewer were drawn; its q_values then name them
+        self.measure_points = PointSet(REFERENCE_SAMPLES if self.mode == "exact" else self.samples)
+        # an oracle check compares five points, a prefix of the measure points
+        # or the reference points when fewer were drawn; q_values name them
         if len(self.measure_points) >= 5:
-            self.oracle_points = self.measure_points[:5]
+            self.oracle_points = self.measure_points.prefix(5)
             self.oracle_q_values = self.q_values_field
         else:
-            self.oracle_points = list(REFERENCE_SAMPLES)
+            self.oracle_points = PointSet(REFERENCE_SAMPLES)
             self.oracle_q_values = [format_float(x) for x in REFERENCE_SAMPLES]
         # set by ``measure`` whenever a radicand evaluates onto the principal
         # branch cut; the runner copies it into the report
@@ -481,12 +481,9 @@ def _qgamma_flip(ctx: RunContext) -> CheckReport:
 )
 def _qgamma_solve(ctx: RunContext) -> CheckReport:
     exact = qgamma.bare_relation_solve_exact_q1(ctx.gammas, ctx.metric)
-    sample_flags = []
-    worst = 0.0
-    for x in ctx.oracle_points:
-        ok, resid = qgamma.bare_relation_solve_numeric(ctx.gammas, ctx.metric, x)
-        sample_flags.append(ok)
-        worst = max(worst, resid)
+    solved = qgamma.bare_relation_solve_numeric(ctx.gammas, ctx.metric, ctx.oracle_points)
+    sample_flags = [ok for ok, _ in solved]
+    worst = max([0.0, *(resid for _, resid in solved)])
     return _report(
         format_float(worst),
         mismatch=not (exact.solvable and all(sample_flags)),
@@ -936,7 +933,7 @@ def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
     e_norms = [max_abs_at_points(res.residual.data, points)[0] for res in results]
     worst_gap = 0.0
     ok = True
-    for i, x in enumerate(points):
+    for i, x in enumerate(points.qs):
         oracle = _oracle_numeric_gammas(x)
         for (name, lhs, tag, rhs), norms in zip(fierz.LINEAR_RELATIONS, e_norms):
             o_res = csub(

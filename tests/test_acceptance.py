@@ -18,7 +18,7 @@ from qclifford.cli import main
 from qclifford.linalg import Matrix, anticommutator, matmul, max_abs_at_points
 from qclifford.report import validate_report
 from qclifford.rewrite import NCPolynomial, local_confluence_check
-from qclifford.scalars import GaussRational, RadicalScalar
+from qclifford.scalars import GaussRational, PointSet, RadicalScalar
 
 
 def conclude(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -234,7 +234,7 @@ def test_criterion_7_oracle_equivalence(np):
                 mats[rhs[0]] @ mats[rhs[1]]
             )
             o_norm = float(np.max(np.abs(o_res)))
-            e_norm = float(np.max(np.abs(res.residual.evaluate(qv))))
+            e_norm = float(np.max(np.abs(res.residual.evaluate(PointSet([qv]))[0])))
             if abs(o_norm - e_norm) > 1e-9 or (o_norm < 1e-9) != (e_norm < 1e-9):
                 linear_ok = False
 
@@ -243,7 +243,7 @@ def test_criterion_7_oracle_equivalence(np):
     for conv in qgamma.ALL_CONVENTIONS:
         engine = qgamma.deformed_metric(gs, conv).matrix
         oracle = qgamma.deformed_metric_blade_oracle(gs, conv)
-        if any(v > 1e-9 for v in max_abs_at_points((engine - oracle).data, points)[0]):
+        if any(v > 1e-9 for v in max_abs_at_points((engine - oracle).data, PointSet(points))[0]):
             metric_ok = False
 
     # target comparison report: per-entry residuals per convention, deterministic

@@ -25,7 +25,7 @@ from qclifford.report import (
     write_atomic,
 )
 from qclifford.linalg import Matrix, max_abs_at_points
-from qclifford.scalars import RadicalScalar, qvar, sqrt
+from qclifford.scalars import PointSet, RadicalScalar, qvar, sqrt
 from qclifford.suites import REFERENCE_SAMPLES, RunContext, _seeded_irreps, registry
 
 FAST_SUITE = ["--suite", "clifford"]
@@ -582,6 +582,13 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_a_config_file_that_cannot_be_read_is_named(self, tmp_path, capsys, no_checks):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: cannot read config file: 'utf-8' codec can't decode")
+
 
 # values each verify flag is fuzzed with, valid and not; paths are relative to
 # the test's temporary directory, which the fuzz runs in
@@ -689,7 +696,7 @@ class TestBoundedReads:
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: /dev/zero: ") and proc.stderr.count("\n") == 1
 
     def test_a_report_above_three_megabytes_still_diffs(self, tmp_path, capsys):
         doc = json.loads(self.GOLDEN.read_text(encoding="utf-8"))
@@ -715,6 +722,11 @@ class TestGoldenReport:
         ],
         # chq2's numeric cross-checks at the q samples of perfbench's matrix-both
         "chq2_both_q32_seed7.json": ["--suite", "chq2", "--mode", "both", "--q-samples", "32"],
+        # more points than a value was once cached at (64), over a wider range
+        "both_q96_range_seed7.json": [
+            "--suite", "qgamma", "--suite", "chq2", "--suite", "fierz", "--mode", "both",
+            "--q-samples", "96", "--q-range", "0.3:2.5",
+        ],
         # the only golden that holds glq2
         "all_exact_seed7.json": ["--suite", "all", "--mode", "exact"],
         # the only golden that restricts the action conventions
@@ -1038,15 +1050,15 @@ class TestMeasure:
         zero = RadicalScalar.zero()
         assert ctx.measure([]) == 0.0
         assert ctx.measure([zero, zero]) == 0.0
-        assert ctx.measure(Matrix.zeros(2, 2).data, [0.5, 3.0]) == 0.0
+        assert ctx.measure(Matrix.zeros(2, 2).data, PointSet([0.5, 3.0])) == 0.0
 
     def test_a_radicand_on_the_branch_cut_sets_the_flag(self):
         # sqrt(q) is the monomial q^(1/2); the radicand 1 + q is -1 at q = -2
         root = sqrt(qvar() + RadicalScalar.one())
         ctx = RunContext(mode="exact")
-        assert ctx.measure([root], [2.0]) == pytest.approx(3.0**0.5)
+        assert ctx.measure([root], PointSet([2.0])) == pytest.approx(3.0**0.5)
         assert not ctx.branch_cut_hit
-        assert ctx.measure([root], [-2.0]) == pytest.approx(1.0)
+        assert ctx.measure([root], PointSet([-2.0])) == pytest.approx(1.0)
         assert ctx.branch_cut_hit
 
 

@@ -28,7 +28,7 @@ from qclifford.fierz import (
 from qclifford.linalg import Matrix, matmul
 from qclifford.qgamma import build_q_gammas, gamma5
 from qclifford.rewrite import BudgetExceeded, NCPolynomial
-from qclifford.scalars import RadicalScalar, q_plus_qinv, qinv, qvar
+from qclifford.scalars import PointSet, RadicalScalar, q_plus_qinv, qinv, qvar
 
 SAMPLES = (0.5, 0.8, 1.3, 1.6, 1.9)
 
@@ -246,14 +246,14 @@ class TestLinearRelations:
                     mats[rhs[0]] @ mats[rhs[1]]
                 )
                 o_norm = float(np.max(np.abs(o_res)))
-                e_norm = float(np.max(np.abs(res.residual.evaluate(qv))))
+                e_norm = float(np.max(np.abs(res.residual.evaluate(PointSet([qv]))[0])))
                 assert abs(o_norm - e_norm) < 1e-9, name
                 # identical pass/fail classification at this sample
                 assert (o_norm < 1e-9) == (e_norm < 1e-9), name
 
     def test_classification_matches_exact_zero_test(self, gs, np):
         for res in linear_relation_residuals(gs):
-            norms = [float(np.max(np.abs(res.residual.evaluate(qv)))) for qv in SAMPLES]
+            norms = [float(np.max(np.abs(res.residual.evaluate(PointSet([qv]))[0]))) for qv in SAMPLES]
             if res.holds_exactly:
                 assert max(norms) < 1e-12
             else:

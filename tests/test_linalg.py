@@ -17,7 +17,7 @@ from qclifford.linalg import (
 )
 from qclifford.presentations import su2_action_report
 from qclifford.qgamma import ALL_CONVENTIONS
-from qclifford.scalars import GaussRational, NotInvertible, RadicalScalar, qvar, sqrt
+from qclifford.scalars import GaussRational, NotInvertible, PointSet, RadicalScalar, qvar, sqrt
 from qclifford.suites import _seeded_irreps
 
 
@@ -165,10 +165,9 @@ def test_numeric_evaluation_matches_numpy_composition(np):
     rng = random.Random(7)
     a = random_matrix(rng, 3, 3)
     b = random_matrix(rng, 3, 3)
-    for qv in (0.6, 1.4):
-        left = np.asarray(matmul(a, b).evaluate(qv))
-        right = np.asarray(a.evaluate(qv)) @ np.asarray(b.evaluate(qv))
-        assert np.max(np.abs(left - right)) < 1e-10
+    points = PointSet([0.6, 1.4])
+    for left, ra, rb in zip(matmul(a, b).evaluate(points), a.evaluate(points), b.evaluate(points)):
+        assert np.max(np.abs(np.asarray(left) - np.asarray(ra) @ np.asarray(rb))) < 1e-10
 
 
 def _point_major_maxima(m: Matrix, points):
@@ -189,7 +188,7 @@ class TestMaxAbsAtPoints:
     POINTS = [0.5 + 1.5 * k / 31 for k in range(32)]
 
     def _assert_matches_point_major(self, m, points):
-        maxima, flagged = max_abs_at_points(m.data, points)
+        maxima, flagged = max_abs_at_points(m.data, PointSet(points))
         ref_maxima, ref_flagged = _point_major_maxima(m, points)
         assert maxima == ref_maxima
         assert max([0.0, *maxima]) == max([0.0, *ref_maxima])
@@ -203,9 +202,9 @@ class TestMaxAbsAtPoints:
         z = RadicalScalar.zero()
         m = Matrix.from_rows([[z, a, b, a], [b, z, z, a], [a, a, b, z], [z, z, z, b]])
         assert not self._assert_matches_point_major(m, self.POINTS)
-        assert max_abs_at_points(m.data, self.POINTS)[0] != [0.0] * len(self.POINTS)
+        assert max_abs_at_points(m.data, PointSet(self.POINTS))[0] != [0.0] * len(self.POINTS)
         zero = Matrix.zeros(2, 2)
-        assert max_abs_at_points(zero.data, self.POINTS) == ([0.0] * len(self.POINTS), False)
+        assert max_abs_at_points(zero.data, PointSet(self.POINTS)) == ([0.0] * len(self.POINTS), False)
 
     def test_chq2_su2_action_residual(self):
         _, irrep, _ = _seeded_irreps(7, 1)[0]

@@ -19,6 +19,7 @@ from qclifford.qgamma import (
     build_metric,
     build_q_gammas,
 )
+from qclifford.scalars import PointSet
 
 np = pytest.importorskip("numpy")
 
@@ -60,8 +61,8 @@ def qm():
 
 def _numpy_system(gs, qm, q):
     """The bare-relation coefficient matrix and its 16 targets at q, built with numpy."""
-    mats = [np.asarray(m.evaluate(q)) for m in gs.matrices]
-    cinv = np.asarray(qm.c_inverse.evaluate(q))
+    mats = [np.asarray(m.evaluate(PointSet([q]))[0]) for m in gs.matrices]
+    cinv = np.asarray(qm.c_inverse.evaluate(PointSet([q]))[0])
     pref = (1.0 / q) * (q + 1.0 / q)
     coeff = np.array([(q * mats[a] @ mats[b]).reshape(-1) for a in range(4) for b in range(4)]).T
     targets = [
@@ -90,8 +91,7 @@ def test_bare_solve_agrees_with_lstsq(gs, qm):
     rng = np.random.default_rng(0)
     mix = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     assert len(Q_VALUES) >= 30 and 1.0 in Q_VALUES
-    for q in Q_VALUES:
-        ok, resid = bare_relation_solve_numeric(gs, qm, q)
+    for q, (ok, resid) in zip(Q_VALUES, bare_relation_solve_numeric(gs, qm, PointSet(Q_VALUES))):
         coeff, targets = _numpy_system(gs, qm, q)
         oracle = max(_lstsq_residual(coeff, b) for b in targets)
         assert ok == (oracle < BARE_SOLVE_TOL), q

@@ -18,6 +18,7 @@ from qclifford.qgamma import (
     gamma5,
 )
 from qclifford.scalars import (
+    PointSet,
     RadicalScalar,
     q_half,
     q_plus_qinv,
@@ -114,7 +115,7 @@ class TestTranscription:
     def test_matrices_match_float_oracle_at_samples(self, gs, np):
         for qv in SAMPLES:
             for engine, oracle in zip(gs.matrices, oracle_gammas(qv)):
-                assert np.max(np.abs(engine.evaluate(qv) - oracle)) < 1e-12
+                assert np.max(np.abs(engine.evaluate(PointSet([qv]))[0] - oracle)) < 1e-12
 
 
 class TestExactIdentities:
@@ -127,7 +128,7 @@ class TestExactIdentities:
     def test_metric_inverse_matches_numeric_inverse(self, qm, np):
         for qv in SAMPLES:
             numeric = np.linalg.inv(oracle_metric(qv))
-            assert np.max(np.abs(qm.c_inverse.evaluate(qv) - numeric)) < 1e-10
+            assert np.max(np.abs(qm.c_inverse.evaluate(PointSet([qv]))[0] - numeric)) < 1e-10
 
 
 class TestGamma5:
@@ -136,25 +137,25 @@ class TestGamma5:
         oracle = oracle_gammas(1.0)
         ref = oracle[0] @ oracle[1] @ oracle[2] @ oracle[3]
         # the value at q = 1 is a constant matrix, so the evaluation point is arbitrary
-        assert np.max(np.abs(g5_at_1.evaluate(5.0) - ref)) < 1e-12
+        assert np.max(np.abs(g5_at_1.evaluate(PointSet([5.0]))[0] - ref)) < 1e-12
 
     def test_generic_q_value_matches_direct_product_oracle(self, gs, np):
         g5 = gamma5(gs)
         for qv in SAMPLES:
             oracle = oracle_gammas(qv)
             ref = oracle[0] @ oracle[1] @ oracle[2] @ oracle[3]
-            assert np.max(np.abs(g5.evaluate(qv) - ref)) < 1e-11
+            assert np.max(np.abs(g5.evaluate(PointSet([qv]))[0] - ref)) < 1e-11
 
     def test_nonzero_at_generic_q(self, gs, np):
         g5 = gamma5(gs)
         assert not g5.is_zero()
-        assert np.max(np.abs(g5.evaluate(1.5))) > 1e-3
+        assert np.max(np.abs(g5.evaluate(PointSet([1.5]))[0])) > 1e-3
 
     def test_annihilated_by_raising_gamma(self, gs, np):
         # (gamma+)^2 = 0 forces rank(gamma+ gamma5) <= 2
         g5 = gamma5(gs)
         prod = matmul(gs.gamma_plus, g5)
-        assert np.linalg.matrix_rank(prod.evaluate(1.5)) <= 2
+        assert np.linalg.matrix_rank(prod.evaluate(PointSet([1.5]))[0]) <= 2
 
 
 class TestDeformedMetric:
@@ -169,7 +170,7 @@ class TestDeformedMetric:
             engine = deformed_metric(gs, conv).matrix
             oracle = deformed_metric_blade_oracle(gs, conv)
             assert engine == oracle
-            assert all(v < 1e-10 for v in max_abs_at_points((engine - oracle).data, SAMPLES)[0])
+            assert all(v < 1e-10 for v in max_abs_at_points((engine - oracle).data, PointSet(SAMPLES))[0])
 
     def test_target_matrix_pinned_entries(self):
         target = deformed_metric_target()
@@ -194,7 +195,7 @@ class TestBareRelation:
         cinv = np.linalg.inv(oracle_metric(1.0))
         expected = 2 * oracle[1] @ oracle[1] - 2 * cinv[1, 1] * np.eye(4)
         residual = bare_relation_flip_residuals(gs, qm)[(1, 1)]
-        got = residual.map(lambda s: s.at(1)).evaluate(2.0)
+        got = residual.map(lambda s: s.at(1)).evaluate(PointSet([2.0]))[0]
         assert np.max(np.abs(got - expected)) < 1e-12
         # and in this case the residual is exactly zero
         assert np.max(np.abs(expected)) < 1e-12
@@ -215,7 +216,7 @@ class TestBareRelation:
 
     def test_exact_solve_at_q1_agrees_with_least_squares(self, gs, qm):
         exact = bare_relation_solve_exact_q1(gs, qm)
-        ok, resid = bare_relation_solve_numeric(gs, qm, 1.0 + 0j)
+        [(ok, resid)] = bare_relation_solve_numeric(gs, qm, PointSet([1.0 + 0j]))
         assert exact.solvable == ok
         if exact.solvable:
             assert exact.witness is not None
@@ -247,6 +248,5 @@ class TestBareRelation:
         assert calls == [16]
 
     def test_numeric_solve_away_from_one(self, gs, qm):
-        for qv in (0.7, 1.4):
-            ok, resid = bare_relation_solve_numeric(gs, qm, qv)
+        for ok, resid in bare_relation_solve_numeric(gs, qm, PointSet([0.7, 1.4])):
             assert ok and resid < 1e-9

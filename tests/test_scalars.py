@@ -29,6 +29,7 @@ from qclifford.scalars import (
     LaurentFrac,
     NotInvertible,
     ONE,
+    PointSet,
     RadicalScalar,
     ZERO,
     ZeroBase,
@@ -449,15 +450,25 @@ def _reference_product(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
     return RadicalScalar(out)
 
 
+def _fresh_polynomial_value(p: HalfLaurent, t: complex) -> complex:
+    total = 0j
+    for k, x, y, d in p.key():
+        total += complex(x / d, y / d) * t**k
+    return total
+
+
 def _fresh_fraction_value(f: LaurentFrac, t: complex) -> complex:
-    d = f.den.eval_t(t)
+    d = _fresh_polynomial_value(f.den, t)
     if d == 0:
         raise scalars.EvalPole("denominator vanishes at this q")
-    return f.num.eval_t(t) / d
+    return _fresh_polynomial_value(f.num, t) / d
 
 
 def _fresh_evaluation(x: RadicalScalar, q) -> tuple[complex, bool]:
-    """``eval_with_flags`` computed through the uncached ``HalfLaurent.eval_t``."""
+    """The value and branch-cut flag at one q, computed term by term from
+    the canonical keys, with no ``PointSet`` and nothing held."""
+    if q == 0:
+        raise ZeroBase("q must be nonzero")
     t = cmath.sqrt(complex(q))
     total, flag = 0j, False
     for key, coeff in x.terms.items():
@@ -532,34 +543,75 @@ class TestShortcuts:
         a, b = LaurentFrac(HalfLaurent({j: x})), LaurentFrac(HalfLaurent({k: y}))
         assert (a * b).key() == _reference_times(a, b).key()
 
-    @settings(max_examples=60, deadline=None)
-    @given(memo_operands)
-    def test_a_cached_value_is_the_fresh_value_at_its_own_point(self, x):
-        for points in (EVAL_POINTS, EVAL_POINTS[::-1]):
-            for q in points:
-                try:
-                    want = _fresh_evaluation(x, q)
-                except scalars.EvalPole:
-                    with pytest.raises(scalars.EvalPole):
-                        x.eval_with_flags(q)
-                    continue
-                assert _bits(x.eval_with_flags(q)) == _bits(want)
 
-    def test_an_evaluation_at_a_pole_raises_on_every_call(self):
-        _clear_memo()
-        # 1/(q - 1) * sqrt(q + 1/q): the denominator is exactly 0 at q = 1
-        x = (qvar() - ONE).inverse() * sqrt(q_plus_qinv())
-        for _ in range(3):
-            with pytest.raises(scalars.EvalPole):
-                x.eval_with_flags(1.0)
-            with pytest.raises(ZeroBase):
-                x.eval_with_flags(0.0)
-        assert _bits(x.eval_with_flags(2.0)) == _bits(_fresh_evaluation(x, 2.0))
+
+def _held(x) -> tuple:
+    """What ``x`` holds of its last evaluation."""
+    return (x._at, x._values, x._cut) if x._at is not None else (None,)
+
+
+# 1/(q - 1) * sqrt(q + 1/q): the denominator is exactly 0 at q = 1
+POLE_AT_ONE = (qvar() - ONE).inverse() * sqrt(q_plus_qinv())
+# radicands negative at points of EVAL_POINTS: 1 - q at 1.7 and 3, 1 + q at
+# -2; the radicands of memo_operands are positive at every real point there
+CUT_ROOTS = (sqrt(ONE - qvar()), sqrt(ONE + qvar()))
+
+
+class TestPointSetEvaluation:
+    """``values_with_flag`` over a point set against ``_fresh_evaluation``
+    at each of its points, for sets met in any order and after each other."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(
+            memo_operands,
+            st.builds(lambda x, root: x * root, memo_operands, st.sampled_from(CUT_ROOTS)),
+            st.just(POLE_AT_ONE),
+        ),
+        st.lists(
+            st.lists(st.sampled_from(EVAL_POINTS + (1.0, 0.0)), min_size=1, max_size=9),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @example(POLE_AT_ONE, [[2.0], [1.0, 2.0], [0.0], [2.0, 0.5 + 0.25j]])
+    @example(sqrt(ONE - qvar()), [[0.5, 3, -2.0], [complex(-2.0, -0.0), complex(-2.0, 0.0)]])
+    def test_each_value_is_the_fresh_value_at_its_point(self, x, point_lists):
+        for qs in point_lists:
+            before = _held(x)
+            if 0.0 in qs:
+                with pytest.raises(ZeroBase):
+                    PointSet(qs)
+                with pytest.raises(ZeroBase):
+                    x.eval_with_flags(0.0)
+                assert _held(x) == before
+                continue
+            points = PointSet(qs)
+            try:
+                want = [_fresh_evaluation(x, q) for q in qs]
+            except EvalPole:
+                for _ in range(2):
+                    with pytest.raises(EvalPole):
+                        x.values_with_flag(points)
+                    assert _held(x) == before
+                continue
+            values, flag = x.values_with_flag(points)
+            assert [_bits((v, False)) for v in values] == [_bits((v, False)) for v, _ in want]
+            assert flag == any(f for _, f in want)
+            for n in range(1, len(qs) + 1):
+                # a prefix reads the values its whole set holds
+                values, flag = x.values_with_flag(points.prefix(n))
+                assert [_bits((v, False)) for v in values] == [_bits((v, False)) for v, _ in want[:n]]
+                assert flag == any(f for _, f in want[:n])
+            assert x._at is points
+            assert _bits(x.eval_with_flags(qs[-1])) == _bits(want[-1])
 
 
 # Counts, over one run of a command in a fresh process: LaurentFrac products,
-# gcds, interned RadicalScalar builds, numeric evaluations computed (not read
-# from a cache) and the matrix products made inside su(2) action reports.
+# gcds, interned RadicalScalar builds, the matrix products made inside su(2)
+# action reports, and the numeric work computed rather than read from what an
+# object holds: per kind, the total and the most for one (object, point set),
+# and for the lists of t**k the total and the most for one (point set, k).
 _COUNT_WORK = """
 import collections, contextlib, io, json, sys
 from qclifford import linalg, presentations, scalars
@@ -567,6 +619,23 @@ from qclifford.cli import main
 
 counts = collections.Counter()
 in_su2_report = [0]
+computed = collections.Counter()
+held = []  # every counted object and point set, so that no id is reused
+
+def computing(label, fn, reads_whole=False):
+    def wrapper(self, points):
+        at = points.whole if reads_whole else points
+        if self._at is not at:
+            computed[label, id(self), id(at)] += 1
+            held.append((self, at))
+        return fn(self, points)
+    return wrapper
+
+def powers(self, k):
+    if k not in self._powers:
+        computed["powers", id(self), k] += 1
+        held.append(self)
+    return raw_powers(self, k)
 
 def counting(label, fn):
     def wrapper(*args):
@@ -589,13 +658,18 @@ def matmul(a, b):
 scalars.LaurentFrac.__mul__ = counting("laurentfrac_mul", scalars.LaurentFrac.__mul__)
 scalars.poly_gcd = counting("poly_gcd", scalars.poly_gcd)
 scalars.RadicalScalar._nonzero = staticmethod(counting("interned", scalars.RadicalScalar._nonzero))
-scalars.RadicalScalar._evaluate = counting("scalar_evaluations", scalars.RadicalScalar._evaluate)
-scalars.HalfLaurent.eval_t = counting("polynomial_evaluations", scalars.HalfLaurent.eval_t)
+scalars.RadicalScalar.values_with_flag = computing("scalar", scalars.RadicalScalar.values_with_flag, True)
+scalars.LaurentFrac.values = computing("fraction", scalars.LaurentFrac.values)
+scalars.HalfLaurent.values = computing("polynomial", scalars.HalfLaurent.values)
+raw_powers, scalars.PointSet.powers = scalars.PointSet.powers, powers
 raw_matmul, raw_su2_report = linalg.matmul, presentations.su2_action_report
 linalg.matmul = presentations.matmul = matmul
 presentations.su2_action_report = su2_report
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
+for kind in ("scalar", "fraction", "polynomial", "powers"):
+    per = [n for (label, *_), n in computed.items() if label == kind]
+    counts[kind + "_computed"], counts[kind + "_most"] = sum(per), max(per, default=0)
 print(json.dumps({"exit": code, **counts}))
 """
 
@@ -630,18 +704,24 @@ def test_hopf_exact_run_builds_each_scalar_about_once():
     assert counts["su2_products"] <= 220
 
 
-def test_matrix_both_run_evaluates_each_value_once_per_point():
-    # perfbench's matrix-both command at seed 7: 32 sample points.  Without
-    # the point caches the run evaluates scalars 10,715 times and
-    # polynomials 26,656 times.
+def test_matrix_both_run_evaluates_each_value_once_per_point_set():
+    # perfbench's matrix-both command at seed 7: 32 sample points, whose
+    # first five are the oracle points, so the run has one point set.  It
+    # computes 171 scalar, 191 fraction and 198 polynomial value lists and 18
+    # lists of t**k.  Evaluated point by point through per-point caches, it
+    # computed 5,229 scalar and 6,147 polynomial values.
     counts = _count_work(
         [
             "verify", "--suite", "clifford", "--suite", "qgamma", "--suite", "chq2",
             "--suite", "fierz", "--mode", "both", "--q-samples", "32", "--seed", "7",
         ]
     )
-    assert counts["scalar_evaluations"] <= 5400
-    assert counts["polynomial_evaluations"] <= 6400
+    for kind in ("scalar", "fraction", "polynomial", "powers"):
+        assert counts[kind + "_most"] == 1, kind
+    assert counts["scalar_computed"] <= 180
+    assert counts["fraction_computed"] <= 200
+    assert counts["polynomial_computed"] <= 210
+    assert counts["powers_computed"] <= 20
 
 
 class TestInterning:
@@ -758,7 +838,8 @@ class TestGaussRationalParts:
         assert from_int == from_frac
         assert hash(from_int) == hash(from_frac) == hash((Fraction(re), Fraction(im)))
         assert str(from_int) == str(from_frac)
-        assert from_int.to_complex() == from_frac.to_complex() == complex(re, im)
+        one = PointSet([1.0])
+        assert HalfLaurent({0: from_int}).values(one) == HalfLaurent({0: from_frac}).values(one) == [complex(re, im)]
         assert str(from_int.re) == str(Fraction(re)) and str(from_int.im) == str(Fraction(im))
 
 
@@ -773,9 +854,10 @@ def test_int_and_fraction_built_values_are_one_value(x, y, d, k):
     assert RadicalScalar.from_frac(LaurentFrac(from_ints)) is RadicalScalar.from_frac(LaurentFrac(from_fracs))
     bits = lambda z: (z.real.hex(), z.imag.hex())
     want = bits(complex(float(re), float(im)))
+    one, off_axis = PointSet([1.0]), PointSet([0.5 + 0.25j])
     for h in (from_ints, from_fracs):
-        assert bits(h.coeffs[k].to_complex()) == bits(h.eval_t(1.0)) == want
-    assert bits(from_ints.eval_t(0.5 + 0.25j)) == bits(from_fracs.eval_t(0.5 + 0.25j))
+        assert bits(h.values(one)[0]) == want
+    assert bits(from_ints.values(off_axis)[0]) == bits(from_fracs.values(off_axis)[0])
 
 
 def test_interned_keys_hold_only_ints(capsys):
