@@ -5,12 +5,12 @@ anticommutators, exact inversion and exact linear solving by Gaussian
 elimination over the radical-extended fraction field, plus numeric
 evaluation for the sampling backend.  A numeric matrix is a list of rows of
 Python ``complex``; the few helpers the float cross-checks need (products,
-sums, scaling, the max-|z| norm and an elimination solver) work on those.
+sums, scaling, the max-|z| norm and the sums of |terms| that scale their
+bound) work on those.  Floats only cross-check: no float is solved for.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
 
@@ -273,11 +273,6 @@ def solve_exact(a: Matrix, rhs: list[list]) -> list[tuple[bool, list[RadicalScal
 
 CMatrix = list[list[complex]]
 
-# a pivot below this fraction of the largest entry counts as zero in
-# numeric_solve_residuals (rounding leaves ~1e-16 where exact elimination
-# leaves 0)
-PIVOT_CUTOFF = 1e-10
-
 
 def max_abs(m: CMatrix) -> float:
     """Largest |z| over the entries of a numeric matrix."""
@@ -305,45 +300,15 @@ def cidentity(n: int) -> CMatrix:
     return [[1 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
 
 
-def numeric_solve_residuals(a: CMatrix, rhs: CMatrix) -> list[float]:
-    """||a x - b||_2 for each b in ``rhs``, x solving a x = b by elimination.
-
-    ``a`` is reduced once for all right-hand sides, by Gaussian elimination
-    with partial pivoting.  A column whose largest remaining entry is below
-    ``PIVOT_CUTOFF`` times the largest entry of ``a`` has no pivot, so a
-    rank-deficient ``a`` is handled: its free variables are set to zero.  A
-    consistent system gets a residual at rounding level; an inconsistent one
-    keeps a residual of the size of its inconsistency.
-    """
-    m, n, k = len(a), len(a[0]), len(rhs)
-    cut = PIVOT_CUTOFF * max_abs(a)
-    aug = [list(a[i]) + [b[i] for b in rhs] for i in range(m)]
-    pivots: list[int] = []
-    for col in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        best = max(range(r, m), key=lambda i: abs(aug[i][col]))
-        if abs(aug[best][col]) <= cut:
-            continue
-        aug[r], aug[best] = aug[best], aug[r]
-        prow = aug[r]
-        for i in range(r + 1, m):
-            factor = aug[i][col] / prow[col]
-            if factor:
-                aug[i] = [x - factor * y for x, y in zip(aug[i], prow)]
-        pivots.append(col)
-    residuals = []
-    for j in range(k):
-        x = [0j] * n
-        for r in reversed(range(len(pivots))):
-            col = pivots[r]
-            row = aug[r]
-            acc = row[n + j] - sum(row[c] * x[c] for c in pivots[r + 1 :])
-            x[col] = acc / row[col]
-        res = [sum(aij * xj for aij, xj in zip(row, x)) - b for row, b in zip(a, rhs[j])]
-        residuals.append(math.hypot(*(p for z in res for p in (z.real, z.imag))))
-    return residuals
+def term_sums(*products) -> list[list[float]]:
+    """Entrywise sum of |a_ik| |b_kj| over k and over the pairs (a, b) given:
+    the sum of the absolute values of the terms whose float sum is an entry
+    of the sum (or difference) of the products a b."""
+    total = None
+    for a, b in products:
+        m = cmatmul([[abs(x) for x in row] for row in a], [[abs(x) for x in row] for row in b])
+        total = m if total is None else cadd(total, m)
+    return total
 
 
 @cache

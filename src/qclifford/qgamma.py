@@ -7,6 +7,11 @@ of classical ones contracts one matrix index in a way its statement leaves
 ambiguous, so all four natural contraction conventions are enumerated and
 the resulting deformed metric is compared entrywise against the
 transcribed target rather than asserted.
+
+The bare relation, with the braiding left as 256 unknowns, is one set of
+linear systems over the generic-q field (``BareSystem``); it is decided
+exactly there and at q = 1, and the exact generic solution is the
+certificate a float cross-check evaluates.
 """
 
 from __future__ import annotations
@@ -15,18 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .blades import CL31, dirac_matrices
-from .linalg import (
-    CMatrix,
-    Matrix,
-    cidentity,
-    cmatmul,
-    cscale,
-    csub,
-    kron,
-    matmul,
-    numeric_solve_residuals,
-    solve_exact,
-)
+from .linalg import Matrix, matmul, solve_exact
 from .rewrite import NCPolynomial
 from .scalars import (
     PointSet,
@@ -279,62 +273,65 @@ class BareRelationSolve:
     infeasible_pairs: list[tuple[int, int]]
 
 
-def bare_relation_solve_exact_q1(gs: QGammaSet, qm: QMetric) -> BareRelationSolve:
-    """Solve for the 256 braiding entries exactly at q = 1.
+@dataclass(frozen=True)
+class BareSystem:
+    """The relation g_mu g_nu + sum R^{mu nu}_{nu' mu'} q g_nu' g_mu' =
+    q^{-1} Q (C^{-1})_{mu nu} I as 16 linear systems, one per pair (mu, nu),
+    in the 16 unknowns R^{mu nu}_{nu' mu'}.
 
-    For each index pair (mu, nu) the 16 unknowns R^{mu nu}_{nu' mu'} enter
-    one 4x4 matrix equation linearly, giving 16 16x16 systems over the exact
-    scalar field that share one coefficient matrix, solved by one
-    elimination.
+    The systems share one coefficient matrix, whose column (nu', mu') is
+    q g_nu' g_mu' flattened row-major; row (mu, nu) of ``targets`` is
+    q^{-1} Q (C^{-1})_{mu nu} I - g_mu g_nu, flattened the same way.
     """
-    mats1 = [m.map(lambda s: s.at(1)) for m in gs.matrices]
-    cinv1 = qm.c_inverse.map(lambda s: s.at(1))
-    prefactor = RadicalScalar.constant(2)  # q^{-1} Q at q = 1
+
+    coeff: Matrix
+    targets: Matrix
+
+    def at(self, q) -> "BareSystem":
+        """The same systems with every entry evaluated exactly at q."""
+        return BareSystem(self.coeff.map(lambda s: s.at(q)), self.targets.map(lambda s: s.at(q)))
+
+    def solve(self) -> BareRelationSolve:
+        """Decide all 16 systems over the scalar field by one elimination."""
+        solved = solve_exact(self.coeff, [self.targets.row(p) for p in range(self.targets.rows)])
+        infeasible = [divmod(p, 4) for p, (ok, _) in enumerate(solved) if not ok]
+        if infeasible:
+            return BareRelationSolve(False, None, infeasible)
+        return BareRelationSolve(True, Matrix.from_rows([sol for _, sol in solved]), [])
+
+    def float_residuals(self, solution: Matrix, points: PointSet) -> list[tuple[list, list]]:
+        """At each point, A x - b for every system's solution x (a row of
+        ``solution``) and, per entry, the sum of the absolute values of the
+        terms whose float sum gave it.  Each entry is evaluated once over the
+        point set, and only the nonzero entries of x are multiplied."""
+        support = [
+            [j for j in range(solution.cols) if not solution[p, j].is_zero()]
+            for p in range(solution.rows)
+        ]
+        out = []
+        evaluated = (m.evaluate(points) for m in (self.coeff, self.targets, solution))
+        for a, b, x in zip(*evaluated):
+            residuals, scales = [], []
+            for p, cols in enumerate(support):
+                for i, row in enumerate(a):
+                    terms = [row[j] * x[p][j] for j in cols]
+                    residuals.append(sum(terms) - b[p][i])
+                    scales.append(sum(map(abs, terms)) + abs(b[p][i]))
+            out.append((residuals, scales))
+        return out
+
+
+def bare_relation_system(gs: QGammaSet, qm: QMetric) -> BareSystem:
+    """The bare-relation systems over the generic-q field."""
+    q = qvar()
+    prefactor = qinv() * q_plus_qinv()
     ident = Matrix.identity(4)
-    # column (nu', mu') of the coefficient matrix is g_nu' g_mu' flattened
-    # row-major, as is each target
-    cols = [matmul(a, b).data for a in mats1 for b in mats1]
+    ms = gs.matrices
+    products = [matmul(a, b) for a in ms for b in ms]
     targets = [
-        (ident.scale(prefactor * cinv1[mu, nu]) - matmul(mats1[mu], mats1[nu])).data
+        (ident.scale(prefactor * qm.c_inverse[mu, nu]) - products[4 * mu + nu]).data
         for mu in range(4)
         for nu in range(4)
     ]
-    solved = solve_exact(Matrix.from_rows(list(zip(*cols))), targets)
-    infeasible = [divmod(p, 4) for p, (ok, _) in enumerate(solved) if not ok]
-    if infeasible:
-        return BareRelationSolve(False, None, infeasible)
-    return BareRelationSolve(True, Matrix.from_rows([sol for _, sol in solved]), [])
-
-
-# largest solve residual that still counts as solvable
-BARE_SOLVE_TOL = 1e-9
-
-
-def bare_relation_solve_numeric(gs: QGammaSet, qm: QMetric, points: PointSet) -> list[tuple[bool, float]]:
-    """Solvability of the same systems at each numeric q of ``points``, each
-    matrix evaluated once over them all.
-
-    The 16x16 coefficient matrix has rank 8, so the 16 systems at one q are
-    solved together by elimination with a pivot cut-off; each q gives whether
-    the largest residual ||A x - b||_2 stays below ``BARE_SOLVE_TOL``, and
-    that residual.
-    """
-    out = []
-    for q_value, cinv, *mats in zip(
-        points.qs, qm.c_inverse.evaluate(points), *(m.evaluate(points) for m in gs.matrices)
-    ):
-        pref = (1.0 / q_value) * (q_value + 1.0 / q_value)
-        cols = [_flatten(cmatmul(cscale(q_value, a), b)) for a in mats for b in mats]
-        coeff = [list(row) for row in zip(*cols)]
-        targets = [
-            _flatten(csub(cscale(pref * cinv[mu][nu], cidentity(4)), cmatmul(mats[mu], mats[nu])))
-            for mu in range(4)
-            for nu in range(4)
-        ]
-        worst = max(numeric_solve_residuals(coeff, targets))
-        out.append((worst < BARE_SOLVE_TOL, worst))
-    return out
-
-
-def _flatten(m: CMatrix) -> list[complex]:
-    return [z for row in m for z in row]
+    cols = [p.scale(q).data for p in products]
+    return BareSystem(Matrix.from_rows(list(zip(*cols))), Matrix.from_rows(targets))

@@ -7,7 +7,8 @@ can decide; ``report`` for convention-dependent comparisons, which carry
 residual data and a mismatch flag instead of a verdict (strict mode turns
 flagged mismatches into failures at exit-code level).  Verdicts are decided
 in the exact scalar ring; the float cross-checks evaluate plain-Python
-complex matrices through ``linalg``'s numeric helpers.
+complex matrices through ``linalg``'s numeric helpers, and each one judges a
+float residual by the one relative bound of ``RunContext.agrees``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 
 from . import blades, fierz, hopf, presentations, qgamma
 from .linalg import (
@@ -31,6 +33,7 @@ from .linalg import (
     matmul,
     max_abs,
     max_abs_at_points,
+    term_sums,
 )
 from .report import MODES, STATUS_FAIL, STATUS_PASS, STATUS_REPORT, CheckReport, format_float
 from .rewrite import NCPolynomial, local_confluence_check
@@ -52,6 +55,11 @@ Q_EXCLUSIONS = ((1.0, 0.05), (0.0, 1e-6))
 # least share of the q range the sampler may keep once the exclusions are cut
 # out: it rejection-samples, so a share s costs about 1/s draws per sample
 MIN_ADMISSIBLE_SHARE = 0.01
+
+# a float residual r agrees with zero when |r| <= CROSS_CHECK_TOL * s, s the
+# sum of the absolute values of the terms whose float sum gave r (the
+# componentwise backward error of that sum)
+CROSS_CHECK_TOL = 1e-10
 
 
 def _draw_q(rng: random.Random, lo: float, hi: float) -> float:
@@ -119,7 +127,7 @@ class RunContext:
         # or the reference points when fewer were drawn; q_values name them
         if len(self.measure_points) >= 5:
             self.oracle_points = self.measure_points.prefix(5)
-            self.oracle_q_values = self.q_values_field
+            self.oracle_q_values = self.q_values_field[:5]
         else:
             self.oracle_points = PointSet(REFERENCE_SAMPLES)
             self.oracle_q_values = [format_float(x) for x in REFERENCE_SAMPLES]
@@ -203,6 +211,13 @@ class RunContext:
         maxima, flag = max_abs_at_points(values, self.measure_points if points is None else points)
         self.branch_cut_hit = self.branch_cut_hit or flag
         return max([0.0, *maxima])
+
+    @staticmethod
+    def agrees(residuals, scales) -> bool:
+        """Whether every float residual r agrees with zero: |r| <=
+        ``CROSS_CHECK_TOL`` * s, for s at the same place in ``scales``, the
+        sum of the absolute values of the terms whose float sum gave r."""
+        return all(abs(r) <= CROSS_CHECK_TOL * s for r, s in zip(residuals, scales, strict=True))
 
 
 @dataclass(frozen=True)
@@ -406,7 +421,7 @@ def _qgamma_gamma5(ctx: RunContext) -> CheckReport:
     nz = not g5.is_zero()
     # rank over the field bounds the rank at every q
     rank_ok = matmul(gs.gamma_plus, g5).rank() <= 2
-    return _pass_fail(nz and rank_ok, q_values=ctx.q_values_field)
+    return _pass_fail(nz and rank_ok)
 
 
 def _deformed_metric_check(conv: qgamma.ActionConvention) -> None:
@@ -453,7 +468,7 @@ def _qgamma_dm_oracle(ctx: RunContext) -> CheckReport:
         for conv, res in ctx.deformed_metrics.items()
     ]
     worst = ctx.measure((s for d in diffs for s in d.data), ctx.oracle_points)
-    ok = all(d.is_zero() for d in diffs) and worst <= 1e-10
+    ok = all(d.is_zero() for d in diffs)
     return _pass_fail(ok, residual=format_float(worst), q_values=ctx.oracle_q_values)
 
 
@@ -480,17 +495,23 @@ def _qgamma_flip(ctx: RunContext) -> CheckReport:
     "solvability of the defining relation for unknown braiding coefficients",
 )
 def _qgamma_solve(ctx: RunContext) -> CheckReport:
-    exact = qgamma.bare_relation_solve_exact_q1(ctx.gammas, ctx.metric)
-    solved = qgamma.bare_relation_solve_numeric(ctx.gammas, ctx.metric, ctx.oracle_points)
-    sample_flags = [ok for ok, _ in solved]
-    worst = max([0.0, *(resid for _, resid in solved)])
+    system = qgamma.bare_relation_system(ctx.gammas, ctx.metric)
+    exact = system.at(1).solve()
+    generic = system.solve()
+    checked = []
+    if generic.witness is not None:
+        # the exact generic solution is the certificate the floats evaluate
+        checked = system.float_residuals(generic.witness, ctx.oracle_points)
+    sample_flags = [ctx.agrees(residuals, scales) for residuals, scales in checked]
+    worst = max([0.0, *(abs(r) for residuals, _ in checked for r in residuals)])
     return _report(
         format_float(worst),
-        mismatch=not (exact.solvable and all(sample_flags)),
+        mismatch=not (exact.solvable and generic.solvable and all(sample_flags)),
         witness="solvable exactly at q=1" if exact.solvable else str(exact.infeasible_pairs),
         q_values=ctx.oracle_q_values,
         details={
             "exact_q1_solvable": exact.solvable,
+            "generic_q_solvable": generic.solvable,
             "samples_solvable": sample_flags,
         },
     )
@@ -695,6 +716,11 @@ def _chq2_antipode_inherited(ctx: RunContext) -> CheckReport:
     )
 
 
+def _irrep_q_values(ctx: RunContext) -> list[str]:
+    """The q of each numeric irrep, the points a float irrep check evaluates."""
+    return [format_float(qv) for (*_, qv), _ in ctx.numeric_irreps]
+
+
 def _seeded_irreps(seed: int, count: int):
     rng = random.Random(seed + 7)
 
@@ -727,24 +753,22 @@ def _chq2_square_law(ctx: RunContext) -> CheckReport:
         for key in sorted(rep.square_residuals):
             if not rep.square_residuals[key].is_zero():
                 worst_exact = (params, key)
-    numeric_worst = 0.0
+    residuals, scales = [], []
     for (z, lx, ly, qv), mats in ctx.numeric_irreps:
         denom = qv - 1.0 / qv
         for level in (0, 1):
             for axis, lval in (("x", lx), ("y", ly)):
                 w = 1.0 / lval if level == 0 else lval
-                bracket = (w - 1.0 / w) / denom
+                bracket = cscale((w - 1.0 / w) / denom, cidentity(2))
                 m = mats[f"{axis}{level}"]
-                numeric_worst = max(
-                    numeric_worst,
-                    max_abs(csub(cmatmul(m, m), cscale(bracket, cidentity(2)))),
-                )
-    ok = worst_exact is None and numeric_worst <= 1e-10
+                residuals += chain(*csub(cmatmul(m, m), bracket))
+                scales += chain(*term_sums((m, m), (bracket, cidentity(2))))
+    ok = worst_exact is None and ctx.agrees(residuals, scales)
     return _pass_fail(
         ok,
-        residual=format_float(numeric_worst),
+        residual=format_float(max([0.0, *map(abs, residuals)])),
         witness=None if worst_exact is None else str(worst_exact),
-        q_values=ctx.q_values_field,
+        q_values=_irrep_q_values(ctx),
         details={"exact_draws": len(ctx.irreps), "numeric_draws": len(ctx.numeric_irreps)},
     )
 
@@ -761,23 +785,18 @@ def _chq2_anticomm(ctx: RunContext) -> CheckReport:
         if not (anticomm_zero and rep.gamma3_square_residual.is_zero()):
             ok = False
             witness = str(params)
-    numeric_worst = 0.0
+    residuals, scales = [], []
     for _, mats in ctx.numeric_irreps:
         for lvl in (0, 1):
             x, y = mats[f"x{lvl}"], mats[f"y{lvl}"]
-            numeric_worst = max(numeric_worst, max_abs(cadd(cmatmul(x, y), cmatmul(y, x))))
-            for m in (x, y):
-                numeric_worst = max(
-                    numeric_worst,
-                    max_abs(cadd(cmatmul(m, mats["g3"]), cmatmul(mats["g3"], m))),
-                )
-    if numeric_worst > 1e-10:
-        ok = False
+            for a, b in ((x, y), (x, mats["g3"]), (y, mats["g3"])):
+                residuals += chain(*cadd(cmatmul(a, b), cmatmul(b, a)))
+                scales += chain(*term_sums((a, b), (b, a)))
     return _pass_fail(
-        ok,
-        residual=format_float(numeric_worst),
+        ok and ctx.agrees(residuals, scales),
+        residual=format_float(max([0.0, *map(abs, residuals)])),
         witness=witness,
-        q_values=ctx.q_values_field,
+        q_values=_irrep_q_values(ctx),
     )
 
 
@@ -928,26 +947,22 @@ def _fierz_linear(ctx: RunContext) -> CheckReport:
     "engine residuals match an independent float matrix oracle at sampled q",
 )
 def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
-    results = ctx.linear_relation_residuals
     points = ctx.oracle_points
-    e_norms = [max_abs_at_points(res.residual.data, points)[0] for res in results]
+    engine = [res.residual.evaluate(points) for res in ctx.linear_relation_residuals]
     worst_gap = 0.0
     ok = True
     for i, x in enumerate(points.qs):
         oracle = _oracle_numeric_gammas(x)
-        for (name, lhs, tag, rhs), norms in zip(fierz.LINEAR_RELATIONS, e_norms):
-            o_res = csub(
-                cmatmul(oracle[lhs[0]], oracle[lhs[1]]),
-                cscale(_oracle_relation_scale(tag, x), cmatmul(oracle[rhs[0]], oracle[rhs[1]])),
-            )
-            e_norm = norms[i]
-            o_norm = max_abs(o_res)
-            gap = abs(e_norm - o_norm)
+        for (name, lhs, tag, rhs), e_res in zip(fierz.LINEAR_RELATIONS, engine):
+            a, b, c, d = (oracle[label] for label in (*lhs, *rhs))
+            scale = _oracle_relation_scale(tag, x)
+            o_res = csub(cmatmul(a, b), cscale(scale, cmatmul(c, d)))
+            # both residuals are judged against the size of the products compared
+            sizes = list(chain(*term_sums((a, b), (cscale(scale, c), d))))
+            gap = abs(max_abs(e_res[i]) - max_abs(o_res))
             worst_gap = max(worst_gap, gap)
-            if (e_norm < 1e-9) != (o_norm < 1e-9):
-                ok = False
-    if worst_gap > 1e-9:
-        ok = False
+            same_zero = ctx.agrees(chain(*e_res[i]), sizes) == ctx.agrees(chain(*o_res), sizes)
+            ok = ok and same_zero and ctx.agrees([gap], [max(sizes)])
     return _pass_fail(ok, residual=format_float(worst_gap), q_values=ctx.oracle_q_values)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import runpy
 import stat
 import subprocess
 import sys
@@ -1006,19 +1007,90 @@ class TestRunContext:
         assert {"fierz.linear_relations", "fierz.linear_relations_oracle"} <= ids
         assert calls == [ctx.gammas]
 
+    ORACLE_CHECKS = (
+        "qgamma.deformed_metric_oracle",
+        "qgamma.bare_relation_solve",
+        "fierz.linear_relations_oracle",
+    )
+
     def test_oracle_checks_name_the_reference_points_they_fell_back_to(self, tmp_path):
         # with fewer than five samples the oracles evaluate at REFERENCE_SAMPLES
         args = ["--suite", "qgamma", "--suite", "fierz", "--q-samples", "3"]
         _, payload = run_verify(tmp_path, "o.json", args)
         q_values = {c["check_id"]: c["q_values"] for c in json.loads(payload)["checks"]}
         reference = [format_float(x) for x in REFERENCE_SAMPLES]
-        for check_id in (
-            "qgamma.deformed_metric_oracle",
-            "qgamma.bare_relation_solve",
-            "fierz.linear_relations_oracle",
-        ):
+        for check_id in self.ORACLE_CHECKS:
             assert q_values[check_id] == reference, check_id
         assert len(q_values["qgamma.bare_relation_flip"]) == 3
+        # with five or more they evaluate at the first five samples, and name
+        # only those; a check that evaluates nothing names nothing
+        _, payload = run_verify(tmp_path, "p.json", [*args[:-1], "8"])
+        q_values = {c["check_id"]: c["q_values"] for c in json.loads(payload)["checks"]}
+        samples = q_values["qgamma.bare_relation_flip"]
+        assert len(samples) == 8
+        for check_id in self.ORACLE_CHECKS:
+            assert q_values[check_id] == samples[:5], check_id
+        assert q_values["qgamma.gamma5_structure"] == []
+
+    def test_irrep_checks_name_the_q_of_their_numeric_irreps(self, tmp_path):
+        _, payload = run_verify(tmp_path, "i.json", ["--suite", "chq2", "--q-samples", "8", "--seed", "7"])
+        q_values = {c["check_id"]: c["q_values"] for c in json.loads(payload)["checks"]}
+        irrep_qs = [format_float(qv) for (*_, qv), _ in RunContext(seed=7).numeric_irreps]
+        assert len(irrep_qs) == 20
+        for check_id in ("chq2.irrep_square_law", "chq2.irrep_anticommutation"):
+            assert q_values[check_id] == irrep_qs, check_id
+        assert len(q_values["chq2.irrep_cross_index"]) == 8
+
+
+def _check_fn(check_id: str):
+    (check,) = [c for c in registry() if c.check_id == check_id]
+    return check.fn
+
+
+class TestCrossCheckBound:
+    """A float cross-check judges each residual against the sum of the
+    absolute values of the terms it adds up, so its verdict does not depend
+    on the size of the numbers at the sampled q."""
+
+    EXPECTED = runpy.run_path(str(pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"))[
+        "EXPECTED"
+    ]
+
+    @pytest.mark.parametrize("q_range", ["0.0001:0.01", "0.01:0.2", "2:40", "5:1000"])
+    def test_every_verdict_holds_off_the_default_range(self, tmp_path, q_range):
+        suites = ("qgamma", "chq2", "fierz")
+        args = [f"--suite={s}" for s in suites]
+        code, payload = run_verify(
+            tmp_path, "r.json", [*args, "--q-samples", "8", "--seed", "7", "--q-range", q_range]
+        )
+        checks = {c["check_id"]: c for c in json.loads(payload)["checks"]}
+        assert code == 0
+        assert checks["fierz.linear_relations_oracle"]["status"] == "pass"
+        assert not checks["qgamma.bare_relation_solve"]["mismatch"]
+        expected = {cid: v for cid, v in self.EXPECTED.items() if cid.split(".")[0] in suites}
+        assert {cid: (c["status"], c["mismatch"]) for cid, c in checks.items()} == expected
+
+    @pytest.mark.parametrize("q_range", [(0.5, 2.0), (2.0, 40.0)])
+    def test_an_oracle_gamma_off_by_one_part_in_a_million_fails(self, monkeypatch, q_range):
+        check = _check_fn("fierz.linear_relations_oracle")
+        assert check(RunContext(q_samples=8, seed=7, q_range=q_range)).status == "pass"
+        oracle = suites_mod._oracle_numeric_gammas
+
+        def off(q):
+            gammas = oracle(q)
+            gammas["0"][0][2] *= 1 + 1e-6
+            return gammas
+
+        monkeypatch.setattr(suites_mod, "_oracle_numeric_gammas", off)
+        assert check(RunContext(q_samples=8, seed=7, q_range=q_range)).status == "fail"
+
+    def test_a_numeric_irrep_scaled_by_one_part_in_a_million_fails(self):
+        check = _check_fn("chq2.irrep_square_law")
+        ctx = RunContext(q_samples=8, seed=7)
+        assert check(ctx).status == "pass"
+        params, mats = ctx.numeric_irreps[0]
+        ctx.numeric_irreps[0] = (params, dict(mats, x0=[[(1 + 1e-6) * z for z in row] for row in mats["x0"]]))
+        assert check(ctx).status == "fail"
 
 
 class TestMeasure:
@@ -1247,14 +1319,11 @@ def test_tier1_runs_without_numpy():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
     modules = {p.name for p in tests.glob("test_*.py")}
-    assert result["modules"]["failed"] == []
-    assert [pathlib.Path(m).name for m in result["modules"]["skipped"]] == ["test_numeric_oracle.py"]
-    assert {pathlib.Path(m).name for m in result["modules"]["passed"]} == modules - {
-        "test_numeric_oracle.py"
-    }
+    assert result["modules"]["failed"] == result["modules"]["skipped"] == []
+    assert {pathlib.Path(m).name for m in result["modules"]["passed"]} == modules
     outcomes = result["outcomes"]
     assert {nodeid.split("::")[0].split("/")[-1] for nodeid in outcomes} >= {
-        "test_acceptance.py", "test_fierz.py", "test_linalg.py",
+        "test_acceptance.py", "test_fierz.py", "test_linalg.py", "test_numeric_oracle.py",
         "test_presentations.py", "test_qgamma.py",
     }
     for nodeid, (outcome, reason) in outcomes.items():

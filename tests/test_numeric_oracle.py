@@ -1,30 +1,33 @@
-"""The plain-Python float helpers of ``linalg`` against numpy as an oracle."""
+"""The plain-Python float helpers of ``linalg`` and the bare-relation
+decision against numpy as an oracle.  Every test takes the ``np`` fixture,
+so the module collects without numpy and only its tests skip."""
 
 import random
 
 import pytest
 
+from qclifford import qgamma
 from qclifford.linalg import (
+    Matrix,
     cadd,
     cidentity,
     cmatmul,
     cscale,
     csub,
     max_abs,
-    numeric_solve_residuals,
+    solve_exact,
+    term_sums,
 )
-from qclifford.qgamma import (
-    BARE_SOLVE_TOL,
-    bare_relation_solve_numeric,
-    build_metric,
-    build_q_gammas,
-)
-from qclifford.scalars import PointSet
-
-np = pytest.importorskip("numpy")
+from qclifford.qgamma import bare_relation_system, build_metric, build_q_gammas
+from qclifford.scalars import PointSet, RadicalScalar
+from qclifford.suites import CROSS_CHECK_TOL, RunContext, registry
 
 # 32 evenly spaced points of [0.2, 4] plus the classical point q = 1
 Q_VALUES = sorted({1.0, *(0.2 + 3.8 * k / 31 for k in range(32))})
+
+# the target entry the infeasible control raises by exactly 1: pair (+, +),
+# entry (0, 3)
+PERTURBED = (5, 3)
 
 
 def _random_matrix(rng, n):
@@ -32,7 +35,7 @@ def _random_matrix(rng, n):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_complex_helpers_match_numpy(n):
+def test_complex_helpers_match_numpy(np, n):
     rng = random.Random(n)
     for _ in range(50):
         a, b = _random_matrix(rng, n), _random_matrix(rng, n)
@@ -44,6 +47,7 @@ def test_complex_helpers_match_numpy(n):
             (csub(a, b), na - nb),
             (cscale(c, a), c * na),
             (cidentity(n), np.eye(n)),
+            (term_sums((a, b), (b, a)), np.abs(na) @ np.abs(nb) + np.abs(nb) @ np.abs(na)),
         ):
             assert np.max(np.abs(np.array(got) - want)) < 1e-12
         assert abs(max_abs(a) - np.max(np.abs(na))) < 1e-12
@@ -59,54 +63,72 @@ def qm():
     return build_metric()
 
 
-def _numpy_system(gs, qm, q):
+def _numpy_system(np, gs, qm, q):
     """The bare-relation coefficient matrix and its 16 targets at q, built with numpy."""
     mats = [np.asarray(m.evaluate(PointSet([q]))[0]) for m in gs.matrices]
     cinv = np.asarray(qm.c_inverse.evaluate(PointSet([q]))[0])
     pref = (1.0 / q) * (q + 1.0 / q)
     coeff = np.array([(q * mats[a] @ mats[b]).reshape(-1) for a in range(4) for b in range(4)]).T
-    targets = [
+    targets = np.array([
         (pref * cinv[mu, nu] * np.eye(4) - mats[mu] @ mats[nu]).reshape(-1)
         for mu in range(4)
         for nu in range(4)
-    ]
+    ])
     return coeff, targets
 
 
-def _lstsq_residual(coeff, b):
+def _lstsq_residual(np, coeff, b):
     sol, *_ = np.linalg.lstsq(coeff, b, rcond=None)
     return float(np.linalg.norm(coeff @ sol - b))
 
 
-def test_bare_coefficient_matrix_has_rank_8(gs, qm):
-    # so the elimination solver must cope with rank deficiency
-    for q in (1.0, 1.5):
-        assert np.linalg.matrix_rank(_numpy_system(gs, qm, q)[0]) == 8
+def _at(np, m: Matrix, q):
+    return np.asarray(m.evaluate(PointSet([q]))[0])
 
 
-def test_bare_solve_agrees_with_lstsq(gs, qm):
-    # mixing the rows by an invertible matrix keeps the rank and the
-    # solutions, but leaves rounding where elimination of the sparse system
-    # leaves exact zeros, so only the mixed systems exercise the pivot cut-off
-    rng = np.random.default_rng(0)
-    mix = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+def test_bare_coefficient_matrix_has_rank_8(np, gs, qm):
+    # at every point the numpy system has rank 8 and is the exact system
+    # evaluated there
+    system = bare_relation_system(gs, qm)
     assert len(Q_VALUES) >= 30 and 1.0 in Q_VALUES
-    for q, (ok, resid) in zip(Q_VALUES, bare_relation_solve_numeric(gs, qm, PointSet(Q_VALUES))):
-        coeff, targets = _numpy_system(gs, qm, q)
-        oracle = max(_lstsq_residual(coeff, b) for b in targets)
-        assert ok == (oracle < BARE_SOLVE_TOL), q
-        assert resid < 1e-9 and oracle < 1e-9, (q, resid, oracle)
-        mixed = [mix @ b for b in targets]
-        got = numeric_solve_residuals((mix @ coeff).tolist(), [b.tolist() for b in mixed])
-        oracle = max(_lstsq_residual(mix @ coeff, b) for b in mixed)
-        assert max(got) < 1e-9 and oracle < 1e-9, (q, max(got), oracle)
-
-
-def test_perturbed_target_leaves_a_residual(gs, qm):
     for q in Q_VALUES:
-        coeff, targets = _numpy_system(gs, qm, q)
-        b = targets[5].copy()
-        b[3] += 1e-3
-        assert _lstsq_residual(coeff, b) >= 1e-9, q
-        (resid,) = numeric_solve_residuals(coeff.tolist(), [b.tolist()])
-        assert resid >= 1e-9, q
+        coeff, targets = _numpy_system(np, gs, qm, q)
+        assert np.linalg.matrix_rank(coeff) == 8, q
+        scale = max(np.max(np.abs(coeff)), np.max(np.abs(targets)))
+        assert np.max(np.abs(_at(np, system.coeff, q) - coeff)) <= 1e-14 * scale, q
+        assert np.max(np.abs(_at(np, system.targets, q) - targets)) <= 1e-14 * scale, q
+
+
+def test_generic_solution_solves_the_system_at_every_point(np, gs, qm):
+    # the exact generic solution, evaluated, solves each numpy system within
+    # the componentwise bound |A x - b| <= tol (|A| |x| + |b|)
+    generic = bare_relation_system(gs, qm).solve()
+    assert generic.solvable
+    for q in Q_VALUES:
+        coeff, targets = _numpy_system(np, gs, qm, q)
+        x = _at(np, generic.witness, q)
+        for b, xp in zip(targets, x):
+            residual = np.abs(coeff @ xp - b)
+            assert np.all(residual <= CROSS_CHECK_TOL * (np.abs(coeff) @ np.abs(xp) + np.abs(b))), q
+
+
+def test_perturbed_target_leaves_a_residual(np, gs, qm, monkeypatch):
+    # one target entry raised by exactly 1 is infeasible at generic q, leaves
+    # a least-squares residual at every point, and makes the check mismatch
+    system = bare_relation_system(gs, qm)
+    pair, entry = PERTURBED
+    data = list(system.targets.data)
+    data[16 * pair + entry] = data[16 * pair + entry] + RadicalScalar.one()
+    perturbed = qgamma.BareSystem(system.coeff, Matrix(16, 16, data))
+    [(ok, solution)] = solve_exact(perturbed.coeff, [perturbed.targets.row(pair)])
+    assert not ok and solution is None
+    for q in Q_VALUES:
+        coeff, targets = _numpy_system(np, gs, qm, q)
+        b = targets[pair].copy()
+        b[entry] += 1
+        assert _lstsq_residual(np, coeff, b) >= 1e-3, q
+    monkeypatch.setattr(qgamma, "bare_relation_system", lambda gs, qm: perturbed)
+    (check,) = [c for c in registry() if c.check_id == "qgamma.bare_relation_solve"]
+    report = check.fn(RunContext(mode="both", seed=7))
+    assert not report.details["generic_q_solvable"]
+    assert report.mismatch

@@ -8,8 +8,7 @@ from qclifford.qgamma import (
     ALL_CONVENTIONS,
     ActionConvention,
     bare_relation_flip_residuals,
-    bare_relation_solve_exact_q1,
-    bare_relation_solve_numeric,
+    bare_relation_system,
     build_metric,
     build_q_gammas,
     deformed_metric,
@@ -214,16 +213,8 @@ class TestBareRelation:
         r2 = bare_relation_flip_residuals(gs, qm)
         assert r1 == r2
 
-    def test_exact_solve_at_q1_agrees_with_least_squares(self, gs, qm):
-        exact = bare_relation_solve_exact_q1(gs, qm)
-        [(ok, resid)] = bare_relation_solve_numeric(gs, qm, PointSet([1.0 + 0j]))
-        assert exact.solvable == ok
-        if exact.solvable:
-            assert exact.witness is not None
-            assert resid < 1e-9
-
     def test_exact_witness_satisfies_the_system(self, gs, qm):
-        exact = bare_relation_solve_exact_q1(gs, qm)
+        exact = bare_relation_system(gs, qm).at(1).solve()
         if not exact.solvable:
             pytest.skip("system infeasible; nothing to substitute")
         mats = [m.map(lambda s: s.at(1)) for m in gs.matrices]
@@ -240,13 +231,36 @@ class TestBareRelation:
                 target = Matrix.identity(4).scale(two * cinv[mu, nu])
                 assert total == target, (mu, nu)
 
-    def test_exact_solve_at_q1_is_one_elimination(self, gs, qm, monkeypatch):
+    def test_generic_witness_satisfies_the_system_exactly(self, gs, qm):
+        system = bare_relation_system(gs, qm)
+        generic = system.solve()
+        assert generic.solvable and generic.infeasible_pairs == []
+        assert matmul(system.coeff, generic.witness.transpose()) == system.targets.transpose()
+        assert system.coeff.rank() == 8
+
+    def test_exact_solve_at_q1_is_one_elimination(self, monkeypatch):
+        # the check decides all 16 systems by one elimination per field:
+        # q = 1, then generic q
         calls = []
         solve = qgamma.solve_exact
         monkeypatch.setattr(qgamma, "solve_exact", lambda a, rhs: calls.append(len(rhs)) or solve(a, rhs))
-        bare_relation_solve_exact_q1(gs, qm)
-        assert calls == [16]
+        (check,) = [c for c in registry() if c.check_id == "qgamma.bare_relation_solve"]
+        report = check.fn(RunContext(mode="exact"))
+        assert calls == [16, 16]
+        assert report.details["exact_q1_solvable"] and report.details["generic_q_solvable"]
+        assert not report.mismatch
 
-    def test_numeric_solve_away_from_one(self, gs, qm):
-        for ok, resid in bare_relation_solve_numeric(gs, qm, PointSet([0.7, 1.4])):
-            assert ok and resid < 1e-9
+    def test_a_target_off_only_away_from_q1_is_a_mismatch(self, gs, qm, monkeypatch):
+        # raising a target entry of an all-zero coefficient row by q - 1 leaves
+        # q = 1 solvable, so only the generic decision can flag the mismatch
+        system = bare_relation_system(gs, qm)
+        row = next(i for i in range(16) if all(s.is_zero() for s in system.coeff.row(i)))
+        data = list(system.targets.data)
+        data[5 * 16 + row] = data[5 * 16 + row] + qvar() - RadicalScalar.one()
+        off = qgamma.BareSystem(system.coeff, Matrix(16, 16, data))
+        monkeypatch.setattr(qgamma, "bare_relation_system", lambda gs, qm: off)
+        (check,) = [c for c in registry() if c.check_id == "qgamma.bare_relation_solve"]
+        report = check.fn(RunContext(mode="both", seed=7))
+        assert report.details["exact_q1_solvable"]
+        assert not report.details["generic_q_solvable"]
+        assert report.mismatch

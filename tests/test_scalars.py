@@ -707,9 +707,12 @@ def test_hopf_exact_run_builds_each_scalar_about_once():
 def test_matrix_both_run_evaluates_each_value_once_per_point_set():
     # perfbench's matrix-both command at seed 7: 32 sample points, whose
     # first five are the oracle points, so the run has one point set.  It
-    # computes 171 scalar, 191 fraction and 198 polynomial value lists and 18
-    # lists of t**k.  Evaluated point by point through per-point caches, it
-    # computed 5,229 scalar and 6,147 polynomial values.
+    # computes 219 scalar, 239 fraction and 250 polynomial value lists and 18
+    # lists of t**k.  48 of the scalar lists are distinct entries of the
+    # bare-relation system and of its exact generic solution, which the
+    # check's float side evaluates (71 distinct scalars, some shared with
+    # other checks).  Evaluated point by point through per-point caches, the
+    # run once computed 5,229 scalar and 6,147 polynomial values.
     counts = _count_work(
         [
             "verify", "--suite", "clifford", "--suite", "qgamma", "--suite", "chq2",
@@ -718,9 +721,9 @@ def test_matrix_both_run_evaluates_each_value_once_per_point_set():
     )
     for kind in ("scalar", "fraction", "polynomial", "powers"):
         assert counts[kind + "_most"] == 1, kind
-    assert counts["scalar_computed"] <= 180
-    assert counts["fraction_computed"] <= 200
-    assert counts["polynomial_computed"] <= 210
+    assert counts["scalar_computed"] <= 230
+    assert counts["fraction_computed"] <= 250
+    assert counts["polynomial_computed"] <= 260
     assert counts["powers_computed"] <= 20
 
 
