@@ -5,12 +5,14 @@ anticommutators, exact inversion and exact linear solving by Gaussian
 elimination over the radical-extended fraction field, plus numeric
 evaluation for the sampling backend.  A numeric matrix is a list of rows of
 Python ``complex``; the few helpers the float cross-checks need (products,
-sums, scaling, the max-|z| norm and the sums of |terms| that scale their
-bound) work on those.  Floats only cross-check: no float is solved for.
+sums and scaling) work on those, and equally on ``Sized`` values, which
+carry with each float the size of the evaluation that gave it.  Floats only
+cross-check: no float is solved for.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import cache
 
@@ -125,10 +127,13 @@ class Matrix:
     def map(self, fn) -> "Matrix":
         return Matrix(self.rows, self.cols, [fn(a) for a in self.data])
 
-    def evaluate(self, points: PointSet) -> list[CMatrix]:
+    def evaluate(self, points: PointSet, sized: bool = False) -> list[CMatrix]:
         """The numeric matrix at each point, each entry evaluated over the
-        point set once."""
+        point set once; with ``sized``, each entry a ``Sized`` value."""
         entries = [s.values_with_flag(points)[0] for s in self.data]
+        if sized:
+            sizes = _sizes(self.data, points)
+            entries = [[Sized(v, z) if z else v for v, z in zip(vals, ss)] for vals, ss in zip(entries, sizes)]
         return [[list(at[i : i + self.cols]) for i in range(0, len(at), self.cols)] for at in zip(*entries)]
 
     def rank(self) -> int:
@@ -274,9 +279,108 @@ def solve_exact(a: Matrix, rhs: list[list]) -> list[tuple[bool, list[RadicalScal
 CMatrix = list[list[complex]]
 
 
-def max_abs(m: CMatrix) -> float:
-    """Largest |z| over the entries of a numeric matrix."""
-    return max((abs(z) for row in m for z in row), default=0.0)
+class Sized:
+    """A float v and the size s of the evaluation that gave it, so that the
+    rounding error of v is a small multiple of the unit roundoff times s
+    however much its terms cancel (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 3).  A plain number is its own
+    size; sums and products carry the sum of the absolute values of the
+    expanded terms; a quotient n/d has size (s_n + |n/d| s_d)/|d| and a
+    power b**k, a root too, |v| (s_b/|b|)**max(1, |k|), first-order bounds
+    on the propagated error.  v is the value the same expression gives over
+    plain numbers."""
+
+    __slots__ = ("v", "s")
+
+    def __init__(self, v, s=None):
+        self.v = v
+        self.s = abs(v) if s is None else s
+
+    def __abs__(self) -> float:
+        return abs(self.v)
+
+    def __add__(self, other) -> "Sized":
+        if isinstance(other, Sized):
+            return Sized(self.v + other.v, self.s + other.s)
+        return Sized(self.v + other, self.s + abs(other)) if other else self
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Sized":
+        return Sized(-self.v, self.s)
+
+    def __sub__(self, other) -> "Sized":
+        return self + -sized(other)
+
+    def __rsub__(self, other) -> "Sized":
+        return -self + other
+
+    def __mul__(self, other) -> "Sized":
+        if isinstance(other, Sized):
+            return Sized(self.v * other.v, self.s * other.s)
+        # a plain zero factor gives a plain zero, its own size
+        return Sized(self.v * other, self.s * abs(other)) if other else self.v * other
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Sized":
+        other = sized(other)
+        v = self.v / other.v
+        return Sized(v, (self.s + abs(v) * other.s) / abs(other.v))
+
+    def __rtruediv__(self, other) -> "Sized":
+        return sized(other) / self
+
+    def __pow__(self, k) -> "Sized":
+        return self._power(self.v**k, k)
+
+    def _power(self, v, k) -> "Sized":
+        return Sized(v, abs(v) * (self.s / abs(self.v)) ** max(1, abs(k)))
+
+    def sqrt(self) -> "Sized":
+        return self._power(cmath.sqrt(self.v), 0.5)
+
+
+def sized(x) -> Sized:
+    """x as a ``Sized`` value."""
+    return x if isinstance(x, Sized) else Sized(x)
+
+
+def _sizes(scalars, points: PointSet) -> list[list[float]]:
+    """The size of each scalar's evaluation by ``values_with_flag`` at every
+    point, by the rules of ``Sized``, read from the values it holds over the
+    whole point set.  Each distinct scalar and fraction is sized once."""
+    whole, n = points.whole, len(points)
+    memo = {}  # sizes by the id of a scalar or fraction, each alive throughout
+
+    def poly(p) -> list[float]:
+        out = [0.0] * n
+        for k, x, y, d in p.key():
+            c = abs(complex(x, y)) / d
+            out = [s + c * abs(w) for s, w in zip(out, whole.powers(k))]
+        return out
+
+    def frac(f) -> list[float]:
+        if id(f) not in memo:
+            sizes = poly(f.num)
+            if not f.den.is_one():
+                parts = zip(sizes, f.values(whole), poly(f.den), f.den.values(whole))
+                sizes = [(s + abs(v) * sd) / abs(d) for s, v, sd, d in parts]
+            memo[id(f)] = sizes
+        return memo[id(f)]
+
+    def scalar(s) -> list[float]:
+        if id(s) not in memo:
+            total = [0.0] * n
+            for key, coeff in s.terms.items():
+                term = frac(coeff)
+                for rad in key:
+                    term = [a * sr / abs(r) ** 0.5 for a, sr, r in zip(term, frac(rad), rad.values(whole))]
+                total = [a + b for a, b in zip(total, term)]
+            memo[id(s)] = total
+        return memo[id(s)]
+
+    return [scalar(s) for s in scalars]
 
 
 def cmatmul(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -298,17 +402,6 @@ def cscale(c: complex, a: CMatrix) -> CMatrix:
 
 def cidentity(n: int) -> CMatrix:
     return [[1 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-
-
-def term_sums(*products) -> list[list[float]]:
-    """Entrywise sum of |a_ik| |b_kj| over k and over the pairs (a, b) given:
-    the sum of the absolute values of the terms whose float sum is an entry
-    of the sum (or difference) of the products a b."""
-    total = None
-    for a, b in products:
-        m = cmatmul([[abs(x) for x in row] for row in a], [[abs(x) for x in row] for row in b])
-        total = m if total is None else cadd(total, m)
-    return total
 
 
 @cache

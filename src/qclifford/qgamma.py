@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .blades import CL31, dirac_matrices
-from .linalg import Matrix, matmul, solve_exact
+from .linalg import Matrix, Sized, matmul, solve_exact
 from .rewrite import NCPolynomial
 from .scalars import (
     PointSet,
@@ -299,25 +299,24 @@ class BareSystem:
             return BareRelationSolve(False, None, infeasible)
         return BareRelationSolve(True, Matrix.from_rows([sol for _, sol in solved]), [])
 
-    def float_residuals(self, solution: Matrix, points: PointSet) -> list[tuple[list, list]]:
+    def float_residuals(self, solution: Matrix, points: PointSet) -> list[list[Sized]]:
         """At each point, A x - b for every system's solution x (a row of
-        ``solution``) and, per entry, the sum of the absolute values of the
-        terms whose float sum gave it.  Each entry is evaluated once over the
-        point set, and only the nonzero entries of x are multiplied."""
-        support = [
-            [j for j in range(solution.cols) if not solution[p, j].is_zero()]
-            for p in range(solution.rows)
-        ]
+        ``solution``), as ``Sized`` values.  Each entry is evaluated once
+        over the point set, and only nonzero entries of A and x multiply."""
+        a_rows, a_cols = self.coeff.rows, self.coeff.cols
+        # the rows of A's nonzero entries in each column
+        column = [[i for i in range(a_rows) if not self.coeff[i, j].is_zero()] for j in range(a_cols)]
+        support = [[j for j in range(a_cols) if not solution[p, j].is_zero()] for p in range(solution.rows)]
         out = []
-        evaluated = (m.evaluate(points) for m in (self.coeff, self.targets, solution))
-        for a, b, x in zip(*evaluated):
-            residuals, scales = [], []
+        for a, b, x in zip(*(m.evaluate(points, sized=True) for m in (self.coeff, self.targets, solution))):
+            residuals = []
             for p, cols in enumerate(support):
-                for i, row in enumerate(a):
-                    terms = [row[j] * x[p][j] for j in cols]
-                    residuals.append(sum(terms) - b[p][i])
-                    scales.append(sum(map(abs, terms)) + abs(b[p][i]))
-            out.append((residuals, scales))
+                ax = [0] * a_rows
+                for j in cols:
+                    for i in column[j]:
+                        ax[i] = ax[i] + a[i][j] * x[p][j]
+                residuals += [v - t for v, t in zip(ax, b[p])]
+            out.append(residuals)
         return out
 
 

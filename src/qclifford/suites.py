@@ -7,13 +7,13 @@ can decide; ``report`` for convention-dependent comparisons, which carry
 residual data and a mismatch flag instead of a verdict (strict mode turns
 flagged mismatches into failures at exit-code level).  Verdicts are decided
 in the exact scalar ring; the float cross-checks evaluate plain-Python
-complex matrices through ``linalg``'s numeric helpers, and each one judges a
-float residual by the one relative bound of ``RunContext.agrees``.
+complex matrices through ``linalg``'s numeric helpers, carrying each float
+as a ``linalg.Sized`` value, and each one judges a float residual by the
+one relative bound of ``RunContext.agrees``.
 """
 
 from __future__ import annotations
 
-import cmath
 import random
 import time
 from dataclasses import dataclass
@@ -24,6 +24,7 @@ from itertools import chain
 from . import blades, fierz, hopf, presentations, qgamma
 from .linalg import (
     Matrix,
+    Sized,
     anticommutator,
     cadd,
     cidentity,
@@ -31,9 +32,8 @@ from .linalg import (
     cscale,
     csub,
     matmul,
-    max_abs,
     max_abs_at_points,
-    term_sums,
+    sized,
 )
 from .report import MODES, STATUS_FAIL, STATUS_PASS, STATUS_REPORT, CheckReport, format_float
 from .rewrite import NCPolynomial, local_confluence_check
@@ -57,8 +57,8 @@ Q_EXCLUSIONS = ((1.0, 0.05), (0.0, 1e-6))
 MIN_ADMISSIBLE_SHARE = 0.01
 
 # a float residual r agrees with zero when |r| <= CROSS_CHECK_TOL * s, s the
-# sum of the absolute values of the terms whose float sum gave r (the
-# componentwise backward error of that sum)
+# size of the evaluation that gave r (``linalg.Sized``): the sum of the
+# absolute values of the terms of its expanded expression
 CROSS_CHECK_TOL = 1e-10
 
 
@@ -213,11 +213,11 @@ class RunContext:
         return max([0.0, *maxima])
 
     @staticmethod
-    def agrees(residuals, scales) -> bool:
+    def agrees(residuals) -> bool:
         """Whether every float residual r agrees with zero: |r| <=
-        ``CROSS_CHECK_TOL`` * s, for s at the same place in ``scales``, the
-        sum of the absolute values of the terms whose float sum gave r."""
-        return all(abs(r) <= CROSS_CHECK_TOL * s for r, s in zip(residuals, scales, strict=True))
+        ``CROSS_CHECK_TOL`` * s, s the size of r's evaluation (``Sized``;
+        a plain number is its own size)."""
+        return all(abs(r.v) <= CROSS_CHECK_TOL * r.s for r in map(sized, residuals))
 
 
 @dataclass(frozen=True)
@@ -502,8 +502,8 @@ def _qgamma_solve(ctx: RunContext) -> CheckReport:
     if generic.witness is not None:
         # the exact generic solution is the certificate the floats evaluate
         checked = system.float_residuals(generic.witness, ctx.oracle_points)
-    sample_flags = [ctx.agrees(residuals, scales) for residuals, scales in checked]
-    worst = max([0.0, *(abs(r) for residuals, _ in checked for r in residuals)])
+    sample_flags = [ctx.agrees(residuals) for residuals in checked]
+    worst = max([0.0, *(abs(r) for residuals in checked for r in residuals)])
     return _report(
         format_float(worst),
         mismatch=not (exact.solvable and generic.solvable and all(sample_flags)),
@@ -743,6 +743,11 @@ def _seeded_irreps(seed: int, count: int):
     return out
 
 
+def _sized_irrep(mats: dict) -> dict:
+    """A numeric irrep's matrices with every entry a ``Sized`` value."""
+    return {name: [list(map(Sized, row)) for row in m] for name, m in mats.items()}
+
+
 @_check(
     "chq2.irrep_square_law",
     "squares of the level-i matrices equal the q-bracket of the level weight",
@@ -753,17 +758,17 @@ def _chq2_square_law(ctx: RunContext) -> CheckReport:
         for key in sorted(rep.square_residuals):
             if not rep.square_residuals[key].is_zero():
                 worst_exact = (params, key)
-    residuals, scales = [], []
+    residuals = []
     for (z, lx, ly, qv), mats in ctx.numeric_irreps:
+        mats, qv = _sized_irrep(mats), Sized(qv)
         denom = qv - 1.0 / qv
         for level in (0, 1):
-            for axis, lval in (("x", lx), ("y", ly)):
+            for axis, lval in (("x", Sized(lx)), ("y", Sized(ly))):
                 w = 1.0 / lval if level == 0 else lval
                 bracket = cscale((w - 1.0 / w) / denom, cidentity(2))
                 m = mats[f"{axis}{level}"]
                 residuals += chain(*csub(cmatmul(m, m), bracket))
-                scales += chain(*term_sums((m, m), (bracket, cidentity(2))))
-    ok = worst_exact is None and ctx.agrees(residuals, scales)
+    ok = worst_exact is None and ctx.agrees(residuals)
     return _pass_fail(
         ok,
         residual=format_float(max([0.0, *map(abs, residuals)])),
@@ -785,15 +790,15 @@ def _chq2_anticomm(ctx: RunContext) -> CheckReport:
         if not (anticomm_zero and rep.gamma3_square_residual.is_zero()):
             ok = False
             witness = str(params)
-    residuals, scales = [], []
+    residuals = []
     for _, mats in ctx.numeric_irreps:
+        mats = _sized_irrep(mats)
         for lvl in (0, 1):
             x, y = mats[f"x{lvl}"], mats[f"y{lvl}"]
             for a, b in ((x, y), (x, mats["g3"]), (y, mats["g3"])):
                 residuals += chain(*cadd(cmatmul(a, b), cmatmul(b, a)))
-                scales += chain(*term_sums((a, b), (b, a)))
     return _pass_fail(
-        ok and ctx.agrees(residuals, scales),
+        ok and ctx.agrees(residuals),
         residual=format_float(max([0.0, *map(abs, residuals)])),
         witness=witness,
         q_values=_irrep_q_values(ctx),
@@ -886,11 +891,12 @@ def _fierz_flip(ctx: RunContext) -> CheckReport:
     return _pass_fail(r1 == fierz.flip_matrix())
 
 
-def _oracle_numeric_gammas(q: complex):
-    """Independent float transcription of the deformed gammas (oracle path)."""
+def _oracle_numeric_gammas(q: Sized):
+    """Independent float transcription of the deformed gammas (oracle path);
+    every entry carries its size."""
     Q = q + 1.0 / q
-    rqQ = cmath.sqrt(q * Q)
-    rQ = cmath.sqrt(Q)
+    rqQ = (q * Q).sqrt()
+    rQ = Q.sqrt()
     g0 = cscale(1 + 0j, [[0, 0, q**2, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]])
     gp = cscale(rqQ, [[0, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0]])
     gm = cscale(
@@ -915,7 +921,7 @@ def _oracle_numeric_gammas(q: complex):
     return {"0": g0, "+": gp, "-": gm, "3": g3, "5": g5}
 
 
-def _oracle_relation_scale(tag: str, q: complex) -> complex:
+def _oracle_relation_scale(tag: str, q: Sized) -> Sized:
     return {
         "one": 1.0,
         "minus_one": -1.0,
@@ -948,21 +954,23 @@ def _fierz_linear(ctx: RunContext) -> CheckReport:
 )
 def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
     points = ctx.oracle_points
-    engine = [res.residual.evaluate(points) for res in ctx.linear_relation_residuals]
+    engine = [res.residual.evaluate(points, sized=True) for res in ctx.linear_relation_residuals]
     worst_gap = 0.0
     ok = True
     for i, x in enumerate(points.qs):
-        oracle = _oracle_numeric_gammas(x)
+        q = Sized(x)
+        oracle = _oracle_numeric_gammas(q)
         for (name, lhs, tag, rhs), e_res in zip(fierz.LINEAR_RELATIONS, engine):
             a, b, c, d = (oracle[label] for label in (*lhs, *rhs))
-            scale = _oracle_relation_scale(tag, x)
-            o_res = csub(cmatmul(a, b), cscale(scale, cmatmul(c, d)))
-            # both residuals are judged against the size of the products compared
-            sizes = list(chain(*term_sums((a, b), (cscale(scale, c), d))))
-            gap = abs(max_abs(e_res[i]) - max_abs(o_res))
+            o_res = csub(cmatmul(a, b), cscale(_oracle_relation_scale(tag, q), cmatmul(c, d)))
+            e, o = (list(map(sized, chain(*m))) for m in (e_res[i], o_res))
+            # both residuals, and their gap, are judged against the sizes of
+            # both evaluations
+            sizes = [r.s + u.s for r, u in zip(e, o)]
+            e_zero, o_zero = (ctx.agrees(map(Sized, (r.v for r in rs), sizes)) for rs in (e, o))
+            gap = abs(max(map(abs, e)) - max(map(abs, o)))
             worst_gap = max(worst_gap, gap)
-            same_zero = ctx.agrees(chain(*e_res[i]), sizes) == ctx.agrees(chain(*o_res), sizes)
-            ok = ok and same_zero and ctx.agrees([gap], [max(sizes)])
+            ok = ok and e_zero == o_zero and ctx.agrees([Sized(gap, max(sizes))])
     return _pass_fail(ok, residual=format_float(worst_gap), q_values=ctx.oracle_q_values)
 
 

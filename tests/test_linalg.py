@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from qclifford import linalg
 from qclifford.linalg import (
     Matrix,
     ShapeMismatch,
+    Sized,
     anticommutator,
     kron,
     matmul,
@@ -17,8 +19,42 @@ from qclifford.linalg import (
 )
 from qclifford.presentations import su2_action_report
 from qclifford.qgamma import ALL_CONVENTIONS
-from qclifford.scalars import GaussRational, NotInvertible, PointSet, RadicalScalar, qvar, sqrt
+from qclifford.scalars import GaussRational, NotInvertible, PointSet, RadicalScalar, qinv, qvar, sqrt
 from qclifford.suites import _seeded_irreps
+
+
+# 1e-10 below q0 = 1.46557..., the real root of q^3 - q^2 - 1: there
+# e = 1/q + q - q^2 is about 2.4e-10 while its terms add up to about 4.6
+NEAR_ROOT = 1.4655712317767
+EPS = 2.0**-52
+
+
+class TestSized:
+    """The size of a float's evaluation bounds its rounding error through
+    sums, products, quotients and roots that cancel, whether the float is a
+    ``Sized`` value or a scalar evaluated over a point set."""
+
+    EXACT_E = 1 / Fraction(NEAR_ROOT) + Fraction(NEAR_ROOT) - Fraction(NEAR_ROOT) ** 2
+
+    def cases(self, e, inverse, root):
+        return ((e, self.EXACT_E), (inverse, 1 / self.EXACT_E), (root, math.sqrt(self.EXACT_E)))
+
+    def test_sized_values(self):
+        q = Sized(NEAR_ROOT)
+        e = 1.0 / q + q - q**2
+        assert abs(e.v) < 1e-9 < e.s
+        for got, want in self.cases(e, 1.0 / e, e.sqrt()):
+            assert abs(got.v - want) <= 4 * EPS * got.s
+
+    def test_evaluated_scalars(self):
+        q = qvar()
+        e = qinv() + q - q**2
+        points = PointSet([NEAR_ROOT])
+        for scalar, want in self.cases(e, e.inverse(), sqrt(e)):
+            [[[got]]] = Matrix.from_rows([[scalar]]).evaluate(points, sized=True)
+            assert abs(got.v - want) <= 4 * EPS * got.s
+            if scalar is e:
+                assert got.s == pytest.approx(1 / NEAR_ROOT + NEAR_ROOT + NEAR_ROOT**2, rel=1e-15)
 
 
 def random_matrix(rng, rows, cols):

@@ -9,14 +9,13 @@ import pytest
 from qclifford import qgamma
 from qclifford.linalg import (
     Matrix,
+    Sized,
     cadd,
     cidentity,
     cmatmul,
     cscale,
     csub,
-    max_abs,
     solve_exact,
-    term_sums,
 )
 from qclifford.qgamma import bare_relation_system, build_metric, build_q_gammas
 from qclifford.scalars import PointSet, RadicalScalar
@@ -47,10 +46,22 @@ def test_complex_helpers_match_numpy(np, n):
             (csub(a, b), na - nb),
             (cscale(c, a), c * na),
             (cidentity(n), np.eye(n)),
-            (term_sums((a, b), (b, a)), np.abs(na) @ np.abs(nb) + np.abs(nb) @ np.abs(na)),
         ):
             assert np.max(np.abs(np.array(got) - want)) < 1e-12
-        assert abs(max_abs(a) - np.max(np.abs(na))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_sized_products_carry_the_sums_of_absolute_terms(np, n):
+    # over Sized entries the helpers give the plain values, and as sizes the
+    # same expression over the absolute values
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = _random_matrix(rng, n), _random_matrix(rng, n)
+        sa, sb = ([list(map(Sized, row)) for row in m] for m in (a, b))
+        got = csub(cmatmul(sa, sb), cmatmul(sb, sa))
+        assert [[x.v for x in row] for row in got] == csub(cmatmul(a, b), cmatmul(b, a))
+        na, nb = np.abs(np.array(a)), np.abs(np.array(b))
+        assert np.max(np.abs(np.array([[x.s for x in row] for row in got]) - (na @ nb + nb @ na))) < 1e-12
 
 
 @pytest.fixture(scope="module")
