@@ -107,9 +107,10 @@ class HopfData:
         k = bisect_left(tw, g)  # slot-0 letters (< g) all come first
         return tw[:k], tuple(i - g for i in tw[k:])
 
-    def terms(self, p: NCPolynomial) -> list:
-        """Delta(p) = sum c u x v as its terms (c, u, v), u and v normal words of H."""
-        return [(c, *map(NCPolynomial.word, self.split(tw))) for tw, c in self.delta(p).terms.items()]
+    def terms(self, d: NCPolynomial) -> list:
+        """d = sum c u x v in the tensor square, such as Delta(p), as its terms
+        (c, u, v), u and v normal words of H."""
+        return [(c, *map(NCPolynomial.word, self.split(tw))) for tw, c in d.terms.items()]
 
     def delta(self, p: NCPolynomial) -> NCPolynomial:
         return extend(p, self.coproduct, self.t2)
@@ -184,6 +185,14 @@ def _premise_witnesses(h: HopfData, maps: tuple[str, ...]) -> list[tuple[str, st
     return [w for per_rule in zip(*rows) for w in per_rule if w is not None]
 
 
+def _generator_deltas(h: HopfData) -> list[NCPolynomial]:
+    """Delta of each generator, by index.  It depends only on the system and
+    the coproduct, so it is computed once per system and coproduct, compared
+    by content, as the premise rows are."""
+    key = ("Delta", "generators", frozenset(h.coproduct.items()))
+    return _once(h.rs, key, lambda: [h.delta(NCPolynomial.gen(x)) for x in range(h.rs.size)])
+
+
 def _decide(h: HopfData, name: str, maps: tuple[str, ...], law, render) -> AxiomResult:
     """Decide a law on all of H: the premises on ``maps``, then each generator.
 
@@ -192,8 +201,9 @@ def _decide(h: HopfData, name: str, maps: tuple[str, ...], law, render) -> Axiom
     gives the witness (x, side - goal)."""
     rs = h.rs
     witnesses = _premise_witnesses(h, maps)
+    deltas = _generator_deltas(h)
     for x in range(rs.size):
-        sides, goal = law(x, h.terms(NCPolynomial.gen(x)))
+        sides, goal = law(x, h.terms(deltas[x]))
         witnesses += [(rs.names[x], render(side - goal)) for side in sides if side != goal]
     return AxiomResult(name, not witnesses, rs.size, witnesses)
 
@@ -202,8 +212,14 @@ def _coassociativity_sides(h: HopfData, terms) -> tuple[list[NCPolynomial], NCPo
     """[(Delta x id) Delta(p)] and (id x Delta) Delta(p), as ``_decide`` reads a law's
     sides, from the terms of Delta(p): v moves to slot 2, Delta(v) to slots 1 and 2."""
     g = h.rs.size
-    left = _convolve(terms, lambda u, v: h.delta(u) * _shift(v, 2 * g))
-    return [left], _convolve(terms, lambda u, v: u * _shift(h.delta(v), g))
+    deltas = _generator_deltas(h)
+
+    def delta(p: NCPolynomial) -> NCPolynomial:
+        (w,) = p.terms  # p is one normal word
+        return deltas[w[0]] if len(w) == 1 else h.delta(p)
+
+    left = _convolve(terms, lambda u, v: delta(u) * _shift(v, 2 * g))
+    return [left], _convolve(terms, lambda u, v: u * _shift(delta(v), g))
 
 
 def check_coassociativity(h: HopfData) -> AxiomResult:

@@ -77,15 +77,20 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
+        # ZERO is one interned object: a zero entry is passed through
         return Matrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)]
+            self.rows,
+            self.cols,
+            [b if a is ZERO else a if b is ZERO else a + b for a, b in zip(self.data, other.data)],
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("subtraction shape mismatch")
         return Matrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)]
+            self.rows,
+            self.cols,
+            [-b if a is ZERO else a if b is ZERO else a - b for a, b in zip(self.data, other.data)],
         )
 
     def __neg__(self) -> "Matrix":
@@ -93,7 +98,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = _coerce(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.data])
+        return Matrix(self.rows, self.cols, [a if a is ZERO else c * a for a in self.data])
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -125,7 +130,16 @@ class Matrix:
         return hash((self.rows, self.cols, self.data))
 
     def map(self, fn) -> "Matrix":
-        return Matrix(self.rows, self.cols, [fn(a) for a in self.data])
+        """``fn`` of each entry, called once per distinct entry: entries are
+        interned, so ``fn`` of a value is found by the entry's identity."""
+        images = {}
+        out = []
+        for a in self.data:
+            image = images.get(id(a))
+            if image is None:
+                image = images[id(a)] = fn(a)
+            out.append(image)
+        return Matrix(self.rows, self.cols, out)
 
     def evaluate(self, points: PointSet, sized: bool = False) -> list[CMatrix]:
         """The numeric matrix at each point, each entry evaluated over the
@@ -182,18 +196,24 @@ def max_abs_at_points(values, points: PointSet) -> tuple[list[float], bool]:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    # zero is one interned object, so an identity test finds it
-    bcols = [b.data[j :: b.cols] for j in range(b.cols)]
+    # zero is one interned object, so an identity test finds it.  Each
+    # nonzero a[i, k] meets only the nonzero entries of b's row k, and k
+    # ascends, so every entry sums its products in ascending k
+    m, n = a.cols, b.cols
+    brows = [[] for _ in range(b.rows)]
+    for idx, x in enumerate(b.data):
+        if x is not ZERO:
+            brows[idx // n].append((idx % n, x))
     out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for bcol in bcols:
-            s = ZERO
-            for aik, bkj in zip(arow, bcol):
-                if aik is not ZERO and bkj is not ZERO:
-                    s = s + aik * bkj
-            out.append(s)
-    return Matrix(a.rows, b.cols, out)
+    for start in range(0, a.rows * m, m):
+        acc = [ZERO] * n
+        for aik, brow in zip(a.data[start : start + m], brows):
+            if aik is not ZERO:
+                for j, bkj in brow:
+                    s = acc[j]
+                    acc[j] = aik * bkj if s is ZERO else s + aik * bkj
+        out += acc
+    return Matrix(a.rows, n, out)
 
 
 def anticommutator(a: Matrix, b: Matrix) -> Matrix:

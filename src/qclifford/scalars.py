@@ -3,11 +3,17 @@
 The scalar ring is built in layers:
 
 * ``GaussRational`` -- Gaussian rationals (x + y i)/d held as three ints
-  in lowest terms, so the arithmetic never touches ``Fraction``;
-* ``HalfLaurent`` -- Laurent polynomials in t = q^(1/2) with Gaussian
-  rational coefficients (the exponent k stands for q^(k/2));
+  in lowest terms, so the arithmetic never touches ``Fraction``; it is the
+  type of a coefficient where one enters or leaves the tower;
+* ``HalfLaurent`` -- Laurent polynomials in t = q^(1/2) over the Gaussian
+  rationals (the exponent k stands for q^(k/2)), each held as its
+  canonical form: a tuple of ``(k, x, y, d)`` ints, one per term
+  (x + y i)/d * t^k, by ascending k, each coefficient in lowest terms with
+  d > 0.  Sums, products and divisions work on these ints, one gcd per
+  coefficient, and make no ``GaussRational``;
 * ``LaurentFrac`` -- the fraction field of ``HalfLaurent``, reduced to a
   unique canonical form (monic denominator of valuation zero, gcd one);
+  its key is the pair of its parts' int tuples;
 * ``RadicalScalar`` -- finite sums of fraction-coefficient terms, each
   carrying a set of canonical fractions under formal square roots.
 
@@ -40,11 +46,13 @@ Each operation does only the work its result needs:
 * ``RadicalScalar.constant`` reads the table at the constant's key and
   builds the tower only for a value with no live scalar;
 * ``HalfLaurent.one()``/``zero()`` and ``LaurentFrac.one()``/``zero()`` are
-  shared objects, so ``is_one`` mostly decides by identity, and a
-  ``LaurentFrac`` builds its key once;
+  shared objects, so ``is_one`` mostly decides by identity;
 * a product of two one-term scalars with a radical-free factor skips the
-  radicand merge, and a product of two monomial fractions over
-  denominator 1 is one coefficient product.
+  radicand merge; a product with a monomial polynomial is one coefficient
+  product per term, and a product of two monomial fractions over
+  denominator 1 is one coefficient product;
+* a difference ``a - a``, and a sum of a scalar and its memoized
+  negation, is ``ZERO`` with no arithmetic.
 
 A numeric evaluation covers a whole point set at once.  Each polynomial,
 fraction and scalar keeps the values of the last set it was evaluated over,
@@ -131,7 +139,8 @@ def _gauss(x: int, y: int, d: int) -> "GaussRational":
 
 def _lowest(x: int, y: int, d: int) -> "GaussRational":
     """(x + y i)/d brought to lowest terms (d > 0); builds the result in
-    line, as ``_gauss`` does, because every sum and product runs it."""
+    line, as ``_gauss`` does, because every ``GaussRational`` sum and
+    product runs it."""
     if d != 1:
         g = _int_gcd(x, y, d)
         if g != 1:
@@ -139,6 +148,23 @@ def _lowest(x: int, y: int, d: int) -> "GaussRational":
     out = _new(GaussRational)
     out.x, out.y, out.d = x, y, d
     return out
+
+
+def _reduce(x: int, y: int, d: int) -> tuple[int, int, int]:
+    """(x + y i)/d (d > 0) in lowest terms, as its three ints."""
+    if d != 1:
+        g = _int_gcd(x, y, d)
+        if g != 1:
+            return x // g, y // g, d // g
+    return x, y, d
+
+
+def _inverse(x: int, y: int, d: int) -> tuple[int, int, int]:
+    """The inverse of a nonzero (x + y i)/d in lowest terms."""
+    if y:
+        return _reduce(d * x, -d * y, x * x + y * y)
+    # d/x is in lowest terms already: gcd(x, d) = 1
+    return (d, 0, x) if x > 0 else (-d, 0, -x)
 
 
 def _part(n: int, d: int):
@@ -192,15 +218,9 @@ class GaussRational:
         return _lowest(x * u - y * v, x * v + y * u, self.d * other.d)
 
     def inverse(self) -> "GaussRational":
-        x, y, d = self.x, self.y, self.d
-        if y:
-            return _lowest(d * x, -d * y, x * x + y * y)
-        if not x:
+        if not self.x and not self.y:
             raise NotInvertible("division by zero")
-        if d == 1 and x in (1, -1):
-            return self
-        # d/x is in lowest terms already: gcd(x, d) = 1
-        return _gauss(d if x > 0 else -d, 0, abs(x))
+        return _gauss(*_inverse(self.x, self.y, self.d))
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         return self * other.inverse()
@@ -235,7 +255,6 @@ class GaussRational:
 
 
 GR_ZERO = GaussRational(0)
-GR_ONE = GaussRational(1)
 
 
 class PointSet:
@@ -270,24 +289,129 @@ class PointSet:
         return p
 
 
+# The helpers below take and give the canonical terms of polynomials
+# (see ``HalfLaurent``).
+
+
+def _shift(terms: tuple, k: int) -> tuple:
+    """The terms of t^k * p."""
+    return tuple([(e + k, x, y, d) for e, x, y, d in terms]) if k else terms
+
+
+def _times(terms: tuple, j: int, x: int, y: int, d: int) -> tuple:
+    """The terms of (x + y i)/d * t^j * p for a nonzero coefficient: no
+    product vanishes and the order stays, so each term is one product and
+    one gcd."""
+    if x == d == 1 and not y:
+        return _shift(terms, j)
+    out = []
+    for k, u, v, e in terms:
+        a, b, c = x * u - y * v, x * v + y * u, d * e
+        if c != 1:
+            g = _int_gcd(a, b, c)
+            if g != 1:
+                a, b, c = a // g, b // g, c // g
+        out.append((k + j, a, b, c))
+    return tuple(out)
+
+
+def _plus(a: tuple, b: tuple) -> tuple:
+    """The terms of p + q, merged by exponent."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        s, t = a[i], b[j]
+        if s[0] < t[0]:
+            out.append(s)
+            i += 1
+        elif t[0] < s[0]:
+            out.append(t)
+            j += 1
+        else:
+            k, x, y, d = s
+            _, u, v, e = t
+            if d == e:
+                x, y = x + u, y + v
+            else:
+                x, y, d = x * e + u * d, y * e + v * d, d * e
+            if x or y:
+                if d != 1:
+                    g = _int_gcd(x, y, d)
+                    if g != 1:
+                        x, y, d = x // g, y // g, d // g
+                out.append((k, x, y, d))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def _canonical(acc: dict) -> tuple:
+    """The terms of a dict from exponent to an (x, y, d) with d > 0, each
+    brought to lowest terms, zeros dropped."""
+    out = []
+    for k in sorted(acc):
+        x, y, d = acc[k]
+        if x or y:
+            out.append((k, *_reduce(x, y, d)))
+    return tuple(out)
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The terms of p * q: each coefficient is summed over a common
+    denominator and brought to lowest terms once."""
+    acc = {}
+    for j, x, y, d in a:
+        for k, u, v, e in b:
+            s, r, c = x * u - y * v, x * v + y * u, d * e
+            k += j
+            old = acc.get(k)
+            if old is not None:
+                m, n, f = old
+                if f == c:
+                    s, r = s + m, r + n
+                else:
+                    s, r, c = s * f + m * c, r * f + n * c, c * f
+            acc[k] = s, r, c
+    return _canonical(acc)
+
+
+def _derivative(terms: tuple) -> tuple:
+    return tuple([(k - 1, *_reduce(k * x, k * y, d)) for k, x, y, d in terms if k])
+
+
+def _scaled(p: "HalfLaurent", j: int, x: int, y: int, d: int) -> "HalfLaurent":
+    """(x + y i)/d * t^j * p for a nonzero coefficient: p itself when that
+    is 1, so the parts that several fractions share are evaluated once."""
+    terms = _times(p.terms, j, x, y, d)
+    return p if terms is p.terms else HalfLaurent._of(terms)
+
+
 class HalfLaurent:
-    """Laurent polynomial in t = q^(1/2); exponent k means q^(k/2)."""
+    """Laurent polynomial in t = q^(1/2); exponent k means q^(k/2).
 
-    __slots__ = ("coeffs", "_key", "_at", "_values")
+    ``terms`` is the canonical form: ``(k, x, y, d)`` ints, one per term
+    (x + y i)/d * t^k, by ascending k, each coefficient in lowest terms with
+    d > 0.  It is also ``key()``.  Nothing may mutate it."""
 
-    def __init__(self, coeffs=None):
-        if coeffs is None:
-            coeffs = {}
-        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-        self._key = None
+    __slots__ = ("terms", "_at", "_values")
+
+    def __init__(self, coeffs: dict | None = None):
+        """From a dict of exponents to ``GaussRational`` coefficients."""
+        self.terms = tuple(sorted((k, c.x, c.y, c.d) for k, c in (coeffs or {}).items() if c.x or c.y))
         self._at = None
 
     @staticmethod
-    def _nonzero(coeffs: dict) -> "HalfLaurent":
-        """Wrap ``coeffs`` as is; the caller guarantees it holds no zero."""
+    def _of(terms: tuple) -> "HalfLaurent":
+        """Wrap canonical ``terms`` as they are."""
         out = _new(HalfLaurent)
-        out.coeffs = coeffs
-        out._key = None
+        out.terms = terms
         out._at = None
         return out
 
@@ -301,43 +425,38 @@ class HalfLaurent:
 
     @staticmethod
     def t_power(k: int) -> "HalfLaurent":
-        return HalfLaurent({k: GR_ONE})
+        return HalfLaurent._of(((k, 1, 0, 1),))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def is_one(self) -> bool:
-        if self is _HL_ONE:
-            return True
-        c = self.coeffs.get(0)
-        return c is not None and len(self.coeffs) == 1 and c.x == 1 and not c.y and c.d == 1
+        return self.terms == _ONE_TERMS
 
     def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
-        if not self.coeffs:
+        if not self.terms:
             return other
-        if not other.coeffs:
+        if not other.terms:
             return self
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            accumulate(out, k, c)
-        return HalfLaurent._nonzero(out)
+        return HalfLaurent._of(_plus(self.terms, other.terms))
 
     def __neg__(self) -> "HalfLaurent":
-        return HalfLaurent._nonzero({k: -c for k, c in self.coeffs.items()})
+        return HalfLaurent._of(tuple([(k, -x, -y, d) for k, x, y, d in self.terms]))
 
     def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
         return self + (-other)
 
     def __mul__(self, other: "HalfLaurent") -> "HalfLaurent":
-        if self.is_one():
+        a, b = self.terms, other.terms
+        if a == _ONE_TERMS:
             return other
-        if other.is_one():
+        if b == _ONE_TERMS:
             return self
-        out: dict[int, GaussRational] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                accumulate(out, k1 + k2, c1 * c2)
-        return HalfLaurent._nonzero(out)
+        if len(b) < len(a):
+            a, b = b, a
+        if len(a) == 1:
+            return HalfLaurent._of(_times(b, *a[0]))
+        return HalfLaurent._of(_product(a, b)) if a else _HL_ZERO
 
     def __pow__(self, n: int) -> "HalfLaurent":
         if n < 0:
@@ -351,48 +470,15 @@ class HalfLaurent:
             n >>= 1
         return out
 
-    def scale(self, c: GaussRational) -> "HalfLaurent":
-        if c.is_zero():
-            return HalfLaurent.zero()
-        if c.x == 1 and not c.y and c.d == 1:
-            return self
-        return HalfLaurent({k: v * c for k, v in self.coeffs.items()})
-
-    def shifted(self, k: int) -> "HalfLaurent":
-        if k == 0:
-            return self
-        return HalfLaurent({e + k: c for e, c in self.coeffs.items()})
-
     def valuation(self) -> int:
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("valuation of zero")
-        return min(self.coeffs)
+        return self.terms[0][0]
 
     def degree(self) -> int:
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("degree of zero")
-        return max(self.coeffs)
-
-    def lead_coeff(self) -> GaussRational:
-        return self.coeffs[self.degree()]
-
-    def monic_pair(self) -> tuple["HalfLaurent", GaussRational]:
-        """Return (self / lead, lead)."""
-        lead = self.lead_coeff()
-        inv = lead.inverse()
-        return self.scale(inv), lead
-
-    def derivative(self) -> "HalfLaurent":
-        out = {}
-        for k, c in self.coeffs.items():
-            if k != 0:
-                out[k - 1] = c * GaussRational(k)
-        return HalfLaurent(out)
-
-    def _ordered(self):
-        """(exponent, coefficient) pairs by ascending exponent."""
-        items = self.coeffs.items()
-        return sorted(items) if len(items) > 1 else items
+        return self.terms[-1][0]
 
     def values(self, points: PointSet) -> list[complex]:
         """The value at each point: from 0j, ``c * t**k`` added term by term
@@ -400,7 +486,7 @@ class HalfLaurent:
         if self._at is points:
             return self._values
         vals = [0j] * len(points)
-        for k, x, y, d in self.key():
+        for k, x, y, d in self.terms:
             c = complex(x / d, y / d)  # int / int rounds correctly
             vals = [v + c * p for v, p in zip(vals, points.powers(k))]
         self._at, self._values = points, vals
@@ -413,41 +499,39 @@ class HalfLaurent:
         if not q:
             raise ZeroBase("q must be nonzero")
         if q == 1:
-            return sum(self.coeffs.values(), GR_ZERO)
+            return sum((_gauss(x, y, d) for _, x, y, d in self.terms), GR_ZERO)
         a, b = q.numerator, q.denominator
         n, d = isqrt(max(a, 0)), isqrt(b)
         square = n * n == a and d * d == b
         if square:
             a, b = n, d  # t = a/b, else t^2 = a/b; each is in lowest terms
         total = GR_ZERO
-        for k, c in self.coeffs.items():
+        for k, x, y, c in self.terms:
             if k % 2 and not square:
                 raise ScalarError("half-integer power of q has no rational value")
             e = k if square else k // 2
             p = _gauss(a ** abs(e), 0, b ** abs(e))
-            total = total + c * (p if e >= 0 else p.inverse())
+            total = total + _gauss(x, y, c) * (p if e >= 0 else p.inverse())
         return total
 
     def key(self) -> tuple:
-        """Canonical form: all-int ``(exponent, x, y, d)`` tuples, one per term
-        (x + y i)/d * t^exponent, by ascending exponent."""
-        if self._key is None:
-            self._key = tuple((k, c.x, c.y, c.d) for k, c in self._ordered())
-        return self._key
+        """Canonical form: ``terms``."""
+        return self.terms
 
     def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, HalfLaurent) and self.coeffs == other.coeffs)
+        return self is other or (isinstance(other, HalfLaurent) and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.terms)
 
     def __repr__(self) -> str:
-        return f"HalfLaurent({self.coeffs!r})"
+        coeffs = ", ".join(f"{k}: {_gauss(x, y, d)!r}" for k, x, y, d in self.terms)
+        return f"HalfLaurent({{{coeffs}}})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
-        return " + ".join(_render_term(c, k) for k, c in self._ordered())
+        return " + ".join(_render_term(_gauss(x, y, d), k) for k, x, y, d in self.terms)
 
 
 def _render_term(c: GaussRational, k: int) -> str:
@@ -466,33 +550,55 @@ def _render_term(c: GaussRational, k: int) -> str:
     return f"{cs}*{qpart}"
 
 
-_HL_ZERO = HalfLaurent()
-_HL_ONE = HalfLaurent({0: GR_ONE})
+_ONE_TERMS = ((0, 1, 0, 1),)
+_HL_ZERO = HalfLaurent._of(())
+_HL_ONE = HalfLaurent._of(_ONE_TERMS)
 
 
-def _poly_divmod(a: HalfLaurent, b: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
-    """Polynomial division for valuation >= 0 operands, b nonzero."""
-    if b.is_zero():
+def _poly_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder terms of polynomial division, for
+    valuation >= 0 operands, b nonzero."""
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(a.coeffs)
-    quo: dict[int, GaussRational] = {}
-    db = b.degree()
-    lb = b.coeffs[db]
-    lb_inv = lb.inverse()
-    while rem and max(rem) >= db:
+    db = b[-1][0]
+    lx, ly, ld = _inverse(*b[-1][1:])
+    rest = b[:-1]
+    rem = {k: (x, y, d) for k, x, y, d in a}
+    quo = []
+    while rem:
         da = max(rem)
-        coef = rem[da] * lb_inv
-        quo[da - db] = coef
-        for k, c in b.coeffs.items():
-            accumulate(rem, k + da - db, -(c * coef))
-    return HalfLaurent._nonzero(quo), HalfLaurent._nonzero(rem)
+        if da < db:
+            break
+        # the leading term cancels exactly; each other term of b is taken away
+        x, y, d = rem.pop(da)
+        cx, cy, cd = _reduce(x * lx - y * ly, x * ly + y * lx, d * ld)
+        quo.append((da - db, cx, cy, cd))
+        for k, u, v, e in rest:
+            k += da - db
+            u, v, e = cx * u - cy * v, cx * v + cy * u, cd * e
+            old = rem.get(k)
+            if old is None:
+                rem[k] = _reduce(-u, -v, e)
+                continue
+            x, y, d = old
+            x, y, d = _reduce(x * e - u * d, y * e - v * d, d * e)
+            if x or y:
+                rem[k] = x, y, d
+            else:
+                del rem[k]
+    return tuple(reversed(quo)), _canonical(rem)
 
 
-def _poly_exact_div(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
+def _exact_div(a: tuple, b: tuple) -> tuple:
     q, r = _poly_divmod(a, b)
-    if not r.is_zero():
+    if r:
         raise ArithmeticError("inexact polynomial division")
     return q
+
+
+def _stripped(terms: tuple) -> tuple:
+    """The terms of p with its valuation moved to 0."""
+    return _shift(terms, -terms[0][0]) if terms else terms
 
 
 def poly_gcd(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
@@ -500,21 +606,14 @@ def poly_gcd(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
 
     Units t^k are ignored: the result always has valuation 0, and a
     monomial operand is such a unit, so it needs no Euclid.  Both operands
-    must be nonzero: a zero one raises ValueError from valuation() unless
-    the other is a monomial.
+    must be nonzero.
     """
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-        return HalfLaurent.one()
-    x = a.shifted(-a.valuation())
-    y = b.shifted(-b.valuation())
-    while not y.is_zero():
-        _, r = _poly_divmod(x, y)
-        x = y
-        if r.is_zero():
-            y = HalfLaurent.zero()
-        else:
-            y = r.shifted(-r.valuation())
-    return x.monic_pair()[0]
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return _HL_ONE
+    x, y = _stripped(a.terms), _stripped(b.terms)
+    while y:
+        x, y = y, _stripped(_poly_divmod(x, y)[1])
+    return HalfLaurent._of(_times(x, 0, *_inverse(*x[-1][1:])))
 
 
 def squarefree_split(p: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
@@ -523,46 +622,43 @@ def squarefree_split(p: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
     Both factors come back monic; works over any characteristic-0 field.
     """
     if p.degree() == 0:
-        return HalfLaurent.one(), HalfLaurent.one()
-    g = poly_gcd(p, p.derivative())
+        return _HL_ONE, _HL_ONE
+    g = poly_gcd(p, HalfLaurent._of(_derivative(p.terms)))
     if g.degree() == 0:
-        return HalfLaurent.one(), p
-    w = _poly_exact_div(p, g)
+        return _HL_ONE, p
+    w = _exact_div(p.terms, g.terms)
     sg, fg = squarefree_split(g)
-    f = _poly_exact_div(w, fg)
-    s = sg * fg
-    return s, f
+    return sg * fg, HalfLaurent._of(_exact_div(w, fg.terms))
 
 
 def _cancel(p: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
     """p / g for a monic valuation-0 g dividing p's valuation-stripped part."""
     if g.is_one():
         return p
-    v = p.valuation()
-    return _poly_exact_div(p.shifted(-v), g).shifted(v)
+    v = p.terms[0][0]
+    return HalfLaurent._of(_shift(_exact_div(_shift(p.terms, -v), g.terms), v))
 
 
 def _monic_den(num: HalfLaurent, den: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
     """Rescale num/den so that den is monic with valuation 0 (den nonzero)."""
-    vd = den.valuation()
-    inv = den.lead_coeff().inverse()
-    if len(den.coeffs) == 1:
-        return num.shifted(-vd).scale(inv), _HL_ONE
-    return num.shifted(-vd).scale(inv), den.shifted(-vd).scale(inv)
+    d = den.terms
+    vd = -d[0][0]
+    x, y, e = _inverse(*d[-1][1:])
+    return _scaled(num, vd, x, y, e), (_HL_ONE if len(d) == 1 else _scaled(den, vd, x, y, e))
 
 
 class LaurentFrac:
     """Reduced quotient of half-Laurent polynomials.
 
     Canonical form: denominator monic with valuation 0 and coprime to the
-    valuation-stripped numerator, so equal values compare equal.
+    valuation-stripped numerator, so equal values compare equal.  ``key()``
+    is the pair of the two parts' terms.
     """
 
-    __slots__ = ("num", "den", "_key", "_at", "_values")
+    __slots__ = ("num", "den", "_hash", "_at", "_values")
 
     def __init__(self, num: HalfLaurent, den: HalfLaurent | None = None):
-        self._key = None
-        self._at = None
+        self._hash = self._at = None
         if den is None or den.is_one():
             self.num = num
             self.den = _HL_ONE
@@ -586,8 +682,7 @@ class LaurentFrac:
         out = _new(LaurentFrac)
         out.num = num
         out.den = den
-        out._key = None
-        out._at = None
+        out._hash = out._at = None
         return out
 
     @staticmethod
@@ -599,32 +694,32 @@ class LaurentFrac:
         return _LF_ONE
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
+        return self.num.terms == _ONE_TERMS and self.den.terms == _ONE_TERMS
 
     def __add__(self, other: "LaurentFrac") -> "LaurentFrac":
         # Henrici: only a factor both denominators share can cancel
         a, b, c, d = self.num, self.den, other.num, other.den
-        if not a.coeffs:
+        if not a.terms:
             return other
-        if not c.coeffs:
+        if not c.terms:
             return self
-        if b.is_one():
+        if b.terms == _ONE_TERMS:
             return LaurentFrac._reduced(a * d + c, d)
-        if d.is_one():
+        if d.terms == _ONE_TERMS:
             return LaurentFrac._reduced(a + c * b, b)
         if b == d:
             g = b
-            b1 = d1 = HalfLaurent.one()
+            b1 = d1 = _HL_ONE
         else:
             g = poly_gcd(b, d)
             if g.is_one():
                 return LaurentFrac._reduced(a * d + c * b, b * d)
             b1, d1 = _cancel(b, g), _cancel(d, g)
         t = a * d1 + c * b1
-        if not t.coeffs:
+        if not t.terms:
             return _LF_ZERO
         g2 = poly_gcd(t, g)
         return LaurentFrac._reduced(_cancel(t, g2), b1 * _cancel(d, g2))
@@ -641,12 +736,17 @@ class LaurentFrac:
         if other.is_one():
             return self
         a, b, c, d = self.num, self.den, other.num, other.den
-        if not a.coeffs or not c.coeffs:
+        if not a.terms or not c.terms:
             return _LF_ZERO
-        if len(a.coeffs) == 1 and len(c.coeffs) == 1 and b.is_one() and d.is_one():
+        if len(a.terms) == 1 == len(c.terms) and b.terms == _ONE_TERMS == d.terms:
             # two monomials: one coefficient product, nothing to cancel
-            ((j, x),), ((k, y),) = a.coeffs.items(), c.coeffs.items()
-            return LaurentFrac._reduced(HalfLaurent._nonzero({j + k: x * y}), _HL_ONE)
+            ((j, x, y, e),), ((k, u, v, f),) = a.terms, c.terms
+            x, y, e = x * u - y * v, x * v + y * u, e * f
+            if e != 1:
+                g = _int_gcd(x, y, e)
+                if g != 1:
+                    x, y, e = x // g, y // g, e // g
+            return LaurentFrac._reduced(HalfLaurent._of(((j + k, x, y, e),)), _HL_ONE)
         # Henrici: cross-cancel each numerator against the other denominator
         if not d.is_one():
             g = poly_gcd(a, d)
@@ -685,10 +785,7 @@ class LaurentFrac:
         return self.num.at(q) / d
 
     def key(self) -> tuple:
-        key = self._key
-        if key is None:
-            key = self._key = (self.num.key(), self.den.key())
-        return key
+        return self.num.terms, self.den.terms
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -698,7 +795,10 @@ class LaurentFrac:
         )
 
     def __hash__(self):
-        return hash(self.key())
+        # a radicand is hashed in every dict of terms that it keys
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"LaurentFrac({self.num!r}, {self.den!r})"
@@ -713,12 +813,13 @@ _LF_ZERO = LaurentFrac(_HL_ZERO)
 _LF_ONE = LaurentFrac(_HL_ONE)
 
 
-def _split_gauss_square(c: GaussRational) -> tuple[GaussRational, GaussRational]:
-    """Write c = s^2 * c0 with s a positive rational; extraction is maximal
-    over positive rational squares, so the result is canonical."""
+def _split_gauss_square(x: int, y: int, d: int) -> tuple[tuple, tuple]:
+    """Write (x + y i)/d = s^2 * c0 with s a positive rational, both as
+    (x, y, d) ints; extraction is maximal over positive rational squares, so
+    the result is canonical."""
     # c = (g/d) * (x + y i)/g with g = gcd(x, y), and g/d is in lowest terms
-    sg, sd = _square_part(_int_gcd(c.x, c.y)), _square_part(c.d)
-    return _gauss(sg, 0, sd), _gauss(c.x // (sg * sg), c.y // (sg * sg), c.d // (sd * sd))
+    sg, sd = _square_part(_int_gcd(x, y)), _square_part(d)
+    return (sg, 0, sd), (x // (sg * sg), y // (sg * sg), d // (sd * sd))
 
 
 def _split_radical(r: LaurentFrac) -> tuple[LaurentFrac, LaurentFrac | None]:
@@ -737,16 +838,14 @@ def _split_radical(r: LaurentFrac) -> tuple[LaurentFrac, LaurentFrac | None]:
         return LaurentFrac.zero(), None
     v = r.num.valuation()
     a, b = divmod(v, 2)
-    num0 = r.num.shifted(-v)
-    pm, clead = num0.monic_pair()
-    s_num, f_num = squarefree_split(pm)
-    s_rat, c0 = _split_gauss_square(clead)
+    lead = r.num.terms[-1][1:]
+    s_num, f_num = squarefree_split(_scaled(r.num, -v, *_inverse(*lead)))
+    s_rat, c0 = _split_gauss_square(*lead)
     # den = s_den^2 * f_den: the square part moves outside, the squarefree
     # part stays under the root (sqrt(x/f) = sqrt(x f)/f is not branch-safe).
     s_den, f_den = squarefree_split(r.den)
-    inside = LaurentFrac(f_num.scale(c0).shifted(b), f_den)
-    out_num = s_num.scale(s_rat).shifted(a)
-    outside = LaurentFrac(out_num, s_den)
+    inside = LaurentFrac(_scaled(f_num, b, *c0), f_den)
+    outside = LaurentFrac(_scaled(s_num, a, *s_rat), s_den)
     if inside.is_one():
         return outside, None
     return outside, inside
@@ -783,8 +882,11 @@ class RadicalScalar:
         The key is built first and the table read before anything else is:
         a scalar is made only for a value that has no live one.
         """
-        if len(terms) < 2:
-            key = tuple([(tuple([r.key() for r in k]) if k else (), c.key()) for k, c in terms.items()])
+        if len(terms) == 1:
+            ((k, c),) = terms.items()
+            key = ((tuple([r.key() for r in k]) if k else (), (c.num.terms, c.den.terms)),)
+        elif not terms:
+            key = ()
         else:
             # radicand tuples differ term by term, so the sort never
             # compares the radicands or coefficients themselves
@@ -800,7 +902,8 @@ class RadicalScalar:
         out.terms = terms
         out._key = key
         out._at = None
-        _INTERN[key] = weakref.KeyedRef(out, _forget, key)
+        entry = _INTERN[key] = _Entry(out, _forget)
+        entry.key = key
         return out
 
     def __reduce__(self):
@@ -836,12 +939,12 @@ class RadicalScalar:
             c = GaussRational(c)
         if not c.x and not c.y:
             return ZERO
-        entry = _INTERN.get((((), (((0, c.x, c.y, c.d),), _ONE_KEY)),))
+        entry = _INTERN.get((((), (((0, c.x, c.y, c.d),), _ONE_TERMS)),))
         if entry is not None:
             out = entry()
             if out is not None:
                 return out
-        return RadicalScalar._nonzero({(): LaurentFrac._reduced(HalfLaurent._nonzero({0: c}), _HL_ONE)})
+        return RadicalScalar._nonzero({(): LaurentFrac._reduced(HalfLaurent._of(((0, c.x, c.y, c.d),)), _HL_ONE)})
 
     @staticmethod
     def t_power(k: int) -> "RadicalScalar":
@@ -887,6 +990,8 @@ class RadicalScalar:
         entry = _MEMO.get(key)
         if entry is not None:
             return entry[2]
+        if _negation_of(self) is other or _negation_of(other) is self:
+            return ZERO
         return _remember(key, op, self, other)
 
     __radd__ = __add__
@@ -913,6 +1018,8 @@ class RadicalScalar:
             return self
         if not self.terms:
             return -other
+        if self is other:
+            return ZERO
         return _memo(RadicalScalar._sub, self, other)
 
     def __rsub__(self, other):
@@ -1110,7 +1217,7 @@ class RadicalScalar:
                 elif cs == "-1":
                     parts.append(f"-{roots}")
                 else:
-                    body = cs if coeff.den.is_one() and len(coeff.num.coeffs) == 1 else f"({cs})"
+                    body = cs if coeff.den.is_one() and len(coeff.num.terms) == 1 else f"({cs})"
                     parts.append(f"{body}*{roots}")
             else:
                 parts.append(cs)
@@ -1123,16 +1230,21 @@ class RadicalScalar:
 _INTERN: dict = {}
 
 
-def _forget(entry: weakref.KeyedRef, table: dict = _INTERN) -> None:
+class _Entry(weakref.ref):
+    """A weak reference that knows its key in the table; unlike
+    ``weakref.KeyedRef`` it is built with no Python-level constructor."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry, table: dict = _INTERN) -> None:
     """Drop the entry of a scalar that has gone, unless a newer scalar took
     its key already.  The table is bound here, so the callback still finds
     it while the interpreter shuts down."""
-    if table.get(entry.key) is entry:
-        del table[entry.key]
+    held = table.pop(entry.key, None)
+    if held is not entry and held is not None:
+        table[entry.key] = held
 
-
-# the key of the denominator 1, shared by the key of every constant
-_ONE_KEY = _HL_ONE.key()
 
 # Results of every RadicalScalar operation, keyed on the operation and the
 # identity of each operand, shared between callers (nothing mutates a scalar
@@ -1167,6 +1279,13 @@ def _remember(key: tuple, op, a: RadicalScalar, b: RadicalScalar | None) -> Radi
         _MEMO_OLD, _MEMO = _MEMO, {}
     _MEMO[key] = entry
     return entry[2]
+
+
+def _negation_of(a: RadicalScalar) -> RadicalScalar | None:
+    """``-a`` if either generation of the memo holds it, else None."""
+    key = (RadicalScalar._neg, id(a), id(None))
+    entry = _MEMO.get(key) or _MEMO_OLD.get(key)
+    return entry[2] if entry is not None else None
 
 
 def _coerce(x) -> RadicalScalar:

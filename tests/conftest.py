@@ -46,7 +46,7 @@ def random_fraction_scalar(rng: random.Random) -> RadicalScalar:
     num = random_halflaurent(rng)
     if rng.random() < 0.3:
         den = HalfLaurent({0: GaussRational(1), 2: random_gauss(rng)})
-        if den.is_zero() or len(den.coeffs) < 2:
+        if den.is_zero() or len(den.terms) < 2:
             den = HalfLaurent({0: GaussRational(1)})
         return RadicalScalar.from_frac(LaurentFrac(num, den))
     return RadicalScalar.from_frac(LaurentFrac(num))

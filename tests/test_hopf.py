@@ -7,6 +7,7 @@ from itertools import chain
 import pytest
 
 from conftest import env_importing_this_qclifford
+from qclifford import hopf
 from qclifford.hopf import (
     AntipodeMissing,
     AxiomResult,
@@ -481,12 +482,12 @@ class TestCoassociativityByConcatenation:
             shifted = {tuple(x + g for x in w): c for w, c in p.terms.items()}
             right_images[g + i] = NCPolynomial(shifted)
         for w in chain([()], h.rs.iter_words(3)):
-            terms = h.terms(NCPolynomial.word(w))
+            d = h.delta(NCPolynomial.word(w))
+            terms = h.terms(d)
             for term in terms:
                 [left], right = _coassociativity_sides(h, [term])
                 for side in (left, right):
                     assert t3.normal_form(side) == side, (w, term)
-            d = h.delta(NCPolynomial.word(w))
             [left], right = _coassociativity_sides(h, terms)
             assert left == apply_morphism(d, left_images, t3), w
             assert right == apply_morphism(d, right_images, t3), w
@@ -616,6 +617,39 @@ class TestPremiseRows:
         assert chq2.antipode != full.antipode
 
 
+class TestGeneratorDeltas:
+    def test_delta_of_each_generator_is_extended_once_per_coproduct(self, monkeypatch):
+        h = build_ch2()
+        h.rs.derived.clear()
+        h.t2  # the tensor square is built before counting
+        extended = []
+
+        def counting(p, images, target):
+            if images is h.coproduct and [len(w) for w in p.terms] == [1]:
+                extended.append(p)
+            return extend(p, images, target)
+
+        def tables():
+            return [key for key in h.rs.derived if key[:2] == ("Delta", "generators")]
+
+        monkeypatch.setattr(hopf, "extend", counting)
+        laws = (check_coassociativity, check_counit, check_antipode)
+        for law in laws:
+            assert law(h).ok
+        # a generator is extended by the table and by a premise rule whose
+        # right-hand side is one letter, and never again
+        assert h.rs.size <= len(extended) <= 2 * h.rs.size
+        first = len(extended)
+        for law in laws:
+            assert law(h).ok
+        assert len(extended) == first and len(tables()) == 1
+        # another coproduct, compared by content, gets its own table
+        primitive = _primitive_g1_ch2()
+        h.coproduct = primitive.coproduct
+        assert check_coassociativity(h) == check_coassociativity(primitive)
+        assert len(tables()) == 2
+
+
 class TestSharedUnit:
     def test_unit_is_one_shared_polynomial(self):
         assert NCPolynomial.unit() is NCPolynomial.unit()
@@ -677,8 +711,10 @@ def test_hopf_exact_run_decides_each_premise_once():
     # the whole process.  One tensor square per presentation (ch2, chq2 and
     # the group toy) and no cube: the coassociativity sides are built by
     # concatenation, and the counit sides are sums of normal words.  The run
-    # takes 903 normal forms.  With the cube built and the counit laws
-    # extended into the algebra, it built 6 tensor powers and took 1,076;
+    # takes 802 normal forms and 477 structure-map applications; with Delta
+    # of each generator extended anew for every law, 903 and 578.  With the
+    # cube built and the counit laws extended into the algebra, it built 6
+    # tensor powers and took 1,076;
     # with every system and premise row also rebuilt per algebra and per
     # law, 11 and 2,960, and 1,598 structure-map applications.
     proc = subprocess.run(

@@ -19,7 +19,7 @@ from qclifford.linalg import (
 )
 from qclifford.presentations import su2_action_report
 from qclifford.qgamma import ALL_CONVENTIONS
-from qclifford.scalars import GaussRational, NotInvertible, PointSet, RadicalScalar, qinv, qvar, sqrt
+from qclifford.scalars import ZERO, GaussRational, NotInvertible, PointSet, RadicalScalar, qinv, qvar, sqrt
 from qclifford.suites import _seeded_irreps
 
 
@@ -61,6 +61,11 @@ def random_matrix(rng, rows, cols):
     return Matrix(rows, cols, [random_light_scalar(rng) for _ in range(rows * cols)])
 
 
+def sparse_matrix(rng, rows, cols):
+    """About half the entries ZERO, the rest small random scalars."""
+    return Matrix(rows, cols, [random_light_scalar(rng) if rng.random() < 0.5 else ZERO for _ in range(rows * cols)])
+
+
 class TestMatmul:
     def test_pauli_product(self):
         s1, s2, s3 = pauli_matrices()
@@ -76,6 +81,28 @@ class TestMatmul:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeMismatch):
             matmul(Matrix.identity(2), Matrix.identity(3))
+
+    def test_zero_skipping_kernels_equal_the_dense_formulas(self):
+        # the kernels pass zero entries through; the dense formulas visit
+        # every entry and every k
+        rng = random.Random(5)
+        for _ in range(100):
+            a, c = sparse_matrix(rng, 3, 4), sparse_matrix(rng, 3, 4)
+            b = sparse_matrix(rng, 4, 2)
+            s = rng.choice([ZERO, RadicalScalar.one(), random_light_scalar(rng)])
+            dot = [sum((a[i, k] * b[k, j] for k in range(4)), ZERO) for i in range(3) for j in range(2)]
+            assert matmul(a, b).data == tuple(dot)
+            assert (a + c).data == tuple(x + y for x, y in zip(a.data, c.data))
+            assert (a - c).data == tuple(x - y for x, y in zip(a.data, c.data))
+            assert a.scale(s).data == tuple(s * x for x in a.data)
+
+    def test_map_calls_its_function_once_per_distinct_entry(self):
+        q = qvar()
+        m = Matrix(2, 3, [q, ZERO, q, qinv(), ZERO, q])
+        calls = []
+        image = m.map(lambda s: calls.append(s) or s.at(2))
+        assert calls == [q, ZERO, qinv()]
+        assert image.data == tuple(s.at(2) for s in m.data)
 
     def test_associativity_on_200_random_triples(self):
         rng = random.Random(4)

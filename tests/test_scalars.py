@@ -50,7 +50,7 @@ class TestAddition:
     def test_big_q_stays_two_terms(self):
         Q = q_plus_qinv()
         assert Q == qvar() + qinv()
-        assert len(Q.as_fraction().num.coeffs) == 2
+        assert len(Q.as_fraction().num.terms) == 2
 
     def test_like_radical_terms_collect(self):
         s = sqrt(q_plus_qinv())
@@ -267,7 +267,8 @@ class TestMemo:
         p2 = HalfLaurent({2: GaussRational(-1), 0: GaussRational(3), -2: GaussRational(1)})
         first = RadicalScalar.from_frac(LaurentFrac(p1))
         second = RadicalScalar.from_frac(LaurentFrac(p2))
-        assert list(p1.coeffs) != list(p2.coeffs)
+        # the dicts list their terms in other orders; the terms are canonical
+        assert p1.terms == p2.terms
         assert first == second and first.key() == second.key()
         _clear_memo()
         product = first * b
@@ -343,6 +344,19 @@ class TestMemo:
         builds = _count_interned_builds(monkeypatch)
         assert x.inverse() is first
         assert builds == []
+
+    def test_a_difference_with_itself_and_a_sum_with_the_negation_compute_nothing(self, monkeypatch):
+        a = sqrt(q_plus_qinv()) + qvar()
+        _clear_memo()
+        minus_a = -a
+        calls = []
+        monkeypatch.setattr(RadicalScalar, "_add", _counted(RadicalScalar._add, calls))
+        monkeypatch.setattr(RadicalScalar, "_sub", _counted(RadicalScalar._sub, calls))
+        assert a - a is ZERO
+        assert a + minus_a is ZERO and minus_a + a is ZERO
+        assert calls == []
+        # a sum with a scalar that is not the negation is computed
+        assert a + a is RadicalScalar._add(a, a) and len(calls) == 2
 
     def test_a_difference_interns_exactly_one_scalar(self, monkeypatch):
         _clear_memo()
@@ -880,6 +894,44 @@ def test_interned_keys_hold_only_ints(capsys):
     assert kinds == {int}
 
 
+def _term_faults(p: HalfLaurent) -> list:
+    """Where ``p.terms`` is not canonical: exponents that do not strictly
+    ascend, and terms that are not four ints (k, x, y, d) with d > 0,
+    (x, y) != 0 and gcd(x, y, d) = 1."""
+    faults = []
+    if type(p.terms) is not tuple or [t[0] for t in p.terms] != sorted({t[0] for t in p.terms}):
+        faults.append(("order", p.terms))
+    for term in p.terms:
+        ints = type(term) is tuple and len(term) == 4 and all(type(v) is int for v in term)
+        if not ints or term[3] <= 0 or not (term[1] or term[2]) or math.gcd(*term[1:]) != 1:
+            faults.append(("term", term))
+    return faults
+
+
+def test_every_polynomial_holds_canonical_terms(capsys, monkeypatch):
+    # over every exact check (the glq2 sweep, the Hopf checkers, the exact
+    # solves and inverses): each polynomial the arithmetic builds, judged as
+    # it is built, and each one still live at the end; capsys keeps the
+    # report off the test output
+    from qclifford.cli import main
+
+    built, faults = [0], []
+    wrap = HalfLaurent.__dict__["_of"].__func__
+
+    def judged(terms):
+        p = wrap(terms)
+        built[0] += 1
+        faults.extend(_term_faults(p))
+        return p
+
+    monkeypatch.setattr(HalfLaurent, "_of", staticmethod(judged))
+    assert main(["verify", "--suite", "all", "--mode", "exact"]) == 0
+    live = [x for x in gc.get_objects() if type(x) is HalfLaurent]
+    assert built[0] > 10000 and len(live) > 100
+    assert faults == []
+    assert [fault for p in live for fault in _term_faults(p)] == []
+
+
 @st.composite
 def reduced_fractions(draw):
     num = draw(half_laurents())
@@ -924,13 +976,13 @@ class TestHenriciCost:
         total = a + b
         assert len(calls) <= 1
         for operand in (p for call in calls for p in call):
-            assert len(operand.coeffs) <= len(den.coeffs) and operand.degree() <= den.degree()
+            assert len(operand.terms) <= len(den.terms) and operand.degree() <= den.degree()
         assert total.key() == LaurentFrac(HalfLaurent({0: GaussRational(1), 1: GaussRational(1)}), den).key()
 
     def test_canonical_denominator_inverts_its_leading_coefficient_once(self, monkeypatch):
         calls = []
-        inverse = GaussRational.inverse
-        monkeypatch.setattr(GaussRational, "inverse", lambda c: calls.append(c) or inverse(c))
+        inverse = scalars._inverse
+        monkeypatch.setattr(scalars, "_inverse", lambda *c: calls.append(c) or inverse(*c))
         half = LaurentFrac(HalfLaurent.one(), HalfLaurent({0: GaussRational(2)}))
         assert len(calls) == 1
         third = LaurentFrac(HalfLaurent({0: GaussRational(3)})).inverse()
