@@ -383,33 +383,17 @@ def affine_irrep_numeric(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Su2ActionReport:
-    """Computed values for every claim about the mapped Pauli generators."""
-
-    convention: ActionConvention
-    level: int
-    alpha: list[Matrix]  # images of sigma_1, sigma_2; sigma_3 maps to itself
-    residuals: dict[str, Matrix]
-
-
-@cache
-def _identity_and_four() -> tuple[Matrix, Matrix]:
-    """I and 4 I, the 2x2 constants every su(2) action report compares with."""
-    ident = Matrix.identity(2)
-    return ident, ident.scale(4)
-
-
 def su2_action_report(
     irrep: CH2Irrep, level: int, conv: ActionConvention, products: dict | None = None
-) -> Su2ActionReport:
-    """Build the mapped generators and evaluate the claimed relations.
+) -> dict[str, Matrix]:
+    """Build the mapped generators and evaluate the claimed relations, as
+    the residual matrix of each claim by name.
 
     Claims evaluated (none asserted): squares of the mapped sigma_1 and
     sigma_2 vanish; the mapped sigma_3 squares to one; the mixed bracket
     with sigma_3 vanishes; brackets among the first two equal 4.
     ``products`` maps a pair of matrices to their product; a product it
-    holds is read, and a new one is entered, so reports that share the
+    holds is read, and a new one is entered, so calls that share the
     table share their products.  A pair is keyed by the identities of its
     entries, which interning makes equal for equal matrices, and its entry
     holds both matrices, so those identities stay taken while it lives.
@@ -437,8 +421,9 @@ def su2_action_report(
         for mu in range(2):
             a = a + paulis[mu].scale(coeffs[mu][nu])
         alpha.append(a)
-    ident, four = _identity_and_four()
-    residuals = {
+    ident = Matrix.identity(2)
+    four = ident.scale(4)
+    return {
         "alpha1_squared": mul(alpha[0], alpha[0]),
         "alpha2_squared": mul(alpha[1], alpha[1]),
         "alpha3_squared_minus_1": mul(s3, s3) - ident,
@@ -448,20 +433,6 @@ def su2_action_report(
         "anticomm_12_minus_4": anticomm(alpha[0], alpha[1]) - four,
         "anticomm_22_minus_4": anticomm(alpha[1], alpha[1]) - four,
     }
-    return Su2ActionReport(conv, level, alpha, residuals)
-
-
-def su2_action_reports(
-    irrep: CH2Irrep, level: int, convs
-) -> dict[ActionConvention, Su2ActionReport]:
-    """``su2_action_report`` of each of ``convs`` at one (irrep, level).
-
-    The reports share one table of products: for the antidiagonal irrep
-    matrices the conventions map (sigma_1, sigma_2) to (A, B), (B, A),
-    (0, A) and (0, B), so most products repeat between them.
-    """
-    products: dict = {}
-    return {conv: su2_action_report(irrep, level, conv, products) for conv in convs}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ transcribed target rather than asserted.
 The bare relation, with the braiding left as 256 unknowns, is one set of
 linear systems over the generic-q field (``BareSystem``); it is decided
 exactly there and at q = 1, and the exact generic solution is the
-certificate a float cross-check evaluates.
+certificate a float cross-check evaluates.  The same systems give the
+relation's residual for any given braiding, the flip (``FLIP``) among them.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ def action_coefficients(m: Matrix, conv: ActionConvention) -> list[RadicalScalar
 
 @dataclass
 class DeformedMetricResult:
-    convention: ActionConvention
     matrix: Matrix
     # max-entry of the non-scalar deviation of each anticommutator; all of
     # these are exactly zero when the image matrices are genuine vectors.
@@ -196,7 +196,7 @@ def deformed_metric(gs: QGammaSet, conv: ActionConvention) -> DeformedMetricResu
             entries.append(ident_coeff * (RadicalScalar.constant(1) / RadicalScalar.constant(2)))
             if not (ac - Matrix.identity(4).scale(ident_coeff)).is_zero():
                 deviation_zero = False
-    return DeformedMetricResult(conv, Matrix(4, 4, entries), deviation_zero)
+    return DeformedMetricResult(Matrix(4, 4, entries), deviation_zero)
 
 
 def deformed_metric_blade_oracle(gs: QGammaSet, conv: ActionConvention) -> Matrix:
@@ -244,23 +244,9 @@ def deformed_metric_target() -> Matrix:
     )
 
 
-def bare_relation_flip_residuals(gs: QGammaSet, qm: QMetric) -> dict[tuple[int, int], Matrix]:
-    """Residuals of the defining relation with the braiding replaced by a flip.
-
-    residual(mu, nu) = g_mu g_nu + q g_nu g_mu - q^{-1} Q (C^{-1})_{mu nu} I.
-    """
-    q = qvar()
-    Q = q_plus_qinv()
-    prefactor = qinv() * Q
-    ident = Matrix.identity(4)
-    out = {}
-    ms = gs.matrices
-    for mu in range(4):
-        for nu in range(4):
-            lhs = matmul(ms[mu], ms[nu]) + matmul(ms[nu], ms[mu]).scale(q)
-            rhs = ident.scale(prefactor * qm.c_inverse[mu, nu])
-            out[(mu, nu)] = lhs - rhs
-    return out
+# the braiding that flips each pair: row (a, b) is row (b, a) of the identity,
+# so its residual is the relation with R replaced by the flip
+FLIP = Matrix.from_rows([Matrix.identity(16).row(4 * b + a) for a in range(4) for b in range(4)])
 
 
 @dataclass
@@ -286,6 +272,11 @@ class BareSystem:
 
     coeff: Matrix
     targets: Matrix
+
+    def residual(self, braiding: Matrix) -> Matrix:
+        """A x - b of every system, x the system's row of ``braiding``: row
+        (mu, nu) is that pair's residual matrix, flattened row-major."""
+        return matmul(braiding, self.coeff.transpose()) - self.targets
 
     def at(self, q) -> "BareSystem":
         """The same systems with every entry evaluated exactly at q."""

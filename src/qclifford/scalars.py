@@ -137,19 +137,6 @@ def _gauss(x: int, y: int, d: int) -> "GaussRational":
     return out
 
 
-def _lowest(x: int, y: int, d: int) -> "GaussRational":
-    """(x + y i)/d brought to lowest terms (d > 0); builds the result in
-    line, as ``_gauss`` does, because every ``GaussRational`` sum and
-    product runs it."""
-    if d != 1:
-        g = _int_gcd(x, y, d)
-        if g != 1:
-            x, y, d = x // g, y // g, d // g
-    out = _new(GaussRational)
-    out.x, out.y, out.d = x, y, d
-    return out
-
-
 def _reduce(x: int, y: int, d: int) -> tuple[int, int, int]:
     """(x + y i)/d (d > 0) in lowest terms, as its three ints."""
     if d != 1:
@@ -202,8 +189,8 @@ class GaussRational:
     def __add__(self, other: "GaussRational") -> "GaussRational":
         d, e = self.d, other.d
         if d == e:
-            return _lowest(self.x + other.x, self.y + other.y, d)
-        return _lowest(self.x * e + other.x * d, self.y * e + other.y * d, d * e)
+            return _gauss(*_reduce(self.x + other.x, self.y + other.y, d))
+        return _gauss(*_reduce(self.x * e + other.x * d, self.y * e + other.y * d, d * e))
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
         return self + -other
@@ -213,9 +200,9 @@ class GaussRational:
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
         if not self.y and not other.y:
-            return _lowest(self.x * other.x, 0, self.d * other.d)
+            return _gauss(*_reduce(self.x * other.x, 0, self.d * other.d))
         x, y, u, v = self.x, self.y, other.x, other.y
-        return _lowest(x * u - y * v, x * v + y * u, self.d * other.d)
+        return _gauss(*_reduce(x * u - y * v, x * v + y * u, self.d * other.d))
 
     def inverse(self) -> "GaussRational":
         if not self.x and not self.y:

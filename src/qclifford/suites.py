@@ -150,6 +150,11 @@ class RunContext:
         return qgamma.build_metric()
 
     @cached_property
+    def bare_system(self) -> qgamma.BareSystem:
+        """The bare relation's systems, which both bare-relation checks read."""
+        return qgamma.bare_relation_system(self.gammas, self.metric)
+
+    @cached_property
     def glq2(self) -> hopf.HopfData:
         return presentations.build_glq2()
 
@@ -195,14 +200,21 @@ class RunContext:
 
     @cached_property
     def su2_actions(self) -> list[dict]:
-        """The su(2) action reports of every requested convention, one table
-        per (irrep, level) for the first five ``irreps`` at levels 0 and 1;
-        the reports of one table share their matrix products."""
-        return [
-            presentations.su2_action_reports(irrep, level, self.conventions)
-            for _, irrep, _ in self.irreps[:5]
-            for level in (0, 1)
-        ]
+        """The su(2) action residuals of every requested convention for the
+        first five ``irreps`` at levels 0 and 1, one dict per (irrep, level),
+        whose conventions share one table of products: they map (sigma_1,
+        sigma_2) to (A, B), (B, A), (0, A) and (0, B), so most repeat."""
+        out = []
+        for _, irrep, _ in self.irreps[:5]:
+            for level in (0, 1):
+                products: dict = {}
+                out.append(
+                    {
+                        conv: presentations.su2_action_report(irrep, level, conv, products)
+                        for conv in self.conventions
+                    }
+                )
+        return out
 
     def measure(self, values, points=None) -> float:
         """Largest |v(q)| over the scalars ``values`` at the measure points,
@@ -398,7 +410,8 @@ def _qgamma_plus_sq(ctx: RunContext) -> CheckReport:
     gs = ctx.gammas
     sq = matmul(gs.gamma_plus, gs.gamma_plus)
     ok = sq.is_zero()
-    return _pass_fail(ok, residual="0" if ok else format_float(ctx.measure(sq.data)))
+    worst = "0" if ok else format_float(ctx.measure(sq.data))
+    return _pass_fail(ok, residual=worst, q_values=[] if ok else ctx.q_values_field)
 
 
 @_check(
@@ -477,13 +490,14 @@ def _qgamma_dm_oracle(ctx: RunContext) -> CheckReport:
     "defining-relation residuals with the braiding replaced by the flip",
 )
 def _qgamma_flip(ctx: RunContext) -> CheckReport:
-    residuals = qgamma.bare_relation_flip_residuals(ctx.gammas, ctx.metric)
-    worst = ctx.measure(s for key in sorted(residuals) for s in residuals[key].data)
-    zero_pairs = sum(m.is_zero() for m in residuals.values())
-    anchor = residuals[(1, 1)].map(lambda s: s.at(1))
+    # row (mu, nu) is that pair's residual matrix; row 5 is pair (+, +)
+    residual = ctx.bare_system.residual(qgamma.FLIP)
+    worst = ctx.measure(residual.data)
+    zero_pairs = sum(all(s.is_zero() for s in residual.row(p)) for p in range(residual.rows))
+    anchor = Matrix(4, 4, residual.row(5)).map(lambda s: s.at(1))
     return _report(
         format_float(worst),
-        mismatch=zero_pairs < len(residuals),
+        mismatch=zero_pairs < residual.rows,
         witness=f"residual(+,+) at q=1: {anchor}",
         q_values=ctx.q_values_field,
         details={"pairs_exactly_zero": zero_pairs},
@@ -495,7 +509,7 @@ def _qgamma_flip(ctx: RunContext) -> CheckReport:
     "solvability of the defining relation for unknown braiding coefficients",
 )
 def _qgamma_solve(ctx: RunContext) -> CheckReport:
-    system = qgamma.bare_relation_system(ctx.gammas, ctx.metric)
+    system = ctx.bare_system
     exact = system.at(1).solve()
     generic = system.solve()
     checked = []
@@ -508,7 +522,7 @@ def _qgamma_solve(ctx: RunContext) -> CheckReport:
         format_float(worst),
         mismatch=not (exact.solvable and generic.solvable and all(sample_flags)),
         witness="solvable exactly at q=1" if exact.solvable else str(exact.infeasible_pairs),
-        q_values=ctx.oracle_q_values,
+        q_values=ctx.oracle_q_values if checked else [],
         details={
             "exact_q1_solvable": exact.solvable,
             "generic_q_solvable": generic.solvable,
@@ -847,7 +861,7 @@ def _su2_check(conv: qgamma.ActionConvention) -> None:
         conv,
     )
     def fn(ctx: RunContext) -> CheckReport:
-        residuals = [reports[conv].residuals for reports in ctx.su2_actions]
+        residuals = [tables[conv] for tables in ctx.su2_actions]
         worst = ctx.measure(s for res in residuals for name in sorted(res) for s in res[name].data)
         claims_zero = sorted(n for n in residuals[0] if all(res[n].is_zero() for res in residuals))
         return _report(

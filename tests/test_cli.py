@@ -711,8 +711,9 @@ class TestBoundedReads:
 
 class TestGoldenReport:
     # byte oracles for refactors: each file is the output of `qclifford verify
-    # <args> --format json` and changes only with the report; the two `both`
-    # rows also pin the sampled float residuals
+    # <args> --format json` at seed 7, unless its args name another seed, and
+    # changes only with the report; the `both` rows also pin the sampled
+    # float residuals
     GOLDENS = {
         "hopf_exact_seed7.json": ["--suite", "ch2", "--suite", "chq2", "--mode", "exact"],
         "matrix_exact_seed7.json": [
@@ -735,13 +736,19 @@ class TestGoldenReport:
             "--suite", "qgamma", "--suite", "chq2",
             "--convention", "fixed_col_0", "--convention", "row_sum", "--mode", "exact",
         ],
+        # the only golden drawn at another seed, at the default sample count
+        "both_seed11.json": [
+            "--suite", "clifford", "--suite", "qgamma", "--suite", "ch2", "--suite", "chq2",
+            "--suite", "fierz", "--mode", "both", "--seed", "11",
+        ],
     }
 
     @pytest.mark.parametrize("golden_name", list(GOLDENS))
     def test_report_matches_golden(self, tmp_path, golden_name):
         golden = pathlib.Path(__file__).parent / "data" / golden_name
         args = self.GOLDENS[golden_name]
-        code, payload = run_verify(tmp_path, "r.json", [*args, "--seed", "7"])
+        # a later --seed overrides the earlier one
+        code, payload = run_verify(tmp_path, "r.json", ["--seed", "7", *args])
         assert code == 0
         assert payload == golden.read_bytes()
 
@@ -1108,7 +1115,8 @@ class TestMeasure:
     @pytest.mark.parametrize("mode", ["exact", "both"])
     def test_equals_the_per_matrix_loop(self, mode):
         ctx = RunContext(mode=mode, seed=7)
-        flip = list(qgamma.bare_relation_flip_residuals(ctx.gammas, ctx.metric).values())
+        residual = ctx.bare_system.residual(qgamma.FLIP)
+        flip = [Matrix(4, 4, residual.row(p)) for p in range(residual.rows)]
         cross = [
             m for _, _, rep in ctx.irreps[:5] for m in rep.cross_level_anticommutators.values()
         ]

@@ -190,9 +190,9 @@ class TestSu2Action:
         irrep = build_affine_irrep(p)
         for conv in ALL_CONVENTIONS:
             rep = su2_action_report(irrep, 0, conv)
-            assert rep.residuals["alpha3_squared_minus_1"].is_zero()
-            assert rep.residuals["anticomm_alpha1_sigma3"].is_zero()
-            assert rep.residuals["anticomm_alpha2_sigma3"].is_zero()
+            assert rep["alpha3_squared_minus_1"].is_zero()
+            assert rep["anticomm_alpha1_sigma3"].is_zero()
+            assert rep["anticomm_alpha2_sigma3"].is_zero()
 
     def test_column_sum_square_matches_hand_expansion(self):
         # (alpha_sigma1)^2 = z^2 (px^2 - py^2) I for the column-sum extraction
@@ -203,15 +203,14 @@ class TestSu2Action:
         lam_y = RadicalScalar.constant(Fraction(1, 3)) - RadicalScalar.constant(3)
         denom = qvar() - qinv()
         expect = Matrix.identity(2).scale((lam_x - lam_y) / denom)
-        assert rep.residuals["alpha1_squared"] == expect
+        assert rep["alpha1_squared"] == expect
 
     def test_report_values_are_deterministic(self):
         p = IrrepParams(GaussRational(1), GaussRational(2), GaussRational(3))
         irrep = build_affine_irrep(p)
         r1 = su2_action_report(irrep, 1, ActionConvention.ROW_SUM)
         r2 = su2_action_report(irrep, 1, ActionConvention.ROW_SUM)
-        for key in r1.residuals:
-            assert r1.residuals[key] == r2.residuals[key]
+        assert r1 == r2
 
 
 class TestAdjointAction:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import pytest
 
@@ -6,8 +7,8 @@ from qclifford import qgamma
 from qclifford.linalg import Matrix, matmul, max_abs_at_points
 from qclifford.qgamma import (
     ALL_CONVENTIONS,
+    FLIP,
     ActionConvention,
-    bare_relation_flip_residuals,
     bare_relation_system,
     build_metric,
     build_q_gammas,
@@ -121,6 +122,18 @@ class TestExactIdentities:
     def test_gamma_plus_squares_to_zero(self, gs):
         assert matmul(gs.gamma_plus, gs.gamma_plus).is_zero()
 
+    @pytest.mark.parametrize("mode", ["exact", "both"])
+    def test_a_failing_square_names_the_points_it_measured(self, gs, mode):
+        (check,) = [c for c in registry() if c.check_id == "qgamma.gamma_plus_square_zero"]
+        ctx = RunContext(mode=mode, seed=7)
+        assert check.fn(ctx).q_values == []
+        # gamma0 squares to a nonzero matrix, so the check measures it
+        ctx.gammas = dataclasses.replace(gs, gamma_plus=gs.gamma0)
+        report = check.fn(ctx)
+        assert report.status == "fail" and float(report.residual_max) > 0.0
+        assert report.q_values == ctx.q_values_field
+        assert len(report.q_values) == (0 if mode == "exact" else ctx.q_samples)
+
     def test_metric_inverse_is_exact(self, qm):
         assert matmul(qm.c, qm.c_inverse) == Matrix.identity(4)
 
@@ -187,13 +200,35 @@ class TestDeformedMetric:
             assert str(d1) == str(d2)
 
 
+def _is_the_flip_relation(residual: Matrix, gs, qm) -> bool:
+    """Whether row (mu, nu) of ``residual`` is, for every pair,
+    g_mu g_nu + q g_nu g_mu - q^{-1} Q (C^{-1})_{mu nu} I, built here from
+    the gammas and the metric alone."""
+    ms = gs.matrices
+    prefactor = qinv() * q_plus_qinv()
+    for mu in range(4):
+        for nu in range(4):
+            lhs = matmul(ms[mu], ms[nu]) + matmul(ms[nu], ms[mu]).scale(qvar())
+            rhs = Matrix.identity(4).scale(prefactor * qm.c_inverse[mu, nu])
+            if Matrix(4, 4, residual.row(4 * mu + nu)) != lhs - rhs:
+                return False
+    return True
+
+
 class TestBareRelation:
+    def test_flip_residual_is_the_relation_with_the_flip_for_every_pair(self, gs, qm):
+        system = bare_relation_system(gs, qm)
+        assert _is_the_flip_relation(system.residual(FLIP), gs, qm)
+        # the identity braiding pairs g_mu g_nu with q g_mu g_nu instead
+        assert not _is_the_flip_relation(system.residual(Matrix.identity(16)), gs, qm)
+
     def test_flip_residual_plus_plus_at_q1_matches_oracle(self, gs, qm, np):
         # oracle: 2 (gamma+)^2 - 2 C^{-1}[+,+] I at q = 1, computed in floats
         oracle = oracle_gammas(1.0)
         cinv = np.linalg.inv(oracle_metric(1.0))
         expected = 2 * oracle[1] @ oracle[1] - 2 * cinv[1, 1] * np.eye(4)
-        residual = bare_relation_flip_residuals(gs, qm)[(1, 1)]
+        # row 5 is the pair (+, +)
+        residual = Matrix(4, 4, bare_relation_system(gs, qm).residual(FLIP).row(5))
         got = residual.map(lambda s: s.at(1)).evaluate(PointSet([2.0]))[0]
         assert np.max(np.abs(got - expected)) < 1e-12
         # and in this case the residual is exactly zero
@@ -209,8 +244,8 @@ class TestBareRelation:
         assert report.mismatch
 
     def test_flip_residuals_deterministic(self, gs, qm):
-        r1 = bare_relation_flip_residuals(gs, qm)
-        r2 = bare_relation_flip_residuals(gs, qm)
+        r1 = bare_relation_system(gs, qm).residual(FLIP)
+        r2 = bare_relation_system(gs, qm).residual(FLIP)
         assert r1 == r2
 
     def test_exact_witness_satisfies_the_system(self, gs, qm):
@@ -238,6 +273,13 @@ class TestBareRelation:
         assert matmul(system.coeff, generic.witness.transpose()) == system.targets.transpose()
         assert system.coeff.rank() == 8
 
+    def test_each_solution_leaves_a_zero_residual(self, gs, qm):
+        # the certificates, read through the method the flip check reads
+        system = bare_relation_system(gs, qm)
+        s1 = system.at(1)
+        assert system.residual(system.solve().witness).is_zero()
+        assert s1.residual(s1.solve().witness).is_zero()
+
     def test_exact_solve_at_q1_is_one_elimination(self, monkeypatch):
         # the check decides all 16 systems by one elimination per field:
         # q = 1, then generic q
@@ -264,3 +306,6 @@ class TestBareRelation:
         assert report.details["exact_q1_solvable"]
         assert not report.details["generic_q_solvable"]
         assert report.mismatch
+        # no certificate, so no float was evaluated and no point is named
+        assert report.details["samples_solvable"] == []
+        assert report.q_values == []
