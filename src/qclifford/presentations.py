@@ -246,22 +246,11 @@ class IrrepParams:
 
 @dataclass(frozen=True)
 class CH2Irrep:
-    """The five representation matrices plus the weight values per level."""
+    """The five representation matrices by name, ``x0``, ``y0``, ``x1``,
+    ``y1`` (axis and level) and ``g3``, plus the weight values per level."""
 
     params: IrrepParams
-    gamma_x0: Matrix
-    gamma_y0: Matrix
-    gamma_x1: Matrix
-    gamma_y1: Matrix
-    gamma_3: Matrix
-
-    def gamma(self, level: int, axis: str) -> Matrix:
-        return {
-            (0, "x"): self.gamma_x0,
-            (0, "y"): self.gamma_y0,
-            (1, "x"): self.gamma_x1,
-            (1, "y"): self.gamma_y1,
-        }[(level, axis)]
+    gammas: dict[str, Matrix]
 
     def weight(self, level: int, axis: str) -> GaussRational:
         """The value of q^{E} for the given level and axis."""
@@ -273,33 +262,22 @@ class CH2Irrep:
         return q_bracket_of(RadicalScalar.constant(self.weight(level, axis)))
 
 
-def _flip_matrix(upper, lower) -> Matrix:
-    z = RadicalScalar.zero()
-    return Matrix.from_rows([[z, upper], [lower, z]])
-
-
 def build_affine_irrep(params: IrrepParams) -> CH2Irrep:
-    """Construct the representation matrices exactly, symbolic in q."""
-    z_val = RadicalScalar.constant(params.z)
-    z_inv = RadicalScalar.constant(params.z.inverse())
+    """Construct the representation matrices exactly, symbolic in q: at
+    level l, with u = z^(2l - 1), x flips (u, 1/u) and y flips (-i u, i/u),
+    each scaled by the square root of its bracket."""
+    zero = RadicalScalar.zero()
     i_unit = RadicalScalar.constant(GaussRational(0, 1))
-    lx = RadicalScalar.constant(params.lambda_x)
-    lxi = RadicalScalar.constant(params.lambda_x.inverse())
-    ly = RadicalScalar.constant(params.lambda_y)
-    lyi = RadicalScalar.constant(params.lambda_y.inverse())
-    denom_inv = q_minus_qinv_inverse()
-
-    pre_x0 = sqrt((lxi - lx) * denom_inv)
-    pre_y0 = sqrt((lyi - ly) * denom_inv)
-    pre_x1 = sqrt((lx - lxi) * denom_inv)
-    pre_y1 = sqrt((ly - lyi) * denom_inv)
-
-    gamma_x0 = _flip_matrix(z_inv, z_val).scale(pre_x0)
-    gamma_y0 = _flip_matrix(-(i_unit * z_inv), i_unit * z_val).scale(pre_y0)
-    gamma_x1 = _flip_matrix(z_val, z_inv).scale(pre_x1)
-    gamma_y1 = _flip_matrix(-(i_unit * z_val), i_unit * z_inv).scale(pre_y1)
-    gamma_3 = Matrix.from_rows([[1, 0], [0, -1]])
-    return CH2Irrep(params, gamma_x0, gamma_y0, gamma_x1, gamma_y1, gamma_3)
+    gammas: dict[str, Matrix] = {}
+    irrep = CH2Irrep(params, gammas)
+    for level in (0, 1):
+        u = RadicalScalar.constant(params.z.inverse() if level == 0 else params.z)
+        flips = {"x": (u, u.inverse()), "y": (-(i_unit * u), i_unit * u.inverse())}
+        for axis, (upper, lower) in flips.items():
+            flip = Matrix.from_rows([[zero, upper], [lower, zero]])
+            gammas[f"{axis}{level}"] = flip.scale(sqrt(irrep.bracket(level, axis)))
+    gammas["g3"] = Matrix.from_rows([[1, 0], [0, -1]])
+    return irrep
 
 
 @dataclass
@@ -314,12 +292,12 @@ class IrrepRelationReport:
     @cached_property
     def cross_level_anticommutators(self) -> dict[tuple[str, str], Matrix]:
         """Anticommutators mixing the two levels, built on first read."""
-        g = self.irrep.gamma
+        g = self.irrep.gammas
         return {
-            ("x", "y"): anticommutator(g(0, "x"), g(1, "y")),
-            ("y", "x"): anticommutator(g(0, "y"), g(1, "x")),
-            ("x", "x"): anticommutator(g(0, "x"), g(1, "x")),
-            ("y", "y"): anticommutator(g(0, "y"), g(1, "y")),
+            ("x", "y"): anticommutator(g["x0"], g["y1"]),
+            ("y", "x"): anticommutator(g["y0"], g["x1"]),
+            ("x", "x"): anticommutator(g["x0"], g["x1"]),
+            ("y", "y"): anticommutator(g["y0"], g["y1"]),
         }
 
     def all_pass(self) -> bool:
@@ -336,19 +314,19 @@ def verify_irrep_relations(irrep: CH2Irrep) -> IrrepRelationReport:
     relations are only required level by level.
     """
     ident = Matrix.identity(2)
+    gammas = irrep.gammas
+    g3 = gammas["g3"]
     squares = {}
     anticomms = {}
     for level in (0, 1):
         for axis in ("x", "y"):
-            g = irrep.gamma(level, axis)
+            g = gammas[f"{axis}{level}"]
             squares[(level, axis)] = matmul(g, g) - ident.scale(
                 irrep.bracket(level, axis)
             )
-            anticomms[(level, axis, "3")] = anticommutator(g, irrep.gamma_3)
-        anticomms[(level, "x", "y")] = anticommutator(
-            irrep.gamma(level, "x"), irrep.gamma(level, "y")
-        )
-    g3sq = matmul(irrep.gamma_3, irrep.gamma_3) - ident
+            anticomms[(level, axis, "3")] = anticommutator(g, g3)
+        anticomms[(level, "x", "y")] = anticommutator(gammas[f"x{level}"], gammas[f"y{level}"])
+    g3sq = matmul(g3, g3) - ident
     return IrrepRelationReport(irrep, squares, anticomms, g3sq)
 
 
@@ -413,7 +391,7 @@ def su2_action_report(
 
     s1, s2, s3 = pauli_matrices()
     paulis = (s1, s2)
-    mats = (irrep.gamma(level, "x"), irrep.gamma(level, "y"))
+    mats = (irrep.gammas[f"x{level}"], irrep.gammas[f"y{level}"])
     coeffs = [action_coefficients(m, conv) for m in mats]
     alpha = []
     for nu in range(2):

@@ -135,30 +135,15 @@ ALL_CONVENTIONS = (
 
 
 def action_coefficients(m: Matrix, conv: ActionConvention) -> list[RadicalScalar]:
-    """Coefficient vector c_nu extracted from one matrix per convention."""
-    n = m.rows
-    zero = RadicalScalar.zero()
-    if conv is ActionConvention.ROW_SUM:
-        out = []
-        for nu in range(n):
-            s = zero
-            for rho in range(n):
-                s = s + m[nu, rho]
-            out.append(s)
-        return out
-    if conv is ActionConvention.COL_SUM:
-        out = []
-        for nu in range(n):
-            s = zero
-            for rho in range(n):
-                s = s + m[rho, nu]
-            out.append(s)
-        return out
-    if conv is ActionConvention.FIXED_ROW:
-        return [m[0, nu] for nu in range(n)]
-    if conv is ActionConvention.FIXED_COL:
-        return [m[nu, 0] for nu in range(n)]
-    raise ValueError(conv)
+    """Coefficient vector c_nu extracted from one matrix per convention: the
+    sums or the first entries of its rows, or of its columns (the rows of its
+    transpose)."""
+    if conv in (ActionConvention.COL_SUM, ActionConvention.FIXED_COL):
+        m = m.transpose()
+    if conv in (ActionConvention.ROW_SUM, ActionConvention.COL_SUM):
+        zero = RadicalScalar.zero()
+        return [sum(m.row(nu), zero) for nu in range(m.rows)]
+    return list(m.row(0))
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product as _cartesian
 
-from .scalars import RadicalScalar, _coerce, accumulate, deduct
+from .scalars import RadicalScalar, _coerce, accumulate
 
 # most rewrite steps one normal_form call may take before BudgetExceeded
 STEP_BUDGET = 10**6
@@ -87,7 +87,7 @@ class NCPolynomial:
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            deduct(out, w, c)
+            accumulate(out, w, -c)
         return NCPolynomial._nonzero(out)
 
     def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":

@@ -116,17 +116,6 @@ def accumulate(out: dict, key, value) -> None:
         out[key] = s
 
 
-def deduct(out: dict, key, value) -> None:
-    """Subtract ``value`` from ``out[key]``, dropping the key when the
-    difference is zero; ``-value`` is built only for an absent key."""
-    s = out.get(key)
-    s = -value if s is None else s - value
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
-
-
 _new = object.__new__
 
 
@@ -1017,10 +1006,10 @@ class RadicalScalar:
         return other - self
 
     def _sub(self, other: "RadicalScalar") -> "RadicalScalar":
-        """self - other, subtracting term by term so -other is never built."""
+        """self - other, adding the negation of each term of other."""
         out = dict(self.terms)
         for k, c in other.terms.items():
-            deduct(out, k, c)
+            accumulate(out, k, -c)
         return RadicalScalar._nonzero(out) if out else ZERO
 
     def __mul__(self, other):

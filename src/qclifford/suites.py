@@ -182,7 +182,7 @@ class RunContext:
     @cached_property
     def numeric_irreps(self) -> list:
         """The 20 seeded numeric chq2 irreps as ((z, lx, ly, qv), matrices by
-        name); none in exact mode."""
+        name), each entry a ``Sized`` value; none in exact mode."""
         rng = random.Random(self.seed + 13)
         out = []
         for _ in range(0 if self.mode == "exact" else 20):
@@ -190,7 +190,9 @@ class RunContext:
             lx = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
             ly = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
             qv = _draw_q(rng, *self.q_range)
-            out.append(((z, lx, ly, qv), presentations.affine_irrep_numeric(z, lx, ly, qv)))
+            mats = presentations.affine_irrep_numeric(z, lx, ly, qv)
+            sized_mats = {k: [list(map(Sized, row)) for row in m] for k, m in mats.items()}
+            out.append(((z, lx, ly, qv), sized_mats))
         return out
 
     @cached_property
@@ -632,11 +634,10 @@ def _glq2_confluence(ctx: RunContext) -> CheckReport:
     failures = local_confluence_check(ctx.glq2.rs)
     if not failures:
         return _pass_fail(True)
-    witness = "; ".join(f"word {w}" for w in failures[:5])
-    return _report(
-        format_float(len(failures)),
-        mismatch=True,
-        witness=witness,
+    return _pass_fail(
+        False,
+        residual=format_float(len(failures)),
+        witness="; ".join(f"word {w}" for w in failures[:5]),
         details={"failures": len(failures)},
     )
 
@@ -757,11 +758,6 @@ def _seeded_irreps(seed: int, count: int):
     return out
 
 
-def _sized_irrep(mats: dict) -> dict:
-    """A numeric irrep's matrices with every entry a ``Sized`` value."""
-    return {name: [list(map(Sized, row)) for row in m] for name, m in mats.items()}
-
-
 @_check(
     "chq2.irrep_square_law",
     "squares of the level-i matrices equal the q-bracket of the level weight",
@@ -774,7 +770,7 @@ def _chq2_square_law(ctx: RunContext) -> CheckReport:
                 worst_exact = (params, key)
     residuals = []
     for (z, lx, ly, qv), mats in ctx.numeric_irreps:
-        mats, qv = _sized_irrep(mats), Sized(qv)
+        qv = Sized(qv)
         denom = qv - 1.0 / qv
         for level in (0, 1):
             for axis, lval in (("x", Sized(lx)), ("y", Sized(ly))):
@@ -806,7 +802,6 @@ def _chq2_anticomm(ctx: RunContext) -> CheckReport:
             witness = str(params)
     residuals = []
     for _, mats in ctx.numeric_irreps:
-        mats = _sized_irrep(mats)
         for lvl in (0, 1):
             x, y = mats[f"x{lvl}"], mats[f"y{lvl}"]
             for a, b in ((x, y), (x, mats["g3"]), (y, mats["g3"])):
@@ -828,8 +823,8 @@ def _chq2_pinned(ctx: RunContext) -> CheckReport:
         GaussRational(1), GaussRational(2), GaussRational(3)
     )
     irrep = presentations.build_affine_irrep(params)
-    sq_x = matmul(irrep.gamma(0, "x"), irrep.gamma(0, "x"))
-    sq_y = matmul(irrep.gamma(1, "y"), irrep.gamma(1, "y"))
+    sq_x = matmul(irrep.gammas["x0"], irrep.gammas["x0"])
+    sq_y = matmul(irrep.gammas["y1"], irrep.gammas["y1"])
     ok = (
         sq_x[0, 0].at(3) == GaussRational(Fraction(-9, 16))
         and sq_x[1, 1].at(3) == GaussRational(Fraction(-9, 16))

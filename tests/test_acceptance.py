@@ -150,8 +150,8 @@ def test_criterion_4_chq2_irrep_suite(np):
         GaussRational(1), GaussRational(2), GaussRational(3)
     )
     sq = matmul(
-        presentations.build_affine_irrep(pinned).gamma(0, "x"),
-        presentations.build_affine_irrep(pinned).gamma(0, "x"),
+        presentations.build_affine_irrep(pinned).gammas["x0"],
+        presentations.build_affine_irrep(pinned).gammas["x0"],
     )
     pinned_ok = (
         sq[0, 0].at(3) == GaussRational(Fraction(-9, 16))

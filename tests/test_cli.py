@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -26,6 +27,7 @@ from qclifford.report import (
     write_atomic,
 )
 from qclifford.linalg import Matrix, max_abs_at_points
+from qclifford.rewrite import NCPolynomial, RewriteSystem
 from qclifford.scalars import PointSet, RadicalScalar, qvar, sqrt
 from qclifford.suites import REFERENCE_SAMPLES, RunContext, _seeded_irreps, registry
 
@@ -104,6 +106,20 @@ class TestExitCodes:
         assert code == 1
         doc = json.loads(payload)
         assert doc["summary"]["fail"] == 1
+
+    def test_a_glq2_overlap_that_does_not_rejoin_fails(self):
+        # the control a21 a12 -> q a12 a21 breaks the overlaps a22 a21 a11
+        # and a22 a12 a11; the check claims confluence, so it fails
+        glq2 = presentations.build_glq2()
+        rules = dict(glq2.rs.rules)
+        rules[(2, 1)] = NCPolynomial.word((1, 2), qvar())
+        ctx = RunContext(mode="exact", seed=7)
+        ctx.glq2 = dataclasses.replace(glq2, rs=RewriteSystem(presentations.GL_NAMES, rules))
+        report = _check_fn("glq2.local_confluence_len4")(ctx)
+        assert report.status == "fail"
+        assert report.witness == "word (3, 1, 0); word (3, 2, 0)"
+        assert report.residual_max == "2.0" and report.details == {"failures": 2}
+        assert suites_mod.exit_code([report], False) == 1
 
     def test_strict_mode_fails_on_target_mismatch(self, tmp_path):
         # the deformed-metric comparison mismatches under every convention
@@ -735,6 +751,12 @@ class TestGoldenReport:
         "conventions_exact_seed7.json": [
             "--suite", "qgamma", "--suite", "chq2",
             "--convention", "fixed_col_0", "--convention", "row_sum", "--mode", "exact",
+        ],
+        # seed 7 at the default sample count; glq2 reads no mode, and
+        # all_exact_seed7.json holds it
+        "both_seed7.json": [
+            "--suite", "clifford", "--suite", "qgamma", "--suite", "ch2", "--suite", "chq2",
+            "--suite", "fierz", "--mode", "both",
         ],
         # the only golden drawn at another seed, at the default sample count
         "both_seed11.json": [

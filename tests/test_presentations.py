@@ -29,7 +29,9 @@ from qclifford.scalars import (
     q_bracket_of,
     qinv,
     qvar,
+    sqrt,
 )
+from qclifford.suites import _seeded_irreps
 
 
 class TestQuantumMatrixPresentation:
@@ -92,15 +94,15 @@ class TestAffineIrrep:
     def test_grading_matrix_display(self):
         p = IrrepParams(GaussRational(1), GaussRational(2), GaussRational(3))
         irrep = build_affine_irrep(p)
-        assert irrep.gamma_3 == Matrix.from_rows([[1, 0], [0, -1]])
+        assert irrep.gammas["g3"] == Matrix.from_rows([[1, 0], [0, -1]])
 
     def test_unit_prefactor_reduces_to_plain_flip(self):
         # lambda chosen so (lambda^{-1} - lambda)/(q - q^{-1}) == 1 at q == lambda^{-1}:
         # instead verify the z-structure alone with prefactor squared equal to
-        # the bracket: entries of gamma_x0 with z = 1 are prefactor times the flip
+        # the bracket: entries of gammas["x0"] with z = 1 are prefactor times the flip
         p = IrrepParams(GaussRational(1), GaussRational(2), GaussRational(3))
         irrep = build_affine_irrep(p)
-        m = irrep.gamma_x0
+        m = irrep.gammas["x0"]
         assert m[0, 0].is_zero() and m[1, 1].is_zero()
         assert m[0, 1] == m[1, 0]  # z = z^{-1} = 1
 
@@ -110,7 +112,7 @@ class TestAffineIrrep:
         assert oracle == Fraction(-9, 16)
         p = IrrepParams(GaussRational(1), GaussRational(2), GaussRational(3))
         irrep = build_affine_irrep(p)
-        sq = matmul(irrep.gamma(0, "x"), irrep.gamma(0, "x"))
+        sq = matmul(irrep.gammas["x0"], irrep.gammas["x0"])
         assert sq[0, 0].at(3) == GaussRational(oracle)
         assert sq[1, 1].at(3) == GaussRational(oracle)
         assert sq[0, 1].is_zero() and sq[1, 0].is_zero()
@@ -121,8 +123,33 @@ class TestAffineIrrep:
         assert oracle == Fraction(16, 9)
         p = IrrepParams(GaussRational(1), GaussRational(2), GaussRational(3))
         irrep = build_affine_irrep(p)
-        sq = matmul(irrep.gamma(1, "y"), irrep.gamma(1, "y"))
+        sq = matmul(irrep.gammas["y1"], irrep.gammas["y1"])
         assert sq[0, 0].at(2) == GaussRational(oracle)
+
+    def test_matrices_are_the_prefactor_construction(self):
+        # the construction written out: the flips of z^(-1) at level 0 and of z
+        # at level 1, scaled by sqrt((1/lambda - lambda)/(q - 1/q)) at level 0
+        # and by sqrt((lambda - 1/lambda)/(q - 1/q)) at level 1
+        denom_inv = (qvar() - qinv()).inverse()
+        i_unit = RadicalScalar.constant(GaussRational(0, 1))
+
+        def flip(upper, lower, prefactor):
+            zero = RadicalScalar.zero()
+            return Matrix.from_rows([[zero, upper], [lower, zero]]).scale(prefactor)
+
+        for params, irrep, _ in _seeded_irreps(7, 20):
+            z, zi, lx, lxi, ly, lyi = (
+                RadicalScalar.constant(v)
+                for p in (params.z, params.lambda_x, params.lambda_y)
+                for v in (p, p.inverse())
+            )
+            assert irrep.gammas == {
+                "x0": flip(zi, z, sqrt((lxi - lx) * denom_inv)),
+                "y0": flip(-(i_unit * zi), i_unit * z, sqrt((lyi - ly) * denom_inv)),
+                "x1": flip(z, zi, sqrt((lx - lxi) * denom_inv)),
+                "y1": flip(-(i_unit * z), i_unit * zi, sqrt((ly - lyi) * denom_inv)),
+                "g3": Matrix.from_rows([[1, 0], [0, -1]]),
+            }, params
 
     def test_relations_for_twenty_exact_draws(self):
         rng = random.Random(31)
@@ -146,7 +173,7 @@ class TestAffineIrrep:
         irrep = build_affine_irrep(p)
         for level in (0, 1):
             for axis in ("x", "y"):
-                g = irrep.gamma(level, axis)
+                g = irrep.gammas[f"{axis}{level}"]
                 expect = q_bracket_of(RadicalScalar.constant(irrep.weight(level, axis)))
                 assert matmul(g, g) == Matrix.identity(2).scale(expect)
 

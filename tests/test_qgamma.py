@@ -200,6 +200,24 @@ class TestDeformedMetric:
             assert str(d1) == str(d2)
 
 
+class TestActionCoefficients:
+    # entry (i, j) is 2^(4i + j): all 16 differ, and so do all row sums,
+    # column sums, rows and columns
+    M = Matrix(4, 4, [RadicalScalar.constant(2**k) for k in range(16)])
+    FORMULAS = {
+        ActionConvention.ROW_SUM: lambda nu: sum(2 ** (4 * nu + rho) for rho in range(4)),
+        ActionConvention.COL_SUM: lambda nu: sum(2 ** (4 * rho + nu) for rho in range(4)),
+        ActionConvention.FIXED_ROW: lambda nu: 2**nu,
+        ActionConvention.FIXED_COL: lambda nu: 2 ** (4 * nu),
+    }
+
+    @pytest.mark.parametrize("conv", ALL_CONVENTIONS)
+    def test_each_convention_is_its_index_formula(self, conv):
+        # sum_rho m[nu, rho], sum_rho m[rho, nu], m[0, nu] and m[nu, 0]
+        expect = [RadicalScalar.constant(self.FORMULAS[conv](nu)) for nu in range(4)]
+        assert qgamma.action_coefficients(self.M, conv) == expect
+
+
 def _is_the_flip_relation(residual: Matrix, gs, qm) -> bool:
     """Whether row (mu, nu) of ``residual`` is, for every pair,
     g_mu g_nu + q g_nu g_mu - q^{-1} Q (C^{-1})_{mu nu} I, built here from
