@@ -53,3 +53,9 @@ def blade_matrix(blade: tuple[int, ...], gammas: list[Matrix]) -> Matrix:
     for idx in blade:
         out = matmul(out, gammas[idx])
     return out
+
+
+def dirac_image(p: NCPolynomial) -> Matrix:
+    """Image of ``p`` under e_mu -> g_mu: sum c * blade_matrix(w) over its terms."""
+    gammas = dirac_matrices()
+    return sum((blade_matrix(w, gammas).scale(c) for w, c in p.terms.items()), Matrix.zeros(4, 4))

@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .rewrite import NCPolynomial, RewriteSystem, Word
+from .rewrite import NCPolynomial, RewriteSystem, Word, rule_witnesses
 from .scalars import ZERO, RadicalScalar, accumulate
 
 
@@ -166,16 +166,7 @@ def _premise_row(h: HopfData, m: str) -> list[tuple[str, str] | None]:
         "eps": (h.counit, h.counit_of, lambda d: str(d.terms[()])),
         "S": (h.antipode, h.antipode_of, rs.render),
     }[m]
-
-    def build() -> list[tuple[str, str] | None]:
-        row = []
-        for (a, b), rhs in rs.rules.items():
-            diff = image(NCPolynomial.word((a, b))) - image(rhs)
-            label = f"{m}({rs.names[a]}*{rs.names[b]})"
-            row.append(None if diff.is_zero() else (label, render(diff)))
-        return row
-
-    return _once(rs, (m, frozenset(images.items())), build)
+    return _once(rs, (m, frozenset(images.items())), rule_witnesses, rs, image, m, render)
 
 
 def _premise_witnesses(h: HopfData, maps: tuple[str, ...]) -> list[tuple[str, str]]:

@@ -25,7 +25,6 @@ from . import blades, fierz, hopf, presentations, qgamma
 from .linalg import (
     Matrix,
     Sized,
-    anticommutator,
     cadd,
     cidentity,
     cmatmul,
@@ -36,7 +35,7 @@ from .linalg import (
     sized,
 )
 from .report import MODES, STATUS_FAIL, STATUS_PASS, STATUS_REPORT, CheckReport, format_float
-from .rewrite import NCPolynomial, local_confluence_check
+from .rewrite import NCPolynomial, local_confluence_check, rule_witnesses
 from .scalars import GaussRational, PointSet, RadicalScalar
 
 SUITES = ("clifford", "qgamma", "glq2", "ch2", "chq2", "fierz")
@@ -60,6 +59,9 @@ MIN_ADMISSIBLE_SHARE = 0.01
 # size of the evaluation that gave r (``linalg.Sized``): the sum of the
 # absolute values of the terms of its expanded expression
 CROSS_CHECK_TOL = 1e-10
+
+# most witnesses a failing decided check shows
+WITNESSES_SHOWN = 3
 
 
 def _draw_q(rng: random.Random, lo: float, hi: float) -> float:
@@ -155,6 +157,12 @@ class RunContext:
         return qgamma.bare_relation_system(self.gammas, self.metric)
 
     @cached_property
+    def dirac_witnesses(self) -> list[tuple[str, str]]:
+        """The rules of ``blades.CL31`` that e_mu -> gamma_mu does not respect."""
+        row = rule_witnesses(blades.CL31, blades.dirac_image, "rho", str)
+        return [w for w in row if w is not None]
+
+    @cached_property
     def glq2(self) -> hopf.HopfData:
         return presentations.build_glq2()
 
@@ -173,7 +181,8 @@ class RunContext:
 
     @cached_property
     def irreps(self) -> list:
-        """The 20 seeded exact chq2 irreps as (params, irrep, relation residuals).
+        """The relation residuals of the 20 seeded exact chq2 irreps, each
+        holding its irrep, which holds its params.
 
         Checks that use fewer take a prefix: all draws come from one stream.
         """
@@ -207,12 +216,12 @@ class RunContext:
         whose conventions share one table of products: they map (sigma_1,
         sigma_2) to (A, B), (B, A), (0, A) and (0, B), so most repeat."""
         out = []
-        for _, irrep, _ in self.irreps[:5]:
+        for rep in self.irreps[:5]:
             for level in (0, 1):
                 products: dict = {}
                 out.append(
                     {
-                        conv: presentations.su2_action_report(irrep, level, conv, products)
+                        conv: presentations.su2_action_report(rep.irrep, level, conv, products)
                         for conv in self.conventions
                     }
                 )
@@ -277,9 +286,32 @@ def _report(residual, mismatch=False, **kw) -> CheckReport:
     )
 
 
+def _verdict(witnesses: list, **kw) -> CheckReport:
+    """Pass when there is no witness; else fail, showing the first ``WITNESSES_SHOWN``."""
+    return _pass_fail(
+        not witnesses, witness=str(witnesses[:WITNESSES_SHOWN]) if witnesses else None, **kw
+    )
+
+
+def _confluence_report(rs) -> CheckReport:
+    """Pass when every critical overlap of ``rs`` rejoins; else fail with the
+    failure count as residual and the first five overlaps as witness."""
+    failures = local_confluence_check(rs)
+    if not failures:
+        return _pass_fail(True)
+    return _pass_fail(
+        False,
+        residual=format_float(len(failures)),
+        witness="; ".join(f"word {w}" for w in failures[:5]),
+        details={"failures": len(failures)},
+    )
+
+
 # ===========================================================================
 # clifford suite
 # ===========================================================================
+# Decided from CL31's rules, as the Hopf laws are: the Dirac map from its
+# rule witnesses, the blade product from the rules' confluence.
 
 
 @_check(
@@ -287,27 +319,9 @@ def _report(residual, mismatch=False, **kw) -> CheckReport:
     "4x4 matrix generators anticommute to twice the diag(-1,1,1,1) metric",
 )
 def _clifford_anticommutation(ctx: RunContext) -> CheckReport:
-    gam = blades.dirac_matrices()
-    signs = (-1, 1, 1, 1)
-    worst = Matrix.zeros(4, 4)
-    ok = True
-    for mu in range(4):
-        for nu in range(mu, 4):
-            ac = anticommutator(gam[mu], gam[nu])
-            expect = (
-                Matrix.identity(4).scale(2 * signs[mu])
-                if mu == nu
-                else Matrix.zeros(4, 4)
-            )
-            diff = ac - expect
-            if not diff.is_zero():
-                ok = False
-                worst = diff
-    return _pass_fail(
-        ok,
-        witness=None if ok else str(worst),
-        details={"representation": "i times the standard Dirac basis"},
-    )
+    # CL31's rules are exactly gamma_mu^2 = g_mu I and gamma_nu gamma_mu = -gamma_mu gamma_nu
+    details = {"representation": "i times the standard Dirac basis"}
+    return _verdict(ctx.dirac_witnesses, details=details)
 
 
 @_check(
@@ -315,48 +329,19 @@ def _clifford_anticommutation(ctx: RunContext) -> CheckReport:
     "blade products map onto matrix products for all 16 basis blades",
 )
 def _clifford_blades(ctx: RunContext) -> CheckReport:
-    cl = blades.CL31
-    gam = blades.dirac_matrices()
-    images = {b: blades.blade_matrix(b, gam) for b in blades.all_basis_blades(cl)}
-    ok = True
-    witness = None
-    for b1 in images:
-        for b2 in images:
-            prod = cl.multiply(NCPolynomial.word(b1), NCPolynomial.word(b2))
-            expect = Matrix.zeros(4, 4)
-            for bl, c in prod.terms.items():
-                expect = expect + images[bl].scale(c)
-            got = matmul(images[b1], images[b2])
-            if got != expect:
-                ok = False
-                witness = f"blades {b1} * {b2}"
-    return _pass_fail(ok, witness=witness)
+    # each rewrite step keeps a word's matrix product when the map respects
+    # every rule, so a blade product maps onto the product of its factors' images
+    return _verdict(ctx.dirac_witnesses)
 
 
 @_check(
     "clifford.blade_associativity",
-    "blade product is associative on seeded random multivector triples",
+    "blade product is associative on all of Cl(3,1): its critical overlaps rejoin",
 )
 def _clifford_assoc(ctx: RunContext) -> CheckReport:
-    cl = blades.CL31
-    rng = random.Random(ctx.seed + 101)
-    basis = blades.all_basis_blades(cl)
-
-    def rand_mv():
-        mv = NCPolynomial.zero()
-        for _ in range(3):
-            b = basis[rng.randrange(len(basis))]
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            mv = mv + NCPolynomial.word(b, c)
-        return mv
-
-    ok = True
-    for _ in range(50):
-        a, b, c = rand_mv(), rand_mv(), rand_mv()
-        if cl.multiply(cl.multiply(a, b), c) != cl.multiply(a, cl.multiply(b, c)):
-            ok = False
-            break
-    return _pass_fail(ok)
+    # normal forms of a confluent, terminating system are unique, so
+    # NF(NF(ab)c) = NF(abc) = NF(a NF(bc)) for every a, b and c
+    return _confluence_report(blades.CL31)
 
 
 # ===========================================================================
@@ -542,8 +527,7 @@ def _qgamma_solve(ctx: RunContext) -> CheckReport:
 # each law on all of H from the generators; details.words counts the words
 # of length 1 to L that the id's claim names.  The id's first component
 # names the suite and the RunContext algebra the check runs on.  A failing
-# check shows its first WITNESSES_SHOWN witnesses, failed premises first.
-WITNESSES_SHOWN = 3
+# check shows its first witnesses, failed premises first (``_verdict``).
 
 _AXIOM_CHECKS = (
     ("glq2.bialgebra_relations", hopf.check_bialgebra_compatibility, None,
@@ -580,10 +564,8 @@ def _axiom_check(check_id, checker, max_len, description) -> None:
     @_check(check_id, description)
     def fn(ctx: RunContext) -> CheckReport:
         h = getattr(ctx, suite)
-        r = checker(h)
-        return _pass_fail(
-            r.ok,
-            witness=None if r.ok else str(r.witnesses[:WITNESSES_SHOWN]),
+        return _verdict(
+            checker(h).witnesses,
             details={} if max_len is None else {"words": _word_count(h.rs.size, max_len)},
         )
 
@@ -631,15 +613,7 @@ def _glq2_degree(ctx: RunContext) -> CheckReport:
     "the critical overlaps of the six relations rejoin, so normal forms are unique at every length",
 )
 def _glq2_confluence(ctx: RunContext) -> CheckReport:
-    failures = local_confluence_check(ctx.glq2.rs)
-    if not failures:
-        return _pass_fail(True)
-    return _pass_fail(
-        False,
-        residual=format_float(len(failures)),
-        witness="; ".join(f"word {w}" for w in failures[:5]),
-        details={"failures": len(failures)},
-    )
+    return _confluence_report(ctx.glq2.rs)
 
 
 @_check(
@@ -736,7 +710,7 @@ def _irrep_q_values(ctx: RunContext) -> list[str]:
     return [format_float(qv) for (*_, qv), _ in ctx.numeric_irreps]
 
 
-def _seeded_irreps(seed: int, count: int):
+def _seeded_irreps(seed: int, count: int) -> list[presentations.IrrepRelationReport]:
     rng = random.Random(seed + 7)
 
     def draw_gauss():
@@ -744,17 +718,13 @@ def _seeded_irreps(seed: int, count: int):
             re = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             im = Fraction(rng.randint(-2, 2), rng.randint(1, 4)) if rng.random() < 0.5 else Fraction(0)
             g = GaussRational(re, im)
-            if g.is_zero():
-                continue
-            if g in (GaussRational(1), GaussRational(-1)):
-                continue
-            return g
+            if not g.is_zero() and g not in (GaussRational(1), GaussRational(-1)):
+                return g
 
     out = []
     for _ in range(count):
         params = presentations.IrrepParams(draw_gauss(), draw_gauss(), draw_gauss())
-        irrep = presentations.build_affine_irrep(params)
-        out.append((params, irrep, presentations.verify_irrep_relations(irrep)))
+        out.append(presentations.verify_irrep_relations(presentations.build_affine_irrep(params)))
     return out
 
 
@@ -764,10 +734,10 @@ def _seeded_irreps(seed: int, count: int):
 )
 def _chq2_square_law(ctx: RunContext) -> CheckReport:
     worst_exact = None
-    for params, _, rep in ctx.irreps:
+    for rep in ctx.irreps:
         for key in sorted(rep.square_residuals):
             if not rep.square_residuals[key].is_zero():
-                worst_exact = (params, key)
+                worst_exact = (rep.irrep.params, key)
     residuals = []
     for (z, lx, ly, qv), mats in ctx.numeric_irreps:
         qv = Sized(qv)
@@ -795,11 +765,11 @@ def _chq2_square_law(ctx: RunContext) -> CheckReport:
 def _chq2_anticomm(ctx: RunContext) -> CheckReport:
     ok = True
     witness = None
-    for params, _, rep in ctx.irreps:
+    for rep in ctx.irreps:
         anticomm_zero = all(m.is_zero() for m in rep.anticommutator_residuals.values())
         if not (anticomm_zero and rep.gamma3_square_residual.is_zero()):
             ok = False
-            witness = str(params)
+            witness = str(rep.irrep.params)
     residuals = []
     for _, mats in ctx.numeric_irreps:
         for lvl in (0, 1):
@@ -842,7 +812,7 @@ def _chq2_cross(ctx: RunContext) -> CheckReport:
     draws = ctx.irreps[:5]
     worst = ctx.measure(
         s
-        for _, _, rep in draws
+        for rep in draws
         for key in sorted(rep.cross_level_anticommutators)
         for s in rep.cross_level_anticommutators[key].data
     )

@@ -8,12 +8,13 @@ import stat
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conftest import env_importing_this_qclifford
-from qclifford import fierz, presentations, qgamma
+from qclifford import blades, fierz, presentations, qgamma
 from qclifford import suites as suites_mod
 from qclifford.cli import main
 from qclifford.report import (
@@ -120,6 +121,46 @@ class TestExitCodes:
         assert report.witness == "word (3, 1, 0); word (3, 2, 0)"
         assert report.residual_max == "2.0" and report.details == {"failures": 2}
         assert suites_mod.exit_code([report], False) == 1
+
+    @pytest.mark.parametrize(
+        "check_id", ["clifford.dirac_anticommutation", "clifford.blade_matrix_agreement"]
+    )
+    def test_a_gamma_with_one_entry_negated_fails_both_dirac_checks(self, monkeypatch, check_id):
+        # gamma_1 with its (0, 3) entry negated squares to diag(-1, 1, 1, -1),
+        # so e_mu -> gamma_mu no longer respects the rule e1*e1 -> 1
+        honest = blades.dirac_matrices
+
+        def broken():
+            gammas = honest()
+            data = list(gammas[1].data)
+            data[3] = -data[3]
+            gammas[1] = Matrix(4, 4, data)
+            return gammas
+
+        monkeypatch.setattr(blades, "dirac_matrices", broken)
+        report = _check_fn(check_id)(RunContext(mode="exact", seed=7))
+        assert report.status == "fail"
+        assert report.witness.startswith("[('rho(e1*e1)', ")
+        assert suites_mod.exit_code([report], False) == 1
+
+    def test_a_cl31_overlap_that_does_not_rejoin_fails_associativity(self, monkeypatch):
+        # the control e1 e0 -> -e0 e1 + e2 breaks three overlaps; the product
+        # it defines is then not associative on three generator triples
+        rules = dict(blades.CL31.rules)
+        rules[(1, 0)] = NCPolynomial.word((0, 1), -1) + NCPolynomial.gen(2)
+        variant = RewriteSystem(blades.CL31.names, rules)
+        monkeypatch.setattr(blades, "CL31", variant)
+        report = _check_fn("clifford.blade_associativity")(RunContext(mode="exact", seed=7))
+        assert report.status == "fail"
+        assert report.witness == "word (1, 0, 0); word (1, 1, 0); word (3, 1, 0)"
+        assert report.residual_max == "3.0" and report.details == {"failures": 3}
+        e = [NCPolynomial.gen(i) for i in range(4)]
+        mul = variant.multiply
+        sample = [
+            t for t in product(range(4), repeat=3)
+            if mul(mul(e[t[0]], e[t[1]]), e[t[2]]) != mul(e[t[0]], mul(e[t[1]], e[t[2]]))
+        ]
+        assert len(sample) == 3
 
     def test_strict_mode_fails_on_target_mismatch(self, tmp_path):
         # the deformed-metric comparison mismatches under every convention
@@ -1001,7 +1042,9 @@ class TestRunContext:
         assert ctx.irreps is ctx.irreps
         assert len(builds) == len(ctx.irreps) == 20
         # checks that use five draws take a prefix of the same stream
-        assert [p for p, _, _ in ctx.irreps[:5]] == [p for p, _, _ in _seeded_irreps(7, 5)]
+        assert [r.irrep.params for r in ctx.irreps[:5]] == [
+            r.irrep.params for r in _seeded_irreps(7, 5)
+        ]
 
     def test_each_deformed_metric_is_built_once(self, monkeypatch):
         # the per-convention checks and the blade oracle share one build
@@ -1140,7 +1183,7 @@ class TestMeasure:
         residual = ctx.bare_system.residual(qgamma.FLIP)
         flip = [Matrix(4, 4, residual.row(p)) for p in range(residual.rows)]
         cross = [
-            m for _, _, rep in ctx.irreps[:5] for m in rep.cross_level_anticommutators.values()
+            m for rep in ctx.irreps[:5] for m in rep.cross_level_anticommutators.values()
         ]
         for matrices in (flip, cross):
             for points in (None, ctx.oracle_points):

@@ -137,7 +137,8 @@ class TestAffineIrrep:
             zero = RadicalScalar.zero()
             return Matrix.from_rows([[zero, upper], [lower, zero]]).scale(prefactor)
 
-        for params, irrep, _ in _seeded_irreps(7, 20):
+        for irrep in (rep.irrep for rep in _seeded_irreps(7, 20)):
+            params = irrep.params
             z, zi, lx, lxi, ly, lyi = (
                 RadicalScalar.constant(v)
                 for p in (params.z, params.lambda_x, params.lambda_y)
