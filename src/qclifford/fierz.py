@@ -274,15 +274,9 @@ def gamma_by_label(gs: QGammaSet, label: str, g5: Matrix) -> Matrix:
     return {"0": gs.gamma0, "+": gs.gamma_plus, "-": gs.gamma_minus, "3": gs.gamma3, "5": g5}[label]
 
 
-@dataclass
-class LinearRelationResult:
-    name: str
-    residual: Matrix
-    holds_exactly: bool
-
-
-def linear_relation_residuals(gs: QGammaSet) -> list[LinearRelationResult]:
-    """Exact residual g_A g_B - c g_C g_D per transcribed relation.
+def linear_relation_residuals(gs: QGammaSet) -> list[Matrix]:
+    """Exact residual g_A g_B - c g_C g_D per transcribed relation, in
+    ``LINEAR_RELATIONS`` order.
 
     Bilinears in one spinor pair agree exactly when the sandwiched
     matrices agree, so the matrix residual is the convention-free form of
@@ -290,11 +284,10 @@ def linear_relation_residuals(gs: QGammaSet) -> list[LinearRelationResult]:
     """
     g5 = gamma5(gs)
     out = []
-    for name, lhs, tag, rhs in LINEAR_RELATIONS:
+    for _, lhs, tag, rhs in LINEAR_RELATIONS:
         a = matmul(gamma_by_label(gs, lhs[0], g5), gamma_by_label(gs, lhs[1], g5))
         b = matmul(gamma_by_label(gs, rhs[0], g5), gamma_by_label(gs, rhs[1], g5))
-        residual = a - b.scale(_relation_scale(tag))
-        out.append(LinearRelationResult(name, residual, residual.is_zero()))
+        out.append(a - b.scale(_relation_scale(tag)))
     return out
 
 

@@ -161,12 +161,16 @@ def _premise_row(h: HopfData, m: str) -> list[tuple[str, str] | None]:
     so it is computed once per system and images, compared by content: an
     algebra whose map was changed reads its own row."""
     rs = h.rs
-    images, image, render = {
-        "Delta": (h.coproduct, h.delta, h.t2.render),
-        "eps": (h.counit, h.counit_of, lambda d: str(d.terms[()])),
-        "S": (h.antipode, h.antipode_of, rs.render),
-    }[m]
-    return _once(rs, (m, frozenset(images.items())), rule_witnesses, rs, image, m, render)
+
+    def row() -> list[tuple[str, str] | None]:
+        if m == "Delta":
+            return rule_witnesses(rs, _delta_reader(h), h.t2.multiply, m, h.t2.render)
+        if m == "eps":
+            return rule_witnesses(rs, h.counit_of, NCPolynomial.__mul__, m, lambda d: str(d.terms[()]))
+        return rule_witnesses(rs, h.antipode_of, lambda sa, sb: rs.multiply(sb, sa), m, rs.render)
+
+    images = {"Delta": h.coproduct, "eps": h.counit, "S": h.antipode}[m]
+    return _once(rs, (m, frozenset(images.items())), row)
 
 
 def _premise_witnesses(h: HopfData, maps: tuple[str, ...]) -> list[tuple[str, str]]:
@@ -182,6 +186,13 @@ def _generator_deltas(h: HopfData) -> list[NCPolynomial]:
     by content, as the premise rows are."""
     key = ("Delta", "generators", frozenset(h.coproduct.items()))
     return _once(h.rs, key, lambda: [h.delta(NCPolynomial.gen(x)) for x in range(h.rs.size)])
+
+
+def _delta_reader(h: HopfData):
+    """Delta as a function that reads a generator's from ``_generator_deltas``
+    and extends any other element."""
+    table = {NCPolynomial.gen(x): d for x, d in enumerate(_generator_deltas(h))}
+    return lambda p: table[p] if p in table else h.delta(p)
 
 
 def _decide(h: HopfData, name: str, maps: tuple[str, ...], law, render) -> AxiomResult:
@@ -203,12 +214,7 @@ def _coassociativity_sides(h: HopfData, terms) -> tuple[list[NCPolynomial], NCPo
     """[(Delta x id) Delta(p)] and (id x Delta) Delta(p), as ``_decide`` reads a law's
     sides, from the terms of Delta(p): v moves to slot 2, Delta(v) to slots 1 and 2."""
     g = h.rs.size
-    deltas = _generator_deltas(h)
-
-    def delta(p: NCPolynomial) -> NCPolynomial:
-        (w,) = p.terms  # p is one normal word
-        return deltas[w[0]] if len(w) == 1 else h.delta(p)
-
+    delta = _delta_reader(h)
     left = _convolve(terms, lambda u, v: delta(u) * _shift(v, 2 * g))
     return [left], _convolve(terms, lambda u, v: u * _shift(delta(v), g))
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .hopf import HopfData
-from .linalg import CMatrix, Matrix, anticommutator, cscale, matmul, pauli_matrices
+from .linalg import CMatrix, Matrix, cscale, matmul, pauli_matrices
 from .qgamma import ActionConvention, action_coefficients
 from .rewrite import NCPolynomial, RewriteSystem, anticommutation_rules, central_rules
 from .scalars import (
@@ -278,56 +278,6 @@ def build_affine_irrep(params: IrrepParams) -> CH2Irrep:
             gammas[f"{axis}{level}"] = flip.scale(sqrt(irrep.bracket(level, axis)))
     gammas["g3"] = Matrix.from_rows([[1, 0], [0, -1]])
     return irrep
-
-
-@dataclass
-class IrrepRelationReport:
-    """Exact residuals of the deformed relations for one irrep."""
-
-    irrep: CH2Irrep
-    square_residuals: dict[tuple[int, str], Matrix]
-    anticommutator_residuals: dict[tuple[int, str, str], Matrix]
-    gamma3_square_residual: Matrix
-
-    @cached_property
-    def cross_level_anticommutators(self) -> dict[tuple[str, str], Matrix]:
-        """Anticommutators mixing the two levels, built on first read."""
-        g = self.irrep.gammas
-        return {
-            ("x", "y"): anticommutator(g["x0"], g["y1"]),
-            ("y", "x"): anticommutator(g["y0"], g["x1"]),
-            ("x", "x"): anticommutator(g["x0"], g["x1"]),
-            ("y", "y"): anticommutator(g["y0"], g["y1"]),
-        }
-
-    def all_pass(self) -> bool:
-        per_level = all(m.is_zero() for m in self.square_residuals.values()) and all(
-            m.is_zero() for m in self.anticommutator_residuals.values()
-        )
-        return per_level and self.gamma3_square_residual.is_zero()
-
-
-def verify_irrep_relations(irrep: CH2Irrep) -> IrrepRelationReport:
-    """Check the square law and anticommutation per level.
-
-    Cross-level anticommutators are reported but carry no expectation: the
-    relations are only required level by level.
-    """
-    ident = Matrix.identity(2)
-    gammas = irrep.gammas
-    g3 = gammas["g3"]
-    squares = {}
-    anticomms = {}
-    for level in (0, 1):
-        for axis in ("x", "y"):
-            g = gammas[f"{axis}{level}"]
-            squares[(level, axis)] = matmul(g, g) - ident.scale(
-                irrep.bracket(level, axis)
-            )
-            anticomms[(level, axis, "3")] = anticommutator(g, g3)
-        anticomms[(level, "x", "y")] = anticommutator(gammas[f"x{level}"], gammas[f"y{level}"])
-    g3sq = matmul(g3, g3) - ident
-    return IrrepRelationReport(irrep, squares, anticomms, g3sq)
 
 
 def affine_irrep_numeric(

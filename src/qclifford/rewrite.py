@@ -263,13 +263,17 @@ def central_rules(central, size: int) -> dict[tuple[int, int], NCPolynomial]:
     return {(y, c): NCPolynomial.word((c, y)) for c in central for y in range(c + 1, size)}
 
 
-def rule_witnesses(rs: RewriteSystem, image, name: str, render) -> list[tuple[str, str] | None]:
-    """Each rule a*b -> R of ``rs`` in order: None where image(a*b) = image(R), else
-    the witness (f"{name}(a*b)", render(image(a*b) - image(R))).  A row of Nones
-    says that ``image``, extended from the generators, is well defined on ``rs``."""
+def rule_witnesses(
+    rs: RewriteSystem, image, product, name: str, render
+) -> list[tuple[str, str] | None]:
+    """Each rule a*b -> R of ``rs`` in order: None where product(image(a), image(b))
+    = image(R), else the witness (f"{name}(a*b)", render of their difference).  A
+    row of Nones says that ``image``, extended from the generators, is well defined
+    on ``rs``; a map that reverses its words fails, as it reverses only R."""
+    gens = [image(NCPolynomial.gen(x)) for x in range(rs.size)]
     row = []
     for (a, b), rhs in rs.rules.items():
-        diff = image(NCPolynomial.word((a, b))) - image(rhs)
+        diff = product(gens[a], gens[b]) - image(rhs)
         label = f"{name}({rs.names[a]}*{rs.names[b]})"
         row.append(None if diff.is_zero() else (label, render(diff)))
     return row

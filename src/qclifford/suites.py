@@ -25,6 +25,7 @@ from . import blades, fierz, hopf, presentations, qgamma
 from .linalg import (
     Matrix,
     Sized,
+    anticommutator,
     cadd,
     cidentity,
     cmatmul,
@@ -144,7 +145,7 @@ class RunContext:
         return qgamma.build_q_gammas()
 
     @cached_property
-    def linear_relation_residuals(self) -> list[fierz.LinearRelationResult]:
+    def linear_relation_residuals(self) -> list[Matrix]:
         return fierz.linear_relation_residuals(self.gammas)
 
     @cached_property
@@ -159,7 +160,7 @@ class RunContext:
     @cached_property
     def dirac_witnesses(self) -> list[tuple[str, str]]:
         """The rules of ``blades.CL31`` that e_mu -> gamma_mu does not respect."""
-        row = rule_witnesses(blades.CL31, blades.dirac_image, "rho", str)
+        row = rule_witnesses(blades.CL31, blades.dirac_image, matmul, "rho", str)
         return [w for w in row if w is not None]
 
     @cached_property
@@ -180,9 +181,8 @@ class RunContext:
         return presentations.build_chq2(include_inherited_antipode=True)
 
     @cached_property
-    def irreps(self) -> list:
-        """The relation residuals of the 20 seeded exact chq2 irreps, each
-        holding its irrep, which holds its params.
+    def irreps(self) -> list[presentations.CH2Irrep]:
+        """The 20 seeded exact chq2 irreps.
 
         Checks that use fewer take a prefix: all draws come from one stream.
         """
@@ -216,12 +216,12 @@ class RunContext:
         whose conventions share one table of products: they map (sigma_1,
         sigma_2) to (A, B), (B, A), (0, A) and (0, B), so most repeat."""
         out = []
-        for rep in self.irreps[:5]:
+        for irrep in self.irreps[:5]:
             for level in (0, 1):
                 products: dict = {}
                 out.append(
                     {
-                        conv: presentations.su2_action_report(rep.irrep, level, conv, products)
+                        conv: presentations.su2_action_report(irrep, level, conv, products)
                         for conv in self.conventions
                     }
                 )
@@ -710,7 +710,7 @@ def _irrep_q_values(ctx: RunContext) -> list[str]:
     return [format_float(qv) for (*_, qv), _ in ctx.numeric_irreps]
 
 
-def _seeded_irreps(seed: int, count: int) -> list[presentations.IrrepRelationReport]:
+def _seeded_irreps(seed: int, count: int) -> list[presentations.CH2Irrep]:
     rng = random.Random(seed + 7)
 
     def draw_gauss():
@@ -724,7 +724,7 @@ def _seeded_irreps(seed: int, count: int) -> list[presentations.IrrepRelationRep
     out = []
     for _ in range(count):
         params = presentations.IrrepParams(draw_gauss(), draw_gauss(), draw_gauss())
-        out.append(presentations.verify_irrep_relations(presentations.build_affine_irrep(params)))
+        out.append(presentations.build_affine_irrep(params))
     return out
 
 
@@ -734,10 +734,12 @@ def _seeded_irreps(seed: int, count: int) -> list[presentations.IrrepRelationRep
 )
 def _chq2_square_law(ctx: RunContext) -> CheckReport:
     worst_exact = None
-    for rep in ctx.irreps:
-        for key in sorted(rep.square_residuals):
-            if not rep.square_residuals[key].is_zero():
-                worst_exact = (rep.irrep.params, key)
+    for irrep in ctx.irreps:
+        for level in (0, 1):
+            for axis in ("x", "y"):
+                g = irrep.gammas[f"{axis}{level}"]
+                if matmul(g, g) != Matrix.identity(2).scale(irrep.bracket(level, axis)):
+                    worst_exact = (irrep.params, (level, axis))
     residuals = []
     for (z, lx, ly, qv), mats in ctx.numeric_irreps:
         qv = Sized(qv)
@@ -763,13 +765,14 @@ def _chq2_square_law(ctx: RunContext) -> CheckReport:
     "per-level anticommutation relations and the involution square hold",
 )
 def _chq2_anticomm(ctx: RunContext) -> CheckReport:
-    ok = True
     witness = None
-    for rep in ctx.irreps:
-        anticomm_zero = all(m.is_zero() for m in rep.anticommutator_residuals.values())
-        if not (anticomm_zero and rep.gamma3_square_residual.is_zero()):
-            ok = False
-            witness = str(rep.irrep.params)
+    for irrep in ctx.irreps:
+        g = irrep.gammas
+        levels = [(g[f"x{lvl}"], g[f"y{lvl}"]) for lvl in (0, 1)]
+        pairs = [p for x, y in levels for p in ((x, y), (x, g["g3"]), (y, g["g3"]))]
+        anticomm_zero = all(anticommutator(a, b).is_zero() for a, b in pairs)
+        if not (anticomm_zero and matmul(g["g3"], g["g3"]) == Matrix.identity(2)):
+            witness = str(irrep.params)
     residuals = []
     for _, mats in ctx.numeric_irreps:
         for lvl in (0, 1):
@@ -777,7 +780,7 @@ def _chq2_anticomm(ctx: RunContext) -> CheckReport:
             for a, b in ((x, y), (x, mats["g3"]), (y, mats["g3"])):
                 residuals += chain(*cadd(cmatmul(a, b), cmatmul(b, a)))
     return _pass_fail(
-        ok and ctx.agrees(residuals),
+        witness is None and ctx.agrees(residuals),
         residual=format_float(max([0.0, *map(abs, residuals)])),
         witness=witness,
         q_values=_irrep_q_values(ctx),
@@ -810,11 +813,12 @@ def _chq2_pinned(ctx: RunContext) -> CheckReport:
 )
 def _chq2_cross(ctx: RunContext) -> CheckReport:
     draws = ctx.irreps[:5]
+    pairs = (("x0", "x1"), ("x0", "y1"), ("y0", "x1"), ("y0", "y1"))
     worst = ctx.measure(
         s
-        for rep in draws
-        for key in sorted(rep.cross_level_anticommutators)
-        for s in rep.cross_level_anticommutators[key].data
+        for irrep in draws
+        for a, b in pairs
+        for s in anticommutator(irrep.gammas[a], irrep.gammas[b]).data
     )
     return _report(format_float(worst), q_values=ctx.q_values_field, details={"draws": len(draws)})
 
@@ -915,15 +919,15 @@ def _oracle_relation_scale(tag: str, q: Sized) -> Sized:
     "exact residuals of the seven transcribed linear current relations",
 )
 def _fierz_linear(ctx: RunContext) -> CheckReport:
-    results = ctx.linear_relation_residuals
-    worst = ctx.measure(s for r in results for s in r.residual.data)
-    holding = [r.name for r in results if r.holds_exactly]
+    residuals = ctx.linear_relation_residuals
+    worst = ctx.measure(s for m in residuals for s in m.data)
+    holding = [name for (name, *_), m in zip(fierz.LINEAR_RELATIONS, residuals) if m.is_zero()]
     return _report(
         format_float(worst),
         mismatch=len(holding) != 7,
         witness=f"{len(holding)} of 7 hold exactly",
         q_values=ctx.q_values_field,
-        details={"holding_exactly": holding, "relations": len(results)},
+        details={"holding_exactly": holding, "relations": len(residuals)},
     )
 
 
@@ -933,7 +937,7 @@ def _fierz_linear(ctx: RunContext) -> CheckReport:
 )
 def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
     points = ctx.oracle_points
-    engine = [res.residual.evaluate(points, sized=True) for res in ctx.linear_relation_residuals]
+    engine = [m.evaluate(points, sized=True) for m in ctx.linear_relation_residuals]
     worst_gap = 0.0
     ok = True
     for i, x in enumerate(points.qs):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import qclifford
+from qclifford.linalg import Matrix, anticommutator, matmul
 from qclifford.scalars import (
     GaussRational,
     HalfLaurent,
@@ -25,6 +26,22 @@ def env_importing_this_qclifford() -> dict:
     root = str(pathlib.Path(qclifford.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
+
+
+def irrep_relations_hold(irrep) -> bool:
+    """Whether a chq2 irrep meets every per-level relation: each level
+    gamma squares to its q-bracket, the level's x, y and g3 anticommute
+    pairwise, and g3 squares to one."""
+    g = irrep.gammas
+    ident = Matrix.identity(2)
+    for level in (0, 1):
+        x, y = g[f"x{level}"], g[f"y{level}"]
+        for axis, m in (("x", x), ("y", y)):
+            if matmul(m, m) != ident.scale(irrep.bracket(level, axis)):
+                return False
+        if any(not anticommutator(a, b).is_zero() for a, b in ((x, y), (x, g["g3"]), (y, g["g3"]))):
+            return False
+    return matmul(g["g3"], g["g3"]) == ident
 
 
 def random_gauss(rng: random.Random, complex_ok: bool = True) -> GaussRational:

@@ -27,9 +27,9 @@ from qclifford.report import (
     validate_report,
     write_atomic,
 )
-from qclifford.linalg import Matrix, max_abs_at_points
+from qclifford.linalg import Matrix, anticommutator, max_abs_at_points
 from qclifford.rewrite import NCPolynomial, RewriteSystem
-from qclifford.scalars import PointSet, RadicalScalar, qvar, sqrt
+from qclifford.scalars import GaussRational, PointSet, RadicalScalar, qvar, sqrt
 from qclifford.suites import REFERENCE_SAMPLES, RunContext, _seeded_irreps, registry
 
 FAST_SUITE = ["--suite", "clifford"]
@@ -142,6 +142,57 @@ class TestExitCodes:
         assert report.status == "fail"
         assert report.witness.startswith("[('rho(e1*e1)', ")
         assert suites_mod.exit_code([report], False) == 1
+
+    @pytest.mark.parametrize(
+        "check_id", ["clifford.dirac_anticommutation", "clifford.blade_matrix_agreement"]
+    )
+    def test_a_blade_matrix_that_multiplies_in_reverse_fails_both_dirac_checks(
+        self, monkeypatch, check_id
+    ):
+        # the map then sends e1*e0 to gamma_0 gamma_1, not gamma_1 gamma_0; a
+        # premise that takes both sides through the map reverses both and
+        # still holds, so the left side must be the product of the images
+        honest = blades.blade_matrix
+        monkeypatch.setattr(blades, "blade_matrix", lambda blade, gammas: honest(blade[::-1], gammas))
+        report = _check_fn(check_id)(RunContext(mode="exact", seed=7))
+        assert report.status == "fail"
+        assert report.witness.startswith("[('rho(e1*e0)', ")
+        assert suites_mod.exit_code([report], False) == 1
+
+    @pytest.mark.parametrize(
+        "gamma, factor, failing",
+        [("x0", 2, "chq2.irrep_square_law"), ("g3", None, "chq2.irrep_anticommutation")],
+    )
+    def test_a_broken_exact_irrep_fails_only_its_own_claim(
+        self, tmp_path, monkeypatch, gamma, factor, failing
+    ):
+        # x0 doubled squares to four times its bracket but still anticommutes
+        # with y0 and g3; g3 replaced by the identity squares to one but no
+        # longer anticommutes with x and y.  The pinned square law builds its
+        # own irrep, so a doubled x0 fails it too.
+        build = presentations.build_affine_irrep
+        built = []
+
+        def broken(params):
+            irrep = build(params)
+            g = irrep.gammas
+            g[gamma] = g[gamma].scale(factor) if factor else Matrix.identity(2)
+            built.append(params)
+            return irrep
+
+        monkeypatch.setattr(presentations, "build_affine_irrep", broken)
+        code, payload = run_verify(tmp_path, "b.json", ["--suite", "chq2", "--mode", "exact", "--seed", "7"])
+        checks = {c["check_id"]: c for c in json.loads(payload)["checks"]}
+        fails = {cid for cid, c in checks.items() if c["status"] == "fail"}
+        pinned = presentations.IrrepParams(GaussRational(1), GaussRational(2), GaussRational(3))
+        last = [p for p in built if p != pinned][-1]
+        assert code == 1
+        if gamma == "x0":
+            assert fails == {failing, "chq2.irrep_pinned"}
+            assert checks[failing]["witness"] == str((last, (0, "x")))
+        else:
+            assert fails == {failing}
+            assert checks[failing]["witness"] == str(last)
 
     def test_a_cl31_overlap_that_does_not_rejoin_fails_associativity(self, monkeypatch):
         # the control e1 e0 -> -e0 e1 + e2 breaks three overlaps; the product
@@ -309,6 +360,26 @@ class TestReportFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "plain.json"]
 
 
+_DIFF_GOLDEN = pathlib.Path(__file__).parent / "data" / "hopf_exact_seed7.json"
+
+
+@st.composite
+def _damaged_report(draw):
+    """A golden report's bytes with up to four bytes replaced, inserted or
+    deleted, then perhaps cut short; the new bytes lean to JSON syntax."""
+    data = bytearray(_DIFF_GOLDEN.read_bytes())
+    new_byte = st.sampled_from(b'0123456789.-+eE"{}[],: \\nt') | st.integers(0, 255)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "delete":
+            del data[at]
+        else:
+            data[at : at + (kind == "replace")] = bytes([draw(new_byte)])
+    cut = draw(st.none() | st.integers(0, len(data)))
+    return bytes(data[:cut])
+
+
 class TestDiffCommand:
     def test_identical_files_diff_empty(self, tmp_path, capsys):
         _, _ = run_verify(tmp_path, "a.json", FAST_SUITE)
@@ -423,6 +494,27 @@ class TestDiffCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(damaged=_damaged_report(), damaged_first=st.booleans())
+    def test_a_damaged_report_exits_0_1_or_2_with_one_error_line(
+        self, tmp_path, capsys, damaged, damaged_first
+    ):
+        # byte-level damage, where the tests above edit parsed documents: a
+        # report may come cut short or corrupted from disk
+        bad = tmp_path / "damaged.json"
+        bad.write_bytes(damaged)
+        files = [str(bad), str(_DIFF_GOLDEN)]
+        capsys.readouterr()
+        code = main(["diff", *(files if damaged_first else files[::-1])])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        else:
+            assert err == ""
 
 
 class TestConfigFile:
@@ -1042,9 +1134,7 @@ class TestRunContext:
         assert ctx.irreps is ctx.irreps
         assert len(builds) == len(ctx.irreps) == 20
         # checks that use five draws take a prefix of the same stream
-        assert [r.irrep.params for r in ctx.irreps[:5]] == [
-            r.irrep.params for r in _seeded_irreps(7, 5)
-        ]
+        assert [r.params for r in ctx.irreps[:5]] == [r.params for r in _seeded_irreps(7, 5)]
 
     def test_each_deformed_metric_is_built_once(self, monkeypatch):
         # the per-convention checks and the blade oracle share one build
@@ -1183,7 +1273,10 @@ class TestMeasure:
         residual = ctx.bare_system.residual(qgamma.FLIP)
         flip = [Matrix(4, 4, residual.row(p)) for p in range(residual.rows)]
         cross = [
-            m for rep in ctx.irreps[:5] for m in rep.cross_level_anticommutators.values()
+            anticommutator(irrep.gammas[a], irrep.gammas[b])
+            for irrep in ctx.irreps[:5]
+            for a in ("x0", "y0")
+            for b in ("x1", "y1")
         ]
         for matrices in (flip, cross):
             for points in (None, ctx.oracle_points):

@@ -241,20 +241,20 @@ class TestLinearRelations:
         }
         for qv in SAMPLES:
             mats = oracle(qv)
-            for (name, lhs, tag, rhs), res in zip(LINEAR_RELATIONS, results):
+            for (name, lhs, tag, rhs), residual in zip(LINEAR_RELATIONS, results):
                 o_res = mats[lhs[0]] @ mats[lhs[1]] - scales[tag](qv) * (
                     mats[rhs[0]] @ mats[rhs[1]]
                 )
                 o_norm = float(np.max(np.abs(o_res)))
-                e_norm = float(np.max(np.abs(res.residual.evaluate(PointSet([qv]))[0])))
+                e_norm = float(np.max(np.abs(residual.evaluate(PointSet([qv]))[0])))
                 assert abs(o_norm - e_norm) < 1e-9, name
                 # identical pass/fail classification at this sample
                 assert (o_norm < 1e-9) == (e_norm < 1e-9), name
 
     def test_classification_matches_exact_zero_test(self, gs, np):
-        for res in linear_relation_residuals(gs):
-            norms = [float(np.max(np.abs(res.residual.evaluate(PointSet([qv]))[0]))) for qv in SAMPLES]
-            if res.holds_exactly:
+        for residual in linear_relation_residuals(gs):
+            norms = [float(np.max(np.abs(residual.evaluate(PointSet([qv]))[0]))) for qv in SAMPLES]
+            if residual.is_zero():
                 assert max(norms) < 1e-12
             else:
                 assert max(norms) > 1e-9

@@ -270,7 +270,7 @@ class TestMaxAbsAtPoints:
         assert max_abs_at_points(zero.data, PointSet(self.POINTS)) == ([0.0] * len(self.POINTS), False)
 
     def test_chq2_su2_action_residual(self):
-        irrep = _seeded_irreps(7, 1)[0].irrep
+        irrep = _seeded_irreps(7, 1)[0]
         residuals = [
             m
             for conv in ALL_CONVENTIONS

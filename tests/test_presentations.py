@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import irrep_relations_hold
 
-from qclifford.linalg import Matrix, matmul
+from qclifford.linalg import Matrix, anticommutator, matmul
 from qclifford.presentations import (
     CH_G,
     CH_G3,
@@ -19,7 +20,6 @@ from qclifford.presentations import (
     build_chq2,
     build_glq2,
     su2_action_report,
-    verify_irrep_relations,
 )
 from qclifford.qgamma import ALL_CONVENTIONS, ActionConvention
 from qclifford.rewrite import NCPolynomial
@@ -137,7 +137,7 @@ class TestAffineIrrep:
             zero = RadicalScalar.zero()
             return Matrix.from_rows([[zero, upper], [lower, zero]]).scale(prefactor)
 
-        for irrep in (rep.irrep for rep in _seeded_irreps(7, 20)):
+        for irrep in _seeded_irreps(7, 20):
             params = irrep.params
             z, zi, lx, lxi, ly, lyi = (
                 RadicalScalar.constant(v)
@@ -166,8 +166,7 @@ class TestAffineIrrep:
 
         for _ in range(20):
             p = IrrepParams(draw(), draw(), draw())
-            rep = verify_irrep_relations(build_affine_irrep(p))
-            assert rep.all_pass(), p
+            assert irrep_relations_hold(build_affine_irrep(p)), p
 
     def test_square_law_equals_bracket_of_weight(self):
         p = IrrepParams(GaussRational(2), GaussRational(3), GaussRational(5))
@@ -196,14 +195,12 @@ class TestAffineIrrep:
                 assert np.max(np.abs(x @ y + y @ x)) < 1e-10
 
     def test_cross_level_brackets_reported_not_asserted(self):
+        # the relations hold level by level only: a level-0 gamma and a
+        # level-1 gamma need not anticommute
         p = IrrepParams(GaussRational(2), GaussRational(3), GaussRational(5))
-        rep = verify_irrep_relations(build_affine_irrep(p))
-        assert set(rep.cross_level_anticommutators) == {
-            ("x", "y"),
-            ("y", "x"),
-            ("x", "x"),
-            ("y", "y"),
-        }
+        g = build_affine_irrep(p).gammas
+        cross = [anticommutator(g[a], g[b]) for a in ("x0", "y0") for b in ("x1", "y1")]
+        assert not all(m.is_zero() for m in cross)
 
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(DegenerateParams):

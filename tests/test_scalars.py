@@ -665,6 +665,7 @@ def su2_report(*args):
         in_su2_report[0] -= 1
 
 def matmul(a, b):
+    counts["matmul"] += 1
     if in_su2_report[0]:
         counts["su2_products"] += 1
     return raw_matmul(a, b)
@@ -677,7 +678,10 @@ scalars.LaurentFrac.values = computing("fraction", scalars.LaurentFrac.values)
 scalars.HalfLaurent.values = computing("polynomial", scalars.HalfLaurent.values)
 raw_powers, scalars.PointSet.powers = scalars.PointSet.powers, powers
 raw_matmul, raw_su2_report = linalg.matmul, presentations.su2_action_report
-linalg.matmul = presentations.matmul = matmul
+for module in list(sys.modules.values()):
+    # every module of the package that imported matmul by name
+    if module.__name__.startswith("qclifford") and getattr(module, "matmul", None) is raw_matmul:
+        module.matmul = matmul
 presentations.su2_action_report = su2_report
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
@@ -710,12 +714,14 @@ def test_hopf_exact_run_builds_each_scalar_about_once():
     # and 5,184 interned builds; without the shortcuts for constants, for
     # products with -1 and for sums that cancel, 1,064 products and 1,637
     # builds.  One report per convention, each making its own products,
-    # made 520 products in the su(2) reports.
+    # made 520 products in the su(2) reports.  Every matrix product of the
+    # run is counted, so the irrep layer cannot gain products unseen.
     counts = _count_work(["verify", "--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"])
     assert counts["laurentfrac_mul"] <= 900
     assert counts["poly_gcd"] <= 560
     assert counts["interned"] <= 1350
     assert counts["su2_products"] <= 220
+    assert counts["matmul"] == 542
 
 
 def test_matrix_both_run_evaluates_each_value_once_per_point_set():
