@@ -129,7 +129,7 @@ CONVENTION_COMMUTE = "distinct_spinors_commute"
 CONVENTION_REFLECT = "distinct_spinors_reflect"
 
 # letters: Zb<a><i> at 2(a-1)+(i-1), Z<a><i> at 4 + 2(a-1)+(i-1)
-_SPINOR_NAMES = ("Zb1.1", "Zb1.2", "Zb2.1", "Zb2.2", "Z1.1", "Z1.2", "Z2.1", "Z2.2")
+SPINOR_NAMES = ("Zb1.1", "Zb1.2", "Zb2.1", "Zb2.2", "Z1.1", "Z1.2", "Z2.1", "Z2.2")
 
 
 def _zbar(spinor: int) -> tuple[int, int]:
@@ -179,7 +179,7 @@ def two_spinor_system(k, convention: str) -> RewriteSystem:
             for x in later:
                 for y in earlier:
                     rules[(x, y)] = NCPolynomial.word((y, x))
-    return RewriteSystem(_SPINOR_NAMES, rules)
+    return RewriteSystem(SPINOR_NAMES, rules)
 
 
 def k_degree(word: Word, convention: str) -> int:
@@ -358,39 +358,15 @@ def kpoly_gcd(a: KPolynomial, b: KPolynomial) -> KPolynomial:
     return KPolynomial([c * lead_inv for c in x])
 
 
-@dataclass
-class QuadraticIdentityReport:
-    """Everything the quadratic current identity evaluates to.
-
-    ``residual_at_reference`` is the normal form of
-    q^4 J^2 - (J03)^2 - Q(1 - q^{-4}) (J5)^2 at k = 1; ``k_dependence``
-    maps each surviving word to its exact polynomial in k;
-    ``common_k_roots`` lists exact k values killing every coefficient (for
-    degree-one gcd), or carries the gcd itself otherwise.
-    """
-
-    convention: str
-    residual_at_reference: NCPolynomial
-    vanishes_at_reference: bool
-    k_dependence: dict[tuple[int, ...], KPolynomial]
-    gcd_polynomial: KPolynomial
-    common_k_roots: list[RadicalScalar]
-    names: tuple[str, ...]
-
-    def render_k_dependence(self) -> list[tuple[str, str]]:
-        out = []
-        for w in sorted(self.k_dependence, key=lambda x: (len(x), x)):
-            word = "*".join(self.names[i] for i in w) if w else "1"
-            out.append((word, self.k_dependence[w].render()))
-        return out
-
-
 def quadratic_identity_report(
-    gs: QGammaSet,
-    convention: str = CONVENTION_COMMUTE,
-    swap_roles: bool = False,
-) -> QuadraticIdentityReport:
-    """Reduce the quadratic identity and read its k-dependence off the k-grading."""
+    gs: QGammaSet, convention: str, swap_roles: bool = False
+) -> dict[Word, KPolynomial]:
+    """The quadratic identity's k-dependence, read off the k-grading.
+
+    Maps each surviving word of the normal form of
+    q^4 J^2 - (J03)^2 - Q(1 - q^{-4}) (J5)^2 to its exact polynomial in k,
+    in (length, word) order.
+    """
     bar_spinor, ket_spinor = (2, 1) if swap_roles else (1, 2)
     bar = majorana_components(bar_spinor)
     ket = majorana_components(ket_spinor)
@@ -411,7 +387,6 @@ def quadratic_identity_report(
     by_degree = [NCPolynomial.zero()] * (max(graded, default=-1) + 1)
     for d, terms in graded.items():
         by_degree[d] = rs.normal_form(NCPolynomial(terms))
-    residual_ref = sum(by_degree, NCPolynomial.zero())
     zero = RadicalScalar.zero()
     k_dependence = {}
     words = {w for p in by_degree for w in p.terms}
@@ -419,18 +394,4 @@ def quadratic_identity_report(
         poly = KPolynomial.from_list([p.terms.get(w, zero) for p in by_degree])
         if not poly.is_zero():
             k_dependence[w] = poly
-    gcd_poly = KPolynomial([])
-    for poly in k_dependence.values():
-        gcd_poly = kpoly_gcd(gcd_poly, poly) if not gcd_poly.is_zero() else poly
-    roots: list[RadicalScalar] = []
-    if not gcd_poly.is_zero() and gcd_poly.degree() == 1:
-        roots.append(-(gcd_poly.coeffs[0] / gcd_poly.coeffs[1]))
-    return QuadraticIdentityReport(
-        convention=convention,
-        residual_at_reference=residual_ref,
-        vanishes_at_reference=residual_ref.is_zero(),
-        k_dependence=k_dependence,
-        gcd_polynomial=gcd_poly,
-        common_k_roots=roots,
-        names=rs.names,
-    )
+    return k_dependence

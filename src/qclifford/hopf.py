@@ -210,11 +210,11 @@ def _decide(h: HopfData, name: str, maps: tuple[str, ...], law, render) -> Axiom
     return AxiomResult(name, not witnesses, rs.size, witnesses)
 
 
-def _coassociativity_sides(h: HopfData, terms) -> tuple[list[NCPolynomial], NCPolynomial]:
+def _coassociativity_sides(h: HopfData, delta, terms) -> tuple[list[NCPolynomial], NCPolynomial]:
     """[(Delta x id) Delta(p)] and (id x Delta) Delta(p), as ``_decide`` reads a law's
-    sides, from the terms of Delta(p): v moves to slot 2, Delta(v) to slots 1 and 2."""
+    sides, from the terms of Delta(p): v moves to slot 2, Delta(v) to slots 1 and 2.
+    ``delta`` is Delta, as ``_delta_reader`` gives it."""
     g = h.rs.size
-    delta = _delta_reader(h)
     left = _convolve(terms, lambda u, v: delta(u) * _shift(v, 2 * g))
     return [left], _convolve(terms, lambda u, v: u * _shift(delta(v), g))
 
@@ -224,9 +224,10 @@ def check_coassociativity(h: HopfData) -> AxiomResult:
 
     Witnesses name the cube's letters as ``tensor_power(3)`` would."""
     names = h.rs.tensor_names(3)
+    delta = _delta_reader(h)
     return _decide(
-        h, "coassociativity", ("Delta",), lambda x, terms: _coassociativity_sides(h, terms),
-        lambda p: p.render(names),
+        h, "coassociativity", ("Delta",),
+        lambda x, terms: _coassociativity_sides(h, delta, terms), lambda p: p.render(names),
     )
 
 

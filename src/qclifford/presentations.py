@@ -312,7 +312,7 @@ def affine_irrep_numeric(
 
 
 def su2_action_report(
-    irrep: CH2Irrep, level: int, conv: ActionConvention, products: dict | None = None
+    irrep: CH2Irrep, level: int, conv: ActionConvention, products: dict
 ) -> dict[str, Matrix]:
     """Build the mapped generators and evaluate the claimed relations, as
     the residual matrix of each claim by name.
@@ -326,8 +326,6 @@ def su2_action_report(
     entries, which interning makes equal for equal matrices, and its entry
     holds both matrices, so those identities stay taken while it lives.
     """
-    if products is None:
-        products = {}
 
     def mul(a: Matrix, b: Matrix) -> Matrix:
         key = (tuple(map(id, a.data)), tuple(map(id, b.data)))

@@ -17,9 +17,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from . import blades, fierz, hopf, presentations, qgamma
 from .linalg import (
@@ -174,11 +174,6 @@ class RunContext:
     @cached_property
     def chq2(self) -> hopf.HopfData:
         return presentations.build_chq2()
-
-    @cached_property
-    def chq2_full(self) -> hopf.HopfData:
-        """chq2 with the undeformed antipode assigned to every generator."""
-        return presentations.build_chq2(include_inherited_antipode=True)
 
     @cached_property
     def irreps(self) -> list[presentations.CH2Irrep]:
@@ -694,7 +689,7 @@ def _ch2_toy(ctx: RunContext) -> CheckReport:
     "the undeformed antipode satisfies the axiom with the deformed coproduct",
 )
 def _chq2_antipode_inherited(ctx: RunContext) -> CheckReport:
-    h = ctx.chq2_full
+    h = presentations.build_chq2(include_inherited_antipode=True)
     r = hopf.check_antipode(h)
     return _report(
         "0" if r.ok else "1",
@@ -997,16 +992,21 @@ def _quadratic_check(convention: str, tag: str) -> None:
         f"quadratic current identity residual and exchange-constant analysis ({tag})",
     )
     def fn(ctx: RunContext) -> CheckReport:
-        rep = fierz.quadratic_identity_report(ctx.gammas, convention)
-        terms = rep.residual_at_reference.terms
-        worst = ctx.measure(terms[w] for w in sorted(terms, key=lambda x: (len(x), x)))
-        gcd = rep.gcd_polynomial
+        k_dependence = fierz.quadratic_identity_report(ctx.gammas, convention)
+        # the identity at the reference k = 1: each word's coefficient sum
+        at_one = (sum(poly.coeffs, RadicalScalar.zero()) for poly in k_dependence.values())
+        worst = ctx.measure(v for v in at_one if not v.is_zero())
+        gcd = reduce(fierz.kpoly_gcd, k_dependence.values(), fierz.KPolynomial([]))
         k_info = {
-            "nonzero_words": len(rep.k_dependence),
+            "nonzero_words": len(k_dependence),
             "gcd_degree": None if gcd.is_zero() else gcd.degree(),
-            "k_roots": [str(r) for r in rep.common_k_roots],
+            # the one k that kills every coefficient, when the gcd is linear
+            "k_roots": [str(-(gcd.coeffs[0] / gcd.coeffs[1]))] if gcd.degree() == 1 else [],
         }
-        witness_lines = [f"{w} -> {p}" for w, p in rep.render_k_dependence()[:6]]
+        witness_lines = [
+            f"{'*'.join(fierz.SPINOR_NAMES[i] for i in w) or '1'} -> {poly.render()}"
+            for w, poly in islice(k_dependence.items(), 6)
+        ]
         return _report(
             format_float(worst),
             witness="; ".join(witness_lines),

@@ -763,6 +763,19 @@ def _is_help(token: str) -> bool:
     return name.startswith("-h") or (len(name) > 2 and "--help".startswith(name))
 
 
+# the pieces a fuzzed config file is made of: keys, '=', values and '#'; the
+# line ends CR, LF and CRLF; a UTF-8 byte order mark and NUL; bytes that are
+# not UTF-8 on their own; and the further separators str.splitlines splits on
+_CONFIG_BYTES = [
+    *(key.encode() for key in sorted(_FUZZ_VALUES)),
+    *sorted({value.encode() for values in _FUZZ_VALUES.values() for value in values}),
+    b"=", b"#", b" ", b",",
+    b"\n", b"\r", b"\r\n", b"\xef\xbb\xbf", b"\x00",
+    b"\xff", b"\xe9", b"\x85",
+    b"\x0c", b"\x1c", "\x85".encode(), "\u2028".encode(),
+]
+
+
 @st.composite
 def _argv_tokens(draw):
     key = draw(st.sampled_from(sorted(_FUZZ_VALUES)))
@@ -814,6 +827,28 @@ class TestUsageErrors:
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
             assert "usage:" not in err
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(chunks=st.lists(st.sampled_from(_CONFIG_BYTES), max_size=24))
+    @example(chunks=[b"\xef\xbb\xbf", b"seed", b"=", b"7", b"\r\n"])
+    @example(chunks=[b"suite", b"=", b"clifford", b"\xe2\x80\xa8", b"seed", b"=", b"7"])
+    @example(chunks=[b"seed", b"=", b"7", b"\x00", b"\n"])
+    def test_a_config_file_of_any_bytes_exits_0_or_2_with_one_error_line(
+        self, tmp_path, monkeypatch, capsys, chunks
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(suites_mod, "run_checks", lambda *args: [])
+        (tmp_path / "sub").mkdir(exist_ok=True)
+        (tmp_path / "run.cfg").write_bytes(b"".join(chunks))
+        capsys.readouterr()
+        code = main(["verify", "--config", "run.cfg"])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
 
 
 class TestBoundedReads:

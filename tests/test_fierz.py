@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from qclifford.linalg import Matrix, matmul
 from qclifford.qgamma import build_q_gammas, gamma5
 from qclifford.rewrite import BudgetExceeded, NCPolynomial
 from qclifford.scalars import PointSet, RadicalScalar, q_plus_qinv, qinv, qvar
+from qclifford.suites import RunContext, registry
 
 SAMPLES = (0.5, 0.8, 1.3, 1.6, 1.9)
 
@@ -151,10 +153,10 @@ class TestCurrents:
             assert len(w) == 2
 
     def test_residual_degree_at_most_four(self, gs):
-        rep = quadratic_identity_report(gs, CONVENTION_COMMUTE)
-        for w in rep.residual_at_reference.terms:
+        k_dependence = quadratic_identity_report(gs, CONVENTION_COMMUTE)
+        for w in k_dependence:
             assert len(w) <= 4
-        assert all(poly.degree() < 4 for poly in rep.k_dependence.values())
+        assert all(poly.degree() < 4 for poly in k_dependence.values())
 
     @staticmethod
     def _sandwiches(gs):
@@ -260,11 +262,23 @@ class TestLinearRelations:
                 assert max(norms) > 1e-9
 
 
+def _gcd(k_dependence) -> KPolynomial:
+    """The gcd of every word's polynomial in k."""
+    return functools.reduce(kpoly_gcd, k_dependence.values(), KPolynomial([]))
+
+
+def _vanishes_at_one(k_dependence) -> bool:
+    """Whether the identity vanishes at k = 1: every coefficient sum is zero."""
+    return all(sum(p.coeffs, RadicalScalar.zero()).is_zero() for p in k_dependence.values())
+
+
 class TestQuadraticIdentity:
     def test_completes_under_budget_for_both_conventions(self, gs):
         for convention in (CONVENTION_COMMUTE, CONVENTION_REFLECT):
-            rep = quadratic_identity_report(gs, convention)
-            assert rep.convention == convention
+            k_dependence = quadratic_identity_report(gs, convention)
+            # only surviving words, in (length, word) order
+            assert list(k_dependence) == sorted(k_dependence, key=lambda w: (len(w), w))
+            assert not any(poly.is_zero() for poly in k_dependence.values())
 
     def test_budget_is_enforced(self, gs, monkeypatch):
         monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
@@ -274,9 +288,8 @@ class TestQuadraticIdentity:
     def test_k_analysis_is_deterministic(self, gs):
         r1 = quadratic_identity_report(gs, CONVENTION_COMMUTE)
         r2 = quadratic_identity_report(gs, CONVENTION_COMMUTE)
-        assert r1.render_k_dependence() == r2.render_k_dependence()
-        assert [str(x) for x in r1.common_k_roots] == [str(x) for x in r2.common_k_roots]
-        assert r1.gcd_polynomial.render() == r2.gcd_polynomial.render()
+        assert [(w, p.render()) for w, p in r1.items()] == [(w, p.render()) for w, p in r2.items()]
+        assert _gcd(r1).render() == _gcd(r2).render()
 
     @pytest.mark.parametrize("swap_roles", [False, True])
     @pytest.mark.parametrize("convention", [CONVENTION_COMMUTE, CONVENTION_REFLECT])
@@ -284,11 +297,11 @@ class TestQuadraticIdentity:
         # oracle: reduce the identity in the system at k itself, normal-forming
         # each current and multiplying normal forms; word by word it must equal
         # sum_d k^d (coefficient of k^d) read from the report
-        rep = quadratic_identity_report(gs, convention, swap_roles)
+        k_dependence = quadratic_identity_report(gs, convention, swap_roles)
         bar, ket = (majorana_components(s) for s in ((2, 1) if swap_roles else (1, 2)))
         sandwiches = (Matrix.identity(4), matmul(gs.gamma0, gs.gamma3), gamma5(gs))
         q = qvar()
-        assert any(poly.degree() > 0 for poly in rep.k_dependence.values())
+        assert any(poly.degree() > 0 for poly in k_dependence.values())
         for k in (Fraction(3, 5), Fraction(2), Fraction(-1, 2)):
             rs = two_spinor_system(k, convention)
             j, j_03, j_5 = (rs.normal_form(bilinear_current(m, bar, ket)) for m in sandwiches)
@@ -298,7 +311,7 @@ class TestQuadraticIdentity:
                 - rs.multiply(j_5, j_5).scale(q_plus_qinv() * (RadicalScalar.one() - q**-4))
             )
             graded = {}
-            for w, poly in rep.k_dependence.items():
+            for w, poly in k_dependence.items():
                 graded[w] = RadicalScalar.zero()
                 for d, c in enumerate(poly.coeffs):
                     graded[w] = graded[w] + c * RadicalScalar.constant(k**d)
@@ -321,9 +334,35 @@ class TestQuadraticIdentity:
     def test_relabeling_invariance_under_commuting_convention(self, gs):
         plain = quadratic_identity_report(gs, CONVENTION_COMMUTE)
         swapped = quadratic_identity_report(gs, CONVENTION_COMMUTE, swap_roles=True)
-        assert plain.vanishes_at_reference == swapped.vanishes_at_reference
-        assert plain.gcd_polynomial.render() == swapped.gcd_polynomial.render()
-        assert len(plain.k_dependence) == len(swapped.k_dependence)
+        assert _vanishes_at_one(plain) == _vanishes_at_one(swapped)
+        assert _gcd(plain).render() == _gcd(swapped).render()
+        assert len(plain) == len(swapped)
+
+    @staticmethod
+    def _check(monkeypatch, k_dependence):
+        """The convention-a check's report when the identity's k-dependence
+        is ``k_dependence``."""
+        monkeypatch.setattr(fierz, "quadratic_identity_report", lambda gs, convention: k_dependence)
+        check = next(c for c in registry() if c.check_id == "fierz.quadratic.convention_a")
+        return check.fn(RunContext(mode="exact"))
+
+    # every golden report has gcd degree 0 and no k root: these are the
+    # branches that none of them reaches
+    def test_check_reads_a_linear_gcd_as_its_root(self, monkeypatch):
+        one, root = RadicalScalar.one(), RadicalScalar.constant(Fraction(3, 5))
+        # k - 3/5 and (k - 3/5)(k + 1) = k^2 + (2/5) k - 3/5
+        linear = KPolynomial([-root, one])
+        quadratic = KPolynomial([-root, one - root, one])
+        r = self._check(monkeypatch, {(0, 4): linear, (1, 3, 5, 7): quadratic})
+        assert r.details == {"nonzero_words": 2, "gcd_degree": 1, "k_roots": ["3/5"]}
+        # the values at k = 1 are 2/5 and 4/5
+        assert r.residual_max == "0.8"
+        assert r.witness.startswith("Zb1.1*Z1.1 -> ") and "; Zb1.2*Zb2.2*Z1.2*Z2.2 -> " in r.witness
+
+    def test_check_of_an_identity_that_vanishes_for_every_k(self, monkeypatch):
+        r = self._check(monkeypatch, {})
+        assert r.details == {"nonzero_words": 0, "gcd_degree": None, "k_roots": []}
+        assert r.residual_max == "0.0" and r.witness == ""
 
     def test_k_polynomial_gcd_helper(self):
         one = RadicalScalar.one()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from qclifford.hopf import (
     AntipodeMissing,
     AxiomResult,
     _coassociativity_sides,
+    _delta_reader,
     _premise_row,
     _premise_witnesses,
     check_antipode,
@@ -481,14 +483,15 @@ class TestCoassociativityByConcatenation:
         for i, p in h.coproduct.items():
             shifted = {tuple(x + g for x in w): c for w, c in p.terms.items()}
             right_images[g + i] = NCPolynomial(shifted)
+        delta = _delta_reader(h)
         for w in chain([()], h.rs.iter_words(3)):
             d = h.delta(NCPolynomial.word(w))
             terms = h.terms(d)
             for term in terms:
-                [left], right = _coassociativity_sides(h, [term])
+                [left], right = _coassociativity_sides(h, delta, [term])
                 for side in (left, right):
                     assert t3.normal_form(side) == side, (w, term)
-            [left], right = _coassociativity_sides(h, terms)
+            [left], right = _coassociativity_sides(h, delta, terms)
             assert left == apply_morphism(d, left_images, t3), w
             assert right == apply_morphism(d, right_images, t3), w
 
@@ -700,25 +703,18 @@ def counting_power(self, n):
 rs.tensor_power = counting_power
 rs.normal_form = counting("normal_form", rs.normal_form)
 hopf.extend = counting("extend", hopf.extend)
+hopf._generator_deltas = counting("generator_deltas", hopf._generator_deltas)
+hopf._delta_reader = counting("delta_reader", hopf._delta_reader)
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["verify", "--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"])
 print(json.dumps({"exit": code, "tensor_powers": powers, **counts}))
 """
 
 
-def test_hopf_exact_run_decides_each_premise_once():
-    # a fresh process, because the rewrite systems and their rows live for
-    # the whole process.  One tensor square per presentation (ch2, chq2 and
-    # the group toy) and no cube: the coassociativity sides are built by
-    # concatenation, and the counit sides are sums of normal words.  The run
-    # takes 646 normal forms and 321 structure-map applications; with each
-    # premise's left side mapped as one word, not as the product of its
-    # generators' images, 802 and 477; with Delta
-    # of each generator extended anew for every law, 903 and 578.  With the
-    # cube built and the counit laws extended into the algebra, it built 6
-    # tensor powers and took 1,076;
-    # with every system and premise row also rebuilt per algebra and per
-    # law, 11 and 2,960, and 1,598 structure-map applications.
+@functools.cache
+def _hopf_work() -> dict:
+    """The counts of ``_COUNT_HOPF_WORK``, taken in a fresh process, because
+    the rewrite systems and their rows live for the whole process."""
     proc = subprocess.run(
         [sys.executable, "-c", _COUNT_HOPF_WORK],
         capture_output=True,
@@ -727,8 +723,32 @@ def test_hopf_exact_run_decides_each_premise_once():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_hopf_exact_run_decides_each_premise_once():
+    # One tensor square per presentation (ch2, chq2 and the group toy) and
+    # no cube: the coassociativity sides are built by concatenation, and the
+    # counit sides are sums of normal words.  The run
+    # takes 646 normal forms and 321 structure-map applications; with each
+    # premise's left side mapped as one word, not as the product of its
+    # generators' images, 802 and 477; with Delta
+    # of each generator extended anew for every law, 903 and 578.  With the
+    # cube built and the counit laws extended into the algebra, it built 6
+    # tensor powers and took 1,076;
+    # with every system and premise row also rebuilt per algebra and per
+    # law, 11 and 2,960, and 1,598 structure-map applications.
+    counts = _hopf_work()
     assert counts["exit"] == 0
     assert counts["tensor_powers"] == [2, 2, 2]
     assert counts["normal_form"] <= 950
     assert counts["extend"] <= 800
+
+
+def test_hopf_exact_run_reads_each_generator_delta_table_once_per_law():
+    # each law reads the table of generator Deltas once, and each
+    # coassociativity check builds one Delta reader, which reads it too: 20
+    # reads and 8 readers.  With a reader built for each generator, 40 and 28
+    counts = _hopf_work()
+    assert counts["generator_deltas"] == 20
+    assert counts["delta_reader"] == 8

@@ -275,7 +275,7 @@ class TestMaxAbsAtPoints:
             m
             for conv in ALL_CONVENTIONS
             for level in (0, 1)
-            for m in su2_action_report(irrep, level, conv).values()
+            for m in su2_action_report(irrep, level, conv, {}).values()
             if not m.is_zero()
         ]
         assert residuals

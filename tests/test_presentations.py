@@ -214,7 +214,7 @@ class TestSu2Action:
         p = IrrepParams(GaussRational(1), GaussRational(2), GaussRational(3))
         irrep = build_affine_irrep(p)
         for conv in ALL_CONVENTIONS:
-            rep = su2_action_report(irrep, 0, conv)
+            rep = su2_action_report(irrep, 0, conv, {})
             assert rep["alpha3_squared_minus_1"].is_zero()
             assert rep["anticomm_alpha1_sigma3"].is_zero()
             assert rep["anticomm_alpha2_sigma3"].is_zero()
@@ -223,7 +223,7 @@ class TestSu2Action:
         # (alpha_sigma1)^2 = z^2 (px^2 - py^2) I for the column-sum extraction
         p = IrrepParams(GaussRational(1), GaussRational(2), GaussRational(3))
         irrep = build_affine_irrep(p)
-        rep = su2_action_report(irrep, 0, ActionConvention.COL_SUM)
+        rep = su2_action_report(irrep, 0, ActionConvention.COL_SUM, {})
         lam_x = RadicalScalar.constant(Fraction(1, 2)) - RadicalScalar.constant(2)
         lam_y = RadicalScalar.constant(Fraction(1, 3)) - RadicalScalar.constant(3)
         denom = qvar() - qinv()
@@ -233,8 +233,8 @@ class TestSu2Action:
     def test_report_values_are_deterministic(self):
         p = IrrepParams(GaussRational(1), GaussRational(2), GaussRational(3))
         irrep = build_affine_irrep(p)
-        r1 = su2_action_report(irrep, 1, ActionConvention.ROW_SUM)
-        r2 = su2_action_report(irrep, 1, ActionConvention.ROW_SUM)
+        r1 = su2_action_report(irrep, 1, ActionConvention.ROW_SUM, {})
+        r2 = su2_action_report(irrep, 1, ActionConvention.ROW_SUM, {})
         assert r1 == r2
 
 
