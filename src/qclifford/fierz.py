@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, kron, matmul
-from .qgamma import QGammaSet, gamma5
+from .qgamma import gamma5
 from .rewrite import NCPolynomial, RewriteSystem, Word
 from .scalars import (
     RadicalScalar,
@@ -241,40 +241,20 @@ def bilinear_current(
 # Linear relations among the currents, reduced to matrix identities
 # ---------------------------------------------------------------------------
 
-# (lhs indices, scale factor builder, rhs indices); the digit 5 denotes the
-# pseudoscalar product of all four deformed gammas.
+# (name, lhs labels, scale as a function of q, rhs labels); the label 5
+# denotes the pseudoscalar product of all four deformed gammas.
 LINEAR_RELATIONS = (
-    ("J53 = -q^2 J50", ("5", "3"), "minus_q2", ("5", "0")),
-    ("J0- = -J+3", ("0", "-"), "minus_one", ("+", "3")),
-    ("J35 = J05", ("3", "5"), "one", ("0", "5")),
-    ("J-0 = q^-2 J3+", ("-", "0"), "qinv2", ("3", "+")),
-    ("J0+ = q^2 J-3", ("0", "+"), "q2", ("-", "3")),
-    ("J5+ = J+-", ("5", "+"), "one", ("+", "-")),
-    ("J+0 = -J3-", ("+", "0"), "minus_one", ("3", "-")),
+    ("J53 = -q^2 J50", ("5", "3"), lambda q: -(q * q), ("5", "0")),
+    ("J0- = -J+3", ("0", "-"), lambda q: -1, ("+", "3")),
+    ("J35 = J05", ("3", "5"), lambda q: 1, ("0", "5")),
+    ("J-0 = q^-2 J3+", ("-", "0"), lambda q: 1 / (q * q), ("3", "+")),
+    ("J0+ = q^2 J-3", ("0", "+"), lambda q: q * q, ("-", "3")),
+    ("J5+ = J+-", ("5", "+"), lambda q: 1, ("+", "-")),
+    ("J+0 = -J3-", ("+", "0"), lambda q: -1, ("3", "-")),
 )
 
 
-def _relation_scale(tag: str) -> RadicalScalar:
-    q = qvar()
-    if tag == "one":
-        return RadicalScalar.one()
-    if tag == "minus_one":
-        return -RadicalScalar.one()
-    if tag == "q2":
-        return q * q
-    if tag == "minus_q2":
-        return -(q * q)
-    if tag == "qinv2":
-        return qinv() * qinv()
-    raise ValueError(tag)
-
-
-def gamma_by_label(gs: QGammaSet, label: str, g5: Matrix) -> Matrix:
-    """The deformed gamma named by ``label``; "5" names ``g5``."""
-    return {"0": gs.gamma0, "+": gs.gamma_plus, "-": gs.gamma_minus, "3": gs.gamma3, "5": g5}[label]
-
-
-def linear_relation_residuals(gs: QGammaSet) -> list[Matrix]:
+def linear_relation_residuals(gs: dict[str, Matrix]) -> list[Matrix]:
     """Exact residual g_A g_B - c g_C g_D per transcribed relation, in
     ``LINEAR_RELATIONS`` order.
 
@@ -282,12 +262,12 @@ def linear_relation_residuals(gs: QGammaSet) -> list[Matrix]:
     matrices agree, so the matrix residual is the convention-free form of
     each relation.
     """
-    g5 = gamma5(gs)
+    g = {**gs, "5": gamma5(gs)}
     out = []
-    for _, lhs, tag, rhs in LINEAR_RELATIONS:
-        a = matmul(gamma_by_label(gs, lhs[0], g5), gamma_by_label(gs, lhs[1], g5))
-        b = matmul(gamma_by_label(gs, rhs[0], g5), gamma_by_label(gs, rhs[1], g5))
-        out.append(a - b.scale(_relation_scale(tag)))
+    for _, lhs, scale, rhs in LINEAR_RELATIONS:
+        a = matmul(g[lhs[0]], g[lhs[1]])
+        b = matmul(g[rhs[0]], g[rhs[1]])
+        out.append(a - b.scale(scale(qvar())))
     return out
 
 
@@ -359,7 +339,7 @@ def kpoly_gcd(a: KPolynomial, b: KPolynomial) -> KPolynomial:
 
 
 def quadratic_identity_report(
-    gs: QGammaSet, convention: str, swap_roles: bool = False
+    gs: dict[str, Matrix], convention: str, swap_roles: bool = False
 ) -> dict[Word, KPolynomial]:
     """The quadratic identity's k-dependence, read off the k-grading.
 
@@ -371,7 +351,7 @@ def quadratic_identity_report(
     bar = majorana_components(bar_spinor)
     ket = majorana_components(ket_spinor)
     j_scalar = bilinear_current(Matrix.identity(4), bar, ket)
-    j_03 = bilinear_current(matmul(gs.gamma0, gs.gamma3), bar, ket)
+    j_03 = bilinear_current(matmul(gs["0"], gs["3"]), bar, ket)
     j_5 = bilinear_current(gamma5(gs), bar, ket)
     q = qvar()
     identity = (

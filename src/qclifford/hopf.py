@@ -164,7 +164,7 @@ def _premise_row(h: HopfData, m: str) -> list[tuple[str, str] | None]:
 
     def row() -> list[tuple[str, str] | None]:
         if m == "Delta":
-            return rule_witnesses(rs, _delta_reader(h), h.t2.multiply, m, h.t2.render)
+            return rule_witnesses(rs, h.delta, h.t2.multiply, m, h.t2.render)
         if m == "eps":
             return rule_witnesses(rs, h.counit_of, NCPolynomial.__mul__, m, lambda d: str(d.terms[()]))
         return rule_witnesses(rs, h.antipode_of, lambda sa, sb: rs.multiply(sb, sa), m, rs.render)
@@ -180,21 +180,6 @@ def _premise_witnesses(h: HopfData, maps: tuple[str, ...]) -> list[tuple[str, st
     return [w for per_rule in zip(*rows) for w in per_rule if w is not None]
 
 
-def _generator_deltas(h: HopfData) -> list[NCPolynomial]:
-    """Delta of each generator, by index.  It depends only on the system and
-    the coproduct, so it is computed once per system and coproduct, compared
-    by content, as the premise rows are."""
-    key = ("Delta", "generators", frozenset(h.coproduct.items()))
-    return _once(h.rs, key, lambda: [h.delta(NCPolynomial.gen(x)) for x in range(h.rs.size)])
-
-
-def _delta_reader(h: HopfData):
-    """Delta as a function that reads a generator's from ``_generator_deltas``
-    and extends any other element."""
-    table = {NCPolynomial.gen(x): d for x, d in enumerate(_generator_deltas(h))}
-    return lambda p: table[p] if p in table else h.delta(p)
-
-
 def _decide(h: HopfData, name: str, maps: tuple[str, ...], law, render) -> AxiomResult:
     """Decide a law on all of H: the premises on ``maps``, then each generator.
 
@@ -203,20 +188,18 @@ def _decide(h: HopfData, name: str, maps: tuple[str, ...], law, render) -> Axiom
     gives the witness (x, side - goal)."""
     rs = h.rs
     witnesses = _premise_witnesses(h, maps)
-    deltas = _generator_deltas(h)
     for x in range(rs.size):
-        sides, goal = law(x, h.terms(deltas[x]))
+        sides, goal = law(x, h.terms(h.delta(NCPolynomial.gen(x))))
         witnesses += [(rs.names[x], render(side - goal)) for side in sides if side != goal]
     return AxiomResult(name, not witnesses, rs.size, witnesses)
 
 
-def _coassociativity_sides(h: HopfData, delta, terms) -> tuple[list[NCPolynomial], NCPolynomial]:
+def _coassociativity_sides(h: HopfData, terms) -> tuple[list[NCPolynomial], NCPolynomial]:
     """[(Delta x id) Delta(p)] and (id x Delta) Delta(p), as ``_decide`` reads a law's
-    sides, from the terms of Delta(p): v moves to slot 2, Delta(v) to slots 1 and 2.
-    ``delta`` is Delta, as ``_delta_reader`` gives it."""
+    sides, from the terms of Delta(p): v moves to slot 2, Delta(v) to slots 1 and 2."""
     g = h.rs.size
-    left = _convolve(terms, lambda u, v: delta(u) * _shift(v, 2 * g))
-    return [left], _convolve(terms, lambda u, v: u * _shift(delta(v), g))
+    left = _convolve(terms, lambda u, v: h.delta(u) * _shift(v, 2 * g))
+    return [left], _convolve(terms, lambda u, v: u * _shift(h.delta(v), g))
 
 
 def check_coassociativity(h: HopfData) -> AxiomResult:
@@ -224,10 +207,9 @@ def check_coassociativity(h: HopfData) -> AxiomResult:
 
     Witnesses name the cube's letters as ``tensor_power(3)`` would."""
     names = h.rs.tensor_names(3)
-    delta = _delta_reader(h)
     return _decide(
         h, "coassociativity", ("Delta",),
-        lambda x, terms: _coassociativity_sides(h, delta, terms), lambda p: p.render(names),
+        lambda x, terms: _coassociativity_sides(h, terms), lambda p: p.render(names),
     )
 
 

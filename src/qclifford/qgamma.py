@@ -34,67 +34,54 @@ from .scalars import (
 )
 
 @dataclass(frozen=True)
-class QGammaSet:
-    """The four deformed gamma matrices, indexed 0, +, -, 3."""
-
-    gamma0: Matrix
-    gamma_plus: Matrix
-    gamma_minus: Matrix
-    gamma3: Matrix
-
-    @property
-    def matrices(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-        return (self.gamma0, self.gamma_plus, self.gamma_minus, self.gamma3)
-
-
-@dataclass(frozen=True)
 class QMetric:
     c: Matrix
     c_inverse: Matrix
 
 
-def build_q_gammas() -> QGammaSet:
-    """Construct the deformed gamma matrices symbolically in q."""
+def build_q_gammas() -> dict[str, Matrix]:
+    """The deformed gamma matrices, symbolic in q, keyed by their labels
+    "0", "+", "-", "3" in that order."""
     q = qvar()
     Q = q_plus_qinv()
     root_qQ = sqrt(q * Q)
     root_Q = sqrt(Q)
     z = RadicalScalar.zero()
     one = RadicalScalar.one()
-
-    gamma0 = Matrix.from_rows(
-        [
-            [z, z, q**2, z],
-            [z, z, z, -one],
-            [-one, z, z, z],
-            [z, -one, z, z],
-        ]
-    )
-    gamma_plus = Matrix.from_rows(
-        [
-            [z, z, z, root_qQ],
-            [z, z, z, z],
-            [z, -root_qQ, z, z],
-            [z, z, z, z],
-        ]
-    )
-    gamma_minus = Matrix.from_rows(
-        [
-            [z, z, z, root_Q * q_half(-3)],
-            [z, z, z, z],
-            [z, z, z, z],
-            [-(root_Q * q_half(3)), z, z, z],
-        ]
-    )
-    gamma3 = Matrix.from_rows(
-        [
-            [z, z, qinv() + q - q**2, z],
-            [z, z, z, -(q**-2)],
-            [-one, z, z, z],
-            [z, q**2, z, z],
-        ]
-    )
-    return QGammaSet(gamma0, gamma_plus, gamma_minus, gamma3)
+    return {
+        "0": Matrix.from_rows(
+            [
+                [z, z, q**2, z],
+                [z, z, z, -one],
+                [-one, z, z, z],
+                [z, -one, z, z],
+            ]
+        ),
+        "+": Matrix.from_rows(
+            [
+                [z, z, z, root_qQ],
+                [z, z, z, z],
+                [z, -root_qQ, z, z],
+                [z, z, z, z],
+            ]
+        ),
+        "-": Matrix.from_rows(
+            [
+                [z, z, z, root_Q * q_half(-3)],
+                [z, z, z, z],
+                [z, z, z, z],
+                [-(root_Q * q_half(3)), z, z, z],
+            ]
+        ),
+        "3": Matrix.from_rows(
+            [
+                [z, z, qinv() + q - q**2, z],
+                [z, z, z, -(q**-2)],
+                [-one, z, z, z],
+                [z, q**2, z, z],
+            ]
+        ),
+    }
 
 
 def build_metric() -> QMetric:
@@ -112,9 +99,9 @@ def build_metric() -> QMetric:
     return QMetric(c, c.inverse())
 
 
-def gamma5(gs: QGammaSet) -> Matrix:
-    """Ordered product gamma0 * gamma_plus * gamma_minus * gamma3."""
-    return matmul(matmul(matmul(gs.gamma0, gs.gamma_plus), gs.gamma_minus), gs.gamma3)
+def gamma5(gs: dict[str, Matrix]) -> Matrix:
+    """Ordered product gamma0 * gamma+ * gamma- * gamma3."""
+    return matmul(matmul(matmul(gs["0"], gs["+"]), gs["-"]), gs["3"])
 
 
 class ActionConvention(str, Enum):
@@ -154,7 +141,7 @@ class DeformedMetricResult:
     deviation_zero: bool
 
 
-def deformed_metric(gs: QGammaSet, conv: ActionConvention) -> DeformedMetricResult:
+def deformed_metric(gs: dict[str, Matrix], conv: ActionConvention) -> DeformedMetricResult:
     """Half the identity coefficient of {A_mu, A_nu} for the image matrices.
 
     A_mu = sum_nu c_nu(gamma_mu_q) gamma_nu over the classical gamma basis;
@@ -164,7 +151,7 @@ def deformed_metric(gs: QGammaSet, conv: ActionConvention) -> DeformedMetricResu
     """
     gammas = dirac_matrices()
     images = []
-    for m in gs.matrices:
+    for m in gs.values():
         coeffs = action_coefficients(m, conv)
         a = Matrix.zeros(4, 4)
         for nu in range(4):
@@ -184,7 +171,7 @@ def deformed_metric(gs: QGammaSet, conv: ActionConvention) -> DeformedMetricResu
     return DeformedMetricResult(Matrix(4, 4, entries), deviation_zero)
 
 
-def deformed_metric_blade_oracle(gs: QGammaSet, conv: ActionConvention) -> Matrix:
+def deformed_metric_blade_oracle(gs: dict[str, Matrix], conv: ActionConvention) -> Matrix:
     """Independent route: expand {A_mu, A_nu} in the Cl(3,1) presentation.
 
     Each A_mu is the vector sum_nu c_nu e_nu, multiplied by the rewrite
@@ -193,7 +180,7 @@ def deformed_metric_blade_oracle(gs: QGammaSet, conv: ActionConvention) -> Matri
     anticommutators it enters.
     """
     vectors = []
-    for m in gs.matrices:
+    for m in gs.values():
         coeffs = action_coefficients(m, conv)
         vectors.append(NCPolynomial({(nu,): coeffs[nu] for nu in range(4)}))
     products = [[CL31.multiply(u, v) for v in vectors] for u in vectors]
@@ -296,13 +283,12 @@ class BareSystem:
         return out
 
 
-def bare_relation_system(gs: QGammaSet, qm: QMetric) -> BareSystem:
+def bare_relation_system(gs: dict[str, Matrix], qm: QMetric) -> BareSystem:
     """The bare-relation systems over the generic-q field."""
     q = qvar()
     prefactor = qinv() * q_plus_qinv()
     ident = Matrix.identity(4)
-    ms = gs.matrices
-    products = [matmul(a, b) for a in ms for b in ms]
+    products = [matmul(a, b) for a in gs.values() for b in gs.values()]
     targets = [
         (ident.scale(prefactor * qm.c_inverse[mu, nu]) - products[4 * mu + nu]).data
         for mu in range(4)

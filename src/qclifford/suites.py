@@ -141,7 +141,7 @@ class RunContext:
     # ---- lazily built shared objects ------------------------------------
 
     @cached_property
-    def gammas(self) -> qgamma.QGammaSet:
+    def gammas(self) -> dict[str, Matrix]:
         return qgamma.build_q_gammas()
 
     @cached_property
@@ -357,16 +357,16 @@ def _qgamma_transcription(ctx: RunContext) -> CheckReport:
     Q = q_plus_qinv()
     one = RadicalScalar.one()
     pins = [
-        (gs.gamma0[0, 2], q**2),
-        (gs.gamma0[1, 3], -one),
-        (gs.gamma0[2, 0], -one),
-        (gs.gamma0[3, 1], -one),
-        (gs.gamma_plus[0, 3], sqrt(q * Q)),
-        (gs.gamma_plus[2, 1], -sqrt(q * Q)),
-        (gs.gamma_minus[0, 3], sqrt(Q) * q_half(-3)),
-        (gs.gamma_minus[3, 0], -(sqrt(Q) * q_half(3))),
-        (gs.gamma3[0, 2], qinv() + q - q**2),
-        (gs.gamma3[1, 3], -(q**-2)),
+        (gs["0"][0, 2], q**2),
+        (gs["0"][1, 3], -one),
+        (gs["0"][2, 0], -one),
+        (gs["0"][3, 1], -one),
+        (gs["+"][0, 3], sqrt(q * Q)),
+        (gs["+"][2, 1], -sqrt(q * Q)),
+        (gs["-"][0, 3], sqrt(Q) * q_half(-3)),
+        (gs["-"][3, 0], -(sqrt(Q) * q_half(3))),
+        (gs["3"][0, 2], qinv() + q - q**2),
+        (gs["3"][1, 3], -(q**-2)),
         (qm.c[0, 3], qinv()),
         (qm.c[1, 1], -one + q**-2),
         (qm.c[1, 2], -qinv()),
@@ -390,7 +390,7 @@ def _qgamma_transcription(ctx: RunContext) -> CheckReport:
 )
 def _qgamma_plus_sq(ctx: RunContext) -> CheckReport:
     gs = ctx.gammas
-    sq = matmul(gs.gamma_plus, gs.gamma_plus)
+    sq = matmul(gs["+"], gs["+"])
     ok = sq.is_zero()
     worst = "0" if ok else format_float(ctx.measure(sq.data))
     return _pass_fail(ok, residual=worst, q_values=[] if ok else ctx.q_values_field)
@@ -415,7 +415,7 @@ def _qgamma_gamma5(ctx: RunContext) -> CheckReport:
     g5 = qgamma.gamma5(gs)
     nz = not g5.is_zero()
     # rank over the field bounds the rank at every q
-    rank_ok = matmul(gs.gamma_plus, g5).rank() <= 2
+    rank_ok = matmul(gs["+"], g5).rank() <= 2
     return _pass_fail(nz and rank_ok)
 
 
@@ -899,16 +899,6 @@ def _oracle_numeric_gammas(q: Sized):
     return {"0": g0, "+": gp, "-": gm, "3": g3, "5": g5}
 
 
-def _oracle_relation_scale(tag: str, q: Sized) -> Sized:
-    return {
-        "one": 1.0,
-        "minus_one": -1.0,
-        "q2": q * q,
-        "minus_q2": -(q * q),
-        "qinv2": 1.0 / (q * q),
-    }[tag]
-
-
 @_check(
     "fierz.linear_relations",
     "exact residuals of the seven transcribed linear current relations",
@@ -919,8 +909,8 @@ def _fierz_linear(ctx: RunContext) -> CheckReport:
     holding = [name for (name, *_), m in zip(fierz.LINEAR_RELATIONS, residuals) if m.is_zero()]
     return _report(
         format_float(worst),
-        mismatch=len(holding) != 7,
-        witness=f"{len(holding)} of 7 hold exactly",
+        mismatch=len(holding) != len(fierz.LINEAR_RELATIONS),
+        witness=f"{len(holding)} of {len(fierz.LINEAR_RELATIONS)} hold exactly",
         q_values=ctx.q_values_field,
         details={"holding_exactly": holding, "relations": len(residuals)},
     )
@@ -938,9 +928,9 @@ def _fierz_linear_oracle(ctx: RunContext) -> CheckReport:
     for i, x in enumerate(points.qs):
         q = Sized(x)
         oracle = _oracle_numeric_gammas(q)
-        for (name, lhs, tag, rhs), e_res in zip(fierz.LINEAR_RELATIONS, engine):
+        for (_, lhs, scale, rhs), e_res in zip(fierz.LINEAR_RELATIONS, engine):
             a, b, c, d = (oracle[label] for label in (*lhs, *rhs))
-            o_res = csub(cmatmul(a, b), cscale(_oracle_relation_scale(tag, q), cmatmul(c, d)))
+            o_res = csub(cmatmul(a, b), cscale(scale(q), cmatmul(c, d)))
             e, o = (list(map(sized, chain(*m))) for m in (e_res[i], o_res))
             # both residuals, and their gap, are judged against the sizes of
             # both evaluations

@@ -186,19 +186,19 @@ def test_criterion_6_qgamma_suite():
     Q = q_plus_qinv()
     one = RadicalScalar.one()
     pins = (
-        gs.gamma0[0, 2] == q**2
-        and gs.gamma0[1, 3] == -one
-        and gs.gamma0[2, 0] == -one
-        and gs.gamma0[3, 1] == -one
-        and gs.gamma_plus[0, 3] == sqrt(q * Q)
-        and gs.gamma_plus[2, 1] == -sqrt(q * Q)
-        and gs.gamma_minus[0, 3] == sqrt(Q) * q_half(-3)
-        and gs.gamma_minus[3, 0] == -(sqrt(Q) * q_half(3))
-        and gs.gamma3[0, 2] == qinv() + q - q**2
-        and gs.gamma3[1, 3] == -(q**-2)
+        gs["0"][0, 2] == q**2
+        and gs["0"][1, 3] == -one
+        and gs["0"][2, 0] == -one
+        and gs["0"][3, 1] == -one
+        and gs["+"][0, 3] == sqrt(q * Q)
+        and gs["+"][2, 1] == -sqrt(q * Q)
+        and gs["-"][0, 3] == sqrt(Q) * q_half(-3)
+        and gs["-"][3, 0] == -(sqrt(Q) * q_half(3))
+        and gs["3"][0, 2] == qinv() + q - q**2
+        and gs["3"][1, 3] == -(q**-2)
     )
     ok = (
-        matmul(gs.gamma_plus, gs.gamma_plus).is_zero()
+        matmul(gs["+"], gs["+"]).is_zero()
         and matmul(qm.c, qm.c_inverse) == Matrix.identity(4)
         and pins
     )
@@ -218,19 +218,22 @@ def test_criterion_7_oracle_equivalence(np):
     results = fierz.linear_relation_residuals(gs)
     from test_qgamma import oracle_gammas  # independent float transcription
 
+    # each relation's scale, re-entered from its name
     scales = {
-        "one": lambda q: 1.0,
-        "minus_one": lambda q: -1.0,
-        "q2": lambda q: q * q,
-        "minus_q2": lambda q: -q * q,
-        "qinv2": lambda q: 1 / (q * q),
+        "J53 = -q^2 J50": lambda q: -q * q,
+        "J0- = -J+3": lambda q: -1.0,
+        "J35 = J05": lambda q: 1.0,
+        "J-0 = q^-2 J3+": lambda q: 1 / (q * q),
+        "J0+ = q^2 J-3": lambda q: q * q,
+        "J5+ = J+-": lambda q: 1.0,
+        "J+0 = -J3-": lambda q: -1.0,
     }
     linear_ok = len(results) == 7
     for qv in points:
         g = oracle_gammas(qv)
         mats = {"0": g[0], "+": g[1], "-": g[2], "3": g[3], "5": g[0] @ g[1] @ g[2] @ g[3]}
-        for (name, lhs, tag, rhs), residual in zip(fierz.LINEAR_RELATIONS, results):
-            o_res = mats[lhs[0]] @ mats[lhs[1]] - scales[tag](qv) * (
+        for (name, lhs, _, rhs), residual in zip(fierz.LINEAR_RELATIONS, results):
+            o_res = mats[lhs[0]] @ mats[lhs[1]] - scales[name](qv) * (
                 mats[rhs[0]] @ mats[rhs[1]]
             )
             o_norm = float(np.max(np.abs(o_res)))

@@ -851,6 +851,55 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
 
+# every suite but glq2, whose sweep alone takes seconds
+_CHILD_SUITES = ("clifford", "qgamma", "ch2", "chq2", "fierz", "selfcheck")
+# ranges at the edges: near 0, around the excluded band at 1, up to and past
+# float overflow, reversed, touching 0 and not a number
+_EDGE_Q_RANGES = (
+    "1e-7:1e-6", "0.95:1.05", "1.0500001:1.06", "5:1e15", "1e150:1e160", "2:1", "0:1", "nan:2",
+)
+
+
+@st.composite
+def _child_argv(draw):
+    suites = draw(st.lists(st.sampled_from(_CHILD_SUITES), min_size=1, unique=True))
+    argv = [token for s in suites for token in ("--suite", s)]
+    optional = {
+        "--mode": st.sampled_from(["exact", "both"]),
+        "--q-samples": st.integers(1, 32) | st.sampled_from([0, 4097]),
+        "--q-range": st.sampled_from(_EDGE_Q_RANGES),
+        "--seed": st.integers(0, 2**32),
+    }
+    for flag, values in optional.items():
+        value = draw(st.none() | values)
+        if value is not None:
+            argv += [flag, str(value)]
+    for conv in draw(st.lists(st.sampled_from([c.value for c in qgamma.ALL_CONVENTIONS]), max_size=2)):
+        argv += ["--convention", conv]
+    return argv + (["--strict"] if draw(st.booleans()) else [])
+
+
+class TestChildProcessRuns:
+    @settings(max_examples=20, deadline=None)
+    @given(argv=_child_argv())
+    @example(argv=["--suite", "qgamma", "--mode", "both", "--q-range", "1e150:1e160"])
+    def test_a_real_run_exits_0_1_or_2_without_a_traceback(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qclifford.cli", "verify", *argv],
+            capture_output=True,
+            text=True,
+            env=env_importing_this_qclifford(),
+            timeout=60,
+        )
+        assert proc.returncode in (0, 1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            err = proc.stderr
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        if proc.returncode == 1:
+            assert "selfcheck" in argv or "--strict" in argv
+
+
 class TestBoundedReads:
     """A file given to the CLI is read up to ``MAX_READ_BYTES`` and no further."""
 

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from qclifford.fierz import (
     spinor_metric,
     two_spinor_system,
 )
+from qclifford.cli import main
 from qclifford.linalg import Matrix, matmul
 from qclifford.qgamma import build_q_gammas, gamma5
 from qclifford.rewrite import BudgetExceeded, NCPolynomial
@@ -162,11 +164,11 @@ class TestCurrents:
     def _sandwiches(gs):
         # the five current families: scalar, vector, pseudoscalar, and
         # products of two and three deformed gammas
-        g5 = gamma5(gs)
+        g = {**gs, "5": gamma5(gs)}
         for indices in ("", "0", "5", "03", "5+", "0+3", "+-3"):
             sandwich = Matrix.identity(4)
             for label in indices:
-                sandwich = matmul(sandwich, fierz.gamma_by_label(gs, label, g5))
+                sandwich = matmul(sandwich, g[label])
             yield sandwich
 
     def test_all_five_current_families_constructible(self, gs):
@@ -234,17 +236,20 @@ class TestLinearRelations:
             )
             return {"0": g0, "+": gp, "-": gm, "3": g3, "5": g0 @ gp @ gm @ g3}
 
+        # each relation's scale, re-entered from its name
         scales = {
-            "one": lambda q: 1.0,
-            "minus_one": lambda q: -1.0,
-            "q2": lambda q: q * q,
-            "minus_q2": lambda q: -q * q,
-            "qinv2": lambda q: 1 / (q * q),
+            "J53 = -q^2 J50": lambda q: -q * q,
+            "J0- = -J+3": lambda q: -1.0,
+            "J35 = J05": lambda q: 1.0,
+            "J-0 = q^-2 J3+": lambda q: 1 / (q * q),
+            "J0+ = q^2 J-3": lambda q: q * q,
+            "J5+ = J+-": lambda q: 1.0,
+            "J+0 = -J3-": lambda q: -1.0,
         }
         for qv in SAMPLES:
             mats = oracle(qv)
-            for (name, lhs, tag, rhs), residual in zip(LINEAR_RELATIONS, results):
-                o_res = mats[lhs[0]] @ mats[lhs[1]] - scales[tag](qv) * (
+            for (name, lhs, _, rhs), residual in zip(LINEAR_RELATIONS, results):
+                o_res = mats[lhs[0]] @ mats[lhs[1]] - scales[name](qv) * (
                     mats[rhs[0]] @ mats[rhs[1]]
                 )
                 o_norm = float(np.max(np.abs(o_res)))
@@ -260,6 +265,20 @@ class TestLinearRelations:
                 assert max(norms) < 1e-12
             else:
                 assert max(norms) > 1e-9
+
+    def test_checks_count_the_relations_they_read(self, monkeypatch, tmp_path):
+        # two tautologies, one scaled wrongly: the exact check and the oracle
+        # read the same table, whatever its length
+        row = ("J0+ = J0+", ("0", "+"), lambda q: 1, ("0", "+"))
+        monkeypatch.setattr(fierz, "LINEAR_RELATIONS", (row, (*row[:2], lambda q: 2, row[3])))
+        out = tmp_path / "fierz.json"
+        argv = ["verify", "--suite", "fierz", "--mode", "both", "--seed", "7", "--format", "json"]
+        assert main([*argv, "--out", str(out)]) == 0
+        checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+        linear = checks["fierz.linear_relations"]
+        assert linear["details"] == {"holding_exactly": ["J0+ = J0+"], "relations": 2}
+        assert linear["witness"] == "1 of 2 hold exactly" and linear["mismatch"]
+        assert checks["fierz.linear_relations_oracle"]["status"] == "pass"
 
 
 def _gcd(k_dependence) -> KPolynomial:
@@ -299,7 +318,7 @@ class TestQuadraticIdentity:
         # sum_d k^d (coefficient of k^d) read from the report
         k_dependence = quadratic_identity_report(gs, convention, swap_roles)
         bar, ket = (majorana_components(s) for s in ((2, 1) if swap_roles else (1, 2)))
-        sandwiches = (Matrix.identity(4), matmul(gs.gamma0, gs.gamma3), gamma5(gs))
+        sandwiches = (Matrix.identity(4), matmul(gs["0"], gs["3"]), gamma5(gs))
         q = qvar()
         assert any(poly.degree() > 0 for poly in k_dependence.values())
         for k in (Fraction(3, 5), Fraction(2), Fraction(-1, 2)):

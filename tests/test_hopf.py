@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import subprocess
 import sys
@@ -8,12 +7,10 @@ from itertools import chain
 import pytest
 
 from conftest import env_importing_this_qclifford
-from qclifford import hopf
 from qclifford.hopf import (
     AntipodeMissing,
     AxiomResult,
     _coassociativity_sides,
-    _delta_reader,
     _premise_row,
     _premise_witnesses,
     check_antipode,
@@ -483,15 +480,14 @@ class TestCoassociativityByConcatenation:
         for i, p in h.coproduct.items():
             shifted = {tuple(x + g for x in w): c for w, c in p.terms.items()}
             right_images[g + i] = NCPolynomial(shifted)
-        delta = _delta_reader(h)
         for w in chain([()], h.rs.iter_words(3)):
             d = h.delta(NCPolynomial.word(w))
             terms = h.terms(d)
             for term in terms:
-                [left], right = _coassociativity_sides(h, delta, [term])
+                [left], right = _coassociativity_sides(h, [term])
                 for side in (left, right):
                     assert t3.normal_form(side) == side, (w, term)
-            [left], right = _coassociativity_sides(h, delta, terms)
+            [left], right = _coassociativity_sides(h, terms)
             assert left == apply_morphism(d, left_images, t3), w
             assert right == apply_morphism(d, right_images, t3), w
 
@@ -620,39 +616,6 @@ class TestPremiseRows:
         assert chq2.antipode != full.antipode
 
 
-class TestGeneratorDeltas:
-    def test_delta_of_each_generator_is_extended_once_per_coproduct(self, monkeypatch):
-        h = build_ch2()
-        h.rs.derived.clear()
-        h.t2  # the tensor square is built before counting
-        extended = []
-
-        def counting(p, images, target):
-            if images is h.coproduct and [len(w) for w in p.terms] == [1]:
-                extended.append(p)
-            return extend(p, images, target)
-
-        def tables():
-            return [key for key in h.rs.derived if key[:2] == ("Delta", "generators")]
-
-        monkeypatch.setattr(hopf, "extend", counting)
-        laws = (check_coassociativity, check_counit, check_antipode)
-        for law in laws:
-            assert law(h).ok
-        # a generator is extended by the table and by a premise rule whose
-        # right-hand side is one letter, and never again
-        assert h.rs.size <= len(extended) <= 2 * h.rs.size
-        first = len(extended)
-        for law in laws:
-            assert law(h).ok
-        assert len(extended) == first and len(tables()) == 1
-        # another coproduct, compared by content, gets its own table
-        primitive = _primitive_g1_ch2()
-        h.coproduct = primitive.coproduct
-        assert check_coassociativity(h) == check_coassociativity(primitive)
-        assert len(tables()) == 2
-
-
 class TestSharedUnit:
     def test_unit_is_one_shared_polynomial(self):
         assert NCPolynomial.unit() is NCPolynomial.unit()
@@ -703,15 +666,12 @@ def counting_power(self, n):
 rs.tensor_power = counting_power
 rs.normal_form = counting("normal_form", rs.normal_form)
 hopf.extend = counting("extend", hopf.extend)
-hopf._generator_deltas = counting("generator_deltas", hopf._generator_deltas)
-hopf._delta_reader = counting("delta_reader", hopf._delta_reader)
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["verify", "--suite", "ch2", "--suite", "chq2", "--mode", "exact", "--seed", "7"])
 print(json.dumps({"exit": code, "tensor_powers": powers, **counts}))
 """
 
 
-@functools.cache
 def _hopf_work() -> dict:
     """The counts of ``_COUNT_HOPF_WORK``, taken in a fresh process, because
     the rewrite systems and their rows live for the whole process."""
@@ -730,10 +690,11 @@ def test_hopf_exact_run_decides_each_premise_once():
     # One tensor square per presentation (ch2, chq2 and the group toy) and
     # no cube: the coassociativity sides are built by concatenation, and the
     # counit sides are sums of normal words.  The run
-    # takes 646 normal forms and 321 structure-map applications; with each
-    # premise's left side mapped as one word, not as the product of its
-    # generators' images, 802 and 477; with Delta
-    # of each generator extended anew for every law, 903 and 578.  With the
+    # takes 775 normal forms and 450 structure-map applications, extending
+    # Delta of each generator anew wherever it is read; with Delta of each
+    # generator kept in a table per system and coproduct, 646 and 321; with
+    # each premise's left side mapped as one word, not as the product of its
+    # generators' images, 802 and 477 (with the table).  With the
     # cube built and the counit laws extended into the algebra, it built 6
     # tensor powers and took 1,076;
     # with every system and premise row also rebuilt per algebra and per
@@ -744,11 +705,3 @@ def test_hopf_exact_run_decides_each_premise_once():
     assert counts["normal_form"] <= 950
     assert counts["extend"] <= 800
 
-
-def test_hopf_exact_run_reads_each_generator_delta_table_once_per_law():
-    # each law reads the table of generator Deltas once, and each
-    # coassociativity check builds one Delta reader, which reads it too: 20
-    # reads and 8 readers.  With a reader built for each generator, 40 and 28
-    counts = _hopf_work()
-    assert counts["generator_deltas"] == 20
-    assert counts["delta_reader"] == 8

@@ -76,7 +76,7 @@ def qm():
 
 def _numpy_system(np, gs, qm, q):
     """The bare-relation coefficient matrix and its 16 targets at q, built with numpy."""
-    mats = [np.asarray(m.evaluate(PointSet([q]))[0]) for m in gs.matrices]
+    mats = [np.asarray(m.evaluate(PointSet([q]))[0]) for m in gs.values()]
     cinv = np.asarray(qm.c_inverse.evaluate(PointSet([q]))[0])
     pref = (1.0 / q) * (q + 1.0 / q)
     coeff = np.array([(q * mats[a] @ mats[b]).reshape(-1) for a in range(4) for b in range(4)]).T

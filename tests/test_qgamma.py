@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 
 import pytest
 
@@ -90,16 +89,16 @@ class TestTranscription:
         q = qvar()
         Q = q_plus_qinv()
         one = RadicalScalar.one()
-        assert gs.gamma0[0, 2] == q**2
-        assert gs.gamma0[1, 3] == -one
-        assert gs.gamma0[2, 0] == -one
-        assert gs.gamma0[3, 1] == -one
-        assert gs.gamma_plus[0, 3] == sqrt(q * Q)
-        assert gs.gamma_plus[2, 1] == -sqrt(q * Q)
-        assert gs.gamma_minus[0, 3] == sqrt(Q) * q_half(-3)
-        assert gs.gamma_minus[3, 0] == -(sqrt(Q) * q_half(3))
-        assert gs.gamma3[0, 2] == qinv() + q - q**2
-        assert gs.gamma3[1, 3] == -(q**-2)
+        assert gs["0"][0, 2] == q**2
+        assert gs["0"][1, 3] == -one
+        assert gs["0"][2, 0] == -one
+        assert gs["0"][3, 1] == -one
+        assert gs["+"][0, 3] == sqrt(q * Q)
+        assert gs["+"][2, 1] == -sqrt(q * Q)
+        assert gs["-"][0, 3] == sqrt(Q) * q_half(-3)
+        assert gs["-"][3, 0] == -(sqrt(Q) * q_half(3))
+        assert gs["3"][0, 2] == qinv() + q - q**2
+        assert gs["3"][1, 3] == -(q**-2)
 
     def test_eight_pinned_metric_entries(self, qm):
         q = qvar()
@@ -114,13 +113,13 @@ class TestTranscription:
 
     def test_matrices_match_float_oracle_at_samples(self, gs, np):
         for qv in SAMPLES:
-            for engine, oracle in zip(gs.matrices, oracle_gammas(qv)):
+            for engine, oracle in zip(gs.values(), oracle_gammas(qv)):
                 assert np.max(np.abs(engine.evaluate(PointSet([qv]))[0] - oracle)) < 1e-12
 
 
 class TestExactIdentities:
     def test_gamma_plus_squares_to_zero(self, gs):
-        assert matmul(gs.gamma_plus, gs.gamma_plus).is_zero()
+        assert matmul(gs["+"], gs["+"]).is_zero()
 
     @pytest.mark.parametrize("mode", ["exact", "both"])
     def test_a_failing_square_names_the_points_it_measured(self, gs, mode):
@@ -128,7 +127,7 @@ class TestExactIdentities:
         ctx = RunContext(mode=mode, seed=7)
         assert check.fn(ctx).q_values == []
         # gamma0 squares to a nonzero matrix, so the check measures it
-        ctx.gammas = dataclasses.replace(gs, gamma_plus=gs.gamma0)
+        ctx.gammas = {**gs, "+": gs["0"]}
         report = check.fn(ctx)
         assert report.status == "fail" and float(report.residual_max) > 0.0
         assert report.q_values == ctx.q_values_field
@@ -166,7 +165,7 @@ class TestGamma5:
     def test_annihilated_by_raising_gamma(self, gs, np):
         # (gamma+)^2 = 0 forces rank(gamma+ gamma5) <= 2
         g5 = gamma5(gs)
-        prod = matmul(gs.gamma_plus, g5)
+        prod = matmul(gs["+"], g5)
         assert np.linalg.matrix_rank(prod.evaluate(PointSet([1.5]))[0]) <= 2
 
 
@@ -222,7 +221,7 @@ def _is_the_flip_relation(residual: Matrix, gs, qm) -> bool:
     """Whether row (mu, nu) of ``residual`` is, for every pair,
     g_mu g_nu + q g_nu g_mu - q^{-1} Q (C^{-1})_{mu nu} I, built here from
     the gammas and the metric alone."""
-    ms = gs.matrices
+    ms = list(gs.values())
     prefactor = qinv() * q_plus_qinv()
     for mu in range(4):
         for nu in range(4):
@@ -270,7 +269,7 @@ class TestBareRelation:
         exact = bare_relation_system(gs, qm).at(1).solve()
         if not exact.solvable:
             pytest.skip("system infeasible; nothing to substitute")
-        mats = [m.map(lambda s: s.at(1)) for m in gs.matrices]
+        mats = [m.map(lambda s: s.at(1)) for m in gs.values()]
         cinv = qm.c_inverse.map(lambda s: s.at(1))
         two = RadicalScalar.constant(2)
         for mu in range(4):
