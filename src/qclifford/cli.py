@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -32,16 +31,9 @@ _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 def _parse_q_range(text: str) -> tuple[float, float]:
     try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = float(lo_s), float(hi_s)
+        lo, hi = map(float, text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad q range {text!r}, expected LO:HI") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"q range {text!r} must have finite bounds")
-    if lo >= hi:
-        raise ConfigError("q range must satisfy LO < HI")
-    if lo <= 0:  # exact and principal-branch values agree only for q > 0
-        raise ConfigError(f"q range {text!r} must lie in q > 0")
     return lo, hi
 
 
@@ -91,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="suite name or 'all'; repeatable")
     run.add_argument("--mode", choices=report_mod.MODES, default=None)
     run.add_argument("--q-samples", dest="q_samples", type=int, default=None)
-    run.add_argument("--q-range", dest="q_range", default=None, metavar="LO:HI")
+    run.add_argument("--q-range", dest="q_range", default=None, metavar="LO:HI",
+                     help="sample q in LO:HI; 0 < q <= 1e6, at least 0.05 from 1 and 1e-6 from 0")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--strict", action="store_true", default=None,
                      help="report-status mismatches against targets also fail")
@@ -136,10 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ctx = suites_mod.RunContext(**options)
     except ValueError as exc:  # a mode, sample count or q range the context refuses
         raise ConfigError(str(exc)) from exc
-    try:
-        reports = suites_mod.run_checks(chosen, ctx)
-    except OverflowError as exc:  # samples so large that float evaluation overflows
-        raise ConfigError(f"q range {args.q_range!r} overflows float evaluation: {exc}") from exc
+    reports = suites_mod.run_checks(chosen, ctx)
     config_dict = {
         "suites": chosen,
         "mode": ctx.mode,

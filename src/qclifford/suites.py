@@ -14,6 +14,7 @@ one relative bound of ``RunContext.agrees``.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .scalars import GaussRational, PointSet, RadicalScalar
 SUITES = ("clifford", "qgamma", "glq2", "ch2", "chq2", "fierz")
 EXTRA_SUITES = ("selfcheck",)
 
-# fallback sample points used to measure exact residuals in exact mode
+# points that measure exact residuals in exact mode, and oracle points below five samples
 REFERENCE_SAMPLES = (0.5, 0.75, 1.25, 1.5, 1.75)
 
 # most q samples a run may draw; each costs a float oracle pass per check
@@ -51,6 +52,10 @@ MAX_Q_SAMPLES = 4096
 # (centre, radius): sampled q values keep at least this distance from each
 # centre, away from the classical point q = 1 and from q = 0
 Q_EXCLUSIONS = ((1.0, 0.05), (0.0, 1e-6))
+
+# largest q a range may reach, the image of the window around 0 under q -> 1/q: t = sqrt(q)
+# lies in [1e-3, 1e3], so t**k is finite for |k| <= 102, beyond any check's |k| <= 20
+Q_MAX = 1e6
 
 # least share of the q range the sampler may keep once the exclusions are cut
 # out: it rejection-samples, so a share s costs about 1/s draws per sample
@@ -74,15 +79,13 @@ def _draw_q(rng: random.Random, lo: float, hi: float) -> float:
 
 
 def admissible_q_share(lo: float, hi: float) -> Fraction:
-    """Share of [lo, hi] left to the q sampler once the exclusions are cut out.
+    """Share of [lo, hi], lo < hi, left to the q sampler once the exclusions are cut out.
 
     The share is exact in the float values of the bounds, centres and radii:
     near a centre ``x - c`` is exact in floats, so ``_draw_q`` keeps exactly
     the x with |x - c| >= r, and a float share would round a window edge
     past a bound it admits.
     """
-    if not lo < hi:
-        return Fraction(0)
     lo, hi = Fraction(lo), Fraction(hi)
     covered = sum(
         max(0, min(hi, Fraction(c) + Fraction(r)) - max(lo, Fraction(c) - Fraction(r)))
@@ -107,6 +110,12 @@ class RunContext:
                 f"q_samples must be between 1 and {MAX_Q_SAMPLES}, got {self.q_samples}"
             )
         lo, hi = self.q_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"q range {lo}:{hi} must have finite bounds")
+        if not 0 < lo < hi <= Q_MAX:  # exact and principal-branch values agree for q > 0
+            raise ValueError(
+                f"q range {lo}:{hi} must have LO < HI and lie in q > 0 and q <= {Q_MAX:g}"
+            )
         share = admissible_q_share(lo, hi)
         if share <= 0.0:
             raise ValueError(

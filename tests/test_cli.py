@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import random
@@ -18,6 +19,7 @@ from qclifford import blades, fierz, presentations, qgamma
 from qclifford import suites as suites_mod
 from qclifford.cli import main
 from qclifford.report import (
+    MODES,
     REPORT_SCHEMA,
     ReportDiff,
     SchemaError,
@@ -580,8 +582,18 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "q > 0" in err
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("suite", [*suites_mod.SUITES, "selfcheck"])
+    def test_a_range_above_q_max_is_refused_before_any_check(self, capsys, no_checks, suite, mode):
+        # the range is judged alone: it once exited 0 or 2 by which checks ran
+        code = main(["verify", "--suite", suite, "--mode", mode, "--q-range", "1e150:1e160"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_q_range_that_overflows_float_evaluation_exits_2_without_traceback(self):
-        # q^k at q = 1e150 overflows complex exponentiation in the numeric backend
+        # q^k at q = 1e150 overflows complex exponentiation in the numeric
+        # backend, so the range lies above suites.Q_MAX and is refused
         proc = subprocess.run(
             [
                 sys.executable, "-m", "qclifford.cli", "verify", "--suite", "qgamma",
@@ -594,7 +606,7 @@ class TestConfigFile:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "1e150:1e151" in proc.stderr
+        assert "1e+150:1e+151" in proc.stderr
 
     @pytest.mark.parametrize(
         "q_range, code",
@@ -854,9 +866,10 @@ class TestUsageErrors:
 # every suite but glq2, whose sweep alone takes seconds
 _CHILD_SUITES = ("clifford", "qgamma", "ch2", "chq2", "fierz", "selfcheck")
 # ranges at the edges: near 0, around the excluded band at 1, up to and past
-# float overflow, reversed, touching 0 and not a number
+# the cap suites.Q_MAX, reversed, touching 0 and not a number
 _EDGE_Q_RANGES = (
-    "1e-7:1e-6", "0.95:1.05", "1.0500001:1.06", "5:1e15", "1e150:1e160", "2:1", "0:1", "nan:2",
+    "1e-7:1e-6", "0.95:1.05", "1.0500001:1.06", "1e5:1e6", "5:1e15", "1e150:1e160", "2:1", "0:1",
+    "nan:2",
 )
 
 
@@ -898,6 +911,19 @@ class TestChildProcessRuns:
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         if proc.returncode == 1:
             assert "selfcheck" in argv or "--strict" in argv
+
+    def test_a_range_above_q_max_exits_2_where_no_check_evaluates_floats(self):
+        # the clifford checks evaluate no floats, so an overflowing range once ran them with exit 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "qclifford.cli", "verify", "--suite", "clifford",
+             "--q-range", "1e150:1e160"],
+            capture_output=True,
+            text=True,
+            env=env_importing_this_qclifford(),
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestBoundedReads:
@@ -1160,6 +1186,18 @@ def _exact_admissible_share(lo: float, hi: float) -> Fraction:
     return 1 - covered / (hi - lo)
 
 
+# q range bounds: any float, with the values at the edges of the admissible
+# set 0 < q <= Q_MAX drawn often, and ranges inside it drawn often enough
+_Q_BOUNDS = (
+    st.floats()
+    | st.floats(0, 2 * suites_mod.Q_MAX)
+    | st.sampled_from(
+        [math.inf, -math.inf, math.nan, 0.0, -0.5, -2.0, suites_mod.Q_MAX,
+         math.nextafter(suites_mod.Q_MAX, math.inf)]
+    )
+)
+
+
 class TestRunContext:
     def test_sample_count_is_capped(self):
         cap = suites_mod.MAX_Q_SAMPLES
@@ -1176,13 +1214,49 @@ class TestRunContext:
         share = _exact_admissible_share(lo, hi)
         # float and exact arithmetic may disagree right at the threshold
         assume(abs(share - suites_mod.MIN_ADMISSIBLE_SHARE) > 1e-9)
-        if share >= suites_mod.MIN_ADMISSIBLE_SHARE:
+        if lo <= 0:  # the share is judged only in q > 0
+            with pytest.raises(ValueError, match="q > 0"):
+                RunContext(q_range=(lo, hi))
+        elif share >= suites_mod.MIN_ADMISSIBLE_SHARE:
             samples = RunContext(q_range=(lo, hi)).samples
             assert len(samples) == 8
             assert all(lo <= x <= hi and abs(x - 1) >= 0.05 and abs(x) >= 1e-6 for x in samples)
         else:
             with pytest.raises(ValueError, match="admissible samples"):
                 RunContext(q_range=(lo, hi))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.5, math.inf), (math.nan, 2.0), (-2.0, -0.5), (-0.5, 2.0), (0.0, 2.0), (2.0, 1.0),
+         (1e150, 1e160), (0.5, math.nextafter(suites_mod.Q_MAX, math.inf))],
+    )
+    def test_a_range_off_the_admissible_set_raises_value_error(self, lo, hi):
+        with pytest.raises(ValueError, match="q range"):
+            RunContext(q_range=(lo, hi))
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, suites_mod.Q_MAX), (1e-6, 1e-5)])
+    def test_a_range_at_either_edge_of_the_admissible_set_is_accepted(self, lo, hi):
+        assert all(lo <= x <= hi for x in RunContext(q_range=(lo, hi)).samples)
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(lo=_Q_BOUNDS, hi=_Q_BOUNDS)
+    @example(lo=0.5, hi=math.inf)
+    @example(lo=-0.5, hi=2.0)
+    def test_the_library_refuses_exactly_the_ranges_the_cli_refuses(
+        self, monkeypatch, capsys, lo, hi
+    ):
+        # an OverflowError from either side fails the test
+        monkeypatch.setattr(suites_mod, "run_checks", lambda *args: [])
+        try:
+            RunContext(q_range=(lo, hi))
+            refused = False
+        except ValueError:
+            refused = True
+        code = main(["verify", "--suite", "clifford", f"--q-range={lo!r}:{hi!r}"])
+        capsys.readouterr()
+        assert code == (2 if refused else 0)
 
     def test_numeric_irreps_draw_q_by_the_samplers_rule(self):
         # each irrep's q lies in the user's range and outside every window
@@ -1302,10 +1376,15 @@ class TestCrossCheckBound:
         "EXPECTED"
     ]
 
-    # the last range lies within 1e-6 of q0 = 1.46557, the real root of
-    # q^3 - q^2 - 1, where 1/q + q - q^2 (a gamma entry, and a factor of every
-    # gamma5 product) cancels to about 2e-6 of its terms
-    @pytest.mark.parametrize("q_range", ["0.0001:0.01", "0.01:0.2", "2:40", "5:1000", "1.465570:1.465572"])
+    # the first and the sixth range reach the edges of the admissible set,
+    # 1e-6 from 0 and suites.Q_MAX; the last lies within 1e-6 of q0 =
+    # 1.46557, the real root of q^3 - q^2 - 1, where 1/q + q - q^2 (a gamma
+    # entry, and a factor of every gamma5 product) cancels to about 2e-6 of
+    # its terms
+    @pytest.mark.parametrize(
+        "q_range",
+        ["1e-6:1e-5", "0.0001:0.01", "0.01:0.2", "2:40", "5:1000", "1e5:1e6", "1.465570:1.465572"],
+    )
     def test_every_verdict_holds_off_the_default_range(self, tmp_path, q_range):
         suites = ("qgamma", "chq2", "fierz")
         args = [f"--suite={s}" for s in suites]
